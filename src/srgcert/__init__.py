@@ -10,7 +10,6 @@ from .gramtest import (
     alpha_min,
     decide,
     m_lower,
-    m_upper,
     m_upper_exact,
     wsplit_contradiction,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "krein_parameters",
     "krein_q22_zero",
     "m_lower",
-    "m_upper",
     "m_upper_exact",
     "pair_profile",
     "repr_constants",

@@ -5,16 +5,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .cliquebound import k4_lower_bound, pair_profile
-from .gramtest import Verdict, decide, m_lower, m_upper
-from .oracle import census, construct, lambda_subgraph_edge_counts, srg_parameters
-from .params import InvalidParamsError, SrgParams, derive_spectrum, subconstituent_scan
-from .representation import repr_constants
+from .cliquebound import MAX_DEGREE
+from .gramtest import Verdict, decide
+from .params import InvalidParamsError, SrgParams, subconstituent_scan
 from .serialize import (
     ScanRow,
     certificate_to_json,
@@ -82,8 +81,8 @@ def _cmd_check(args) -> int:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     degree = args.max_gegenbauer_degree
-    if degree % 2 != 0 or not 0 <= degree <= 8:
-        print("--max-gegenbauer-degree must be even and at most 8", file=sys.stderr)
+    if degree % 2 != 0 or not 0 <= degree <= MAX_DEGREE:
+        print(f"--max-gegenbauer-degree must be even and at most {MAX_DEGREE}", file=sys.stderr)
         return EXIT_BAD_INPUT
     cert = decide(
         params,
@@ -98,6 +97,7 @@ def _cmd_check(args) -> int:
 
 
 def _scan_worker(task):
+    """One CSV row to (row JSON or error record, elapsed milliseconds)."""
     line_no, text, degree = task
     parts = [p.strip() for p in text.split(",")]
     t0 = time.perf_counter()
@@ -107,9 +107,8 @@ def _scan_worker(task):
         v, k, lam, mu = (int(p) for p in parts)
         params = SrgParams(v, k, lam, mu)
     except (ValueError, InvalidParamsError) as exc:
-        return {"line": line_no, "error": str(exc)}
+        return {"line": line_no, "error": str(exc)}, 0
     cert = decide(params, gegenbauer_degree=degree)
-    elapsed_ms = int((time.perf_counter() - t0) * 1000)
     row = ScanRow(
         params=params,
         verdict=cert.verdict,
@@ -117,11 +116,8 @@ def _scan_worker(task):
         m_range=cert.m_range,
         witness_w=cert.witnesses[0].w if cert.witnesses else None,
         krein_q22_zero=cert.feasibility.krein_q22_zero,
-        elapsed_ms=elapsed_ms,
     )
-    out = scan_row_to_json(row)
-    out["_elapsed_ms"] = elapsed_ms
-    return out
+    return scan_row_to_json(row), int((time.perf_counter() - t0) * 1000)
 
 
 def _cmd_scan(args) -> int:
@@ -155,8 +151,11 @@ def _cmd_scan(args) -> int:
 
     tasks = [(line_no, text, 4) for line_no, text in data_lines]
     if jobs > 1 and len(tasks) > 1:
+        # a few chunks per worker: one pickled round trip per row costs more
+        # than most rows take to decide
+        chunksize = math.ceil(len(tasks) / (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_worker, tasks))
+            results = list(pool.map(_scan_worker, tasks, chunksize=chunksize))
     else:
         results = [_scan_worker(t) for t in tasks]
 
@@ -171,7 +170,7 @@ def _cmd_scan(args) -> int:
         close = True
     try:
         counts: dict[str, int] = {}
-        for res in results:
+        for res, elapsed in results:
             if "error" in res:
                 counts["Error"] = counts.get("Error", 0) + 1
                 if args.json_lines:
@@ -181,7 +180,6 @@ def _cmd_scan(args) -> int:
                 continue
             verdict = res["verdict"]
             counts[verdict] = counts.get(verdict, 0) + 1
-            elapsed = res.pop("_elapsed_ms")
             if args.json_lines:
                 out_handle.write(dumps(res) + "\n")
             else:
@@ -216,58 +214,15 @@ def _cmd_subscan(args) -> int:
     return 0
 
 
-SELF_CHECK_GRAPHS = [
-    ("petersen", None),
-    ("paley", 9),
-    ("paley", 13),
-    ("paley", 17),
-    ("paley", 25),
-    ("triangular", 7),
-    ("rook", 4),
-]
-
-
 def _cmd_self_check(args) -> int:
+    # imported here: numpy and the brute-force oracle serve this command only
+    from .oracle import REFERENCE_GRAPHS, construct, validate
+
     failures = 0
-    for name, order in SELF_CHECK_GRAPHS:
+    for name, order in REFERENCE_GRAPHS:
         label = f"{name}({order})" if order is not None else name
         try:
-            g = construct(name, order)
-            params = srg_parameters(g)
-            report = census(g)
-            m_counts = lambda_subgraph_edge_counts(g)
-            if sum(m_counts) != 6 * report.k4_count:
-                raise AssertionError("sum of per-edge counts != 6 * K4")
-            spectrum = derive_spectrum(params)
-            detail = f"K4={report.k4_count}"
-            if spectrum is not None:
-                rep = repr_constants(params, spectrum)
-                profile = pair_profile(params, rep)
-                counts = profile.counts_at(report.k4_count)
-                expected = {
-                    "ve-endpoint": report.vertex_edge_class_counts[0],
-                    "ve-both": report.vertex_edge_class_counts[1],
-                    "ve-one": report.vertex_edge_class_counts[2],
-                    "ve-neither": report.vertex_edge_class_counts[3],
-                    "ee-shared-adjacent": report.shared_edge_class_counts[0],
-                    "ee-shared-nonadjacent": report.shared_edge_class_counts[1],
-                    **{f"ee-disjoint-{j}": report.n_j_disjoint[j] for j in range(5)},
-                }
-                for key, want in expected.items():
-                    if counts[key] != want:
-                        raise AssertionError(f"class {key}: derived {counts[key]} != census {want}")
-                bound = k4_lower_bound(params, rep)
-                if bound.lower > report.k4_count:
-                    raise AssertionError(f"4-clique bound {bound.lower} exceeds true count {report.k4_count}")
-                lo = m_lower(params, bound.lower)
-                hi = m_upper(params, rep)
-                if not lo <= report.max_lambda_subgraph_edges <= hi:
-                    raise AssertionError(
-                        f"max m {report.max_lambda_subgraph_edges} outside [{lo},{hi}]"
-                    )
-                detail += f" profile-ok k4-bound={bound.lower} m=[{lo},{hi}]"
-            else:
-                detail += " (irrational spectrum: census identities only)"
+            detail = validate(construct(name, order))
         except Exception as exc:  # deliberate: report and keep checking
             print(f"FAIL {label}: {exc}")
             failures += 1

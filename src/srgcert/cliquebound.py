@@ -56,14 +56,12 @@ def _gegenbauer_coeffs(d: int, t: int) -> tuple[Fraction, ...]:
     return tuple(c / at_one for c in raw)
 
 
-def gegenbauer_eval(d: int, t: int, x_squared: Fraction, negative: bool = False) -> Fraction:
-    """Value of the normalized degree-t Gegenbauer polynomial at x, given
-    x^2 and the sign of x.
+def gegenbauer_eval(d: int, t: int, x_squared: Fraction) -> Fraction:
+    """Value of the normalized degree-t Gegenbauer polynomial at x, given x^2.
 
     Only even t is supported: an even polynomial depends on x^2 alone, which
     keeps the result rational for the square roots occurring in the edge
-    vector inner products.  The sign flag is accepted for interface
-    completeness but cannot influence an even polynomial.
+    vector inner products.
     """
     if d < 3:
         raise ValueError(f"need d >= 3, got {d}")
@@ -88,8 +86,8 @@ def gegenbauer_eval(d: int, t: int, x_squared: Fraction, negative: bool = False)
 class PairClass:
     """One inner-product class of the vertex+edge vector system.
 
-    value_sq is the squared inner product (always rational); negative records
-    the sign of the underlying value.  count is affine in the unknown
+    value_sq is the squared inner product (always rational; the even
+    polynomials never need the sign).  count is affine in the unknown
     4-clique count K4: count_const + count_k4 * K4.  Counting conventions:
     vertex-vertex counts are over ordered pairs including self-pairs,
     vertex-edge counts are over (vertex, edge) pairs, edge-edge counts are
@@ -99,7 +97,6 @@ class PairClass:
     name: str
     kind: str
     value_sq: Fraction
-    negative: bool
     count_const: Fraction
     count_k4: Fraction
 
@@ -159,29 +156,23 @@ def pair_profile(params: SrgParams, rep: ReprConstants) -> PairProfile:
     E = params.edge_count
     denom = 2 + 2 * p  # |x_u + x_w|^2
 
-    def sq(value: Fraction) -> tuple[Fraction, bool]:
-        return value * value, value < 0
-
     classes: list[PairClass] = []
 
-    def add(name, kind, value_sq, negative, const, k4=Fraction(0)):
+    def add(name, kind, value_sq, const, k4=Fraction(0)):
         classes.append(
             PairClass(
                 name=name,
                 kind=kind,
                 value_sq=Fraction(value_sq),
-                negative=negative,
                 count_const=Fraction(const),
                 count_k4=Fraction(k4),
             )
         )
 
     # vertex-vertex, ordered pairs
-    add("vv-self", "vertex-vertex", Fraction(1), False, v)
-    vsq, vneg = sq(p)
-    add("vv-adjacent", "vertex-vertex", vsq, vneg, v * k)
-    vsq, vneg = sq(q)
-    add("vv-nonadjacent", "vertex-vertex", vsq, vneg, v * (v - 1 - k))
+    add("vv-self", "vertex-vertex", 1, v)
+    add("vv-adjacent", "vertex-vertex", p * p, v * k)
+    add("vv-nonadjacent", "vertex-vertex", q * q, v * (v - 1 - k))
 
     # vertex-edge, (vertex, edge) pairs; values c/sqrt(2+2p) stored as c^2/(2+2p)
     for name, c, count in (
@@ -190,17 +181,17 @@ def pair_profile(params: SrgParams, rep: ReprConstants) -> PairProfile:
         ("ve-one", p + q, 2 * E * (k - 1 - lam)),
         ("ve-neither", 2 * q, E * (v - 2 * k + lam)),
     ):
-        add(name, "vertex-edge", c * c / denom, c < 0, count)
+        add(name, "vertex-edge", c * c / denom, count)
 
     # edge-edge: self, sharing a vertex (unordered), disjoint (unordered)
-    add("ee-self", "edge-edge-shared", Fraction(1), False, E)
+    add("ee-self", "edge-edge-shared", 1, E)
     shared_adj = Fraction(v * k * lam, 2)
     shared_total = v * _comb2(k)
     for name, c, count in (
         ("ee-shared-adjacent", 1 + 3 * p, shared_adj),
         ("ee-shared-nonadjacent", 1 + 2 * p + q, shared_total - shared_adj),
     ):
-        add(name, "edge-edge-shared", c * c / (denom * denom), c < 0, count)
+        add(name, "edge-edge-shared", c * c / (denom * denom), count)
 
     # disjoint pairs by number of cross adjacencies
     triangles = Fraction(v * k * lam, 6)
@@ -224,7 +215,7 @@ def pair_profile(params: SrgParams, rep: ReprConstants) -> PairProfile:
     )
     for j, (const, coef) in enumerate((n0, n1, n2, n3, n4)):
         c = (j * p + (4 - j) * q) / denom
-        add(f"ee-disjoint-{j}", "edge-edge-disjoint", c * c, c < 0, const, coef)
+        add(f"ee-disjoint-{j}", "edge-edge-disjoint", c * c, const, coef)
 
     return PairProfile(params=params, rep=rep, edge_count=E, classes=tuple(classes))
 
@@ -264,10 +255,7 @@ def k4_lower_bound(params: SrgParams, rep: ReprConstants, degree: int = 4) -> K4
     """
     prof = pair_profile(params, rep)
     d = rep.d
-    gval = {
-        cls.name: gegenbauer_eval(d, degree, cls.value_sq, cls.negative)
-        for cls in prof.classes
-    }
+    gval = {cls.name: gegenbauer_eval(d, degree, cls.value_sq) for cls in prof.classes}
     s_vv = sum(cls.count_const * gval[cls.name] for cls in prof.classes if cls.kind == "vertex-vertex")
     s_ve = sum(cls.count_const * gval[cls.name] for cls in prof.classes if cls.kind == "vertex-edge")
     s_ee0 = Fraction(0)
@@ -283,12 +271,11 @@ def k4_lower_bound(params: SrgParams, rep: ReprConstants, degree: int = 4) -> K4
 
     if b2 <= 0:
         return K4Bound(0, None, a_quad, k4_quad, None, informative=False)
-    if s_vv <= 0:
-        # F can be driven negative regardless of K4: no graph at all.  Report
-        # a bound exceeding any possible count so the range test fires.
-        impossible = math.comb(params.v, 4) + 1
-        return K4Bound(impossible, Fraction(0), a_quad, k4_quad, None, informative=True)
-    if s_ve == 0:
+    # The kernel matrix of an existing graph is PSD, so S_vv >= 0, and
+    # S_vv = 0 forces S_ve = 0 (vertex vectors forming a spherical design).
+    # S_vv = 0 thus takes the |a| -> infinity limit; where S_vv < 0, or
+    # S_vv = 0 with S_ve != 0, no graph exists and any bound is sound.
+    if s_vv == 0 or s_ve == 0:
         raw = -s_ee0 / b2
         optimal_a = None  # approached as |a| -> infinity
     else:

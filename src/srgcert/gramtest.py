@@ -29,7 +29,6 @@ __all__ = [
     "MRange",
     "WSplitWitness",
     "Certificate",
-    "m_upper",
     "m_upper_exact",
     "m_lower",
     "alpha_min",
@@ -92,7 +91,11 @@ class Certificate:
 
 def m_upper_exact(params: SrgParams, rep: ReprConstants) -> Fraction | None:
     """The exact rational root of the linear-in-m 2x2 Gram determinant,
-    or None for lam = 0."""
+    or None for lam = 0.
+
+    Every edge's common-neighborhood subgraph, hence the densest one, has
+    at most this many edges.
+    """
     if params.lam == 0:
         return None
     det = gram2(params, rep).det_poly()
@@ -100,20 +103,6 @@ def m_upper_exact(params: SrgParams, rep: ReprConstants) -> Fraction | None:
     if det.c1 >= 0:
         raise ValueError("2x2 Gram determinant is not decreasing in m")
     return -det.c0 / det.c1
-
-
-def m_upper(params: SrgParams, rep: ReprConstants) -> int:
-    """Largest integer m with a non-negative 2x2 Gram determinant.
-
-    Applies to every edge's common-neighborhood subgraph, hence to the
-    maximum over edges.  Returns 0 for lam = 0 and -1 when even m = 0 fails.
-    """
-    if params.lam == 0:
-        return 0
-    root = m_upper_exact(params, rep)
-    if root < 0:
-        return -1
-    return math.floor(root)
 
 
 def m_lower(params: SrgParams, k4_lower: int) -> int:
@@ -270,37 +259,21 @@ def decide(
     if k4 is not None and not k4.informative:
         notes.append("4-clique quadratic form carries no positive K4 coefficient")
     lo = m_lower(params, k4.lower) if k4 is not None else 0
-    up = m_upper(params, rep)
     mu_exact = m_upper_exact(params, rep)
+    up = 0 if mu_exact is None else max(-1, math.floor(mu_exact))
     cap = params.lam * (params.lam - 1) // 2
     if up > cap:
         notes.append(f"2x2 Gram bound {up} exceeds C(lam,2)={cap}; capped")
         up = cap
     rng = MRange(lower=lo, upper=up)
 
-    if rng.is_empty:
-        return cert(Verdict.NONEXISTENT, spectrum=spectrum, rep=rep, k4=k4, rng=rng, mu_exact=mu_exact)
-
+    # an empty window is itself the contradiction: the loop does not run
+    verdict = Verdict.NONEXISTENT
     witnesses: list[WSplitWitness] = []
     for m in rng:
         wit = wsplit_contradiction(params, rep, m)
         if wit is None:
-            return cert(
-                Verdict.INCONCLUSIVE,
-                spectrum=spectrum,
-                rep=rep,
-                k4=k4,
-                rng=rng,
-                mu_exact=mu_exact,
-                wits=witnesses,
-            )
+            verdict = Verdict.INCONCLUSIVE
+            break
         witnesses.append(wit)
-    return cert(
-        Verdict.NONEXISTENT,
-        spectrum=spectrum,
-        rep=rep,
-        k4=k4,
-        rng=rng,
-        mu_exact=mu_exact,
-        wits=witnesses,
-    )
+    return cert(verdict, spectrum=spectrum, rep=rep, k4=k4, rng=rng, mu_exact=mu_exact, wits=witnesses)

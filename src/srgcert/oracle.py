@@ -10,19 +10,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
+from .cliquebound import pair_profile
+from .gramtest import Verdict, decide
 from .params import SrgParams, derive_spectrum
 
 __all__ = [
     "AdjacencyMatrix",
+    "REFERENCE_GRAPHS",
     "construct",
     "srg_parameters",
     "census",
     "CensusReport",
     "lambda_subgraph_edge_counts",
+    "validate",
     "realize_representation",
 ]
 
@@ -144,16 +148,8 @@ def _irreducible_poly(p: int, e: int) -> tuple[int, ...]:
         return all(c == 0 for c in rem)
 
     def monic_polys(deg):
-        for coeffs in _tuples(p, deg):
+        for coeffs in product(range(p), repeat=deg):
             yield list(coeffs) + [1]
-
-    def _tuples(base, length):
-        if length == 0:
-            yield ()
-            return
-        for rest in _tuples(base, length - 1):
-            for c in range(base):
-                yield rest + (c,)
 
     for candidate in monic_polys(e):
         if candidate[0] == 0:
@@ -183,13 +179,7 @@ def _paley(q: int) -> AdjacencyMatrix:
         pairs = [(u, w) for u in range(q) for w in range(u + 1, q) if (u - w) % q in squares]
         return _from_pairs(q, pairs)
     modpoly = _irreducible_poly(p, e)
-
-    def build(length):
-        if length == 0:
-            return [()]
-        return [rest + (c,) for rest in build(length - 1) for c in range(p)]
-
-    elements = build(e)
+    elements = list(product(range(p), repeat=e))
     index = {el: i for i, el in enumerate(elements)}
     squares = set()
     for el in elements:
@@ -228,6 +218,18 @@ def _rook(n: int) -> AdjacencyMatrix:
                     if a < b and (i1 == i2) != (j1 == j2):
                         pairs.append((a, b))
     return _from_pairs(n * n, pairs)
+
+
+# (family, order) of every graph that self-check and the test suite validate
+REFERENCE_GRAPHS = [
+    ("petersen", None),
+    ("paley", 9),
+    ("paley", 13),
+    ("paley", 17),
+    ("paley", 25),
+    ("triangular", 7),
+    ("rook", 4),
+]
 
 
 def construct(name: str, order: int | None = None) -> AdjacencyMatrix:
@@ -345,6 +347,52 @@ def census(g: AdjacencyMatrix) -> CensusReport:
         shared_edge_class_counts=tuple(shared),
         max_lambda_subgraph_edges=max(m_counts, default=0),
     )
+
+
+def validate(g: AdjacencyMatrix) -> str:
+    """Check the pipeline against the brute-force census of an existing graph.
+
+    The per-edge common-neighborhood edge counts must sum to 6 K4, every
+    derived pair-profile class must equal the census at the true K4, the
+    4-clique bound must not exceed the true count, decide's m window must
+    contain the measured maximum, and the verdict must not be Nonexistent.
+    Raises AssertionError at the first disagreement; returns a summary.
+    """
+    params = srg_parameters(g)
+    report = census(g)
+    if sum(lambda_subgraph_edge_counts(g)) != 6 * report.k4_count:
+        raise AssertionError("sum of per-edge counts != 6 * K4")
+    cert = decide(params)
+    if cert.verdict is Verdict.NONEXISTENT:
+        raise AssertionError("an existing graph was declared Nonexistent")
+    detail = f"K4={report.k4_count}"
+    if cert.spectrum is None:
+        return detail + " (irrational spectrum: census identities only)"
+    v, k = params.v, params.k
+    expected = {
+        "vv-self": v,
+        "vv-adjacent": v * k,
+        "vv-nonadjacent": v * (v - 1 - k),
+        "ve-endpoint": report.vertex_edge_class_counts[0],
+        "ve-both": report.vertex_edge_class_counts[1],
+        "ve-one": report.vertex_edge_class_counts[2],
+        "ve-neither": report.vertex_edge_class_counts[3],
+        "ee-self": v * k // 2,
+        "ee-shared-adjacent": report.shared_edge_class_counts[0],
+        "ee-shared-nonadjacent": report.shared_edge_class_counts[1],
+        **{f"ee-disjoint-{j}": report.n_j_disjoint[j] for j in range(5)},
+    }
+    counts = pair_profile(params, cert.rep).counts_at(report.k4_count)
+    for key, want in expected.items():
+        if counts[key] != want:
+            raise AssertionError(f"class {key}: derived {counts[key]} != census {want}")
+    bound = cert.k4_bound.lower
+    if bound > report.k4_count:
+        raise AssertionError(f"4-clique bound {bound} exceeds true count {report.k4_count}")
+    lo, hi = cert.m_range.lower, cert.m_range.upper
+    if not lo <= report.max_lambda_subgraph_edges <= hi:
+        raise AssertionError(f"max m {report.max_lambda_subgraph_edges} outside [{lo},{hi}]")
+    return f"{detail} profile-ok k4-bound={bound} m=[{lo},{hi}]"
 
 
 def realize_representation(g: AdjacencyMatrix, tol: float = 1e-8) -> np.ndarray:

@@ -1,7 +1,6 @@
 """Parameter tuples, spectra, and the classical feasibility screens.
 
-Everything on the decision path is exact: integers, fractions.Fraction,
-and (for irrational-eigenvalue tuples) elements of a real quadratic field.
+Everything on the decision path is exact: integers and fractions.Fraction.
 """
 
 from __future__ import annotations
@@ -124,70 +123,6 @@ def _is_conference(params: SrgParams) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class _QuadVal:
-    """Exact element a + b*sqrt(disc) of a real quadratic field, disc nonsquare."""
-
-    a: Fraction
-    b: Fraction
-    disc: int
-
-    def _coerce(self, other):
-        if isinstance(other, _QuadVal):
-            if other.disc != self.disc:
-                raise ValueError("mixed discriminants")
-            return other
-        return _QuadVal(Fraction(other), Fraction(0), self.disc)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return _QuadVal(self.a + o.a, self.b + o.b, self.disc)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return _QuadVal(self.a - o.a, self.b - o.b, self.disc)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return _QuadVal(
-            self.a * o.a + self.b * o.b * self.disc,
-            self.a * o.b + self.b * o.a,
-            self.disc,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, _QuadVal):
-            raise TypeError("only division by rationals is supported")
-        q = Fraction(other)
-        return _QuadVal(self.a / q, self.b / q, self.disc)
-
-    def sign(self) -> int:
-        """Sign of a + b*sqrt(disc); exact, no floating point."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # mixed signs: compare a^2 with b^2 * disc
-        lhs, rhs = a * a, b * b * self.disc
-        if lhs == rhs:
-            return 0
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else -1
-        return 1 if rhs > lhs else -1
-
-
 def krein_parameters(params: SrgParams, spectrum: Spectrum) -> tuple[Fraction, Fraction]:
     """The two non-trivial Krein parameters (q^1_11, q^2_22) as exact rationals.
 
@@ -203,23 +138,6 @@ def krein_parameters(params: SrgParams, spectrum: Spectrum) -> tuple[Fraction, F
     q111 = Fraction(f * f, v) * (1 + p1 * p1 * r - q1 * q1 * (1 + r))
     q222 = Fraction(g * g, v) * (1 + p2 * p2 * s - q2 * q2 * (1 + s))
     return q111, q222
-
-
-def _conference_krein_ok(params: SrgParams) -> bool:
-    """Krein conditions for irrational eigenvalues, evaluated in Q(sqrt(disc))."""
-    v, k, lam, mu = params.v, params.k, params.lam, params.mu
-    c = lam - mu
-    disc = c * c + 4 * (k - mu)
-    half = Fraction(1, 2)
-    for sign in (1, -1):
-        # eigenvalue (c + sign*sqrt(disc)) / 2
-        ev = _QuadVal(half * c, half * sign, disc)
-        p = ev / k
-        q = (-1 - ev) / (v - 1 - k)
-        core = 1 + p * p * ev - q * q * (1 + ev)
-        if core.sign() < 0:
-            return False
-    return True
 
 
 def krein_q22_zero(spectrum: Spectrum, k: int) -> bool:
@@ -262,41 +180,26 @@ class FeasibilityReport:
 def classical_feasibility(params: SrgParams) -> FeasibilityReport:
     """Counting identity, spectrum integrality, Krein and absolute bounds.
 
-    All arithmetic is exact.  Conference-type tuples (irrational eigenvalues
-    with f = g = (v-1)/2) count as integral; their Krein conditions are
-    evaluated in the quadratic field Q(sqrt(disc)).
+    All arithmetic is exact.  Conference-type tuples (4mu+1, 2mu, mu-1, mu)
+    with irrational eigenvalues count as integral, and pass the Krein and
+    absolute bounds identically: each eigenvalue e satisfies e^2 + e = mu,
+    so (1+e)^3 - e^3 = 1 + 3mu and both Krein expressions equal
+    (mu-1)(4mu+1)/(4mu^2) >= 0, while the absolute bound with f = 2mu reads
+    (mu-1)(4mu+2) >= 0.  Conference tuples with a square discriminant have
+    an integer spectrum and take the general path.
     """
-    v = params.v
-    identity_ok = params.identity_holds()
     spectrum = derive_spectrum(params)
-
-    if spectrum is not None:
-        f, g = spectrum.f, spectrum.g
-        integrality_ok = True
-        if params.primitive:
-            q111, q222 = krein_parameters(params, spectrum)
-            krein_ok = q111 >= 0 and q222 >= 0
-            absolute_ok = 2 * v <= f * (f + 3) and 2 * v <= g * (g + 3)
-            q22_zero = q222 == 0
-        else:
-            krein_ok = True
-            absolute_ok = True
-            q22_zero = False
-    elif _is_conference(params):
-        integrality_ok = True
-        f = (v - 1) // 2
-        krein_ok = _conference_krein_ok(params)
-        absolute_ok = 2 * v <= f * (f + 3)
-        q22_zero = False
-    else:
-        # irrational eigenvalues with non-integral multiplicities
-        integrality_ok = False
-        krein_ok = True
-        absolute_ok = True
-        q22_zero = False
-
+    integrality_ok = spectrum is not None or _is_conference(params)
+    krein_ok = absolute_ok = True
+    q22_zero = False
+    if spectrum is not None and params.primitive:
+        v, f, g = params.v, spectrum.f, spectrum.g
+        q111, q222 = krein_parameters(params, spectrum)
+        krein_ok = q111 >= 0 and q222 >= 0
+        absolute_ok = 2 * v <= f * (f + 3) and 2 * v <= g * (g + 3)
+        q22_zero = q222 == 0
     return FeasibilityReport(
-        identity_ok=identity_ok,
+        identity_ok=params.identity_holds(),
         spectrum=spectrum,
         integrality_ok=integrality_ok,
         krein_ok=krein_ok,

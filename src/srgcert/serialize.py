@@ -205,8 +205,8 @@ def certificate_to_text(cert: Certificate) -> str:
 
 @dataclass(frozen=True)
 class ScanRow:
-    """One scan result row.  elapsed_ms never enters the JSON encoding so
-    scan output stays byte-deterministic."""
+    """One scan result row.  It carries no timing, so scan output stays
+    byte-deterministic."""
 
     params: SrgParams
     verdict: Verdict
@@ -214,7 +214,6 @@ class ScanRow:
     m_range: MRange | None
     witness_w: int | None
     krein_q22_zero: bool
-    elapsed_ms: int
 
 
 def scan_row_to_json(row: ScanRow) -> dict:
@@ -239,7 +238,6 @@ def scan_row_from_json(obj) -> ScanRow:
         m_range=None if rng is None else MRange(lower=rng["lower"], upper=rng["upper"]),
         witness_w=obj["witness_w"],
         krein_q22_zero=obj["krein_q22_zero"],
-        elapsed_ms=0,
     )
 
 

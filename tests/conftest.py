@@ -1,16 +1,6 @@
 import pytest
 
-from srgcert.oracle import census, construct, srg_parameters
-
-REFERENCE_GRAPHS = [
-    ("petersen", None),
-    ("paley", 9),
-    ("paley", 13),
-    ("paley", 17),
-    ("paley", 25),
-    ("triangular", 7),
-    ("rook", 4),
-]
+from srgcert.oracle import REFERENCE_GRAPHS, census, construct, srg_parameters
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -40,6 +41,22 @@ def test_check_json_round_trips(capsys):
     assert code == 10
     cert = certificate_from_json(json.loads(capsys.readouterr().out))
     assert cert == decide(SrgParams(460, 153, 32, 60))
+
+
+# SHA-256 of `srgcert check --json` stdout, frozen: refactors must keep the
+# certificate bytes, which a value comparison alone does not pin
+GOLDEN_CERTIFICATE_SHA256 = {
+    (460, 153, 32, 60): "2f6aaf863d9146daf0f6cb5cf8f9e65a367f4d196a7692add6236202a25d670a",
+    (6205, 858, 47, 130): "ba90a0702acd1840b356afb7bc5f54ea2b43f710659d73ae4a8365344cf80ba0",
+    (2950, 891, 204, 297): "d3dd0b2add20e62e4661a6897a1882fb2c5970ce45d47da8cd1a8795e8824194",
+}
+
+
+def test_check_json_golden_bytes(capsys):
+    for tup, digest in GOLDEN_CERTIFICATE_SHA256.items():
+        main(["check", *map(str, tup), "--json"])
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, tup
 
 
 def test_check_no_clique_bound(capsys):

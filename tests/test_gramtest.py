@@ -11,7 +11,6 @@ from srgcert import (
     derive_spectrum,
     gram3_det,
     m_lower,
-    m_upper,
     m_upper_exact,
     repr_constants,
     wsplit_contradiction,
@@ -29,12 +28,13 @@ def _rep(tup):
 def test_m_upper_target_tuple():
     params, rep = _rep((460, 153, 32, 60))
     assert m_upper_exact(params, rep) == Fraction(2416, 61)
-    assert m_upper(params, rep) == 39
+    assert decide(params).m_range.upper == 39
 
 
 def test_m_upper_lambda_zero():
     params, rep = _rep((10, 3, 0, 1))
-    assert m_upper(params, rep) == 0
+    assert m_upper_exact(params, rep) is None
+    assert decide(params).m_range.upper == 0
 
 
 def test_m_upper_covers_measured_maximum(reference_graphs):
@@ -44,7 +44,8 @@ def test_m_upper_covers_measured_maximum(reference_graphs):
             continue
         rep = repr_constants(params, spectrum)
         measured = max(lambda_subgraph_edge_counts(g), default=0)
-        assert m_upper(params, rep) >= measured, label
+        root = m_upper_exact(params, rep)
+        assert (measured == 0) if root is None else (root >= measured), label
 
 
 def test_m_lower_examples():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,23 @@ def test_conference_tuples_are_feasible():
         report = classical_feasibility(SrgParams(*tup))
         assert report.spectrum is None
         assert report.passed
+
+
+def test_conference_krein_identity():
+    """For (4mu+1, 2mu, mu-1, mu) each eigenvalue e has e^2 + e = mu, so both
+    Krein expressions 1 + p^2 e - q^2 (1+e) equal (mu-1)(4mu+1)/(4mu^2) >= 0:
+    classical_feasibility passes these tuples on that identity.  Floats here
+    are test-only."""
+    for mu in range(1, 3000):
+        v, k = 4 * mu + 1, 2 * mu
+        closed = (mu - 1) * (4 * mu + 1) / (4 * mu * mu)
+        assert closed >= 0
+        for sign in (1, -1):
+            e = (-1 + sign * math.sqrt(v)) / 2
+            p, q = e / k, -(1 + e) / (v - 1 - k)
+            assert abs(1 + p * p * e - q * q * (1 + e) - closed) < 1e-9, (mu, sign)
+        report = classical_feasibility(SrgParams(v, k, mu - 1, mu))
+        assert report.krein_ok and report.absolute_bound_ok, mu
 
 
 def test_krein_q22_zero_examples():

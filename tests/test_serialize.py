@@ -71,7 +71,6 @@ def test_scan_row_round_trip():
         m_range=MRange(39, 39),
         witness_w=13,
         krein_q22_zero=False,
-        elapsed_ms=12,
     )
     back = scan_row_from_json(json.loads(json.dumps(scan_row_to_json(row))))
     assert back.params == row.params
@@ -90,6 +89,5 @@ def test_scan_row_json_has_no_timing():
         m_range=MRange(0, 1),
         witness_w=None,
         krein_q22_zero=False,
-        elapsed_ms=99,
     )
     assert "elapsed" not in dumps(scan_row_to_json(row))
