@@ -31,7 +31,6 @@ from .representation import (
     SymbolicGram2,
     gram2,
     gram3_det,
-    gram3_entries,
     repr_constants,
 )
 
@@ -60,7 +59,6 @@ __all__ = [
     "gegenbauer_eval",
     "gram2",
     "gram3_det",
-    "gram3_entries",
     "k4_lower_bound",
     "krein_parameters",
     "krein_q22_zero",

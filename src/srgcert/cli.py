@@ -9,7 +9,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .cliquebound import MAX_DEGREE
 from .gramtest import Verdict, decide
@@ -98,7 +97,7 @@ def _cmd_check(args) -> int:
 
 def _scan_worker(task):
     """One CSV row to (row JSON or error record, elapsed milliseconds)."""
-    line_no, text, degree = task
+    line_no, text = task
     parts = [p.strip() for p in text.split(",")]
     t0 = time.perf_counter()
     try:
@@ -108,7 +107,7 @@ def _scan_worker(task):
         params = SrgParams(v, k, lam, mu)
     except (ValueError, InvalidParamsError) as exc:
         return {"line": line_no, "error": str(exc)}, 0
-    cert = decide(params, gegenbauer_degree=degree)
+    cert = decide(params)
     row = ScanRow(
         params=params,
         verdict=cert.verdict,
@@ -135,7 +134,7 @@ def _cmd_scan(args) -> int:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
 
-    data_lines: list[tuple[int, str]] = []
+    tasks: list[tuple[int, str]] = []
     header = None
     for idx, line in enumerate(raw_lines, start=1):
         stripped = line.strip()
@@ -147,10 +146,12 @@ def _cmd_scan(args) -> int:
                 print(f"bad header {stripped!r}: expected v,k,lambda,mu", file=sys.stderr)
                 return EXIT_IO_ERROR
             continue
-        data_lines.append((idx, stripped))
+        tasks.append((idx, stripped))
 
-    tasks = [(line_no, text, 4) for line_no, text in data_lines]
     if jobs > 1 and len(tasks) > 1:
+        # imported here: multiprocessing slows every command's start, only this path uses it
+        from concurrent.futures import ProcessPoolExecutor
+
         # a few chunks per worker: one pickled round trip per row costs more
         # than most rows take to decide
         chunksize = math.ceil(len(tasks) / (4 * jobs))

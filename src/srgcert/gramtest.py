@@ -147,20 +147,17 @@ def _region_max(
 
     Region: alpha_lo <= alpha <= min(2m, w(n-1)) and
     max(0, alpha - m, ceil((alpha - w(n-w))/2)) <= beta <= min(C(w,2),
-    floor(alpha/2)).  For each alpha the determinant is a univariate
-    quadratic in beta, whose integer maximum sits at an interval endpoint or
-    next to the vertex; scanning those candidates is exact and avoids
-    enumerating the full region.
+    floor(alpha/2)).  det is linear in beta, so for each alpha the maximum
+    sits at the upper beta endpoint if c01 > 0 and at the lower one
+    otherwise; ties go to the smallest alpha, then the smallest beta.
     """
     alpha_hi = min(2 * m, w * (n - 1))
     cross_cap = w * (n - w)
     beta_cap = w * (w - 1) // 2
 
-    coeffs = det.coefficients()
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    c00, c10, c01, c20, c11, c02 = (int(c * lcm) for c in coeffs)
+    coeffs = (det.c00, det.c10, det.c01, det.c20)
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    c00, c10, c01, c20 = (int(c * lcm) for c in coeffs)
 
     best_val: int | None = None
     best_at: tuple[int, int] | None = None
@@ -169,16 +166,10 @@ def _region_max(
         bhi = min(beta_cap, alpha // 2)
         if blo > bhi:
             continue
-        candidates = {blo, bhi}
-        if c02 != 0:
-            vertex = -(c11 * alpha + c01) // (2 * c02)
-            for b in (vertex, vertex + 1):
-                if blo <= b <= bhi:
-                    candidates.add(b)
-        for b in sorted(candidates):
-            val = (c20 * alpha + c10 + c11 * b) * alpha + (c02 * b + c01) * b + c00
-            if best_val is None or val > best_val:
-                best_val, best_at = val, (alpha, b)
+        b = bhi if c01 > 0 else blo
+        val = (c20 * alpha + c10) * alpha + c01 * b + c00
+        if best_val is None or val > best_val:
+            best_val, best_at = val, (alpha, b)
     if best_val is None:
         return None
     return Fraction(best_val, lcm), best_at

@@ -21,7 +21,6 @@ __all__ = [
     "BivariateQuadratic",
     "repr_constants",
     "gram2",
-    "gram3_entries",
     "gram3_det",
 ]
 
@@ -88,126 +87,53 @@ def gram2(params: SrgParams, rep: ReprConstants) -> SymbolicGram2:
 
 @dataclass(frozen=True)
 class BivariateQuadratic:
-    """Exact quadratic polynomial in (alpha, beta):
-    c00 + c10*a + c01*b + c20*a^2 + c11*a*b + c02*b^2."""
+    """Exact polynomial c00 + c10*a + c01*b + c20*a^2 in (alpha, beta): the
+    shape of the w-split determinant, whose a*b and b^2 terms cancel."""
 
     c00: Fraction
     c10: Fraction
     c01: Fraction
     c20: Fraction
-    c11: Fraction
-    c02: Fraction
 
     def __call__(self, alpha, beta) -> Fraction:
-        return (
-            self.c00
-            + self.c10 * alpha
-            + self.c01 * beta
-            + self.c20 * alpha * alpha
-            + self.c11 * alpha * beta
-            + self.c02 * beta * beta
-        )
-
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return (self.c00, self.c10, self.c01, self.c20, self.c11, self.c02)
-
-
-@dataclass(frozen=True)
-class _Aff:
-    """Bivariate affine form c00 + c10*alpha + c01*beta used to build entries."""
-
-    c00: Fraction
-    c10: Fraction
-    c01: Fraction
-
-    def __add__(self, other):
-        o = _aff(other)
-        return _Aff(self.c00 + o.c00, self.c10 + o.c10, self.c01 + o.c01)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _aff(other)
-        return _Aff(self.c00 - o.c00, self.c10 - o.c10, self.c01 - o.c01)
-
-    def __rsub__(self, other):
-        return _aff(other) - self
-
-    def __mul__(self, other) -> "BivariateQuadratic":
-        o = _aff(other)
-        return BivariateQuadratic(
-            c00=self.c00 * o.c00,
-            c10=self.c00 * o.c10 + self.c10 * o.c00,
-            c01=self.c00 * o.c01 + self.c01 * o.c00,
-            c20=self.c10 * o.c10,
-            c11=self.c10 * o.c01 + self.c01 * o.c10,
-            c02=self.c01 * o.c01,
-        )
-
-    def scale(self, c: Fraction) -> "_Aff":
-        return _Aff(self.c00 * c, self.c10 * c, self.c01 * c)
-
-    def __call__(self, alpha, beta) -> Fraction:
-        return self.c00 + self.c10 * alpha + self.c01 * beta
-
-
-def _aff(x) -> _Aff:
-    if isinstance(x, _Aff):
-        return x
-    return _Aff(Fraction(x), Fraction(0), Fraction(0))
-
-
-def _quad_add(*qs: BivariateQuadratic) -> BivariateQuadratic:
-    return BivariateQuadratic(*(sum(cs) for cs in zip(*(q.coefficients() for q in qs))))
-
-
-def _quad_scale(q: BivariateQuadratic, c: Fraction) -> BivariateQuadratic:
-    return BivariateQuadratic(*(x * c for x in q.coefficients()))
-
-
-def gram3_entries(params: SrgParams, rep: ReprConstants, w: int, m: int):
-    """Entries of the 3x3 Gram of (Y1, Y2, Y3) for a w-split of the
-    common-neighborhood subgraph, affine in (alpha, beta).
-
-    Y1 sums the lam - w low-degree vertices, Y2 the w top-degree vertices,
-    Y3 = x_u + x_w.  With alpha the top-w degree sum and beta the edges
-    inside the top part: beta edges in the top part, alpha - 2*beta crossing
-    edges, m + beta - alpha edges in the low part.
-
-    Returns (a11, a12, a13, a22, a23, a33); a13, a23, a33 are constants.
-    """
-    lam = params.lam
-    if not 1 <= w <= lam:
-        raise ValueError(f"need 1 <= w <= lam, got w={w}, lam={lam}")
-    if m < 0:
-        raise ValueError(f"need m >= 0, got m={m}")
-    p, q = rep.p, rep.q
-    n1 = lam - w
-    pq = p - q
-    alpha = _Aff(Fraction(0), Fraction(1), Fraction(0))
-    beta = _Aff(Fraction(0), Fraction(0), Fraction(1))
-    low_edges = m + beta - alpha
-    cross = alpha - beta.scale(Fraction(2))
-    a11 = low_edges.scale(2 * pq) + (n1 + n1 * (n1 - 1) * q)
-    a22 = beta.scale(2 * pq) + (w + w * (w - 1) * q)
-    a12 = cross.scale(pq) + (n1 * w * q)
-    a13 = Fraction(2 * n1) * p
-    a23 = Fraction(2 * w) * p
-    a33 = 2 + 2 * p
-    return a11, a12, a13, a22, a23, a33
+        return self.c00 + self.c10 * alpha + self.c01 * beta + self.c20 * alpha * alpha
 
 
 def gram3_det(params: SrgParams, rep: ReprConstants, w: int, m: int) -> BivariateQuadratic:
     """Exact determinant of the 3x3 w-split Gram matrix as a polynomial in
     (alpha, beta).
 
-    The third row is constant, so the determinant has total degree <= 2.
+    Y1 sums the n1 = lam - w low-degree common neighbors of an edge, Y2 the
+    w top-degree ones, Y3 = x_u + x_w.  With alpha the top-w degree sum and
+    beta the edges inside the top part, the low part has m + beta - alpha
+    edges and alpha - 2*beta edges cross.  With d = p - q the entries are
+
+        a11 = A1 + 2d(beta - alpha),  A1 = n1 + n1(n1-1)q + 2dm
+        a22 = A2 + 2d*beta,           A2 = w + w(w-1)q
+        a12 = A12 + d(alpha - 2beta), A12 = n1*w*q
+        a13 = 2*n1*p,  a23 = 2wp,  a33 = 2 + 2p
+
+    Only the third row is constant, and in a11*a22 - a12^2 the alpha*beta
+    and beta^2 terms cancel, so the determinant is c00 + c10*alpha +
+    c01*beta + c20*alpha^2 (a13 + a23 = 2*lam*p shortens c10 and c01).
+    c20 < 0, so it is concave in alpha, and c01 does not depend on w.
     Requires 1 <= w < lam.
     """
-    if not 1 <= w < params.lam:
-        raise ValueError(f"need 1 <= w < lam, got w={w}, lam={params.lam}")
-    a11, a12, a13, a22, a23, a33 = gram3_entries(params, rep, w, m)
-    # det = a33 (a11 a22 - a12^2) - a23^2 a11 - a13^2 a22 + 2 a13 a23 a12
-    t1 = _quad_scale(_quad_add(a11 * a22, _quad_scale(a12 * a12, Fraction(-1))), a33)
-    t2 = (a11.scale(-a23 * a23) + a22.scale(-a13 * a13) + a12.scale(2 * a13 * a23)) * _aff(1)
-    return _quad_add(t1, t2)
+    lam = params.lam
+    if not 1 <= w < lam:
+        raise ValueError(f"need 1 <= w < lam, got w={w}, lam={lam}")
+    if m < 0:
+        raise ValueError(f"need m >= 0, got m={m}")
+    p, q = rep.p, rep.q
+    d = p - q
+    n1 = lam - w
+    A1 = n1 + n1 * (n1 - 1) * q + 2 * d * m
+    A2 = w + w * (w - 1) * q
+    A12 = n1 * w * q
+    a13, a23, a33 = 2 * n1 * p, 2 * w * p, 2 + 2 * p
+    return BivariateQuadratic(
+        c00=a33 * (A1 * A2 - A12 * A12) - a23 * a23 * A1 - a13 * a13 * A2 + 2 * a13 * a23 * A12,
+        c10=2 * d * (2 * lam * p * a23 - a33 * (A2 + A12)),
+        c01=2 * d * (a33 * (A1 + A2 + 2 * A12) - (2 * lam * p) ** 2),
+        c20=-a33 * d * d,
+    )

@@ -155,9 +155,9 @@ def test_corner_dominance_finite_differences():
 
 
 def test_region_max_agrees_with_full_enumeration():
-    """The per-alpha candidate evaluation must equal literal enumeration of
-    every integer point, including on quadratics with cross and square
-    beta terms."""
+    """The per-alpha endpoint evaluation must equal literal enumeration of
+    every integer point, in value and position, on random quadratics and on
+    every split of the main tuple."""
     rng = random.Random(99)
 
     def brute(det, n, m, w, alo):
@@ -171,20 +171,19 @@ def test_region_max_agrees_with_full_enumeration():
                     best = (val, (alpha, beta))
         return best
 
+    cases = []
     for _ in range(150):
         q = BivariateQuadratic(
-            *(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(6))
+            *(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(4))
         )
         n = rng.randint(3, 10)
         m = rng.randint(0, n * (n - 1) // 2)
-        w = rng.randint(1, n - 1)
+        cases.append((q, n, m, rng.randint(1, n - 1)))
+    params, rep = _rep((460, 153, 32, 60))
+    cases += [(gram3_det(params, rep, w, 39), params.lam, 39, w) for w in range(1, params.lam)]
+    for q, n, m, w in cases:
         alo = alpha_min(n, m, w)
-        fast = _region_max(q, n, m, w, alo)
-        slow = brute(q, n, m, w, alo)
-        if fast is None:
-            assert slow is None
-        else:
-            assert slow is not None and fast[0] == slow[0], (n, m, w)
+        assert _region_max(q, n, m, w, alo) == brute(q, n, m, w, alo), (n, m, w)
 
 
 def test_decide_target_tuple():

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,6 @@ from srgcert import (
     derive_spectrum,
     gram2,
     gram3_det,
-    gram3_entries,
     repr_constants,
 )
 from srgcert.oracle import construct, realize_representation, srg_parameters
@@ -105,8 +105,6 @@ def test_gram3_det_exact_coefficients():
     assert det.c10 == Fraction(35785792, 3581577)
     assert det.c01 == Fraction(-1252672, 3581577)
     assert det.c00 == Fraction(-198599296, 1193859)
-    assert det.c11 == 0
-    assert det.c02 == 0
 
 
 def test_gram3_det_value_at_corner():
@@ -191,12 +189,59 @@ def test_gram3_matches_materialized_vectors(reference_graphs):
                 assert abs(numeric - symbolic) < 1e-6, (label, (u, w), split)
 
 
+def _gram3_literal(params, rep, w, m, alpha, beta):
+    """The 3x3 Gram of (Y1, Y2, Y3) at one (alpha, beta), entry by entry:
+    Y1 sums the lam - w low vertices (m + beta - alpha edges inside), Y2 the
+    w top vertices (beta edges inside), alpha - 2*beta edges cross, and
+    Y3 = x_u + x_w is adjacent to every vertex of both parts."""
+    p, q = rep.p, rep.q
+    n1 = params.lam - w
+
+    def block(size, edges):
+        return size + 2 * edges * p + (size * (size - 1) - 2 * edges) * q
+
+    cross = alpha - 2 * beta
+    a11 = block(n1, m + beta - alpha)
+    a22 = block(w, beta)
+    a12 = cross * p + (n1 * w - cross) * q
+    a13, a23, a33 = 2 * n1 * p, 2 * w * p, 2 + 2 * p
+    return [[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]]
+
+
+def _det3(g):
+    return (
+        g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
+        - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
+        + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0])
+    )
+
+
+def test_gram3_det_matches_literal_determinant():
+    """The closed-form coefficients equal the cofactor expansion of the
+    literal Gram entries at random integer points, for every split w."""
+    rng = random.Random(7)
+    for tup in [
+        (460, 153, 32, 60),
+        (6205, 858, 47, 130),
+        (16, 6, 2, 2),
+        (21, 10, 5, 4),
+        (275, 112, 30, 56),
+    ]:
+        params, rep = _rep(tup)
+        lam = params.lam
+        for w in range(1, lam):
+            for _ in range(5):
+                m = rng.randint(0, lam * (lam - 1) // 2)
+                alpha, beta = rng.randint(-50, 2 * m + 50), rng.randint(-50, 2 * m + 50)
+                literal = _det3(_gram3_literal(params, rep, w, m, alpha, beta))
+                assert gram3_det(params, rep, w, m)(alpha, beta) == literal, (tup, w, m, alpha, beta)
+
+
 def test_gram3_full_split_degenerates_to_zero_row():
     """Taking the whole common neighborhood as the top part empties Y1: at
     (alpha, beta) = (2m, m) its diagonal entry and cross entries vanish."""
     params, rep = _rep((460, 153, 32, 60))
     m = 17
-    a11, a12, a13, a22, a23, a33 = gram3_entries(params, rep, w=params.lam, m=m)
-    assert a11(2 * m, m) == 0
-    assert a12(2 * m, m) == 0
-    assert a13 == 0
+    gram = _gram3_literal(params, rep, params.lam, m, 2 * m, m)
+    assert gram[0] == [0, 0, 0]
+    assert _det3(gram) == 0
