@@ -107,7 +107,14 @@ def _scan_worker(task):
         params = SrgParams(v, k, lam, mu)
     except (ValueError, InvalidParamsError) as exc:
         return {"line": line_no, "error": str(exc)}, 0
-    cert = decide(params)
+    try:
+        cert = decide(params)
+    except Exception as exc:  # deliberate: one failing row must not abort the scan
+        import traceback
+
+        print(f"line {line_no}: decide failed", file=sys.stderr)
+        traceback.print_exc()
+        return {"line": line_no, "error": f"{type(exc).__name__}: {exc}"}, 0
     row = ScanRow(
         params=params,
         verdict=cert.verdict,

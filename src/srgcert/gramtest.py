@@ -120,7 +120,9 @@ def alpha_min(n: int, m: int, w: int) -> int:
     For every threshold t >= 1, either all top-w degrees reach t (sum >= tw)
     or some top degree is below t, hence every degree outside the top w is
     at most t - 1 and the top sum is at least 2m - (t-1)(n-w).  The best
-    threshold gives max_t min(tw, 2m - (t-1)(n-w)).
+    threshold gives max(0, max_t min(tw, 2m - (t-1)(n-w))).  The first term
+    rises in t and the second falls; they cross at t = (2m + n - w)/n, so
+    the integer maximum sits at the floor of the crossing or the next t.
     """
     if not 1 <= w <= n:
         raise ValueError(f"need 1 <= w <= n, got w={w}, n={n}")
@@ -128,51 +130,76 @@ def alpha_min(n: int, m: int, w: int) -> int:
         raise ValueError(f"need 0 <= m <= C(n,2), got m={m}, n={n}")
     if w == n:
         return 2 * m
-    best = 0
-    t = 1
-    while True:
-        rest = 2 * m - (t - 1) * (n - w)
-        if rest <= 0:
-            break
-        best = max(best, min(t * w, rest))
-        t += 1
-    return best
+    t0 = max(1, (2 * m + n - w) // n)
+    return max(0, *(min(t * w, 2 * m - (t - 1) * (n - w)) for t in (t0, t0 + 1)))
+
+
+def _floor_ceil(num: int, den: int) -> tuple[int, int]:
+    return num // den, -(-num // den)
 
 
 def _region_max(
     det: BivariateQuadratic, n: int, m: int, w: int, alpha_lo: int
 ) -> tuple[Fraction, tuple[int, int]] | None:
     """Exact maximum of det over the integer (alpha, beta) region of the
-    w-split, or None if the region is empty.
+    w-split, 1 <= w < n, or None if the region is empty.
 
     Region: alpha_lo <= alpha <= min(2m, w(n-1)) and
     max(0, alpha - m, ceil((alpha - w(n-w))/2)) <= beta <= min(C(w,2),
     floor(alpha/2)).  det is linear in beta, so for each alpha the maximum
     sits at the upper beta endpoint if c01 > 0 and at the lower one
     otherwise; ties go to the smallest alpha, then the smallest beta.
+
+    For 0 <= alpha <= min(2m, w(n-1)) the beta range is non-empty exactly
+    when alpha <= m + C(w,2), so the feasible alphas form one interval.
+    Writing alpha = 2t + r with r in {0, 1}, the chosen endpoint is the min
+    (c01 > 0) or max (otherwise) of at most three lines in t, and on each
+    line det is a quadratic in t.  The smallest maximizer lies on some
+    line's integer stretch, whose ends are range ends or floor/ceil of a
+    crossing of two lines; on that stretch it is an end or, for a concave
+    quadratic, next to the vertex.  Evaluating those O(1) candidates per
+    parity finds it exactly.
     """
-    alpha_hi = min(2 * m, w * (n - 1))
+    if not 1 <= w < n:
+        raise ValueError(f"need 1 <= w < n, got w={w}, n={n}")
     cross_cap = w * (n - w)
     beta_cap = w * (w - 1) // 2
+    alpha_lo = max(0, alpha_lo)
+    alpha_hi = min(2 * m, w * (n - 1), m + beta_cap)
+    if alpha_lo > alpha_hi:
+        return None
 
     coeffs = (det.c00, det.c10, det.c01, det.c20)
     lcm = math.lcm(*(c.denominator for c in coeffs))
     c00, c10, c01, c20 = (int(c * lcm) for c in coeffs)
 
-    best_val: int | None = None
-    best_at: tuple[int, int] | None = None
-    for alpha in range(alpha_lo, alpha_hi + 1):
-        blo = max(0, alpha - m, -((cross_cap - alpha) // 2))
-        bhi = min(beta_cap, alpha // 2)
-        if blo > bhi:
+    def beta(alpha: int) -> int:
+        if c01 > 0:
+            return min(beta_cap, alpha // 2)
+        return max(0, alpha - m, -((cross_cap - alpha) // 2))
+
+    def value(alpha: int) -> int:
+        return (c20 * alpha + c10) * alpha + c01 * beta(alpha) + c00
+
+    candidates = set()
+    for r in (0, 1):
+        t_lo, t_hi = (alpha_lo - r + 1) // 2, (alpha_hi - r) // 2
+        if t_lo > t_hi:
             continue
-        b = bhi if c01 > 0 else blo
-        val = (c20 * alpha + c10) * alpha + c01 * b + c00
-        if best_val is None or val > best_val:
-            best_val, best_at = val, (alpha, b)
-    if best_val is None:
-        return None
-    return Fraction(best_val, lcm), best_at
+        # beta(2t + r) as lines (slope, intercept) in t
+        if c01 > 0:
+            lines = ((0, beta_cap), (1, 0))
+        else:
+            lines = ((0, 0), (2, r - m), (1, -((cross_cap - r) // 2)))
+        ts = [t_lo, t_hi]
+        for i, (s1, b1) in enumerate(lines):
+            for s2, b2 in lines[i + 1 :]:
+                ts += _floor_ceil(b2 - b1, s1 - s2)
+            if c20 < 0:
+                ts += _floor_ceil(-(2 * c10 + s1 * c01 + 4 * c20 * r), 8 * c20)
+        candidates.update(2 * min(max(t, t_lo), t_hi) + r for t in ts)
+    best = max(candidates, key=lambda alpha: (value(alpha), -alpha))
+    return Fraction(value(best), lcm), (best, beta(best))
 
 
 def wsplit_contradiction(

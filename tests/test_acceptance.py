@@ -13,6 +13,7 @@ from srgcert import (
     SrgParams,
     Verdict,
     alpha_min,
+    classical_feasibility,
     decide,
     derive_spectrum,
     gram3_det,
@@ -137,6 +138,33 @@ def test_criterion_4_soundness():
                 assert cert.verdict is Verdict.NOT_APPLICABLE, label
             else:
                 assert cert.verdict is Verdict.INCONCLUSIVE, label
+
+
+# the Nonexistent verdicts among the primitive classically feasible tuples with
+# integral spectrum and v <= 300; a change to this list must be justified
+NONEXISTENT_UP_TO_300: tuple[tuple[int, int, int, int], ...] = ()
+
+
+def _primitive_feasible_tuples(max_v):
+    for v in range(5, max_v + 1):
+        for k in range(2, v - 1):
+            for lam in range(k):
+                num, den = k * (k - lam - 1), v - k - 1
+                if num % den != 0 or not 0 < num // den < k:
+                    continue
+                params = SrgParams(v, k, lam, num // den)
+                report = classical_feasibility(params)
+                if report.passed and report.spectrum is not None:
+                    yield params
+
+
+def test_golden_nonexistent_list_up_to_300():
+    tuples = list(_primitive_feasible_tuples(300))
+    assert len(tuples) == 648
+    found = tuple(
+        (p.v, p.k, p.lam, p.mu) for p in tuples if decide(p).verdict is Verdict.NONEXISTENT
+    )
+    assert found == NONEXISTENT_UP_TO_300
 
 
 def test_criterion_5_oracle_equivalence():

@@ -49,6 +49,7 @@ GOLDEN_CERTIFICATE_SHA256 = {
     (460, 153, 32, 60): "2f6aaf863d9146daf0f6cb5cf8f9e65a367f4d196a7692add6236202a25d670a",
     (6205, 858, 47, 130): "ba90a0702acd1840b356afb7bc5f54ea2b43f710659d73ae4a8365344cf80ba0",
     (2950, 891, 204, 297): "d3dd0b2add20e62e4661a6897a1882fb2c5970ce45d47da8cd1a8795e8824194",
+    (5929, 1482, 275, 402): "11c424caf9d46d1d1fbe0b78f5c15d89eebb209a0c13cc0119bad09d38659d1b",
 }
 
 
@@ -95,6 +96,29 @@ def test_scan_json_lines(tmp_path, capsys):
     assert boundary["krein_q22_zero"] is True
     assert boundary["verdict"] == "Nonexistent"
     assert "scanned 6 rows" in captured.err
+
+
+def test_scan_isolates_decide_errors(tmp_path, capsys, monkeypatch):
+    def failing_decide(params):
+        if params == SrgParams(16, 6, 2, 2):
+            raise ZeroDivisionError("injected")
+        return decide(params)
+
+    monkeypatch.setattr("srgcert.cli.decide", failing_decide)
+    path = tmp_path / "rows.csv"
+    path.write_text(SCAN_CSV, encoding="utf-8")
+    assert main(["scan", str(path), "--json-lines", "--jobs", "1"]) == 0
+    captured = capsys.readouterr()
+    rows = [json.loads(line) for line in captured.out.splitlines()]
+    assert rows[1] == {"line": 4, "error": "ZeroDivisionError: injected"}
+    assert [row.get("verdict") for row in rows] == [
+        "Nonexistent", None, "InfeasibleClassical", None, "NotApplicable", "Nonexistent",
+    ]
+    assert captured.err.startswith("line 4: decide failed\nTraceback")
+    assert captured.err.endswith(
+        "ZeroDivisionError: injected\n"
+        "scanned 6 rows (Error: 2, InfeasibleClassical: 1, Nonexistent: 2, NotApplicable: 1)\n"
+    )
 
 
 def test_scan_human_table(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -184,6 +185,102 @@ def test_region_max_agrees_with_full_enumeration():
     for q, n, m, w in cases:
         alo = alpha_min(n, m, w)
         assert _region_max(q, n, m, w, alo) == brute(q, n, m, w, alo), (n, m, w)
+
+
+def _loop_region_max(det, n, m, w, alpha_lo):
+    """The per-alpha scan the closed form replaced: one step per alpha, one
+    beta endpoint each, kept as the oracle."""
+    alpha_hi = min(2 * m, w * (n - 1))
+    cross_cap = w * (n - w)
+    beta_cap = w * (w - 1) // 2
+    coeffs = (det.c00, det.c10, det.c01, det.c20)
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    c00, c10, c01, c20 = (int(c * lcm) for c in coeffs)
+    best_val = best_at = None
+    for alpha in range(alpha_lo, alpha_hi + 1):
+        blo = max(0, alpha - m, -((cross_cap - alpha) // 2))
+        bhi = min(beta_cap, alpha // 2)
+        if blo > bhi:
+            continue
+        b = bhi if c01 > 0 else blo
+        val = (c20 * alpha + c10) * alpha + c01 * b + c00
+        if best_val is None or val > best_val:
+            best_val, best_at = val, (alpha, b)
+    if best_val is None:
+        return None
+    return Fraction(best_val, lcm), best_at
+
+
+def _loop_alpha_min(n, m, w):
+    """The threshold scan the closed form replaced, kept as the oracle."""
+    if w == n:
+        return 2 * m
+    best = 0
+    t = 1
+    while True:
+        rest = 2 * m - (t - 1) * (n - w)
+        if rest <= 0:
+            break
+        best = max(best, min(t * w, rest))
+        t += 1
+    return best
+
+
+def test_region_max_closed_form_matches_loop_on_tuples():
+    """Every split of four tuples at five edge counts, from the degree-sum
+    bound and from alpha = 0."""
+    cases = 0
+    for tup in [(460, 153, 32, 60), (6205, 858, 47, 130), (5929, 1482, 275, 402), (121, 100, 81, 90)]:
+        params, rep = _rep(tup)
+        n = params.lam
+        top = n * (n - 1) // 2
+        for m in sorted({0, 1, n, top // 4, top}):
+            for w in range(1, n):
+                det = gram3_det(params, rep, w, m)
+                for alo in {alpha_min(n, m, w), 0}:
+                    got = _region_max(det, n, m, w, alo)
+                    assert got == _loop_region_max(det, n, m, w, alo), (tup, m, w, alo)
+                    cases += 1
+    assert cases > 3000
+
+
+def test_region_max_closed_form_matches_loop_on_random_quadratics():
+    """Small integer and rational coefficients of every sign, zeros included,
+    so that ties, c01 = 0 and convex or linear cases all occur."""
+    rng = random.Random(5)
+    signs = set()
+    for _ in range(20000):
+        scale = rng.choice([1, 3, 20])
+
+        def coeff():
+            if rng.random() < 0.15:
+                return Fraction(0)
+            return Fraction(rng.randint(-scale, scale), rng.choice([1, 1, 2, 3, 7]))
+
+        q = BivariateQuadratic(*(coeff() for _ in range(4)))
+        signs.add((q.c20 > 0) - (q.c20 < 0))
+        n = rng.randint(2, rng.choice([6, 12, 30]))
+        m = rng.randint(0, n * (n - 1) // 2)
+        w = rng.randint(1, n - 1)
+        alo = rng.choice([alpha_min(n, m, w), 0, rng.randint(-2, 2 * m + 2)])
+        assert _region_max(q, n, m, w, alo) == _loop_region_max(q, n, m, w, alo), (q, n, m, w, alo)
+    assert signs == {-1, 0, 1}
+    for w in (0, 5):
+        with pytest.raises(ValueError):
+            _region_max(q, 5, 3, w, 0)
+
+
+def test_alpha_min_closed_form_matches_loop():
+    for n in range(1, 41):
+        for w in range(1, n + 1):
+            for m in range(n * (n - 1) // 2 + 1):
+                assert alpha_min(n, m, w) == _loop_alpha_min(n, m, w), (n, m, w)
+    rng = random.Random(400)
+    for _ in range(2000):
+        n = rng.randint(41, 400)
+        w = rng.randint(1, n)
+        m = rng.randint(0, n * (n - 1) // 2)
+        assert alpha_min(n, m, w) == _loop_alpha_min(n, m, w), (n, m, w)
 
 
 def test_decide_target_tuple():
