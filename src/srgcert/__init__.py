@@ -24,15 +24,7 @@ from .params import (
     krein_q22_zero,
     subconstituent_scan,
 )
-from .representation import (
-    BivariateQuadratic,
-    LinPoly,
-    ReprConstants,
-    SymbolicGram2,
-    gram2,
-    gram3_det,
-    repr_constants,
-)
+from .representation import BivariateQuadratic, ReprConstants, gram3_det, repr_constants
 
 __version__ = "0.1.0"
 
@@ -42,14 +34,12 @@ __all__ = [
     "FeasibilityReport",
     "InvalidParamsError",
     "K4Bound",
-    "LinPoly",
     "MRange",
     "PairClass",
     "PairProfile",
     "ReprConstants",
     "Spectrum",
     "SrgParams",
-    "SymbolicGram2",
     "Verdict",
     "WSplitWitness",
     "alpha_min",
@@ -57,7 +47,6 @@ __all__ = [
     "decide",
     "derive_spectrum",
     "gegenbauer_eval",
-    "gram2",
     "gram3_det",
     "k4_lower_bound",
     "krein_parameters",

@@ -128,6 +128,9 @@ def _scan_worker(task):
 
 def _cmd_scan(args) -> int:
     jobs = args.jobs
+    if jobs is not None and jobs < 1:
+        print(f"--jobs must be at least 1, got {jobs}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     if jobs is None:
         env = os.environ.get(JOBS_ENV_VAR)
         if env is not None and env.isdigit() and int(env) > 0:

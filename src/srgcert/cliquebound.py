@@ -56,6 +56,33 @@ def _gegenbauer_coeffs(d: int, t: int) -> tuple[Fraction, ...]:
     return tuple(c / at_one for c in raw)
 
 
+@lru_cache(maxsize=None)
+def _gegenbauer_scaled(d: int, t: int) -> tuple[tuple[int, ...], int]:
+    """The coefficients of x^0, x^2, ..., x^t of the normalized even
+    degree-t Gegenbauer polynomial, as integers over one denominator > 0."""
+    if d < 3:
+        raise ValueError(f"need d >= 3, got {d}")
+    if t % 2 != 0:
+        raise ValueError(f"degree must be even, got {t}")
+    if not 0 <= t <= MAX_DEGREE:
+        raise ValueError(f"degree must be in 0..{MAX_DEGREE}, got {t}")
+    coeffs = _gegenbauer_coeffs(d, t)
+    assert all(c == 0 for c in coeffs[1::2])
+    den = math.lcm(*(c.denominator for c in coeffs[::2]))
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs[::2]), den
+
+
+def _gegenbauer_ratio(d: int, t: int, a: int, b: int) -> tuple[int, int]:
+    """(N, M) with M > 0 and N/M the normalized degree-t Gegenbauer value at
+    x^2 = a/b, b > 0, by Horner's rule on integers."""
+    nums, den = _gegenbauer_scaled(d, t)
+    acc, b_pow = nums[-1], 1
+    for c in reversed(nums[:-1]):
+        b_pow *= b
+        acc = acc * a + c * b_pow
+    return acc, den * b_pow
+
+
 def gegenbauer_eval(d: int, t: int, x_squared: Fraction) -> Fraction:
     """Value of the normalized degree-t Gegenbauer polynomial at x, given x^2.
 
@@ -63,23 +90,10 @@ def gegenbauer_eval(d: int, t: int, x_squared: Fraction) -> Fraction:
     keeps the result rational for the square roots occurring in the edge
     vector inner products.
     """
-    if d < 3:
-        raise ValueError(f"need d >= 3, got {d}")
-    if t % 2 != 0:
-        raise ValueError(f"degree must be even, got {t}")
-    if not 0 <= t <= MAX_DEGREE:
-        raise ValueError(f"degree must be in 0..{MAX_DEGREE}, got {t}")
     x_squared = Fraction(x_squared)
     if x_squared < 0:
         raise ValueError("x_squared must be non-negative")
-    coeffs = _gegenbauer_coeffs(d, t)
-    assert all(c == 0 for c in coeffs[1::2])
-    total = Fraction(0)
-    power = Fraction(1)
-    for i in range(0, t + 1, 2):
-        total += coeffs[i] * power
-        power *= x_squared
-    return total
+    return Fraction(*_gegenbauer_ratio(d, t, x_squared.numerator, x_squared.denominator))
 
 
 @dataclass(frozen=True)
@@ -254,18 +268,26 @@ def k4_lower_bound(params: SrgParams, rep: ReprConstants, degree: int = 4) -> K4
     (S_ve^2/S_vv - S_ee0)/B2.
     """
     prof = pair_profile(params, rep)
-    d = rep.d
-    gval = {cls.name: gegenbauer_eval(d, degree, cls.value_sq) for cls in prof.classes}
-    s_vv = sum(cls.count_const * gval[cls.name] for cls in prof.classes if cls.kind == "vertex-vertex")
-    s_ve = sum(cls.count_const * gval[cls.name] for cls in prof.classes if cls.kind == "vertex-edge")
-    s_ee0 = Fraction(0)
-    b2 = Fraction(0)
-    for cls in prof.classes:
-        if cls.kind == "edge-edge-shared" or cls.kind == "edge-edge-disjoint":
-            weight = 1 if cls.name == "ee-self" else 2  # unordered pairs sit twice in the Gram matrix
-            s_ee0 += weight * cls.count_const * gval[cls.name]
-            b2 += weight * cls.count_k4 * gval[cls.name]
+    gval = {
+        cls.name: _gegenbauer_ratio(rep.d, degree, cls.value_sq.numerator, cls.value_sq.denominator)
+        for cls in prof.classes
+    }
 
+    def block_sum(kind: str, count: str) -> Fraction:
+        # integers over one denominator; an unordered edge pair sits twice in the Gram matrix
+        parts = []
+        for cls in prof.classes:
+            if cls.kind.startswith(kind):
+                weight = 2 if kind == "edge-edge" and cls.name != "ee-self" else 1
+                c, (n, m) = getattr(cls, count), gval[cls.name]
+                parts.append((weight * c.numerator * n, c.denominator * m))
+        den = math.lcm(*(m for _, m in parts))
+        return Fraction(sum(n * (den // m) for n, m in parts), den)
+
+    s_vv = block_sum("vertex-vertex", "count_const")
+    s_ve = block_sum("vertex-edge", "count_const")
+    s_ee0 = block_sum("edge-edge", "count_const")
+    b2 = block_sum("edge-edge", "count_k4")
     a_quad = (s_vv, 2 * s_ve, s_ee0)
     k4_quad = (Fraction(0), Fraction(0), b2)
 

@@ -16,13 +16,7 @@ from .params import (
     SrgParams,
     classical_feasibility,
 )
-from .representation import (
-    BivariateQuadratic,
-    ReprConstants,
-    gram2,
-    gram3_det,
-    repr_constants,
-)
+from .representation import BivariateQuadratic, ReprConstants, gram3_det, repr_constants
 
 __all__ = [
     "Verdict",
@@ -93,16 +87,21 @@ def m_upper_exact(params: SrgParams, rep: ReprConstants) -> Fraction | None:
     """The exact rational root of the linear-in-m 2x2 Gram determinant,
     or None for lam = 0.
 
-    Every edge's common-neighborhood subgraph, hence the densest one, has
-    at most this many edges.
+    X1 sums an edge's lam common neighbors (m edges among them), X2 = x_u + x_w;
+    the Gram entries lam + lam(lam-1)q + 2m(p-q), 2 lam p and 2 + 2p, scaled by
+    D, give the root ((2 lam p)^2/(2+2p) - lam - lam(lam-1)q) / (2(p-q)).  No
+    edge's common-neighborhood subgraph, the densest included, has more edges.
     """
-    if params.lam == 0:
+    lam = params.lam
+    if lam == 0:
         return None
-    det = gram2(params, rep).det_poly()
-    # slope (2+2p) * 2(p-q) is negative for primitive parameters
-    if det.c1 >= 0:
+    D, P, Q = rep.D, rep.P, rep.Q
+    a22 = 2 * D + 2 * P
+    slope = 2 * (P - Q) * a22
+    # negative for primitive parameters
+    if slope >= 0:
         raise ValueError("2x2 Gram determinant is not decreasing in m")
-    return -det.c0 / det.c1
+    return Fraction((2 * lam * P) ** 2 - (lam * D + lam * (lam - 1) * Q) * a22, slope)
 
 
 def m_lower(params: SrgParams, k4_lower: int) -> int:
@@ -138,11 +137,12 @@ def _floor_ceil(num: int, den: int) -> tuple[int, int]:
     return num // den, -(-num // den)
 
 
-def _region_max(
+def _region_max_scaled(
     det: BivariateQuadratic, n: int, m: int, w: int, alpha_lo: int
-) -> tuple[Fraction, tuple[int, int]] | None:
+) -> tuple[int, tuple[int, int]] | None:
     """Exact maximum of det over the integer (alpha, beta) region of the
-    w-split, 1 <= w < n, or None if the region is empty.
+    w-split, 1 <= w < n, as its numerator over det.den, or None if the
+    region is empty.
 
     Region: alpha_lo <= alpha <= min(2m, w(n-1)) and
     max(0, alpha - m, ceil((alpha - w(n-w))/2)) <= beta <= min(C(w,2),
@@ -169,9 +169,7 @@ def _region_max(
     if alpha_lo > alpha_hi:
         return None
 
-    coeffs = (det.c00, det.c10, det.c01, det.c20)
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    c00, c10, c01, c20 = (int(c * lcm) for c in coeffs)
+    c00, c10, c01, c20 = det.n00, det.n10, det.n01, det.n20
 
     def beta(alpha: int) -> int:
         if c01 > 0:
@@ -199,7 +197,13 @@ def _region_max(
                 ts += _floor_ceil(-(2 * c10 + s1 * c01 + 4 * c20 * r), 8 * c20)
         candidates.update(2 * min(max(t, t_lo), t_hi) + r for t in ts)
     best = max(candidates, key=lambda alpha: (value(alpha), -alpha))
-    return Fraction(value(best), lcm), (best, beta(best))
+    return value(best), (best, beta(best))
+
+
+def _region_max(det: BivariateQuadratic, n: int, m: int, w: int, alpha_lo: int):
+    """_region_max_scaled with the maximum as an exact rational."""
+    result = _region_max_scaled(det, n, m, w, alpha_lo)
+    return None if result is None else (Fraction(result[0], det.den), result[1])
 
 
 def wsplit_contradiction(
@@ -221,14 +225,11 @@ def wsplit_contradiction(
     for w in range(1, lam):
         alpha_lo = alpha_min(lam, m, w)
         det = gram3_det(params, rep, w, m)
-        result = _region_max(det, lam, m, w, alpha_lo)
-        if result is None:
-            continue
-        max_det, max_at = result
-        if max_det < 0:
-            return WSplitWitness(
-                w=w, m=m, alpha_min=alpha_lo, region_max_det=max_det, region_max_at=max_at
-            )
+        result = _region_max_scaled(det, lam, m, w, alpha_lo)
+        # det.den > 0: the sign of the numerator is the sign of the maximum
+        if result is not None and result[0] < 0:
+            max_det = Fraction(result[0], det.den)
+            return WSplitWitness(w=w, m=m, alpha_min=alpha_lo, region_max_det=max_det, region_max_at=result[1])
     return None
 
 

@@ -1,4 +1,4 @@
-"""Euclidean-representation constants and symbolic Gram determinants.
+"""Euclidean-representation constants and the w-split Gram determinant.
 
 Vertices map to unit vectors in the eigenspace of the negative eigenvalue s;
 adjacent pairs have inner product p = s/k, non-adjacent pairs
@@ -9,29 +9,36 @@ matrices whose entries are polynomials in unknown subgraph statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .params import SrgParams, Spectrum
 
 __all__ = [
     "ReprConstants",
-    "LinPoly",
-    "SymbolicGram2",
     "BivariateQuadratic",
     "repr_constants",
-    "gram2",
     "gram3_det",
 ]
 
 
 @dataclass(frozen=True)
 class ReprConstants:
-    """Inner products p (adjacent), q (non-adjacent) and the dimension d = g."""
+    """Inner products p (adjacent), q (non-adjacent) and the dimension d = g;
+    every Gram entry of summed vectors is an integer once scaled by D."""
 
     p: Fraction
     q: Fraction
     d: int
+    D: int = field(init=False, repr=False, compare=False)  # lcm of the denominators of p and q
+    P: int = field(init=False, repr=False, compare=False)  # p * D
+    Q: int = field(init=False, repr=False, compare=False)  # q * D
+
+    def __post_init__(self):
+        D = math.lcm(self.p.denominator, self.q.denominator)
+        for name, value in (("D", D), ("P", self.p * D), ("Q", self.q * D)):
+            object.__setattr__(self, name, int(value))
 
 
 def repr_constants(params: SrgParams, spectrum: Spectrum | None) -> ReprConstants:
@@ -44,59 +51,35 @@ def repr_constants(params: SrgParams, spectrum: Spectrum | None) -> ReprConstant
 
 
 @dataclass(frozen=True)
-class LinPoly:
-    """c0 + c1*m with exact rational coefficients."""
-
-    c0: Fraction
-    c1: Fraction
-
-    def __call__(self, m) -> Fraction:
-        return self.c0 + self.c1 * m
-
-
-@dataclass(frozen=True)
-class SymbolicGram2:
-    """Gram matrix of (X1, X2) with X1 the sum of the lam common-neighbor
-    vectors of an edge (m = edges among them, kept symbolic) and
-    X2 = x_u + x_w the endpoint sum."""
-
-    a11: LinPoly
-    a12: Fraction
-    a22: Fraction
-
-    def det_poly(self) -> LinPoly:
-        """det = a11*a22 - a12^2, linear in m."""
-        return LinPoly(self.a11.c0 * self.a22 - self.a12 * self.a12, self.a11.c1 * self.a22)
-
-    def det(self, m) -> Fraction:
-        return self.det_poly()(m)
-
-
-def gram2(params: SrgParams, rep: ReprConstants) -> SymbolicGram2:
-    """Entries of the 2x2 Gram matrix, symbolic in the common-neighborhood
-    edge count m.
-
-    <X1,X1> = lam + 2mp + (lam^2 - lam - 2m)q, <X1,X2> = 2*lam*p,
-    <X2,X2> = 2 + 2p.
-    """
-    lam = params.lam
-    p, q = rep.p, rep.q
-    a11 = LinPoly(lam + lam * (lam - 1) * q, 2 * (p - q))
-    return SymbolicGram2(a11=a11, a12=2 * lam * p, a22=2 + 2 * p)
-
-
-@dataclass(frozen=True)
 class BivariateQuadratic:
     """Exact polynomial c00 + c10*a + c01*b + c20*a^2 in (alpha, beta): the
-    shape of the w-split determinant, whose a*b and b^2 terms cancel."""
+    shape of the w-split determinant, whose a*b and b^2 terms cancel.  Held
+    as integers n00..n20 over one den > 0; rational coefficients given to
+    the constructor are brought over their least common denominator."""
 
-    c00: Fraction
-    c10: Fraction
-    c01: Fraction
-    c20: Fraction
+    n00: int
+    n10: int
+    n01: int
+    n20: int
+    den: int = 1
+
+    def __post_init__(self):
+        nums = (self.n00, self.n10, self.n01, self.n20)
+        if self.den > 0 and all(type(n) is int for n in nums):
+            return
+        coeffs = [Fraction(n) / self.den for n in nums]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        for name, c in zip(("n00", "n10", "n01", "n20"), coeffs):
+            object.__setattr__(self, name, c.numerator * (den // c.denominator))
+        object.__setattr__(self, "den", den)
+
+    c00 = property(lambda self: Fraction(self.n00, self.den))
+    c10 = property(lambda self: Fraction(self.n10, self.den))
+    c01 = property(lambda self: Fraction(self.n01, self.den))
+    c20 = property(lambda self: Fraction(self.n20, self.den))
 
     def __call__(self, alpha, beta) -> Fraction:
-        return self.c00 + self.c10 * alpha + self.c01 * beta + self.c20 * alpha * alpha
+        return Fraction((self.n20 * alpha + self.n10) * alpha + self.n01 * beta + self.n00, self.den)
 
 
 def gram3_det(params: SrgParams, rep: ReprConstants, w: int, m: int) -> BivariateQuadratic:
@@ -117,6 +100,7 @@ def gram3_det(params: SrgParams, rep: ReprConstants, w: int, m: int) -> Bivariat
     and beta^2 terms cancel, so the determinant is c00 + c10*alpha +
     c01*beta + c20*alpha^2 (a13 + a23 = 2*lam*p shortens c10 and c01).
     c20 < 0, so it is concave in alpha, and c01 does not depend on w.
+    With every entry and d scaled by D, the coefficients are integers over D^3.
     Requires 1 <= w < lam.
     """
     lam = params.lam
@@ -124,16 +108,17 @@ def gram3_det(params: SrgParams, rep: ReprConstants, w: int, m: int) -> Bivariat
         raise ValueError(f"need 1 <= w < lam, got w={w}, lam={lam}")
     if m < 0:
         raise ValueError(f"need m >= 0, got m={m}")
-    p, q = rep.p, rep.q
-    d = p - q
+    D, P, Q = rep.D, rep.P, rep.Q
+    d = P - Q
     n1 = lam - w
-    A1 = n1 + n1 * (n1 - 1) * q + 2 * d * m
-    A2 = w + w * (w - 1) * q
-    A12 = n1 * w * q
-    a13, a23, a33 = 2 * n1 * p, 2 * w * p, 2 + 2 * p
+    A1 = n1 * D + n1 * (n1 - 1) * Q + 2 * d * m
+    A2 = w * D + w * (w - 1) * Q
+    A12 = n1 * w * Q
+    a13, a23, a33 = 2 * n1 * P, 2 * w * P, 2 * D + 2 * P
     return BivariateQuadratic(
-        c00=a33 * (A1 * A2 - A12 * A12) - a23 * a23 * A1 - a13 * a13 * A2 + 2 * a13 * a23 * A12,
-        c10=2 * d * (2 * lam * p * a23 - a33 * (A2 + A12)),
-        c01=2 * d * (a33 * (A1 + A2 + 2 * A12) - (2 * lam * p) ** 2),
-        c20=-a33 * d * d,
+        a33 * (A1 * A2 - A12 * A12) - a23 * a23 * A1 - a13 * a13 * A2 + 2 * a13 * a23 * A12,
+        2 * d * (2 * lam * P * a23 - a33 * (A2 + A12)),
+        2 * d * (a33 * (A1 + A2 + 2 * A12) - (2 * lam * P) ** 2),
+        -a33 * d * d,
+        D**3,
     )

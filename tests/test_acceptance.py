@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 complete.
 """
 
+import hashlib
 import random
 import time
 from contextlib import contextmanager
@@ -21,6 +22,7 @@ from srgcert import (
     repr_constants,
 )
 from srgcert.cli import main
+from srgcert.serialize import certificate_to_json, dumps
 from srgcert.oracle import (
     REFERENCE_GRAPHS,
     construct,
@@ -165,6 +167,23 @@ def test_golden_nonexistent_list_up_to_300():
         (p.v, p.k, p.lam, p.mu) for p in tuples if decide(p).verdict is Verdict.NONEXISTENT
     )
     assert found == NONEXISTENT_UP_TO_300
+
+
+# SHA-256 of one certificate_to_json line per decision: the 648 tuples above at
+# Gegenbauer degree 4, then the primitive feasible tuples with v <= 120 at
+# degrees 0, 2, 6 and 8; pins every K4 rational, m root and witness
+GOLDEN_CERTIFICATES_SHA256 = "ae48376eeb6838cd467f372645b157e60ce1a44bd5d2bc338d9103b30c0d265b"
+
+
+def test_golden_certificate_bytes_at_scale():
+    digest = hashlib.sha256()
+    runs = [(params, 4) for params in _primitive_feasible_tuples(300)]
+    small = list(_primitive_feasible_tuples(120))
+    runs += [(params, degree) for degree in (0, 2, 6, 8) for params in small]
+    for params, degree in runs:
+        cert = decide(params, gegenbauer_degree=degree)
+        digest.update((dumps(certificate_to_json(cert)) + "\n").encode("utf-8"))
+    assert digest.hexdigest() == GOLDEN_CERTIFICATES_SHA256
 
 
 def test_criterion_5_oracle_equivalence():

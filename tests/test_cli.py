@@ -168,6 +168,15 @@ def test_scan_jobs_env_fallback(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_scan_rejects_jobs_below_one(tmp_path, capsys):
+    path = tmp_path / "rows.csv"
+    path.write_text("v,k,lambda,mu\n16,6,2,2\n", encoding="utf-8")
+    for jobs in ("0", "-1"):
+        assert main(["scan", str(path), "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--jobs must be at least 1" in captured.err
+
+
 def test_subscan_outputs(capsys):
     assert main(["subscan", "891", "204"]) == 0
     assert capsys.readouterr().out.strip() == "NONE"

@@ -1,9 +1,13 @@
 from fractions import Fraction
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from srgcert import (
+    K4Bound,
     SrgParams,
     derive_spectrum,
     gegenbauer_eval,
@@ -11,8 +15,10 @@ from srgcert import (
     pair_profile,
     repr_constants,
 )
+from srgcert import cliquebound
 from srgcert.cliquebound import _gegenbauer_coeffs
 from srgcert.oracle import validate
+from test_acceptance import _primitive_feasible_tuples
 
 
 def _rep(tup):
@@ -166,6 +172,76 @@ def test_form_nonnegative_at_true_k4_on_rational_grid(reference_censuses):
         bound = k4_lower_bound(params, rep)
         for a in grid:
             assert bound.form_value(a, report.k4_count) >= 0, (label, a)
+
+
+def _fraction_gegenbauer(d, t, x_squared):
+    """Fraction Horner of the cached coefficients, one power of x^2 at a time."""
+    coeffs = _gegenbauer_coeffs(d, t)
+    total, power = Fraction(0), Fraction(1)
+    for i in range(0, t + 1, 2):
+        total += coeffs[i] * power
+        power *= x_squared
+    return total
+
+
+def _fraction_k4_lower_bound(prof, degree):
+    """The per-class Fraction sums the integer block sums replaced, kept as
+    the oracle."""
+    gval = {cls.name: _fraction_gegenbauer(prof.rep.d, degree, cls.value_sq) for cls in prof.classes}
+    s_vv = sum(cls.count_const * gval[cls.name] for cls in prof.classes if cls.kind == "vertex-vertex")
+    s_ve = sum(cls.count_const * gval[cls.name] for cls in prof.classes if cls.kind == "vertex-edge")
+    s_ee0 = Fraction(0)
+    b2 = Fraction(0)
+    for cls in prof.classes:
+        if cls.kind == "edge-edge-shared" or cls.kind == "edge-edge-disjoint":
+            weight = 1 if cls.name == "ee-self" else 2
+            s_ee0 += weight * cls.count_const * gval[cls.name]
+            b2 += weight * cls.count_k4 * gval[cls.name]
+    a_quad = (s_vv, 2 * s_ve, s_ee0)
+    k4_quad = (Fraction(0), Fraction(0), b2)
+    if b2 <= 0:
+        return K4Bound(0, None, a_quad, k4_quad, None, informative=False)
+    if s_vv == 0 or s_ve == 0:
+        raw = -s_ee0 / b2
+        optimal_a = None
+    else:
+        raw = (s_ve * s_ve / s_vv - s_ee0) / b2
+        optimal_a = -s_vv / s_ve
+    return K4Bound(max(0, math.ceil(raw)), optimal_a, a_quad, k4_quad, raw, informative=True)
+
+
+def test_gegenbauer_eval_matches_fraction_horner():
+    grid = [Fraction(0), Fraction(1), Fraction(1, 4), Fraction(2, 3), Fraction(961, 23409), Fraction(9, 4), 5]
+    for d in (3, 4, 7, 45, 276, 1000):
+        for t in range(0, 9, 2):
+            for x2 in grid:
+                assert gegenbauer_eval(d, t, x2) == _fraction_gegenbauer(d, t, Fraction(x2)), (d, t, x2)
+
+
+def test_k4_bound_matches_fraction_sums(reference_graphs, monkeypatch):
+    """Every even degree, on every reference graph with an integer spectrum
+    and on the primitive feasible tuples with v <= 120; then on profiles
+    whose counts are divided by 6 or 4, since no integer-spectrum tuple with
+    v < 400 has a non-integral class count."""
+    tuples = [params for _, params in reference_graphs.values() if derive_spectrum(params) is not None]
+    tuples += _primitive_feasible_tuples(120)
+    for params in tuples:
+        rep = repr_constants(params, derive_spectrum(params))
+        prof = pair_profile(params, rep)
+        for degree in range(0, 9, 2):
+            assert k4_lower_bound(params, rep, degree) == _fraction_k4_lower_bound(prof, degree), (params, degree)
+    for tup in [(460, 153, 32, 60), (16, 6, 2, 2), (27, 16, 10, 8)]:
+        params, rep = _rep(tup)
+        prof = pair_profile(params, rep)
+        for div in (6, 4):
+            classes = tuple(
+                dataclasses.replace(c, count_const=c.count_const / div, count_k4=c.count_k4 / (div + 1))
+                for c in prof.classes
+            )
+            scaled = dataclasses.replace(prof, classes=classes)
+            monkeypatch.setattr(cliquebound, "pair_profile", lambda *_: scaled)
+            for degree in range(0, 9, 2):
+                assert k4_lower_bound(params, rep, degree) == _fraction_k4_lower_bound(scaled, degree), (tup, div)
 
 
 def _gegenbauer_float(d, t, x):

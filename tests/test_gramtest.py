@@ -244,6 +244,45 @@ def test_region_max_closed_form_matches_loop_on_tuples():
     assert cases > 3000
 
 
+def _fraction_gram3_det(params, rep, w, m):
+    """The Fraction coefficients (c00, c10, c01, c20) the D-scaled integers
+    replaced, kept as the oracle."""
+    lam = params.lam
+    p, q = rep.p, rep.q
+    d = p - q
+    n1 = lam - w
+    A1 = n1 + n1 * (n1 - 1) * q + 2 * d * m
+    A2 = w + w * (w - 1) * q
+    A12 = n1 * w * q
+    a13, a23, a33 = 2 * n1 * p, 2 * w * p, 2 + 2 * p
+    return (
+        a33 * (A1 * A2 - A12 * A12) - a23 * a23 * A1 - a13 * a13 * A2 + 2 * a13 * a23 * A12,
+        2 * d * (2 * lam * p * a23 - a33 * (A2 + A12)),
+        2 * d * (a33 * (A1 + A2 + 2 * A12) - (2 * lam * p) ** 2),
+        -a33 * d * d,
+    )
+
+
+def test_gram3_det_scaled_matches_fraction_coefficients():
+    """Every split of four tuples at five edge counts: the integer
+    numerators over D^3 are the Fraction coefficients, and the region
+    maximum is the same from either form."""
+    for tup in [(460, 153, 32, 60), (6205, 858, 47, 130), (5929, 1482, 275, 402), (121, 100, 81, 90)]:
+        params, rep = _rep(tup)
+        n = params.lam
+        top = n * (n - 1) // 2
+        for m in sorted({0, 1, n, top // 4, top}):
+            for w in range(1, n):
+                det = gram3_det(params, rep, w, m)
+                want = _fraction_gram3_det(params, rep, w, m)
+                nums = (det.n00, det.n10, det.n01, det.n20)
+                assert all(type(x) is int for x in nums) and det.den == rep.D**3
+                assert tuple(Fraction(x, det.den) for x in nums) == want, (tup, m, w)
+                assert (det.c00, det.c10, det.c01, det.c20) == want, (tup, m, w)
+                alo = alpha_min(n, m, w)
+                assert _region_max(det, n, m, w, alo) == _region_max(BivariateQuadratic(*want), n, m, w, alo)
+
+
 def test_region_max_closed_form_matches_loop_on_random_quadratics():
     """Small integer and rational coefficients of every sign, zeros included,
     so that ties, c01 = 0 and convex or linear cases all occur."""

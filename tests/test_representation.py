@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from srgcert import (
+    ReprConstants,
     SrgParams,
     derive_spectrum,
-    gram2,
     gram3_det,
+    m_upper_exact,
     repr_constants,
 )
 from srgcert.oracle import construct, realize_representation, srg_parameters
+from test_acceptance import _primitive_feasible_tuples
 
 
 def _rep(tup):
@@ -74,28 +76,64 @@ def test_row_sum_identity():
         assert -1 < rep.p < rep.q < 1
 
 
+def _gram2_literal(params, rep):
+    """The 2x2 Gram of X1 (the lam common neighbors of an edge, m edges
+    among them) and X2 = x_u + x_w, entry by entry: <X1,X1> as a function
+    of m, then <X1,X2> and <X2,X2>."""
+    lam, p, q = params.lam, rep.p, rep.q
+
+    def a11(m):
+        return lam + 2 * m * p + (lam * (lam - 1) - 2 * m) * q
+
+    return a11, 2 * lam * p, 2 + 2 * p
+
+
+def _gram2_root(params, rep):
+    """The m at which the literal 2x2 determinant, linear in m, vanishes."""
+    a11, a12, a22 = _gram2_literal(params, rep)
+    det0 = a11(0) * a22 - a12 * a12
+    slope = a11(1) * a22 - a12 * a12 - det0
+    return -det0 / slope
+
+
 def test_gram2_target_entries():
     """Entries reduce to integer numerators over 153."""
     params, rep = _rep((460, 153, 32, 60))
-    g2 = gram2(params, rep)
-    assert g2.a11.c0 == Fraction(19776, 153)
-    assert g2.a11.c1 == Fraction(-92, 153)
-    assert g2.a12 == Fraction(-1984, 153)
-    assert g2.a22 == Fraction(244, 153)
-    assert g2.a11(39) == Fraction(19776 - 92 * 39, 153)
+    a11, a12, a22 = _gram2_literal(params, rep)
+    assert a11(0) == Fraction(19776, 153)
+    assert a11(1) - a11(0) == Fraction(-92, 153)
+    assert a12 == Fraction(-1984, 153)
+    assert a22 == Fraction(244, 153)
+    assert a11(39) == Fraction(19776 - 92 * 39, 153)
 
 
 def test_gram2_lambda_zero_is_vacuous():
     params, rep = _rep((10, 3, 0, 1))
-    g2 = gram2(params, rep)
-    assert g2.a11(0) == 0
-    assert g2.a12 == 0
+    a11, a12, _ = _gram2_literal(params, rep)
+    assert a11(0) == 0
+    assert a12 == 0
 
 
 def test_gram2_a22_is_squared_edge_vector_norm():
     for tup in [(460, 153, 32, 60), (16, 6, 2, 2), (21, 10, 5, 4)]:
         params, rep = _rep(tup)
-        assert gram2(params, rep).a22 == 2 + 2 * rep.p
+        assert _gram2_literal(params, rep)[2] == 2 + 2 * rep.p
+
+
+def test_m_upper_exact_is_literal_gram2_root(reference_graphs):
+    """The closed-form root equals the root of the entry-by-entry 2x2
+    determinant on every reference graph and on the 648 primitive feasible
+    tuples with v <= 300."""
+    tuples = list(_primitive_feasible_tuples(300))
+    assert len(tuples) == 648
+    tuples += [params for _, params in reference_graphs.values() if derive_spectrum(params) is not None]
+    for params in tuples:
+        rep = repr_constants(params, derive_spectrum(params))
+        want = None if params.lam == 0 else _gram2_root(params, rep)
+        assert m_upper_exact(params, rep) == want, params
+    params, rep = _rep((460, 153, 32, 60))
+    with pytest.raises(ValueError):  # p > q: the determinant grows with m
+        m_upper_exact(params, ReprConstants(p=rep.q, q=rep.p, d=rep.d))
 
 
 def test_gram3_det_exact_coefficients():
@@ -142,14 +180,14 @@ def test_gram_determinants_nonnegative_on_measured_statistics(reference_graphs):
         if spectrum is None or params.lam < 1:
             continue
         rep = repr_constants(params, spectrum)
-        g2 = gram2(params, rep)
+        a11, a12, a22 = _gram2_literal(params, rep)
         for u, w in g.edges():
             common = g.rows[u] & g.rows[w]
             members = [t for t in range(g.n) if common >> t & 1]
             m = sum(
                 1 for a, b in itertools.combinations(members, 2) if g.adjacent(a, b)
             )
-            assert g2.det(m) >= 0, (label, (u, w), m)
+            assert a11(m) * a22 - a12 * a12 >= 0, (label, (u, w), m)
             for split in range(1, params.lam):
                 alpha, beta = _split_stats(g, members, split)
                 det = gram3_det(params, rep, split, m)
