@@ -33,6 +33,7 @@ EXIT_BAD_INPUT = 2
 EXIT_IO_ERROR = 3
 
 JOBS_ENV_VAR = "SRG_CERTIFY_JOBS"
+SERIAL_GRAM_ROWS = 32
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -132,11 +133,8 @@ def _cmd_scan(args) -> int:
         print(f"--jobs must be at least 1, got {jobs}", file=sys.stderr)
         return EXIT_BAD_INPUT
     if jobs is None:
-        env = os.environ.get(JOBS_ENV_VAR)
-        if env is not None and env.isdigit() and int(env) > 0:
-            jobs = int(env)
-        else:
-            jobs = os.cpu_count() or 1
+        env = os.environ.get(JOBS_ENV_VAR, "")
+        jobs = int(env) if env.isdigit() and int(env) > 0 else os.cpu_count() or 1
     try:
         with open(args.input, encoding="utf-8") as handle:
             raw_lines = handle.read().splitlines()
@@ -158,53 +156,52 @@ def _cmd_scan(args) -> int:
             continue
         tasks.append((idx, stripped))
 
-    if jobs > 1 and len(tasks) > 1:
+    # A row takes microseconds unless it reaches the Gram tests, then
+    # milliseconds; starting workers costs more than a few dozen of those.
+    # So rows are decided here until SERIAL_GRAM_ROWS have reached them.
+    results, gram_rows = [], 0
+    while len(results) < len(tasks) and (jobs == 1 or gram_rows < SERIAL_GRAM_ROWS):
+        results.append(_scan_worker(tasks[len(results)]))
+        gram_rows += results[-1][0].get("m_range") is not None
+    rest = tasks[len(results):]
+    if len(rest) > 1:
         # imported here: multiprocessing slows every command's start, only this path uses it
         from concurrent.futures import ProcessPoolExecutor
 
         # a few chunks per worker: one pickled round trip per row costs more
         # than most rows take to decide
-        chunksize = math.ceil(len(tasks) / (4 * jobs))
+        chunksize = math.ceil(len(rest) / (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_worker, tasks, chunksize=chunksize))
+            results += pool.map(_scan_worker, rest, chunksize=chunksize)
     else:
-        results = [_scan_worker(t) for t in tasks]
+        results += map(_scan_worker, rest)
 
-    out_handle = sys.stdout
-    close = False
-    if args.output is not None:
-        try:
-            out_handle = open(args.output, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"cannot write {args.output}: {exc}", file=sys.stderr)
-            return EXIT_IO_ERROR
-        close = True
+    try:
+        out_handle = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"cannot write {args.output}: {exc}", file=sys.stderr)
+        return EXIT_IO_ERROR
     try:
         counts: dict[str, int] = {}
         for res, elapsed in results:
-            if "error" in res:
-                counts["Error"] = counts.get("Error", 0) + 1
-                if args.json_lines:
-                    out_handle.write(dumps({"line": res["line"], "error": res["error"]}) + "\n")
-                else:
-                    out_handle.write(f"line {res['line']}: error: {res['error']}\n")
-                continue
-            verdict = res["verdict"]
-            counts[verdict] = counts.get(verdict, 0) + 1
+            name = "Error" if "error" in res else res["verdict"]
+            counts[name] = counts.get(name, 0) + 1
             if args.json_lines:
                 out_handle.write(dumps(res) + "\n")
+            elif "error" in res:
+                out_handle.write(f"line {res['line']}: error: {res['error']}\n")
             else:
                 p = res["params"]
                 rng = res["m_range"]
                 rng_text = f"[{rng['lower']},{rng['upper']}]" if rng else "-"
                 wit = res["witness_w"] if res["witness_w"] is not None else "-"
                 out_handle.write(
-                    f"({p['v']},{p['k']},{p['lambda']},{p['mu']}): {verdict}"
+                    f"({p['v']},{p['k']},{p['lambda']},{p['mu']}): {name}"
                     f" k4>={res['k4_lower'] if res['k4_lower'] is not None else '-'}"
                     f" m={rng_text} w={wit} [{elapsed}ms]\n"
                 )
     finally:
-        if close:
+        if out_handle is not sys.stdout:
             out_handle.close()
     summary = ", ".join(f"{name}: {counts[name]}" for name in sorted(counts)) or "no rows"
     print(f"scanned {len(results)} rows ({summary})", file=sys.stderr)

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from srgcert import SrgParams, decide
+from srgcert import cli
 from srgcert.cli import main
 from srgcert.serialize import certificate_from_json
 
@@ -158,6 +159,33 @@ def test_scan_output_file_deterministic(tmp_path, capsys):
     assert main(["scan", str(csv_path), "--json-lines", "--output", str(out2), "--jobs", "1"]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("serial_gram_rows", [0, 1, 2])
+def test_scan_pool_matches_serial(tmp_path, capsys, monkeypatch, serial_gram_rows):
+    # SCAN_CSV has three rows that reach the Gram tests; the pool takes the
+    # rows after the first 0, 1 or 2 of them, error rows included
+    monkeypatch.setattr(cli, "SERIAL_GRAM_ROWS", serial_gram_rows)
+    csv_path = tmp_path / "rows.csv"
+    csv_path.write_text(SCAN_CSV, encoding="utf-8")
+    pooled, serial = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    assert main(["scan", str(csv_path), "--json-lines", "--output", str(pooled), "--jobs", "2"]) == 0
+    assert main(["scan", str(csv_path), "--json-lines", "--output", str(serial), "--jobs", "1"]) == 0
+    capsys.readouterr()
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
+def test_small_scan_starts_no_pool(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a scan with few Gram rows started worker processes")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    csv_path = tmp_path / "rows.csv"
+    csv_path.write_text(SCAN_CSV, encoding="utf-8")
+    assert main(["scan", str(csv_path), "--json-lines", "--jobs", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6
 
 
 def test_scan_jobs_env_fallback(tmp_path, capsys, monkeypatch):
