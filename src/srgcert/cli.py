@@ -134,7 +134,10 @@ def _cmd_scan(args) -> int:
         return EXIT_BAD_INPUT
     if jobs is None:
         env = os.environ.get(JOBS_ENV_VAR, "")
-        jobs = int(env) if env.isdigit() and int(env) > 0 else os.cpu_count() or 1
+        if env and not (env.isdecimal() and int(env) > 0):
+            print(f"{JOBS_ENV_VAR} must be a positive integer, got {env!r}", file=sys.stderr)
+            return EXIT_BAD_INPUT
+        jobs = int(env) if env else os.cpu_count() or 1
     try:
         with open(args.input, encoding="utf-8") as handle:
             raw_lines = handle.read().splitlines()
@@ -223,7 +226,7 @@ def _cmd_subscan(args) -> int:
 
 
 def _cmd_self_check(args) -> int:
-    # imported here: numpy and the brute-force oracle serve this command only
+    # imported here: the brute-force oracle serves this command only
     from .oracle import REFERENCE_GRAPHS, construct, validate
 
     failures = 0

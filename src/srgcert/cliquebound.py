@@ -137,8 +137,8 @@ class PairProfile:
         return {cls.name: cls.count_at(k4) for cls in self.classes}
 
 
-def _comb2(x) -> Fraction:
-    return Fraction(x * (x - 1), 2)
+def _comb2(x: int) -> int:
+    return x * (x - 1) // 2
 
 
 def pair_profile(params: SrgParams, rep: ReprConstants) -> PairProfile:
@@ -166,72 +166,66 @@ def pair_profile(params: SrgParams, rep: ReprConstants) -> PairProfile:
     graphs in the test suite.
     """
     v, k, lam, mu = params.v, params.k, params.lam, params.mu
-    p, q = rep.p, rep.q
-    E = params.edge_count
-    denom = 2 + 2 * p  # |x_u + x_w|^2
+    D, P, Q = rep.D, rep.P, rep.Q
+    S = 2 * D + 2 * P  # |x_u + x_w|^2 scaled by D
+    # counts are built as integers over 48, which clears every /2, /4, /6
+    # and /8 below; E48 = 48|E| = 24vk
+    E48 = 24 * v * k
 
     classes: list[PairClass] = []
 
-    def add(name, kind, value_sq, const, k4=Fraction(0)):
-        classes.append(
-            PairClass(
-                name=name,
-                kind=kind,
-                value_sq=Fraction(value_sq),
-                count_const=Fraction(const),
-                count_k4=Fraction(k4),
-            )
-        )
+    def add(name, kind, c, den, const, k4=0):
+        # squared value c^2/den, counts const/48 + k4/48 * K4
+        classes.append(PairClass(name, kind, Fraction(c * c, den), Fraction(const, 48), Fraction(k4, 48)))
 
     # vertex-vertex, ordered pairs
-    add("vv-self", "vertex-vertex", 1, v)
-    add("vv-adjacent", "vertex-vertex", p * p, v * k)
-    add("vv-nonadjacent", "vertex-vertex", q * q, v * (v - 1 - k))
+    add("vv-self", "vertex-vertex", 1, 1, 48 * v)
+    add("vv-adjacent", "vertex-vertex", P, D * D, 48 * v * k)
+    add("vv-nonadjacent", "vertex-vertex", Q, D * D, 48 * v * (v - 1 - k))
 
     # vertex-edge, (vertex, edge) pairs; values c/sqrt(2+2p) stored as c^2/(2+2p)
     for name, c, count in (
-        ("ve-endpoint", 1 + p, 2 * E),
-        ("ve-both", 2 * p, E * lam),
-        ("ve-one", p + q, 2 * E * (k - 1 - lam)),
-        ("ve-neither", 2 * q, E * (v - 2 * k + lam)),
+        ("ve-endpoint", D + P, 2 * E48),
+        ("ve-both", 2 * P, E48 * lam),
+        ("ve-one", P + Q, 2 * E48 * (k - 1 - lam)),
+        ("ve-neither", 2 * Q, E48 * (v - 2 * k + lam)),
     ):
-        add(name, "vertex-edge", c * c / denom, count)
+        add(name, "vertex-edge", c, D * S, count)
 
     # edge-edge: self, sharing a vertex (unordered), disjoint (unordered)
-    add("ee-self", "edge-edge-shared", 1, E)
-    shared_adj = Fraction(v * k * lam, 2)
-    shared_total = v * _comb2(k)
+    add("ee-self", "edge-edge-shared", 1, 1, E48)
+    shared_adj = 24 * v * k * lam  # 48 vk lam / 2
+    shared_total = 48 * v * _comb2(k)
     for name, c, count in (
-        ("ee-shared-adjacent", 1 + 3 * p, shared_adj),
-        ("ee-shared-nonadjacent", 1 + 2 * p + q, shared_total - shared_adj),
+        ("ee-shared-adjacent", D + 3 * P, shared_adj),
+        ("ee-shared-nonadjacent", D + 2 * P + Q, shared_total - shared_adj),
     ):
-        add(name, "edge-edge-shared", c * c / (denom * denom), count)
+        add(name, "edge-edge-shared", c, S * S, count)
 
-    # disjoint pairs by number of cross adjacencies
-    triangles = Fraction(v * k * lam, 6)
-    nonadj_pairs = Fraction(v * (v - 1 - k), 2)
-    diamond = (E * _comb2(lam), Fraction(-6))
-    paw = (3 * triangles * (k - 2 * lam), Fraction(12))
-    c4 = ((nonadj_pairs * _comb2(mu) - diamond[0]) / 2, -diamond[1] / 2)
+    # disjoint pairs by number of cross adjacencies, as (const, K4 coefficient)
+    triangles = 8 * v * k * lam  # 48 vk lam / 6
+    nonadj_pairs = 24 * v * (v - 1 - k)  # 48 v(v-1-k) / 2
+    diamond = (E48 * _comb2(lam), -6 * 48)
+    paw = (3 * triangles * (k - 2 * lam), 12 * 48)
+    c4 = ((nonadj_pairs * _comb2(mu) - diamond[0]) // 2, -diamond[1] // 2)
 
-    n4 = (Fraction(0), Fraction(3))
+    n4 = (0, 3 * 48)
     n3 = (2 * diamond[0], 2 * diamond[1])
     n2 = (2 * c4[0] + paw[0], 2 * c4[1] + paw[1])
-    cross_total = E * ((k - 1) ** 2 - lam)  # sum over disjoint pairs of j
+    cross_total = E48 * ((k - 1) ** 2 - lam)  # sum over disjoint pairs of j
     n1 = (
         cross_total - 2 * n2[0] - 3 * n3[0] - 4 * n4[0],
         -2 * n2[1] - 3 * n3[1] - 4 * n4[1],
     )
-    disjoint_total = _comb2(E) - shared_total
+    disjoint_total = E48 * (E48 - 48) // 96 - shared_total  # 48 C(|E|,2) = 48|E|(48|E| - 48) / 96
     n0 = (
         disjoint_total - n1[0] - n2[0] - n3[0] - n4[0],
         -n1[1] - n2[1] - n3[1] - n4[1],
     )
     for j, (const, coef) in enumerate((n0, n1, n2, n3, n4)):
-        c = (j * p + (4 - j) * q) / denom
-        add(f"ee-disjoint-{j}", "edge-edge-disjoint", c * c, const, coef)
+        add(f"ee-disjoint-{j}", "edge-edge-disjoint", j * P + (4 - j) * Q, S * S, const, coef)
 
-    return PairProfile(params=params, rep=rep, edge_count=E, classes=tuple(classes))
+    return PairProfile(params=params, rep=rep, edge_count=params.edge_count, classes=tuple(classes))
 
 
 @dataclass(frozen=True)

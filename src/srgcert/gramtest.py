@@ -137,61 +137,80 @@ def _floor_ceil(num: int, den: int) -> tuple[int, int]:
     return num // den, -(-num // den)
 
 
+def _region(n: int, m: int, w: int, alpha_lo: int, upper: bool):
+    """The integer (alpha, beta) region of the w-split, 1 <= w < n, as
+    (lo, hi, beta, lines): the feasible alphas lo..hi, beta(alpha) the upper
+    (if upper) or lower beta endpoint at alpha, and lines(r) the lines
+    (slope, intercept) in t whose minimum (upper) or maximum (not upper) is
+    beta(2t + r).
+
+    Region: alpha_lo <= alpha <= min(2m, w(n-1)) and
+    max(0, alpha - m, ceil((alpha - w(n-w))/2)) <= beta <= min(C(w,2),
+    floor(alpha/2)).  For 0 <= alpha <= min(2m, w(n-1)) the beta range is
+    non-empty exactly when alpha <= m + C(w,2), so the feasible alphas form
+    one interval.
+    """
+    if not 1 <= w < n:
+        raise ValueError(f"need 1 <= w < n, got w={w}, n={n}")
+    beta_cap = w * (w - 1) // 2
+    lo, hi = max(0, alpha_lo), min(2 * m, w * (n - 1), m + beta_cap)
+    if upper:
+        return lo, hi, lambda alpha: min(beta_cap, alpha // 2), lambda r: ((0, beta_cap), (1, 0))
+    cross_cap = w * (n - w)
+    return (
+        lo,
+        hi,
+        lambda alpha: max(0, alpha - m, -((cross_cap - alpha) // 2)),
+        lambda r: ((0, 0), (2, r - m), (1, -((cross_cap - r) // 2))),
+    )
+
+
+def _probe_point(det: BivariateQuadratic, n: int, m: int, w: int, alpha_lo: int) -> tuple[int, int] | None:
+    """One point of the w-split region: the even alpha at or below the
+    vertex of the concave part c20*alpha^2 + c10*alpha, clamped to the
+    alpha interval, with the beta endpoint _region_max_scaled takes there.
+    None if the region is empty or c20 >= 0."""
+    lo, hi, beta, _ = _region(n, m, w, alpha_lo, det.n01 > 0)
+    if lo > hi or det.n20 >= 0:
+        return None
+    alpha = min(max(2 * (-det.n10 // (4 * det.n20)), lo), hi)
+    return alpha, beta(alpha)
+
+
 def _region_max_scaled(
     det: BivariateQuadratic, n: int, m: int, w: int, alpha_lo: int
 ) -> tuple[int, tuple[int, int]] | None:
     """Exact maximum of det over the integer (alpha, beta) region of the
-    w-split, 1 <= w < n, as its numerator over det.den, or None if the
+    w-split (see _region), as its numerator over det.den, or None if the
     region is empty.
 
-    Region: alpha_lo <= alpha <= min(2m, w(n-1)) and
-    max(0, alpha - m, ceil((alpha - w(n-w))/2)) <= beta <= min(C(w,2),
-    floor(alpha/2)).  det is linear in beta, so for each alpha the maximum
-    sits at the upper beta endpoint if c01 > 0 and at the lower one
-    otherwise; ties go to the smallest alpha, then the smallest beta.
-
-    For 0 <= alpha <= min(2m, w(n-1)) the beta range is non-empty exactly
-    when alpha <= m + C(w,2), so the feasible alphas form one interval.
-    Writing alpha = 2t + r with r in {0, 1}, the chosen endpoint is the min
-    (c01 > 0) or max (otherwise) of at most three lines in t, and on each
+    det is linear in beta, so for each alpha the maximum sits at the upper
+    beta endpoint if c01 > 0 and at the lower one otherwise; ties go to the
+    smallest alpha, then the smallest beta.  On each parity the chosen
+    endpoint is the min or max of at most three lines in t, and on each
     line det is a quadratic in t.  The smallest maximizer lies on some
     line's integer stretch, whose ends are range ends or floor/ceil of a
     crossing of two lines; on that stretch it is an end or, for a concave
     quadratic, next to the vertex.  Evaluating those O(1) candidates per
     parity finds it exactly.
     """
-    if not 1 <= w < n:
-        raise ValueError(f"need 1 <= w < n, got w={w}, n={n}")
-    cross_cap = w * (n - w)
-    beta_cap = w * (w - 1) // 2
-    alpha_lo = max(0, alpha_lo)
-    alpha_hi = min(2 * m, w * (n - 1), m + beta_cap)
+    c10, c01, c20 = det.n10, det.n01, det.n20
+    alpha_lo, alpha_hi, beta, lines = _region(n, m, w, alpha_lo, c01 > 0)
     if alpha_lo > alpha_hi:
         return None
 
-    c00, c10, c01, c20 = det.n00, det.n10, det.n01, det.n20
-
-    def beta(alpha: int) -> int:
-        if c01 > 0:
-            return min(beta_cap, alpha // 2)
-        return max(0, alpha - m, -((cross_cap - alpha) // 2))
-
     def value(alpha: int) -> int:
-        return (c20 * alpha + c10) * alpha + c01 * beta(alpha) + c00
+        return det.scaled(alpha, beta(alpha))
 
     candidates = set()
     for r in (0, 1):
         t_lo, t_hi = (alpha_lo - r + 1) // 2, (alpha_hi - r) // 2
         if t_lo > t_hi:
             continue
-        # beta(2t + r) as lines (slope, intercept) in t
-        if c01 > 0:
-            lines = ((0, beta_cap), (1, 0))
-        else:
-            lines = ((0, 0), (2, r - m), (1, -((cross_cap - r) // 2)))
         ts = [t_lo, t_hi]
-        for i, (s1, b1) in enumerate(lines):
-            for s2, b2 in lines[i + 1 :]:
+        lines_r = lines(r)
+        for i, (s1, b1) in enumerate(lines_r):
+            for s2, b2 in lines_r[i + 1 :]:
                 ts += _floor_ceil(b2 - b1, s1 - s2)
             if c20 < 0:
                 ts += _floor_ceil(-(2 * c10 + s1 * c01 + 4 * c20 * r), 8 * c20)
@@ -225,6 +244,10 @@ def wsplit_contradiction(
     for w in range(1, lam):
         alpha_lo = alpha_min(lam, m, w)
         det = gram3_det(params, rep, w, m)
+        # most w are refuted by one point: the region maximum is at least its value
+        point = _probe_point(det, lam, m, w, alpha_lo)
+        if point is not None and det.scaled(*point) >= 0:
+            continue
         result = _region_max_scaled(det, lam, m, w, alpha_lo)
         # det.den > 0: the sign of the numerator is the sign of the maximum
         if result is not None and result[0] < 0:

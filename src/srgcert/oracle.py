@@ -2,21 +2,17 @@
 
 These constructions and enumerations are the ground truth that every derived
 count and bound is validated against.  Censuses are exact integer
-enumeration; floating point appears only in realize_representation, which is
-test-support and never feeds a verdict.
+enumeration, with no floating point.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
-import numpy as np
-
 from .cliquebound import pair_profile
 from .gramtest import Verdict, decide
-from .params import SrgParams, derive_spectrum
+from .params import SrgParams
 
 __all__ = [
     "AdjacencyMatrix",
@@ -27,7 +23,6 @@ __all__ = [
     "CensusReport",
     "lambda_subgraph_edge_counts",
     "validate",
-    "realize_representation",
 ]
 
 
@@ -46,14 +41,6 @@ class AdjacencyMatrix:
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, w) for u in range(self.n) for w in range(u + 1, self.n) if self.adjacent(u, w)]
-
-    def to_numpy(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        for u in range(self.n):
-            for w in range(self.n):
-                if self.adjacent(u, w):
-                    a[u, w] = 1
-        return a
 
 
 def _from_pairs(n: int, pairs) -> AdjacencyMatrix:
@@ -393,37 +380,3 @@ def validate(g: AdjacencyMatrix) -> str:
     if not lo <= report.max_lambda_subgraph_edges <= hi:
         raise AssertionError(f"max m {report.max_lambda_subgraph_edges} outside [{lo},{hi}]")
     return f"{detail} profile-ok k4-bound={bound} m=[{lo},{hi}]"
-
-
-def realize_representation(g: AdjacencyMatrix, tol: float = 1e-8) -> np.ndarray:
-    """Approximate unit vectors of the eigenspace representation (test-only
-    floating point).
-
-    Row u is x_u in R^g, obtained by scaling the orthonormal eigenbasis of
-    the negative eigenvalue s so that the Gram matrix is (v/g) P with P the
-    eigenprojector; pairwise inner products then match p and q within tol.
-    """
-    params = srg_parameters(g)
-    spectrum = derive_spectrum(params)
-    if spectrum is None:
-        raise ValueError("irrational eigenvalues: no rational representation")
-    a = g.to_numpy().astype(float)
-    eigvals, eigvecs = np.linalg.eigh(a)
-    mask = np.abs(eigvals - spectrum.s) < 1e-6
-    if int(mask.sum()) != spectrum.g:
-        raise ValueError(
-            f"eigenspace dimension {int(mask.sum())} != expected {spectrum.g}"
-        )
-    basis = eigvecs[:, mask]
-    vectors = basis * math.sqrt(params.v / spectrum.g)
-    gram = vectors @ vectors.T
-    p = spectrum.s / params.k
-    q = -(1 + spectrum.s) / (params.v - 1 - params.k)
-    for u in range(params.v):
-        if abs(gram[u, u] - 1.0) > tol:
-            raise ValueError("representation vectors are not unit length")
-        for w in range(u + 1, params.v):
-            want = p if g.adjacent(u, w) else q
-            if abs(gram[u, w] - want) > tol:
-                raise ValueError("representation inner products drift beyond tolerance")
-    return vectors

@@ -64,10 +64,9 @@ class BivariateQuadratic:
     den: int = 1
 
     def __post_init__(self):
-        nums = (self.n00, self.n10, self.n01, self.n20)
-        if self.den > 0 and all(type(n) is int for n in nums):
+        if self.den > 0 and type(self.n00) is type(self.n10) is type(self.n01) is type(self.n20) is int:
             return
-        coeffs = [Fraction(n) / self.den for n in nums]
+        coeffs = [Fraction(n) / self.den for n in (self.n00, self.n10, self.n01, self.n20)]
         den = math.lcm(*(c.denominator for c in coeffs))
         for name, c in zip(("n00", "n10", "n01", "n20"), coeffs):
             object.__setattr__(self, name, c.numerator * (den // c.denominator))
@@ -78,8 +77,12 @@ class BivariateQuadratic:
     c01 = property(lambda self: Fraction(self.n01, self.den))
     c20 = property(lambda self: Fraction(self.n20, self.den))
 
+    def scaled(self, alpha: int, beta: int) -> int:
+        """den times the value at integer (alpha, beta): an integer."""
+        return (self.n20 * alpha + self.n10) * alpha + self.n01 * beta + self.n00
+
     def __call__(self, alpha, beta) -> Fraction:
-        return Fraction((self.n20 * alpha + self.n10) * alpha + self.n01 * beta + self.n00, self.den)
+        return Fraction(self.scaled(alpha, beta), self.den)
 
 
 def gram3_det(params: SrgParams, rep: ReprConstants, w: int, m: int) -> BivariateQuadratic:

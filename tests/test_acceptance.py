@@ -26,10 +26,10 @@ from srgcert.serialize import certificate_to_json, dumps
 from srgcert.oracle import (
     REFERENCE_GRAPHS,
     construct,
-    realize_representation,
     srg_parameters,
     validate,
 )
+from numeric import realize_representation
 
 
 @contextmanager

@@ -205,6 +205,25 @@ def test_scan_rejects_jobs_below_one(tmp_path, capsys):
         assert captured.out == "" and "--jobs must be at least 1" in captured.err
 
 
+def test_scan_rejects_bad_jobs_env(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "rows.csv"
+    path.write_text("v,k,lambda,mu\n16,6,2,2\n", encoding="utf-8")
+    for value in ("0", "-1", "two"):
+        monkeypatch.setenv("SRG_CERTIFY_JOBS", value)
+        assert main(["scan", str(path), "--json-lines"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"SRG_CERTIFY_JOBS must be a positive integer, got {value!r}" in captured.err
+    # unset or empty: the CPU count
+    for value in (None, ""):
+        if value is None:
+            monkeypatch.delenv("SRG_CERTIFY_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("SRG_CERTIFY_JOBS", value)
+        assert main(["scan", str(path), "--json-lines"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1
+
+
 def test_subscan_outputs(capsys):
     assert main(["subscan", "891", "204"]) == 0
     assert capsys.readouterr().out.strip() == "NONE"

@@ -8,6 +8,9 @@ import pytest
 
 from srgcert import (
     K4Bound,
+    PairClass,
+    PairProfile,
+    ReprConstants,
     SrgParams,
     derive_spectrum,
     gegenbauer_eval,
@@ -242,6 +245,88 @@ def test_k4_bound_matches_fraction_sums(reference_graphs, monkeypatch):
             monkeypatch.setattr(cliquebound, "pair_profile", lambda *_: scaled)
             for degree in range(0, 9, 2):
                 assert k4_lower_bound(params, rep, degree) == _fraction_k4_lower_bound(scaled, degree), (tup, div)
+
+
+def _fraction_pair_profile(params, rep):
+    """The Fraction census the D-scaled integers replaced, kept as the oracle."""
+    v, k, lam, mu = params.v, params.k, params.lam, params.mu
+    p, q = rep.p, rep.q
+    E = params.edge_count
+    denom = 2 + 2 * p
+
+    def comb2(x):
+        return Fraction(x * (x - 1), 2)
+
+    classes = []
+
+    def add(name, kind, value_sq, const, k4=Fraction(0)):
+        classes.append(PairClass(name, kind, Fraction(value_sq), Fraction(const), Fraction(k4)))
+
+    add("vv-self", "vertex-vertex", 1, v)
+    add("vv-adjacent", "vertex-vertex", p * p, v * k)
+    add("vv-nonadjacent", "vertex-vertex", q * q, v * (v - 1 - k))
+    for name, c, count in (
+        ("ve-endpoint", 1 + p, 2 * E),
+        ("ve-both", 2 * p, E * lam),
+        ("ve-one", p + q, 2 * E * (k - 1 - lam)),
+        ("ve-neither", 2 * q, E * (v - 2 * k + lam)),
+    ):
+        add(name, "vertex-edge", c * c / denom, count)
+    add("ee-self", "edge-edge-shared", 1, E)
+    shared_adj = Fraction(v * k * lam, 2)
+    shared_total = v * comb2(k)
+    for name, c, count in (
+        ("ee-shared-adjacent", 1 + 3 * p, shared_adj),
+        ("ee-shared-nonadjacent", 1 + 2 * p + q, shared_total - shared_adj),
+    ):
+        add(name, "edge-edge-shared", c * c / (denom * denom), count)
+    triangles = Fraction(v * k * lam, 6)
+    nonadj_pairs = Fraction(v * (v - 1 - k), 2)
+    diamond = (E * comb2(lam), Fraction(-6))
+    paw = (3 * triangles * (k - 2 * lam), Fraction(12))
+    c4 = ((nonadj_pairs * comb2(mu) - diamond[0]) / 2, -diamond[1] / 2)
+    n4 = (Fraction(0), Fraction(3))
+    n3 = (2 * diamond[0], 2 * diamond[1])
+    n2 = (2 * c4[0] + paw[0], 2 * c4[1] + paw[1])
+    cross_total = E * ((k - 1) ** 2 - lam)
+    n1 = (cross_total - 2 * n2[0] - 3 * n3[0] - 4 * n4[0], -2 * n2[1] - 3 * n3[1] - 4 * n4[1])
+    disjoint_total = comb2(E) - shared_total
+    n0 = (disjoint_total - n1[0] - n2[0] - n3[0] - n4[0], -n1[1] - n2[1] - n3[1] - n4[1])
+    for j, (const, coef) in enumerate((n0, n1, n2, n3, n4)):
+        c = (j * p + (4 - j) * q) / denom
+        add(f"ee-disjoint-{j}", "edge-edge-disjoint", c * c, const, coef)
+    return PairProfile(params=params, rep=rep, edge_count=E, classes=tuple(classes))
+
+
+def test_pair_profile_matches_fraction_census(reference_graphs):
+    """Every class, on every integer-spectrum reference graph and the 648
+    primitive feasible tuples with v <= 300; then on every counting-identity
+    tuple with v <= 60 under made-up constants, where v k lam / 6,
+    v(v-1-k)/2 and C(|E|,2) need not be integers."""
+    tuples = [params for _, params in reference_graphs.values() if derive_spectrum(params) is not None]
+    tuples += _primitive_feasible_tuples(300)
+    for params in tuples:
+        rep = repr_constants(params, derive_spectrum(params))
+        assert pair_profile(params, rep) == _fraction_pair_profile(params, rep), params
+    rep = ReprConstants(p=Fraction(-1, 3), q=Fraction(1, 7), d=5)
+    fractional = set()
+    for v in range(5, 61):
+        for k in range(2, v - 1):
+            for lam in range(k):
+                num, den = k * (k - lam - 1), v - k - 1
+                if num % den != 0 or not 0 < num // den <= k:
+                    continue
+                params = SrgParams(v, k, lam, num // den)
+                assert pair_profile(params, rep) == _fraction_pair_profile(params, rep), params
+                e = params.edge_count
+                for name, x in (
+                    ("triangles", Fraction(v * k * lam, 6)),
+                    ("nonadj", Fraction(v * (v - 1 - k), 2)),
+                    ("pairs", e * (e - 1) / 2),
+                ):
+                    if x.denominator != 1:
+                        fractional.add(name)
+    assert fractional == {"triangles", "nonadj", "pairs"}
 
 
 def _gegenbauer_float(d, t, x):

@@ -7,6 +7,7 @@ import pytest
 from srgcert import (
     SrgParams,
     Verdict,
+    WSplitWitness,
     alpha_min,
     decide,
     derive_spectrum,
@@ -16,9 +17,11 @@ from srgcert import (
     repr_constants,
     wsplit_contradiction,
 )
-from srgcert.gramtest import _region_max
+from srgcert import gramtest
+from srgcert.gramtest import _probe_point, _region_max, _region_max_scaled
 from srgcert.oracle import lambda_subgraph_edge_counts
 from srgcert.representation import BivariateQuadratic
+from test_acceptance import _primitive_feasible_tuples
 
 
 def _rep(tup):
@@ -307,6 +310,117 @@ def test_region_max_closed_form_matches_loop_on_random_quadratics():
     for w in (0, 5):
         with pytest.raises(ValueError):
             _region_max(q, 5, 3, w, 0)
+
+
+def _random_region_cases():
+    """The 20,000 seeded cases of the random-quadratic test above, replayed."""
+    rng = random.Random(5)
+    for _ in range(20000):
+        scale = rng.choice([1, 3, 20])
+
+        def coeff():
+            if rng.random() < 0.15:
+                return Fraction(0)
+            return Fraction(rng.randint(-scale, scale), rng.choice([1, 1, 2, 3, 7]))
+
+        q = BivariateQuadratic(*(coeff() for _ in range(4)))
+        n = rng.randint(2, rng.choice([6, 12, 30]))
+        m = rng.randint(0, n * (n - 1) // 2)
+        w = rng.randint(1, n - 1)
+        yield q, n, m, w, rng.choice([alpha_min(n, m, w), 0, rng.randint(-2, 2 * m + 2)])
+
+
+def _check_probe(det, n, m, w, alpha_lo):
+    """The probe point satisfies the literal region constraints, sits on the
+    beta endpoint the region scan takes, and is worth at most the maximum.
+    Returns whether there was a probe point."""
+    point = _probe_point(det, n, m, w, alpha_lo)
+    best = _region_max_scaled(det, n, m, w, alpha_lo)
+    if point is None:
+        assert best is None or det.n20 >= 0, (det, n, m, w, alpha_lo)
+        return False
+    alpha, beta = point
+    assert max(0, alpha_lo) <= alpha <= min(2 * m, w * (n - 1)), (det, n, m, w, alpha_lo)
+    blo = max(0, alpha - m, -((w * (n - w) - alpha) // 2))
+    bhi = min(w * (w - 1) // 2, alpha // 2)
+    assert blo <= beta <= bhi and beta == (bhi if det.n01 > 0 else blo), (det, n, m, w, alpha_lo)
+    assert det.scaled(alpha, beta) <= best[0], (det, n, m, w, alpha_lo)
+    return True
+
+
+def test_probe_point_in_region_and_below_maximum():
+    probed = sum(_check_probe(*case) for case in _random_region_cases())
+    assert probed > 5000
+    probed = 0
+    for tup in [(460, 153, 32, 60), (6205, 858, 47, 130), (5929, 1482, 275, 402), (121, 100, 81, 90)]:
+        params, rep = _rep(tup)
+        n = params.lam
+        top = n * (n - 1) // 2
+        for m in sorted({0, 1, n, top // 4, top}):
+            for w in range(1, n):
+                det = gram3_det(params, rep, w, m)
+                assert det.n20 < 0
+                probed += _check_probe(det, n, m, w, alpha_min(n, m, w))
+    assert probed > 1500
+
+
+def _unprobed_wsplit(params, rep, m):
+    """wsplit_contradiction without the probe: the exact region maximum at
+    every w, kept as the oracle."""
+    lam = params.lam
+    if lam <= 1:
+        return None
+    for w in range(1, lam):
+        alpha_lo = alpha_min(lam, m, w)
+        det = gram3_det(params, rep, w, m)
+        result = _region_max_scaled(det, lam, m, w, alpha_lo)
+        if result is not None and result[0] < 0:
+            return WSplitWitness(w, m, alpha_lo, Fraction(result[0], det.den), result[1])
+    return None
+
+
+def test_wsplit_probe_matches_unprobed_oracle():
+    """Every m of the window of the paper tuples and of every primitive
+    feasible tuple with v <= 120."""
+    tuples = [SrgParams(*t) for t in [(460, 153, 32, 60), (6205, 858, 47, 130), (5929, 1482, 275, 402)]]
+    tuples += _primitive_feasible_tuples(120)
+    cases = witnesses = 0
+    for params in tuples:
+        cert = decide(params)
+        for m in cert.m_range or ():
+            want = _unprobed_wsplit(params, cert.rep, m)
+            assert wsplit_contradiction(params, cert.rep, m) == want, (params, m)
+            cases += 1
+            witnesses += want is not None
+    assert cases > 1000 and witnesses >= 3
+
+
+def test_wsplit_probe_value_zero_refutes_without_region_scan(monkeypatch):
+    """A w whose probe value is 0 is refuted by the probe alone; one whose
+    probe value is -1 goes on to the exact region scan."""
+    params, rep = _rep((460, 153, 32, 60))
+    real_gram3_det = gramtest.gram3_det
+    for offset in (0, -1):
+
+        def shifted(params, rep, w, m):
+            det = real_gram3_det(params, rep, w, m)
+            alpha, beta = _probe_point(det, params.lam, m, w, alpha_min(params.lam, m, w))
+            value = det.scaled(alpha, beta)
+            return BivariateQuadratic(det.n00 - value + offset, det.n10, det.n01, det.n20, det.den)
+
+        calls = []
+
+        def counting_scan(*args):
+            calls.append(args)
+            return _region_max_scaled(*args)
+
+        monkeypatch.setattr(gramtest, "gram3_det", shifted)
+        monkeypatch.setattr(gramtest, "_region_max_scaled", counting_scan)
+        wit = wsplit_contradiction(params, rep, 39)
+        if offset == 0:
+            assert calls == [] and wit is None
+        else:
+            assert calls and calls[0][3] == 1  # w = 1 went on to the exact scan
 
 
 def test_alpha_min_closed_form_matches_loop():

@@ -5,9 +5,9 @@ from srgcert import derive_spectrum
 from srgcert.oracle import (
     construct,
     lambda_subgraph_edge_counts,
-    realize_representation,
     srg_parameters,
 )
+from numeric import realize_representation
 
 EXPECTED_PARAMS = {
     "petersen": (10, 3, 0, 1),

@@ -14,6 +14,7 @@ from srgcert import (
     subconstituent_scan,
 )
 from srgcert.oracle import construct
+from numeric import to_numpy
 
 
 def test_validation_rejects_degenerate_tuples():
@@ -42,7 +43,7 @@ def test_spectrum_conference_is_none():
 def test_spectrum_matches_eigendecomposition_of_petersen():
     sp = derive_spectrum(SrgParams(10, 3, 0, 1))
     assert sp == Spectrum(r=1, s=-2, f=5, g=4)
-    eigvals = np.linalg.eigvalsh(construct("petersen").to_numpy().astype(float))
+    eigvals = np.linalg.eigvalsh(to_numpy(construct("petersen")).astype(float))
     counted = {}
     for ev in eigvals:
         key = round(float(ev))

@@ -13,7 +13,8 @@ from srgcert import (
     m_upper_exact,
     repr_constants,
 )
-from srgcert.oracle import construct, realize_representation, srg_parameters
+from srgcert.oracle import construct, srg_parameters
+from numeric import realize_representation, to_numpy
 from test_acceptance import _primitive_feasible_tuples
 
 
@@ -49,7 +50,7 @@ def test_gram_matrix_of_constants_is_psd_with_rank_g():
         g = construct(name, order)
         params = srg_parameters(g)
         rep = repr_constants(params, derive_spectrum(params))
-        a = g.to_numpy().astype(float)
+        a = to_numpy(g).astype(float)
         j = np.ones_like(a)
         i = np.eye(params.v)
         gram = i + float(rep.p) * a + float(rep.q) * (j - i - a)
