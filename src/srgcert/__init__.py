@@ -21,7 +21,6 @@ from .params import (
     classical_feasibility,
     derive_spectrum,
     krein_parameters,
-    krein_q22_zero,
     subconstituent_scan,
 )
 from .representation import BivariateQuadratic, ReprConstants, gram3_det, repr_constants
@@ -50,7 +49,6 @@ __all__ = [
     "gram3_det",
     "k4_lower_bound",
     "krein_parameters",
-    "krein_q22_zero",
     "m_lower",
     "m_upper_exact",
     "pair_profile",

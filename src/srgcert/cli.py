@@ -13,13 +13,7 @@ import time
 from .cliquebound import MAX_DEGREE
 from .gramtest import Verdict, decide
 from .params import InvalidParamsError, SrgParams, subconstituent_scan
-from .serialize import (
-    ScanRow,
-    certificate_to_json,
-    certificate_to_text,
-    dumps,
-    scan_row_to_json,
-)
+from .serialize import certificate_to_json, certificate_to_text, dumps, scan_row_to_json
 
 __all__ = ["main", "run"]
 
@@ -116,15 +110,7 @@ def _scan_worker(task):
         print(f"line {line_no}: decide failed", file=sys.stderr)
         traceback.print_exc()
         return {"line": line_no, "error": f"{type(exc).__name__}: {exc}"}, 0
-    row = ScanRow(
-        params=params,
-        verdict=cert.verdict,
-        k4_lower=None if cert.k4_bound is None else cert.k4_bound.lower,
-        m_range=cert.m_range,
-        witness_w=cert.witnesses[0].w if cert.witnesses else None,
-        krein_q22_zero=cert.feasibility.krein_q22_zero,
-    )
-    return scan_row_to_json(row), int((time.perf_counter() - t0) * 1000)
+    return scan_row_to_json(cert), int((time.perf_counter() - t0) * 1000)
 
 
 def _cmd_scan(args) -> int:
@@ -141,7 +127,7 @@ def _cmd_scan(args) -> int:
     try:
         with open(args.input, encoding="utf-8") as handle:
             raw_lines = handle.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
 
@@ -159,32 +145,32 @@ def _cmd_scan(args) -> int:
             continue
         tasks.append((idx, stripped))
 
-    # A row takes microseconds unless it reaches the Gram tests, then
-    # milliseconds; starting workers costs more than a few dozen of those.
-    # So rows are decided here until SERIAL_GRAM_ROWS have reached them.
-    results, gram_rows = [], 0
-    while len(results) < len(tasks) and (jobs == 1 or gram_rows < SERIAL_GRAM_ROWS):
-        results.append(_scan_worker(tasks[len(results)]))
-        gram_rows += results[-1][0].get("m_range") is not None
-    rest = tasks[len(results):]
-    if len(rest) > 1:
-        # imported here: multiprocessing slows every command's start, only this path uses it
-        from concurrent.futures import ProcessPoolExecutor
-
-        # a few chunks per worker: one pickled round trip per row costs more
-        # than most rows take to decide
-        chunksize = math.ceil(len(rest) / (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results += pool.map(_scan_worker, rest, chunksize=chunksize)
-    else:
-        results += map(_scan_worker, rest)
-
     try:
         out_handle = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
     except OSError as exc:
         print(f"cannot write {args.output}: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
     try:
+        # A row takes microseconds unless it reaches the Gram tests, then
+        # milliseconds; starting workers costs more than a few dozen of those.
+        # So rows are decided here until SERIAL_GRAM_ROWS have reached them.
+        results, gram_rows = [], 0
+        while len(results) < len(tasks) and (jobs == 1 or gram_rows < SERIAL_GRAM_ROWS):
+            results.append(_scan_worker(tasks[len(results)]))
+            gram_rows += results[-1][0].get("m_range") is not None
+        rest = tasks[len(results):]
+        if len(rest) > 1:
+            # imported here: multiprocessing slows every command's start, only this path uses it
+            from concurrent.futures import ProcessPoolExecutor
+
+            # a few chunks per worker: one pickled round trip per row costs more
+            # than most rows take to decide
+            chunksize = math.ceil(len(rest) / (4 * jobs))
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                results += pool.map(_scan_worker, rest, chunksize=chunksize)
+        else:
+            results += map(_scan_worker, rest)
+
         counts: dict[str, int] = {}
         for res, elapsed in results:
             name = "Error" if "error" in res else res["verdict"]

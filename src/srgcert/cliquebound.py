@@ -127,12 +127,6 @@ class PairProfile:
     edge_count: Fraction
     classes: tuple[PairClass, ...]
 
-    def by_name(self, name: str) -> PairClass:
-        for cls in self.classes:
-            if cls.name == name:
-                return cls
-        raise KeyError(name)
-
     def counts_at(self, k4) -> dict[str, Fraction]:
         return {cls.name: cls.count_at(k4) for cls in self.classes}
 
@@ -245,11 +239,6 @@ class K4Bound:
     k4_quadratic: tuple[Fraction, Fraction, Fraction]
     raw_bound: Fraction | None
     informative: bool
-
-    def form_value(self, a, k4) -> Fraction:
-        a0, a1, a2 = self.a_quadratic
-        b0, b1, b2 = self.k4_quadratic
-        return a0 + a1 * a + a2 * a * a + (b0 + b1 * a + b2 * a * a) * k4
 
 
 def k4_lower_bound(params: SrgParams, rep: ReprConstants, degree: int = 4) -> K4Bound:

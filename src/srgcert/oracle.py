@@ -100,83 +100,38 @@ def _factorize_prime_power(q: int) -> tuple[int, int] | None:
     return None
 
 
-def _poly_mul_mod(a, b, modpoly, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    # reduce by the monic modpoly
-    deg = len(modpoly) - 1
-    while len(out) > deg:
-        lead = out.pop()
-        if lead:
-            for i in range(deg):
-                out[-deg + i] = (out[-deg + i] - lead * modpoly[i]) % p
-    while len(out) < deg:
-        out.append(0)
-    return tuple(c % p for c in out)
-
-
-def _irreducible_poly(p: int, e: int) -> tuple[int, ...]:
-    """Monic irreducible polynomial of degree e over GF(p), coefficients
-    constant-first without the leading 1, found by trial division."""
-
-    def divides(div, poly):
-        rem = list(poly)
-        dd = len(div) - 1
-        while len(rem) - 1 >= dd:
-            lead = rem[-1]
-            if lead:
-                shift = len(rem) - 1 - dd
-                for i, c in enumerate(div):
-                    rem[shift + i] = (rem[shift + i] - lead * c) % p
-            rem.pop()
-        return all(c == 0 for c in rem)
-
-    def monic_polys(deg):
-        for coeffs in product(range(p), repeat=deg):
-            yield list(coeffs) + [1]
-
-    for candidate in monic_polys(e):
-        if candidate[0] == 0:
-            continue
-        reducible = False
-        for d in range(1, e // 2 + 1):
-            for div in monic_polys(d):
-                if divides(div, candidate):
-                    reducible = True
-                    break
-            if reducible:
-                break
-        if not reducible:
-            return tuple(candidate)
-    raise RuntimeError(f"no irreducible polynomial of degree {e} over GF({p})")
-
-
 def _paley(q: int) -> AdjacencyMatrix:
+    """Paley graph on GF(q): x ~ y when x - y is a nonzero square.
+
+    Elements are e-tuples over GF(p), constant coefficient first.  For each
+    monic degree-e modulus x^e + tail in turn, 1 is multiplied by x q - 1
+    times; the first modulus under which these powers are q - 1 distinct
+    elements and return to 1 is taken.  Then x is a unit of order q - 1, so every
+    nonzero residue is a unit: the modulus is irreducible and x generates
+    GF(q)*.  The squares are the even powers of x.
+    """
     if q > 101:
         raise ValueError(f"paley order limited to 101, got {q}")
     pp = _factorize_prime_power(q)
     if pp is None or q % 4 != 1:
         raise ValueError(f"paley order must be a prime power = 1 mod 4, got {q}")
     p, e = pp
-    if e == 1:
-        squares = {x * x % q for x in range(1, q)}
-        pairs = [(u, w) for u in range(q) for w in range(u + 1, q) if (u - w) % q in squares]
-        return _from_pairs(q, pairs)
-    modpoly = _irreducible_poly(p, e)
+    one = (1,) + (0,) * (e - 1)
+    for tail in product(range(p), repeat=e):
+        powers, x = [], one
+        for _ in range(q - 1):
+            powers.append(x)
+            # times x: shift up, then replace lead * x^e by -lead * tail
+            x = tuple((c - x[-1] * t) % p for c, t in zip((0,) + x[:-1], tail))
+        if x == one and len(set(powers)) == q - 1:
+            break
+    squares = set(powers[::2])
     elements = list(product(range(p), repeat=e))
-    index = {el: i for i, el in enumerate(elements)}
-    squares = set()
-    for el in elements:
-        if any(el):
-            squares.add(_poly_mul_mod(el, el, modpoly, p))
-    pairs = []
-    for a, b in combinations(elements, 2):
-        diff = tuple((x - y) % p for x, y in zip(a, b))
-        if diff in squares:
-            pairs.append((index[a], index[b]))
+    pairs = [
+        (i, j)
+        for (i, a), (j, b) in combinations(enumerate(elements), 2)
+        if tuple((u - w) % p for u, w in zip(a, b)) in squares
+    ]
     return _from_pairs(q, pairs)
 
 

@@ -16,7 +16,6 @@ __all__ = [
     "FeasibilityReport",
     "derive_spectrum",
     "krein_parameters",
-    "krein_q22_zero",
     "classical_feasibility",
     "subconstituent_scan",
 ]
@@ -138,16 +137,6 @@ def krein_parameters(params: SrgParams, spectrum: Spectrum) -> tuple[Fraction, F
     q111 = Fraction(f * f, v) * (1 + p1 * p1 * r - q1 * q1 * (1 + r))
     q222 = Fraction(g * g, v) * (1 + p2 * p2 * s - q2 * q2 * (1 + s))
     return q111, q222
-
-
-def krein_q22_zero(spectrum: Spectrum, k: int) -> bool:
-    """Whether the Krein parameter q^2_22 vanishes.
-
-    Tested through the equivalent integer identity
-    (s + 1)(k + s + 2rs) = (k + s)(r + 1)^2, which avoids dividing by v.
-    """
-    r, s = spectrum.r, spectrum.s
-    return (s + 1) * (k + s + 2 * r * s) == (k + s) * (r + 1) ** 2
 
 
 @dataclass(frozen=True)

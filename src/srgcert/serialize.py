@@ -1,31 +1,25 @@
-"""JSON encoding of certificates and scan rows.
+"""JSON and text output of certificates and scan rows.
 
-Rationals are serialized as {"num": "...", "den": "..."} decimal strings so
-no precision is lost; the schema carries a version field.  Serialization is
-deterministic: dict construction order is fixed and no floats appear.
+This module only writes.  Rationals are serialized as {"num": "...",
+"den": "..."} decimal strings so no precision is lost; the schema carries a
+version field.  Serialization is deterministic: dict construction order is
+fixed and no floats appear.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .cliquebound import K4Bound
-from .gramtest import Certificate, MRange, Verdict, WSplitWitness
-from .params import FeasibilityReport, Spectrum, SrgParams
-from .representation import ReprConstants
+from .gramtest import Certificate
+from .params import SrgParams
 
 __all__ = [
     "SCHEMA_VERSION",
     "rational_to_json",
-    "rational_from_json",
     "certificate_to_json",
-    "certificate_from_json",
     "certificate_to_text",
-    "ScanRow",
     "scan_row_to_json",
-    "scan_row_from_json",
     "dumps",
 ]
 
@@ -39,18 +33,8 @@ def rational_to_json(x: Fraction | None) -> dict | None:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
-def rational_from_json(obj) -> Fraction | None:
-    if obj is None:
-        return None
-    return Fraction(int(obj["num"]), int(obj["den"]))
-
-
 def _params_to_json(p: SrgParams) -> dict:
     return {"v": p.v, "k": p.k, "lambda": p.lam, "mu": p.mu}
-
-
-def _params_from_json(obj) -> SrgParams:
-    return SrgParams(v=obj["v"], k=obj["k"], lam=obj["lambda"], mu=obj["mu"])
 
 
 def certificate_to_json(cert: Certificate) -> dict:
@@ -101,68 +85,6 @@ def certificate_to_json(cert: Certificate) -> dict:
     }
 
 
-def certificate_from_json(obj) -> Certificate:
-    if obj.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {obj.get('schema')!r}")
-    params = _params_from_json(obj["params"])
-    sp = obj["spectrum"]
-    spectrum = None if sp is None else Spectrum(r=sp["r"], s=sp["s"], f=sp["f"], g=sp["g"])
-    feas = obj["feasibility"]
-    feasibility = FeasibilityReport(
-        identity_ok=feas["identity_ok"],
-        spectrum=spectrum,
-        integrality_ok=feas["integrality_ok"],
-        krein_ok=feas["krein_ok"],
-        absolute_bound_ok=feas["absolute_bound_ok"],
-        krein_q22_zero=feas["krein_q22_zero"],
-    )
-    rep_obj = obj["representation"]
-    rep = (
-        None
-        if rep_obj is None
-        else ReprConstants(
-            p=rational_from_json(rep_obj["p"]), q=rational_from_json(rep_obj["q"]), d=rep_obj["d"]
-        )
-    )
-    k4_obj = obj["k4_bound"]
-    k4 = (
-        None
-        if k4_obj is None
-        else K4Bound(
-            lower=k4_obj["lower"],
-            optimal_a=rational_from_json(k4_obj["optimal_a"]),
-            a_quadratic=tuple(rational_from_json(c) for c in k4_obj["a_quadratic"]),
-            k4_quadratic=tuple(rational_from_json(c) for c in k4_obj["k4_quadratic"]),
-            raw_bound=rational_from_json(k4_obj["raw_bound"]),
-            informative=k4_obj["informative"],
-        )
-    )
-    rng_obj = obj["m_range"]
-    rng = None if rng_obj is None else MRange(lower=rng_obj["lower"], upper=rng_obj["upper"])
-    witnesses = tuple(
-        WSplitWitness(
-            w=w["w"],
-            m=w["m"],
-            alpha_min=w["alpha_min"],
-            region_max_det=rational_from_json(w["region_max_det"]),
-            region_max_at=tuple(w["region_max_at"]),
-        )
-        for w in obj["witnesses"]
-    )
-    return Certificate(
-        params=params,
-        feasibility=feasibility,
-        spectrum=spectrum,
-        rep=rep,
-        k4_bound=k4,
-        m_range=rng,
-        m_upper_bound=rational_from_json(obj["m_upper_exact"]),
-        witnesses=witnesses,
-        verdict=Verdict(obj["verdict"]),
-        notes=tuple(obj["notes"]),
-    )
-
-
 def certificate_to_text(cert: Certificate) -> str:
     """Human-readable pipeline transcript."""
     p = cert.params
@@ -203,42 +125,19 @@ def certificate_to_text(cert: Certificate) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    """One scan result row.  It carries no timing, so scan output stays
+def scan_row_to_json(cert: Certificate) -> dict:
+    """One scan row.  It carries no timing, so scan output stays
     byte-deterministic."""
-
-    params: SrgParams
-    verdict: Verdict
-    k4_lower: int | None
-    m_range: MRange | None
-    witness_w: int | None
-    krein_q22_zero: bool
-
-
-def scan_row_to_json(row: ScanRow) -> dict:
     return {
-        "params": _params_to_json(row.params),
-        "verdict": row.verdict.value,
-        "k4_lower": row.k4_lower,
+        "params": _params_to_json(cert.params),
+        "verdict": cert.verdict.value,
+        "k4_lower": None if cert.k4_bound is None else cert.k4_bound.lower,
         "m_range": None
-        if row.m_range is None
-        else {"lower": row.m_range.lower, "upper": row.m_range.upper},
-        "witness_w": row.witness_w,
-        "krein_q22_zero": row.krein_q22_zero,
+        if cert.m_range is None
+        else {"lower": cert.m_range.lower, "upper": cert.m_range.upper},
+        "witness_w": cert.witnesses[0].w if cert.witnesses else None,
+        "krein_q22_zero": cert.feasibility.krein_q22_zero,
     }
-
-
-def scan_row_from_json(obj) -> ScanRow:
-    rng = obj["m_range"]
-    return ScanRow(
-        params=_params_from_json(obj["params"]),
-        verdict=Verdict(obj["verdict"]),
-        k4_lower=obj["k4_lower"],
-        m_range=None if rng is None else MRange(lower=rng["lower"], upper=rng["upper"]),
-        witness_w=obj["witness_w"],
-        krein_q22_zero=obj["krein_q22_zero"],
-    )
 
 
 def dumps(obj) -> str:

@@ -18,7 +18,6 @@ from srgcert import (
     decide,
     derive_spectrum,
     gram3_det,
-    krein_q22_zero,
     repr_constants,
 )
 from srgcert.cli import main
@@ -95,8 +94,8 @@ def test_criterion_2_additional_tuples():
 
 def test_criterion_3_krein_boundary_and_subscan(capsys):
     with criterion(3, "q22^2 = 0 detection and subconstituent scan"):
-        assert krein_q22_zero(derive_spectrum(SrgParams(2950, 891, 204, 297)), 891) is True
-        assert krein_q22_zero(derive_spectrum(SrgParams(460, 153, 32, 60)), 153) is False
+        assert classical_feasibility(SrgParams(2950, 891, 204, 297)).krein_q22_zero is True
+        assert classical_feasibility(SrgParams(460, 153, 32, 60)).krein_q22_zero is False
         assert main(["subscan", "891", "204"]) == 0
         assert capsys.readouterr().out.strip() == "NONE"
 

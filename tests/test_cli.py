@@ -1,12 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from srgcert import SrgParams, decide
 from srgcert import cli
 from srgcert.cli import main
-from srgcert.serialize import certificate_from_json
+from srgcert.serialize import certificate_to_json
 
 
 def test_check_exit_codes(capsys):
@@ -40,8 +43,8 @@ def test_check_transcript_contents(capsys):
 def test_check_json_round_trips(capsys):
     code = main(["check", "460", "153", "32", "60", "--json"])
     assert code == 10
-    cert = certificate_from_json(json.loads(capsys.readouterr().out))
-    assert cert == decide(SrgParams(460, 153, 32, 60))
+    want = json.dumps(certificate_to_json(decide(SrgParams(460, 153, 32, 60))), indent=2)
+    assert capsys.readouterr().out == want + "\n"
 
 
 # SHA-256 of `srgcert check --json` stdout, frozen: refactors must keep the
@@ -51,6 +54,10 @@ GOLDEN_CERTIFICATE_SHA256 = {
     (6205, 858, 47, 130): "ba90a0702acd1840b356afb7bc5f54ea2b43f710659d73ae4a8365344cf80ba0",
     (2950, 891, 204, 297): "d3dd0b2add20e62e4661a6897a1882fb2c5970ce45d47da8cd1a8795e8824194",
     (5929, 1482, 275, 402): "11c424caf9d46d1d1fbe0b78f5c15d89eebb209a0c13cc0119bad09d38659d1b",
+    (16, 6, 2, 2): "1b367c013e2b4a6f10ba3b8a86df192d90d0662101182a79cfd96ae62a83df41",
+    (10, 3, 1, 1): "4114b6369e052f90b6bc770c9f239c938fc8efa55589d61f62fbbbf53b3669a8",
+    (5, 2, 0, 1): "986ca97c86726c15d61923d56abd7f03a391bfdd13120323d9520bd791615b7e",
+    (6, 4, 2, 4): "88309da1cc11b887f6cfd2d9ca3b9e6053947c8bc5edecdde9e0a23b924696a5",
 }
 
 
@@ -144,11 +151,35 @@ def test_scan_missing_file(capsys):
     capsys.readouterr()
 
 
+def test_scan_non_utf8_input(tmp_path, capsys):
+    path = tmp_path / "rows.csv"
+    path.write_bytes(b"v,k,lambda,mu\n16,6,2,2\xff\n")
+    assert main(["scan", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(f"cannot read {path}: ")
+
+
 def test_scan_bad_header(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c,d\n1,2,3,4\n", encoding="utf-8")
-    assert main(["scan", str(path)]) == 3
+    out = tmp_path / "out.jsonl"
+    assert main(["scan", str(path), "--output", str(out)]) == 3
+    assert not out.exists()
     capsys.readouterr()
+
+
+def test_scan_checks_output_before_deciding(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting_decide(params):
+        calls.append(params)
+        return decide(params)
+
+    monkeypatch.setattr("srgcert.cli.decide", counting_decide)
+    path = tmp_path / "rows.csv"
+    path.write_text(SCAN_CSV, encoding="utf-8")
+    assert main(["scan", str(path), "--output", str(tmp_path / "no" / "dir"), "--jobs", "1"]) == 3
+    assert calls == []
+    assert capsys.readouterr().err.startswith("cannot write ")
 
 
 def test_scan_output_file_deterministic(tmp_path, capsys):
@@ -236,6 +267,15 @@ def test_subscan_outputs(capsys):
 def test_subscan_invalid(capsys):
     assert main(["subscan", "5", "5"]) == 2
     capsys.readouterr()
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # every command pays for what `import srgcert.cli` loads
+    heavy = ["srgcert.oracle", "numpy", "multiprocessing", "concurrent.futures.process"]
+    code = f"import sys, srgcert.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def test_self_check(capsys):

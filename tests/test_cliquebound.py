@@ -29,6 +29,16 @@ def _rep(tup):
     return params, repr_constants(params, derive_spectrum(params))
 
 
+def _by_name(prof, name):
+    (cls,) = [cls for cls in prof.classes if cls.name == name]
+    return cls
+
+
+def _form_value(bound, a, k4):
+    """F(a) = A(a) + B(a) K4 from the stored lowest-degree-first quadratics."""
+    return sum((c + b * k4) * a**i for i, (c, b) in enumerate(zip(bound.a_quadratic, bound.k4_quadratic)))
+
+
 def test_gegenbauer_degree_zero_is_one():
     for d in (3, 7, 45):
         for x2 in (Fraction(0), Fraction(1, 3), Fraction(4)):
@@ -79,16 +89,16 @@ def test_profile_counts_for_target_tuple():
     params, rep = _rep((460, 153, 32, 60))
     prof = pair_profile(params, rep)
     assert prof.edge_count == 35190
-    assert prof.by_name("vv-self").count_const == 460
-    assert prof.by_name("ve-endpoint").count_const == 2 * 35190
-    assert prof.by_name("ee-self").count_const == 35190
+    assert _by_name(prof, "vv-self").count_const == 460
+    assert _by_name(prof, "ve-endpoint").count_const == 2 * 35190
+    assert _by_name(prof, "ee-self").count_const == 35190
 
 
 def test_profile_petersen_triangle_free():
     params, rep = _rep((10, 3, 0, 1))
     prof = pair_profile(params, rep)
-    assert prof.by_name("ve-both").count_at(0) == 0
-    assert prof.by_name("ee-disjoint-4").count_at(0) == 0
+    assert _by_name(prof, "ve-both").count_at(0) == 0
+    assert _by_name(prof, "ee-disjoint-4").count_at(0) == 0
 
 
 def test_profile_requires_integer_spectrum():
@@ -102,7 +112,7 @@ def test_profile_k4_coefficients():
     for tup in [(460, 153, 32, 60), (16, 6, 2, 2), (21, 10, 5, 4)]:
         params, rep = _rep(tup)
         prof = pair_profile(params, rep)
-        got = [prof.by_name(f"ee-disjoint-{j}").count_k4 for j in range(5)]
+        got = [_by_name(prof, f"ee-disjoint-{j}").count_k4 for j in range(5)]
         assert got == [3, -12, 18, -12, 3]
         for cls in prof.classes:
             if cls.kind != "edge-edge-disjoint":
@@ -174,7 +184,7 @@ def test_form_nonnegative_at_true_k4_on_rational_grid(reference_censuses):
         rep = repr_constants(params, spectrum)
         bound = k4_lower_bound(params, rep)
         for a in grid:
-            assert bound.form_value(a, report.k4_count) >= 0, (label, a)
+            assert _form_value(bound, a, report.k4_count) >= 0, (label, a)
 
 
 def _fraction_gegenbauer(d, t, x_squared):

@@ -49,6 +49,15 @@ def test_construct_boundary_orders():
         assert (params.v, params.k, params.lam, params.mu) == expected
 
 
+def test_paley_prime_order_joins_quadratic_residues():
+    """At a prime order the vertices are the residues mod q, and u ~ w
+    exactly when u - w is a nonzero square."""
+    for q in (5, 13, 29, 101):
+        squares = {x * x % q for x in range(1, q)}
+        g = construct("paley", q)
+        assert all(g.adjacent(u, w) == ((u - w) % q in squares) for u in range(q) for w in range(q)), q
+
+
 def test_construct_rejects_bad_orders():
     with pytest.raises(ValueError):
         construct("paley", 12)  # not a prime power = 1 mod 4

@@ -10,7 +10,6 @@ from srgcert import (
     classical_feasibility,
     derive_spectrum,
     krein_parameters,
-    krein_q22_zero,
     subconstituent_scan,
 )
 from srgcert.oracle import construct
@@ -100,17 +99,16 @@ def test_conference_krein_identity():
 
 
 def test_krein_q22_zero_examples():
-    assert krein_q22_zero(derive_spectrum(SrgParams(2950, 891, 204, 297)), 891) is True
-    assert krein_q22_zero(derive_spectrum(SrgParams(460, 153, 32, 60)), 153) is False
+    assert classical_feasibility(SrgParams(2950, 891, 204, 297)).krein_q22_zero is True
+    assert classical_feasibility(SrgParams(460, 153, 32, 60)).krein_q22_zero is False
     # r=1, s=-2: (s+1)(k+s+2rs) = 3 while (k+s)(r+1)^2 = 4
-    assert krein_q22_zero(derive_spectrum(SrgParams(10, 3, 0, 1)), 3) is False
+    assert classical_feasibility(SrgParams(10, 3, 0, 1)).krein_q22_zero is False
 
 
 def test_krein_q22_zero_on_clebsch_parameters():
     params = SrgParams(16, 5, 0, 2)
-    sp = derive_spectrum(params)
-    assert krein_q22_zero(sp, 5) is True
-    _, q222 = krein_parameters(params, sp)
+    assert classical_feasibility(params).krein_q22_zero is True
+    _, q222 = krein_parameters(params, derive_spectrum(params))
     assert q222 == 0
 
 
@@ -135,15 +133,17 @@ def _identity_tuples(v_max):
 
 
 def test_krein_equality_form_agrees_with_derived_parameter():
-    """The integer identity used by krein_q22_zero must match the vanishing
-    of the actual Krein parameter on every identity-satisfying tuple."""
+    """The integer forms of both Krein conditions must match the signs of
+    the derived Krein parameters on every identity-satisfying tuple, and
+    the reported q22 flag the vanishing of the q22 form."""
     checked = 0
     for params, sp in _identity_tuples(120):
         q111, q222 = krein_parameters(params, sp)
         r, s, k = sp.r, sp.s, params.k
         lit2 = (k + s) * (r + 1) ** 2 - (s + 1) * (k + s + 2 * r * s)
         lit1 = (k + r) * (s + 1) ** 2 - (r + 1) * (k + r + 2 * r * s)
-        assert krein_q22_zero(sp, k) == (q222 == 0)
+        if params.primitive:
+            assert classical_feasibility(params).krein_q22_zero == (lit2 == 0)
         assert (lit2 > 0) == (q222 > 0) and (lit2 == 0) == (q222 == 0)
         assert (lit1 > 0) == (q111 > 0) and (lit1 == 0) == (q111 == 0)
         checked += 1
