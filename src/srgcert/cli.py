@@ -159,14 +159,16 @@ def _cmd_scan(args) -> int:
             results.append(_scan_worker(tasks[len(results)]))
             gram_rows += results[-1][0].get("m_range") is not None
         rest = tasks[len(results):]
-        if len(rest) > 1:
+        # the pool starts all its workers at once: no more than rows left or CPUs
+        workers = min(jobs, len(rest), os.cpu_count() or 1)
+        if workers > 1:
             # imported here: multiprocessing slows every command's start, only this path uses it
             from concurrent.futures import ProcessPoolExecutor
 
             # a few chunks per worker: one pickled round trip per row costs more
             # than most rows take to decide
-            chunksize = math.ceil(len(rest) / (4 * jobs))
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunksize = math.ceil(len(rest) / (4 * workers))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results += pool.map(_scan_worker, rest, chunksize=chunksize)
         else:
             results += map(_scan_worker, rest)

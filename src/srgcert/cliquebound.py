@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .params import SrgParams
 from .representation import ReprConstants
@@ -96,23 +97,28 @@ def gegenbauer_eval(d: int, t: int, x_squared: Fraction) -> Fraction:
     return Fraction(*_gegenbauer_ratio(d, t, x_squared.numerator, x_squared.denominator))
 
 
-@dataclass(frozen=True)
-class PairClass:
+class PairClass(NamedTuple):
     """One inner-product class of the vertex+edge vector system.
 
-    value_sq is the squared inner product (always rational; the even
-    polynomials never need the sign).  count is affine in the unknown
-    4-clique count K4: count_const + count_k4 * K4.  Counting conventions:
-    vertex-vertex counts are over ordered pairs including self-pairs,
-    vertex-edge counts are over (vertex, edge) pairs, edge-edge counts are
-    over unordered pairs of distinct edges plus a separate self class.
+    The inner product is c/sqrt(den), c D-scaled and den the block's D^2,
+    D*S or S^2 (S = |x_u + x_w|^2 scaled by D); the even polynomials only
+    need value_sq = c^2/den.  The count is affine in the 4-clique count K4:
+    (const + k4 * K4) / count_den, the profile's common denominator, over
+    ordered vertex pairs with self-pairs, (vertex, edge) pairs, or unordered
+    pairs of distinct edges plus a separate self class.
     """
 
     name: str
     kind: str
-    value_sq: Fraction
-    count_const: Fraction
-    count_k4: Fraction
+    c: int
+    den: int
+    const: int
+    k4: int
+    count_den: int
+
+    value_sq = property(lambda self: Fraction(self.c * self.c, self.den))
+    count_const = property(lambda self: Fraction(self.const, self.count_den))
+    count_k4 = property(lambda self: Fraction(self.k4, self.count_den))
 
     def count_at(self, k4) -> Fraction:
         return self.count_const + self.count_k4 * k4
@@ -126,6 +132,7 @@ class PairProfile:
     rep: ReprConstants
     edge_count: Fraction
     classes: tuple[PairClass, ...]
+    count_den: int
 
     def counts_at(self, k4) -> dict[str, Fraction]:
         return {cls.name: cls.count_at(k4) for cls in self.classes}
@@ -164,16 +171,16 @@ def pair_profile(params: SrgParams, rep: ReprConstants) -> PairProfile:
     S = 2 * D + 2 * P  # |x_u + x_w|^2 scaled by D
     # counts are built as integers over 48, which clears every /2, /4, /6
     # and /8 below; E48 = 48|E| = 24vk
+    count_den = 48
     E48 = 24 * v * k
 
     classes: list[PairClass] = []
 
     def add(name, kind, c, den, const, k4=0):
-        # squared value c^2/den, counts const/48 + k4/48 * K4
-        classes.append(PairClass(name, kind, Fraction(c * c, den), Fraction(const, 48), Fraction(k4, 48)))
+        classes.append(PairClass(name, kind, c, den, const, k4, count_den))
 
     # vertex-vertex, ordered pairs
-    add("vv-self", "vertex-vertex", 1, 1, 48 * v)
+    add("vv-self", "vertex-vertex", D, D * D, 48 * v)
     add("vv-adjacent", "vertex-vertex", P, D * D, 48 * v * k)
     add("vv-nonadjacent", "vertex-vertex", Q, D * D, 48 * v * (v - 1 - k))
 
@@ -187,7 +194,7 @@ def pair_profile(params: SrgParams, rep: ReprConstants) -> PairProfile:
         add(name, "vertex-edge", c, D * S, count)
 
     # edge-edge: self, sharing a vertex (unordered), disjoint (unordered)
-    add("ee-self", "edge-edge-shared", 1, 1, E48)
+    add("ee-self", "edge-edge-shared", S, S * S, E48)
     shared_adj = 24 * v * k * lam  # 48 vk lam / 2
     shared_total = 48 * v * _comb2(k)
     for name, c, count in (
@@ -219,7 +226,7 @@ def pair_profile(params: SrgParams, rep: ReprConstants) -> PairProfile:
     for j, (const, coef) in enumerate((n0, n1, n2, n3, n4)):
         add(f"ee-disjoint-{j}", "edge-edge-disjoint", j * P + (4 - j) * Q, S * S, const, coef)
 
-    return PairProfile(params=params, rep=rep, edge_count=params.edge_count, classes=tuple(classes))
+    return PairProfile(params, rep, params.edge_count, tuple(classes), count_den)
 
 
 @dataclass(frozen=True)
@@ -251,26 +258,22 @@ def k4_lower_bound(params: SrgParams, rep: ReprConstants, degree: int = 4) -> K4
     (S_ve^2/S_vv - S_ee0)/B2.
     """
     prof = pair_profile(params, rep)
-    gval = {
-        cls.name: _gegenbauer_ratio(rep.d, degree, cls.value_sq.numerator, cls.value_sq.denominator)
-        for cls in prof.classes
-    }
+    # per block: (constant-count numerator, K4-count numerator, denominator);
+    # a block's classes share den, so their Gegenbauer values share one too
+    sums: dict[str, tuple[int, int, int]] = {}
+    for cls in prof.classes:
+        block = "edge-edge" if cls.kind.startswith("edge-edge") else cls.kind
+        # an unordered pair of distinct edges sits twice in the Gram matrix
+        weight = 2 if block == "edge-edge" and cls.name != "ee-self" else 1
+        n, m = _gegenbauer_ratio(rep.d, degree, cls.c * cls.c, cls.den)
+        const, k4, den = sums.get(block, (0, 0, m))
+        assert (den, cls.count_den) == (m, prof.count_den), "a block's classes share their denominators"
+        sums[block] = (const + weight * n * cls.const, k4 + weight * n * cls.k4, den)
 
-    def block_sum(kind: str, count: str) -> Fraction:
-        # integers over one denominator; an unordered edge pair sits twice in the Gram matrix
-        parts = []
-        for cls in prof.classes:
-            if cls.kind.startswith(kind):
-                weight = 2 if kind == "edge-edge" and cls.name != "ee-self" else 1
-                c, (n, m) = getattr(cls, count), gval[cls.name]
-                parts.append((weight * c.numerator * n, c.denominator * m))
-        den = math.lcm(*(m for _, m in parts))
-        return Fraction(sum(n * (den // m) for n, m in parts), den)
-
-    s_vv = block_sum("vertex-vertex", "count_const")
-    s_ve = block_sum("vertex-edge", "count_const")
-    s_ee0 = block_sum("edge-edge", "count_const")
-    b2 = block_sum("edge-edge", "count_k4")
+    s_vv, s_ve, s_ee0, b2 = (
+        Fraction(sums[block][i], prof.count_den * sums[block][2])
+        for block, i in (("vertex-vertex", 0), ("vertex-edge", 0), ("edge-edge", 0), ("edge-edge", 1))
+    )
     a_quad = (s_vv, 2 * s_ve, s_ee0)
     k4_quad = (Fraction(0), Fraction(0), b2)
 
@@ -280,11 +283,13 @@ def k4_lower_bound(params: SrgParams, rep: ReprConstants, degree: int = 4) -> K4
     # S_vv = 0 forces S_ve = 0 (vertex vectors forming a spherical design).
     # S_vv = 0 thus takes the |a| -> infinity limit; where S_vv < 0, or
     # S_vv = 0 with S_ve != 0, no graph exists and any bound is sound.
+    (a, A), (b, B), (c, C), (e, E) = ((x.numerator, x.denominator) for x in (s_vv, s_ve, s_ee0, b2))
     if s_vv == 0 or s_ve == 0:
-        raw = -s_ee0 / b2
+        raw = Fraction(-c * E, C * e)  # -S_ee0/B2
         optimal_a = None  # approached as |a| -> infinity
     else:
-        raw = (s_ve * s_ve / s_vv - s_ee0) / b2
-        optimal_a = -s_vv / s_ve
+        # (S_ve^2/S_vv - S_ee0)/B2 and -S_vv/S_ve on integers
+        raw = Fraction((b * b * A * C - c * a * B * B) * E, a * B * B * C * e)
+        optimal_a = Fraction(-a * B, A * b)
     lower = max(0, math.ceil(raw))
     return K4Bound(lower, optimal_a, a_quad, k4_quad, raw, informative=True)

@@ -16,7 +16,15 @@ from .params import (
     SrgParams,
     classical_feasibility,
 )
-from .representation import BivariateQuadratic, ReprConstants, gram3_det, repr_constants
+from .representation import (
+    BivariateQuadratic,
+    ReprConstants,
+    gram3_det,
+    gram3_per_m,
+    gram3_per_w,
+    repr_constants,
+    scaled_value,
+)
 
 __all__ = [
     "Verdict",
@@ -109,7 +117,7 @@ def m_lower(params: SrgParams, k4_lower: int) -> int:
     common-neighborhood subgraphs, so the maximum m is at least the mean."""
     if k4_lower <= 0:
         return 0
-    return math.ceil(Fraction(12 * k4_lower, params.v * params.k))
+    return -(-12 * k4_lower // (params.v * params.k))
 
 
 def alpha_min(n: int, m: int, w: int) -> int:
@@ -130,19 +138,12 @@ def alpha_min(n: int, m: int, w: int) -> int:
     if w == n:
         return 2 * m
     t0 = max(1, (2 * m + n - w) // n)
-    return max(0, *(min(t * w, 2 * m - (t - 1) * (n - w)) for t in (t0, t0 + 1)))
+    rest = 2 * m - (t0 - 1) * (n - w)  # the second term at t0; at t0 + 1 it is n - w less
+    return max(0, min(t0 * w, rest), min(t0 * w + w, rest - (n - w)))
 
 
-def _floor_ceil(num: int, den: int) -> tuple[int, int]:
-    return num // den, -(-num // den)
-
-
-def _region(n: int, m: int, w: int, alpha_lo: int, upper: bool):
-    """The integer (alpha, beta) region of the w-split, 1 <= w < n, as
-    (lo, hi, beta, lines): the feasible alphas lo..hi, beta(alpha) the upper
-    (if upper) or lower beta endpoint at alpha, and lines(r) the lines
-    (slope, intercept) in t whose minimum (upper) or maximum (not upper) is
-    beta(2t + r).
+def _alpha_range(n: int, m: int, w: int, alpha_lo: int) -> tuple[int, int]:
+    """The feasible alphas lo..hi of the w-split's integer region, 1 <= w < n.
 
     Region: alpha_lo <= alpha <= min(2m, w(n-1)) and
     max(0, alpha - m, ceil((alpha - w(n-w))/2)) <= beta <= min(C(w,2),
@@ -152,37 +153,26 @@ def _region(n: int, m: int, w: int, alpha_lo: int, upper: bool):
     """
     if not 1 <= w < n:
         raise ValueError(f"need 1 <= w < n, got w={w}, n={n}")
-    beta_cap = w * (w - 1) // 2
-    lo, hi = max(0, alpha_lo), min(2 * m, w * (n - 1), m + beta_cap)
+    return max(0, alpha_lo), min(2 * m, w * (n - 1), m + w * (w - 1) // 2)
+
+
+def _beta_end(n: int, m: int, w: int, alpha: int, upper: bool) -> int:
+    """The upper (if upper) or lower beta endpoint of the region at alpha."""
     if upper:
-        return lo, hi, lambda alpha: min(beta_cap, alpha // 2), lambda r: ((0, beta_cap), (1, 0))
-    cross_cap = w * (n - w)
-    return (
-        lo,
-        hi,
-        lambda alpha: max(0, alpha - m, -((cross_cap - alpha) // 2)),
-        lambda r: ((0, 0), (2, r - m), (1, -((cross_cap - r) // 2))),
-    )
+        return min(w * (w - 1) // 2, alpha // 2)
+    return max(0, alpha - m, -((w * (n - w) - alpha) // 2))
 
 
-def _probe_point(det: BivariateQuadratic, n: int, m: int, w: int, alpha_lo: int) -> tuple[int, int] | None:
-    """One point of the w-split region: the even alpha at or below the
-    vertex of the concave part c20*alpha^2 + c10*alpha, clamped to the
-    alpha interval, with the beta endpoint _region_max_scaled takes there.
-    None if the region is empty or c20 >= 0."""
-    lo, hi, beta, _ = _region(n, m, w, alpha_lo, det.n01 > 0)
-    if lo > hi or det.n20 >= 0:
-        return None
-    alpha = min(max(2 * (-det.n10 // (4 * det.n20)), lo), hi)
-    return alpha, beta(alpha)
+def _floor_ceil(num: int, den: int) -> tuple[int, int]:
+    return num // den, -(-num // den)
 
 
 def _region_max_scaled(
     det: BivariateQuadratic, n: int, m: int, w: int, alpha_lo: int
 ) -> tuple[int, tuple[int, int]] | None:
     """Exact maximum of det over the integer (alpha, beta) region of the
-    w-split (see _region), as its numerator over det.den, or None if the
-    region is empty.
+    w-split (see _alpha_range), as its numerator over det.den, or None if
+    the region is empty.
 
     det is linear in beta, so for each alpha the maximum sits at the upper
     beta endpoint if c01 > 0 and at the lower one otherwise; ties go to the
@@ -194,35 +184,35 @@ def _region_max_scaled(
     quadratic, next to the vertex.  Evaluating those O(1) candidates per
     parity finds it exactly.
     """
-    c10, c01, c20 = det.n10, det.n01, det.n20
-    alpha_lo, alpha_hi, beta, lines = _region(n, m, w, alpha_lo, c01 > 0)
+    c00, c10, c01, c20 = det.n00, det.n10, det.n01, det.n20
+    upper = c01 > 0
+    alpha_lo, alpha_hi = _alpha_range(n, m, w, alpha_lo)
     if alpha_lo > alpha_hi:
         return None
-
-    def value(alpha: int) -> int:
-        return det.scaled(alpha, beta(alpha))
-
     candidates = set()
     for r in (0, 1):
         t_lo, t_hi = (alpha_lo - r + 1) // 2, (alpha_hi - r) // 2
         if t_lo > t_hi:
             continue
         ts = [t_lo, t_hi]
-        lines_r = lines(r)
+        if upper:  # _beta_end at alpha = 2t + r is the min of these lines (slope, intercept) in t
+            lines_r = (0, w * (w - 1) // 2), (1, 0)
+        else:  # or their max
+            lines_r = (0, 0), (2, r - m), (1, -((w * (n - w) - r) // 2))
         for i, (s1, b1) in enumerate(lines_r):
             for s2, b2 in lines_r[i + 1 :]:
                 ts += _floor_ceil(b2 - b1, s1 - s2)
             if c20 < 0:
                 ts += _floor_ceil(-(2 * c10 + s1 * c01 + 4 * c20 * r), 8 * c20)
-        candidates.update(2 * min(max(t, t_lo), t_hi) + r for t in ts)
-    best = max(candidates, key=lambda alpha: (value(alpha), -alpha))
-    return value(best), (best, beta(best))
-
-
-def _region_max(det: BivariateQuadratic, n: int, m: int, w: int, alpha_lo: int):
-    """_region_max_scaled with the maximum as an exact rational."""
-    result = _region_max_scaled(det, n, m, w, alpha_lo)
-    return None if result is None else (Fraction(result[0], det.den), result[1])
+        # a t outside [t_lo, t_hi] would clamp to an end, which is in ts already
+        candidates.update([2 * t + r for t in ts if t_lo <= t <= t_hi])
+    best = None
+    for alpha in sorted(candidates):  # ascending, so a tie keeps the smaller alpha
+        beta = _beta_end(n, m, w, alpha, upper)
+        value = scaled_value(c00, c10, c01, c20, alpha, beta)
+        if best is None or value > best[0]:
+            best = value, (alpha, beta)
+    return best
 
 
 def wsplit_contradiction(
@@ -235,19 +225,30 @@ def wsplit_contradiction(
     degree-sum bound and at most min(2m, w(lam-1)); beta at least
     max(0, alpha - m) with non-negative low-part edges, at most
     min(C(w,2), alpha/2); crossing edges alpha - 2 beta at most w(lam - w).
+
+    Most w are refuted by the value at one point, which the region maximum
+    is at least: the even alpha at or below the vertex of c20*alpha^2 +
+    c10*alpha, clamped, with the beta endpoint _region_max_scaled takes.
     """
     lam = params.lam
     if lam <= 1:
         return None
     if m > lam * (lam - 1) // 2:
         raise ValueError(f"m={m} exceeds C(lam,2) for lam={lam}")
+    h = gram3_per_m(params, rep, m)
+    n01, n20 = h.n01, h.n20
+    upper = n01 > 0  # c01 does not depend on w, so neither does the beta endpoint
     for w in range(1, lam):
         alpha_lo = alpha_min(lam, m, w)
+        lo, hi = _alpha_range(lam, m, w, alpha_lo)
+        if lo > hi:
+            continue  # an empty region carries no witness
+        n00, n10 = gram3_per_w(h, w)
+        if n20 < 0:  # the probe point: the region maximum is at least its value
+            alpha = min(max(2 * (-n10 // (4 * n20)), lo), hi)
+            if scaled_value(n00, n10, n01, n20, alpha, _beta_end(lam, m, w, alpha, upper)) >= 0:
+                continue
         det = gram3_det(params, rep, w, m)
-        # most w are refuted by one point: the region maximum is at least its value
-        point = _probe_point(det, lam, m, w, alpha_lo)
-        if point is not None and det.scaled(*point) >= 0:
-            continue
         result = _region_max_scaled(det, lam, m, w, alpha_lo)
         # det.den > 0: the sign of the numerator is the sign of the maximum
         if result is not None and result[0] < 0:

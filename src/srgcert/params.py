@@ -122,6 +122,18 @@ def _is_conference(params: SrgParams) -> bool:
     )
 
 
+def _krein_numerators(params: SrgParams, spectrum: Spectrum) -> tuple[int, int]:
+    """q^1_11 and q^2_22 times v k^2 c^2, c = v - 1 - k: integers with the
+    signs of the Krein parameters.  For eigenvalue e with multiplicity mult,
+    q = (mult^2/v)(1 + (e/k)^2 e - ((1+e)/c)^2 (1+e)), which is
+    mult^2 (k^2 c^2 + e^3 c^2 - k^2 (1+e)^3) / (v k^2 c^2)."""
+    k, c = params.k, params.v - 1 - params.k
+    return tuple(
+        mult * mult * ((k * c) ** 2 + e**3 * c * c - k * k * (1 + e) ** 3)
+        for e, mult in ((spectrum.r, spectrum.f), (spectrum.s, spectrum.g))
+    )
+
+
 def krein_parameters(params: SrgParams, spectrum: Spectrum) -> tuple[Fraction, Fraction]:
     """The two non-trivial Krein parameters (q^1_11, q^2_22) as exact rationals.
 
@@ -129,14 +141,8 @@ def krein_parameters(params: SrgParams, spectrum: Spectrum) -> tuple[Fraction, F
     E_i = (mult/v) (I + p_i A + q_i (J - I - A)) expanded back in the
     idempotent basis.
     """
-    v, k = params.v, params.k
-    r, s, f, g = spectrum.r, spectrum.s, spectrum.f, spectrum.g
-    c = v - 1 - k
-    p1, q1 = Fraction(r, k), Fraction(-(1 + r), c)
-    p2, q2 = Fraction(s, k), Fraction(-(1 + s), c)
-    q111 = Fraction(f * f, v) * (1 + p1 * p1 * r - q1 * q1 * (1 + r))
-    q222 = Fraction(g * g, v) * (1 + p2 * p2 * s - q2 * q2 * (1 + s))
-    return q111, q222
+    den = params.v * (params.k * (params.v - 1 - params.k)) ** 2
+    return tuple(Fraction(num, den) for num in _krein_numerators(params, spectrum))
 
 
 @dataclass(frozen=True)
@@ -183,10 +189,10 @@ def classical_feasibility(params: SrgParams) -> FeasibilityReport:
     q22_zero = False
     if spectrum is not None and params.primitive:
         v, f, g = params.v, spectrum.f, spectrum.g
-        q111, q222 = krein_parameters(params, spectrum)
-        krein_ok = q111 >= 0 and q222 >= 0
+        num111, num222 = _krein_numerators(params, spectrum)
+        krein_ok = num111 >= 0 and num222 >= 0
         absolute_ok = 2 * v <= f * (f + 3) and 2 * v <= g * (g + 3)
-        q22_zero = q222 == 0
+        q22_zero = num222 == 0
     return FeasibilityReport(
         identity_ok=params.identity_holds(),
         spectrum=spectrum,

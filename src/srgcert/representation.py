@@ -10,6 +10,7 @@ matrices whose entries are polynomials in unknown subgraph statistics.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,8 +38,9 @@ class ReprConstants:
 
     def __post_init__(self):
         D = math.lcm(self.p.denominator, self.q.denominator)
-        for name, value in (("D", D), ("P", self.p * D), ("Q", self.q * D)):
-            object.__setattr__(self, name, int(value))
+        object.__setattr__(self, "D", D)
+        for name, x in (("P", self.p), ("Q", self.q)):
+            object.__setattr__(self, name, x.numerator * (D // x.denominator))
 
 
 def repr_constants(params: SrgParams, spectrum: Spectrum | None) -> ReprConstants:
@@ -48,6 +50,11 @@ def repr_constants(params: SrgParams, spectrum: Spectrum | None) -> ReprConstant
     p = Fraction(spectrum.s, params.k)
     q = Fraction(-(1 + spectrum.s), params.v - 1 - params.k)
     return ReprConstants(p=p, q=q, d=spectrum.g)
+
+
+def scaled_value(n00: int, n10: int, n01: int, n20: int, alpha: int, beta: int) -> int:
+    """n00 + n10*alpha + n01*beta + n20*alpha^2, without a BivariateQuadratic."""
+    return (n20 * alpha + n10) * alpha + n01 * beta + n00
 
 
 @dataclass(frozen=True)
@@ -79,10 +86,39 @@ class BivariateQuadratic:
 
     def scaled(self, alpha: int, beta: int) -> int:
         """den times the value at integer (alpha, beta): an integer."""
-        return (self.n20 * alpha + self.n10) * alpha + self.n01 * beta + self.n00
+        return scaled_value(self.n00, self.n10, self.n01, self.n20, alpha, beta)
 
     def __call__(self, alpha, beta) -> Fraction:
         return Fraction(self.scaled(alpha, beta), self.den)
+
+
+# The D-scaled parts of the w-split determinant fixed by (tuple, m): see gram3_det.
+Gram3PerM = namedtuple("Gram3PerM", "n00_w n00_ww n10_w n01 n20 den")
+
+
+def gram3_per_m(params: SrgParams, rep: ReprConstants, m: int) -> Gram3PerM:
+    """The w-free parts of gram3_det at edge count m."""
+    if m < 0:
+        raise ValueError(f"need m >= 0, got m={m}")
+    lam, D, P, Q = params.lam, rep.D, rep.P, rep.Q
+    d = P - Q
+    # |X|^2, <X, Y3>, |Y3|^2 and <X, Y2> less d*alpha, over w
+    xx, x3, y3, x2 = lam * D + lam * (lam - 1) * Q + 2 * d * m, 2 * lam * P, 2 * D + 2 * P, D + (lam - 1) * Q
+    # det = |Y2|^2 g - |X|^2 <Y2, Y3>^2 - |Y3|^2 <X, Y2>^2 + 2 <X, Y2> <Y2, Y3> <X, Y3>
+    g = xx * y3 - x3 * x3  # |X|^2 |Y3|^2 - <X, Y3>^2
+    return Gram3PerM(
+        n00_w=(D - Q) * g,
+        n00_ww=Q * g - 4 * P * P * xx - y3 * x2 * x2 + 4 * P * x2 * x3,
+        n10_w=2 * d * (2 * P * x3 - y3 * x2),
+        n01=2 * d * g,
+        n20=-y3 * d * d,
+        den=D**3,
+    )
+
+
+def gram3_per_w(h: Gram3PerM, w: int) -> tuple[int, int]:
+    """The coefficients (n00, n10) of gram3_det at split size w, over h.den."""
+    return w * (h.n00_w + w * h.n00_ww), w * h.n10_w
 
 
 def gram3_det(params: SrgParams, rep: ReprConstants, w: int, m: int) -> BivariateQuadratic:
@@ -92,36 +128,24 @@ def gram3_det(params: SrgParams, rep: ReprConstants, w: int, m: int) -> Bivariat
     Y1 sums the n1 = lam - w low-degree common neighbors of an edge, Y2 the
     w top-degree ones, Y3 = x_u + x_w.  With alpha the top-w degree sum and
     beta the edges inside the top part, the low part has m + beta - alpha
-    edges and alpha - 2*beta edges cross.  With d = p - q the entries are
+    edges and alpha - 2*beta edges cross.  The determinant is unchanged
+    when Y1 becomes X = Y1 + Y2, the sum of all lam common neighbors, and
+    with d = p - q the entries are
 
-        a11 = A1 + 2d(beta - alpha),  A1 = n1 + n1(n1-1)q + 2dm
-        a22 = A2 + 2d*beta,           A2 = w + w(w-1)q
-        a12 = A12 + d(alpha - 2beta), A12 = n1*w*q
-        a13 = 2*n1*p,  a23 = 2wp,  a33 = 2 + 2p
+        |X|^2 = lam + lam(lam-1)q + 2dm,  <X, Y2> = w(1 + (lam-1)q) + d*alpha
+        |Y2|^2 = w + w(w-1)q + 2d*beta,   <Y2, Y3> = 2wp
+        <X, Y3> = 2*lam*p,                |Y3|^2 = 2 + 2p
 
-    Only the third row is constant, and in a11*a22 - a12^2 the alpha*beta
-    and beta^2 terms cancel, so the determinant is c00 + c10*alpha +
-    c01*beta + c20*alpha^2 (a13 + a23 = 2*lam*p shortens c10 and c01).
-    c20 < 0, so it is concave in alpha, and c01 does not depend on w.
-    With every entry and d scaled by D, the coefficients are integers over D^3.
-    Requires 1 <= w < lam.
+    so the determinant is c00 + c10*alpha + c01*beta + c20*alpha^2: beta
+    enters only |Y2|^2 and alpha only <X, Y2>.  c20 = -(2+2p)d^2 < 0 makes
+    it concave in alpha, c01 = 2d(|X|^2 |Y3|^2 - <X, Y3>^2) does not depend
+    on w, c10 = w*c10_w, and c00 = w(c00_w + w*c00_ww) vanishes with Y2 at
+    w = 0.  With every entry and d scaled by D, the coefficients are
+    integers over D^3: gram3_per_m computes the w-free parts once per m and
+    gram3_per_w the rest.  Requires 1 <= w < lam.
     """
     lam = params.lam
     if not 1 <= w < lam:
         raise ValueError(f"need 1 <= w < lam, got w={w}, lam={lam}")
-    if m < 0:
-        raise ValueError(f"need m >= 0, got m={m}")
-    D, P, Q = rep.D, rep.P, rep.Q
-    d = P - Q
-    n1 = lam - w
-    A1 = n1 * D + n1 * (n1 - 1) * Q + 2 * d * m
-    A2 = w * D + w * (w - 1) * Q
-    A12 = n1 * w * Q
-    a13, a23, a33 = 2 * n1 * P, 2 * w * P, 2 * D + 2 * P
-    return BivariateQuadratic(
-        a33 * (A1 * A2 - A12 * A12) - a23 * a23 * A1 - a13 * a13 * A2 + 2 * a13 * a23 * A12,
-        2 * d * (2 * lam * P * a23 - a33 * (A2 + A12)),
-        2 * d * (a33 * (A1 + A2 + 2 * A12) - (2 * lam * P) ** 2),
-        -a33 * d * d,
-        D**3,
-    )
+    h = gram3_per_m(params, rep, m)
+    return BivariateQuadratic(*gram3_per_w(h, w), h.n01, h.n20, h.den)

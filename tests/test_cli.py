@@ -219,6 +219,56 @@ def test_small_scan_starts_no_pool(tmp_path, capsys, monkeypatch):
     assert len(capsys.readouterr().out.splitlines()) == 6
 
 
+def test_scan_pool_capped_at_rows_and_cpus(tmp_path, capsys, monkeypatch):
+    """A huge --jobs or SRG_CERTIFY_JOBS starts no more workers than rows
+    left or CPUs, and a cap of one worker starts no pool.  The pool is a
+    fake that maps in-process: no process is started here."""
+    import concurrent.futures
+
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            pools.append((self.max_workers, chunksize))
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli, "SERIAL_GRAM_ROWS", 0)  # the pool takes every row of SCAN_CSV
+    csv_path = tmp_path / "rows.csv"
+    csv_path.write_text(SCAN_CSV, encoding="utf-8")
+    assert main(["scan", str(csv_path), "--json-lines", "--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    rows = len(serial.splitlines())
+    assert rows == 6 and pools == []
+    for cpus, jobs, env, workers in [
+        (3, "100000", None, 3),
+        (3, None, "100000", 3),
+        (64, "100000", None, rows),
+        (8, "2", None, 2),
+        (None, "100000", None, None),
+        (1, "2", None, None),
+    ]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if env is None:
+            monkeypatch.delenv("SRG_CERTIFY_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("SRG_CERTIFY_JOBS", env)
+        argv = ["scan", str(csv_path), "--json-lines"] + (["--jobs", jobs] if jobs else [])
+        pools.clear()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == serial
+        assert pools == ([] if workers is None else [(workers, -(-rows // (4 * workers)))]), (cpus, jobs, env)
+
+
 def test_scan_jobs_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SRG_CERTIFY_JOBS", "1")
     path = tmp_path / "rows.csv"

@@ -8,8 +8,6 @@ import pytest
 
 from srgcert import (
     K4Bound,
-    PairClass,
-    PairProfile,
     ReprConstants,
     SrgParams,
     derive_spectrum,
@@ -247,18 +245,30 @@ def test_k4_bound_matches_fraction_sums(reference_graphs, monkeypatch):
         params, rep = _rep(tup)
         prof = pair_profile(params, rep)
         for div in (6, 4):
+            # const/div and K4/(div + 1) over the common count denominator
+            # times div(div + 1)
+            count_den = prof.count_den * div * (div + 1)
             classes = tuple(
-                dataclasses.replace(c, count_const=c.count_const / div, count_k4=c.count_k4 / (div + 1))
-                for c in prof.classes
+                c._replace(const=c.const * (div + 1), k4=c.k4 * div, count_den=count_den) for c in prof.classes
             )
-            scaled = dataclasses.replace(prof, classes=classes)
+            scaled = dataclasses.replace(prof, classes=classes, count_den=count_den)
+            for c, orig in zip(scaled.classes, prof.classes):
+                assert (c.count_const, c.count_k4) == (orig.count_const / div, orig.count_k4 / (div + 1))
             monkeypatch.setattr(cliquebound, "pair_profile", lambda *_: scaled)
             for degree in range(0, 9, 2):
                 assert k4_lower_bound(params, rep, degree) == _fraction_k4_lower_bound(scaled, degree), (tup, div)
 
 
+def _fraction_view(prof):
+    """A profile as its rational values, the form _fraction_pair_profile
+    gives."""
+    classes = tuple((c.name, c.kind, c.value_sq, c.count_const, c.count_k4) for c in prof.classes)
+    return prof.params, prof.rep, prof.edge_count, classes
+
+
 def _fraction_pair_profile(params, rep):
-    """The Fraction census the D-scaled integers replaced, kept as the oracle."""
+    """The Fraction census the D-scaled integers replaced, kept as the oracle,
+    in the form _fraction_view gives."""
     v, k, lam, mu = params.v, params.k, params.lam, params.mu
     p, q = rep.p, rep.q
     E = params.edge_count
@@ -270,7 +280,7 @@ def _fraction_pair_profile(params, rep):
     classes = []
 
     def add(name, kind, value_sq, const, k4=Fraction(0)):
-        classes.append(PairClass(name, kind, Fraction(value_sq), Fraction(const), Fraction(k4)))
+        classes.append((name, kind, Fraction(value_sq), Fraction(const), Fraction(k4)))
 
     add("vv-self", "vertex-vertex", 1, v)
     add("vv-adjacent", "vertex-vertex", p * p, v * k)
@@ -305,7 +315,17 @@ def _fraction_pair_profile(params, rep):
     for j, (const, coef) in enumerate((n0, n1, n2, n3, n4)):
         c = (j * p + (4 - j) * q) / denom
         add(f"ee-disjoint-{j}", "edge-edge-disjoint", c * c, const, coef)
-    return PairProfile(params=params, rep=rep, edge_count=E, classes=tuple(classes))
+    return params, rep, E, tuple(classes)
+
+
+def _check_profile(params, rep):
+    prof = pair_profile(params, rep)
+    assert _fraction_view(prof) == _fraction_pair_profile(params, rep), params
+    # one unreduced denominator per block, one count denominator per profile
+    D, S = rep.D, 2 * rep.D + 2 * rep.P
+    block_den = {"vertex-vertex": D * D, "vertex-edge": D * S}
+    for cls in prof.classes:
+        assert cls.den == block_den.get(cls.kind, S * S) and cls.count_den == prof.count_den == 48, (params, cls)
 
 
 def test_pair_profile_matches_fraction_census(reference_graphs):
@@ -316,8 +336,7 @@ def test_pair_profile_matches_fraction_census(reference_graphs):
     tuples = [params for _, params in reference_graphs.values() if derive_spectrum(params) is not None]
     tuples += _primitive_feasible_tuples(300)
     for params in tuples:
-        rep = repr_constants(params, derive_spectrum(params))
-        assert pair_profile(params, rep) == _fraction_pair_profile(params, rep), params
+        _check_profile(params, repr_constants(params, derive_spectrum(params)))
     rep = ReprConstants(p=Fraction(-1, 3), q=Fraction(1, 7), d=5)
     fractional = set()
     for v in range(5, 61):
@@ -327,7 +346,7 @@ def test_pair_profile_matches_fraction_census(reference_graphs):
                 if num % den != 0 or not 0 < num // den <= k:
                     continue
                 params = SrgParams(v, k, lam, num // den)
-                assert pair_profile(params, rep) == _fraction_pair_profile(params, rep), params
+                _check_profile(params, rep)
                 e = params.edge_count
                 for name, x in (
                     ("triangles", Fraction(v * k * lam, 6)),

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,15 +19,38 @@ from srgcert import (
     wsplit_contradiction,
 )
 from srgcert import gramtest
-from srgcert.gramtest import _probe_point, _region_max, _region_max_scaled
+from srgcert.gramtest import _region_max_scaled
 from srgcert.oracle import lambda_subgraph_edge_counts
-from srgcert.representation import BivariateQuadratic
+from srgcert.representation import BivariateQuadratic, gram3_per_m, gram3_per_w
 from test_acceptance import _primitive_feasible_tuples
+
+PAPER_TUPLES = [(460, 153, 32, 60), (6205, 858, 47, 130), (5929, 1482, 275, 402)]
+FEASIBLE_CSV = Path(__file__).resolve().parent.parent / "bench" / "corpus" / "feasible.csv"
 
 
 def _rep(tup):
     params = SrgParams(*tup)
     return params, repr_constants(params, derive_spectrum(params))
+
+
+def _region_max(det, n, m, w, alpha_lo):
+    """_region_max_scaled with the maximum as an exact rational."""
+    result = _region_max_scaled(det, n, m, w, alpha_lo)
+    return None if result is None else (Fraction(result[0], det.den), result[1])
+
+
+def _probe_point(det, n, m, w, alpha_lo):
+    """The point wsplit_contradiction probes, written out as the oracle: the
+    even alpha at or below the vertex of c20*alpha^2 + c10*alpha, clamped
+    to the alpha range, with the beta endpoint the region scan takes there.
+    None if the region is empty or c20 >= 0."""
+    lo, hi = max(0, alpha_lo), min(2 * m, w * (n - 1), m + w * (w - 1) // 2)
+    if lo > hi or det.n20 >= 0:
+        return None
+    alpha = min(max(2 * (-det.n10 // (4 * det.n20)), lo), hi)
+    if det.n01 > 0:
+        return alpha, min(w * (w - 1) // 2, alpha // 2)
+    return alpha, max(0, alpha - m, -((w * (n - w) - alpha) // 2))
 
 
 def test_m_upper_target_tuple():
@@ -382,7 +406,7 @@ def _unprobed_wsplit(params, rep, m):
 def test_wsplit_probe_matches_unprobed_oracle():
     """Every m of the window of the paper tuples and of every primitive
     feasible tuple with v <= 120."""
-    tuples = [SrgParams(*t) for t in [(460, 153, 32, 60), (6205, 858, 47, 130), (5929, 1482, 275, 402)]]
+    tuples = [SrgParams(*t) for t in PAPER_TUPLES]
     tuples += _primitive_feasible_tuples(120)
     cases = witnesses = 0
     for params in tuples:
@@ -399,14 +423,15 @@ def test_wsplit_probe_value_zero_refutes_without_region_scan(monkeypatch):
     """A w whose probe value is 0 is refuted by the probe alone; one whose
     probe value is -1 goes on to the exact region scan."""
     params, rep = _rep((460, 153, 32, 60))
-    real_gram3_det = gramtest.gram3_det
+    m = 39
+    real_per_w = gramtest.gram3_per_w
     for offset in (0, -1):
 
-        def shifted(params, rep, w, m):
-            det = real_gram3_det(params, rep, w, m)
+        def shifted(h, w):
+            n00, n10 = real_per_w(h, w)
+            det = BivariateQuadratic(n00, n10, h.n01, h.n20, h.den)
             alpha, beta = _probe_point(det, params.lam, m, w, alpha_min(params.lam, m, w))
-            value = det.scaled(alpha, beta)
-            return BivariateQuadratic(det.n00 - value + offset, det.n10, det.n01, det.n20, det.den)
+            return n00 - det.scaled(alpha, beta) + offset, n10
 
         calls = []
 
@@ -414,13 +439,63 @@ def test_wsplit_probe_value_zero_refutes_without_region_scan(monkeypatch):
             calls.append(args)
             return _region_max_scaled(*args)
 
-        monkeypatch.setattr(gramtest, "gram3_det", shifted)
+        monkeypatch.setattr(gramtest, "gram3_per_w", shifted)
         monkeypatch.setattr(gramtest, "_region_max_scaled", counting_scan)
-        wit = wsplit_contradiction(params, rep, 39)
+        wit = wsplit_contradiction(params, rep, m)
         if offset == 0:
             assert calls == [] and wit is None
         else:
             assert calls and calls[0][3] == 1  # w = 1 went on to the exact scan
+
+
+def test_exact_region_scans_are_pinned(monkeypatch):
+    """The probe leaves exactly one w per paper tuple, and 461 w over the
+    rows of bench/corpus/feasible.csv, to the exact region scan: a change
+    that sends more w there fails here."""
+    calls = []
+
+    def counting_scan(*args):
+        calls.append(args)
+        return _region_max_scaled(*args)
+
+    monkeypatch.setattr(gramtest, "_region_max_scaled", counting_scan)
+    for tup in PAPER_TUPLES:
+        calls.clear()
+        decide(SrgParams(*tup))
+        assert len(calls) == 1, tup
+    calls.clear()
+    lines = FEASIBLE_CSV.read_text(encoding="utf-8").splitlines()
+    rows = [line for line in lines if line and not line.startswith("#")][1:]
+    for row in rows:
+        decide(SrgParams(*map(int, row.split(","))))
+    assert len(rows) == 210 and len(calls) == 461
+
+
+def test_gram3_hoisted_coefficients_match_fraction_formula():
+    """The per-m part and the per-w part give the Fraction coefficients of
+    the literal entries, and gram3_det, at every w: every m of the paper
+    windows, and the first m of each primitive feasible tuple with v <= 120."""
+    cases = []
+    for tup in PAPER_TUPLES:
+        cert = decide(SrgParams(*tup))
+        cases += [(cert.params, cert.rep, m) for m in cert.m_range]
+    for params in _primitive_feasible_tuples(120):
+        cert = decide(params)
+        if cert.m_range is not None and not cert.m_range.is_empty:
+            cases.append((params, cert.rep, cert.m_range.lower))
+    splits = 0
+    for params, rep, m in cases:
+        h = gram3_per_m(params, rep, m)
+        for w in range(1, params.lam):
+            n00, n10 = gram3_per_w(h, w)
+            want = _fraction_gram3_det(params, rep, w, m)
+            assert tuple(Fraction(x, h.den) for x in (n00, n10, h.n01, h.n20)) == want, (params, m, w)
+            det = gram3_det(params, rep, w, m)
+            assert (det.n00, det.n10, det.n01, det.n20, det.den) == (n00, n10, h.n01, h.n20, h.den)
+            splits += 1
+    assert len(cases) > 100 and splits > 3000
+    with pytest.raises(ValueError):
+        gram3_per_m(params, rep, -1)
 
 
 def test_alpha_min_closed_form_matches_loop():

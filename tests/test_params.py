@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -148,6 +149,42 @@ def test_krein_equality_form_agrees_with_derived_parameter():
         assert (lit1 > 0) == (q111 > 0) and (lit1 == 0) == (q111 == 0)
         checked += 1
     assert checked > 300
+
+
+def _fraction_krein(params, sp):
+    """The Fraction Krein parameters the integer numerators replaced, kept
+    as the oracle."""
+    v, k, c = params.v, params.k, params.v - 1 - params.k
+    r, s, f, g = sp.r, sp.s, sp.f, sp.g
+    p1, q1 = Fraction(r, k), Fraction(-(1 + r), c)
+    p2, q2 = Fraction(s, k), Fraction(-(1 + s), c)
+    q111 = Fraction(f * f, v) * (1 + p1 * p1 * r - q1 * q1 * (1 + r))
+    q222 = Fraction(g * g, v) * (1 + p2 * p2 * s - q2 * q2 * (1 + s))
+    return q111, q222
+
+
+def test_krein_integers_match_fraction_formula():
+    """krein_parameters and the signs classical_feasibility reads from the
+    integer numerators equal the Fraction formula on every primitive tuple
+    with v <= 50 and an integer spectrum, counting identity held or not."""
+    checked, identity_fails, signs = 0, 0, set()
+    for v in range(5, 51):
+        for k in range(2, v - 1):
+            for lam in range(k):
+                for mu in range(1, k):
+                    params = SrgParams(v, k, lam, mu)
+                    sp = derive_spectrum(params)
+                    if sp is None:
+                        continue
+                    q111, q222 = _fraction_krein(params, sp)
+                    assert krein_parameters(params, sp) == (q111, q222), params
+                    report = classical_feasibility(params)
+                    assert report.krein_ok == (q111 >= 0 and q222 >= 0), params
+                    assert report.krein_q22_zero == (q222 == 0), params
+                    checked += 1
+                    identity_fails += not params.identity_holds()
+                    signs.update(((q111 > 0) - (q111 < 0), (q222 > 0) - (q222 < 0)))
+    assert checked > 1000 and identity_fails > 500 and signs == {-1, 0, 1}
 
 
 def test_subconstituent_scan_examples():
