@@ -125,7 +125,7 @@ def _cmd_scan(args) -> int:
             return EXIT_BAD_INPUT
         jobs = int(env) if env else os.cpu_count() or 1
     try:
-        with open(args.input, encoding="utf-8") as handle:
+        with open(args.input, encoding="utf-8-sig") as handle:
             raw_lines = handle.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)

@@ -23,7 +23,6 @@ from .params import SrgParams
 from .representation import ReprConstants
 
 __all__ = [
-    "gegenbauer_eval",
     "PairClass",
     "PairProfile",
     "pair_profile",
@@ -84,25 +83,12 @@ def _gegenbauer_ratio(d: int, t: int, a: int, b: int) -> tuple[int, int]:
     return acc, den * b_pow
 
 
-def gegenbauer_eval(d: int, t: int, x_squared: Fraction) -> Fraction:
-    """Value of the normalized degree-t Gegenbauer polynomial at x, given x^2.
-
-    Only even t is supported: an even polynomial depends on x^2 alone, which
-    keeps the result rational for the square roots occurring in the edge
-    vector inner products.
-    """
-    x_squared = Fraction(x_squared)
-    if x_squared < 0:
-        raise ValueError("x_squared must be non-negative")
-    return Fraction(*_gegenbauer_ratio(d, t, x_squared.numerator, x_squared.denominator))
-
-
 class PairClass(NamedTuple):
     """One inner-product class of the vertex+edge vector system.
 
     The inner product is c/sqrt(den), c D-scaled and den the block's D^2,
     D*S or S^2 (S = |x_u + x_w|^2 scaled by D); the even polynomials only
-    need value_sq = c^2/den.  The count is affine in the 4-clique count K4:
+    need its square c^2/den.  The count is affine in the 4-clique count K4:
     (const + k4 * K4) / count_den, the profile's common denominator, over
     ordered vertex pairs with self-pairs, (vertex, edge) pairs, or unordered
     pairs of distinct edges plus a separate self class.
@@ -116,7 +102,6 @@ class PairClass(NamedTuple):
     k4: int
     count_den: int
 
-    value_sq = property(lambda self: Fraction(self.c * self.c, self.den))
     count_const = property(lambda self: Fraction(self.const, self.count_den))
     count_k4 = property(lambda self: Fraction(self.k4, self.count_den))
 

@@ -17,9 +17,7 @@ from .params import (
     classical_feasibility,
 )
 from .representation import (
-    BivariateQuadratic,
     ReprConstants,
-    gram3_det,
     gram3_per_m,
     gram3_per_w,
     repr_constants,
@@ -168,24 +166,23 @@ def _floor_ceil(num: int, den: int) -> tuple[int, int]:
 
 
 def _region_max_scaled(
-    det: BivariateQuadratic, n: int, m: int, w: int, alpha_lo: int
+    n00: int, n10: int, n01: int, n20: int, n: int, m: int, w: int, alpha_lo: int
 ) -> tuple[int, tuple[int, int]] | None:
-    """Exact maximum of det over the integer (alpha, beta) region of the
-    w-split (see _alpha_range), as its numerator over det.den, or None if
-    the region is empty.
+    """Exact maximum of n00 + n10*alpha + n01*beta + n20*alpha^2 (see
+    gram3_per_m) over the integer (alpha, beta) region of the w-split (see
+    _alpha_range), or None if the region is empty.
 
-    det is linear in beta, so for each alpha the maximum sits at the upper
-    beta endpoint if c01 > 0 and at the lower one otherwise; ties go to the
+    It is linear in beta, so for each alpha the maximum sits at the upper
+    beta endpoint if n01 > 0 and at the lower one otherwise; ties go to the
     smallest alpha, then the smallest beta.  On each parity the chosen
     endpoint is the min or max of at most three lines in t, and on each
-    line det is a quadratic in t.  The smallest maximizer lies on some
+    line it is a quadratic in t.  The smallest maximizer lies on some
     line's integer stretch, whose ends are range ends or floor/ceil of a
     crossing of two lines; on that stretch it is an end or, for a concave
     quadratic, next to the vertex.  Evaluating those O(1) candidates per
     parity finds it exactly.
     """
-    c00, c10, c01, c20 = det.n00, det.n10, det.n01, det.n20
-    upper = c01 > 0
+    upper = n01 > 0
     alpha_lo, alpha_hi = _alpha_range(n, m, w, alpha_lo)
     if alpha_lo > alpha_hi:
         return None
@@ -202,14 +199,14 @@ def _region_max_scaled(
         for i, (s1, b1) in enumerate(lines_r):
             for s2, b2 in lines_r[i + 1 :]:
                 ts += _floor_ceil(b2 - b1, s1 - s2)
-            if c20 < 0:
-                ts += _floor_ceil(-(2 * c10 + s1 * c01 + 4 * c20 * r), 8 * c20)
+            if n20 < 0:
+                ts += _floor_ceil(-(2 * n10 + s1 * n01 + 4 * n20 * r), 8 * n20)
         # a t outside [t_lo, t_hi] would clamp to an end, which is in ts already
         candidates.update([2 * t + r for t in ts if t_lo <= t <= t_hi])
     best = None
     for alpha in sorted(candidates):  # ascending, so a tie keeps the smaller alpha
         beta = _beta_end(n, m, w, alpha, upper)
-        value = scaled_value(c00, c10, c01, c20, alpha, beta)
+        value = scaled_value(n00, n10, n01, n20, alpha, beta)
         if best is None or value > best[0]:
             best = value, (alpha, beta)
     return best
@@ -248,11 +245,10 @@ def wsplit_contradiction(
             alpha = min(max(2 * (-n10 // (4 * n20)), lo), hi)
             if scaled_value(n00, n10, n01, n20, alpha, _beta_end(lam, m, w, alpha, upper)) >= 0:
                 continue
-        det = gram3_det(params, rep, w, m)
-        result = _region_max_scaled(det, lam, m, w, alpha_lo)
-        # det.den > 0: the sign of the numerator is the sign of the maximum
+        result = _region_max_scaled(n00, n10, n01, n20, lam, m, w, alpha_lo)
+        # h.den > 0: the sign of the numerator is the sign of the maximum
         if result is not None and result[0] < 0:
-            max_det = Fraction(result[0], det.den)
+            max_det = Fraction(result[0], h.den)
             return WSplitWitness(w=w, m=m, alpha_min=alpha_lo, region_max_det=max_det, region_max_at=result[1])
     return None
 

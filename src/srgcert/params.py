@@ -15,7 +15,6 @@ __all__ = [
     "Spectrum",
     "FeasibilityReport",
     "derive_spectrum",
-    "krein_parameters",
     "classical_feasibility",
     "subconstituent_scan",
 ]
@@ -132,17 +131,6 @@ def _krein_numerators(params: SrgParams, spectrum: Spectrum) -> tuple[int, int]:
         mult * mult * ((k * c) ** 2 + e**3 * c * c - k * k * (1 + e) ** 3)
         for e, mult in ((spectrum.r, spectrum.f), (spectrum.s, spectrum.g))
     )
-
-
-def krein_parameters(params: SrgParams, spectrum: Spectrum) -> tuple[Fraction, Fraction]:
-    """The two non-trivial Krein parameters (q^1_11, q^2_22) as exact rationals.
-
-    Computed from the entrywise square of the eigenspace projectors
-    E_i = (mult/v) (I + p_i A + q_i (J - I - A)) expanded back in the
-    idempotent basis.
-    """
-    den = params.v * (params.k * (params.v - 1 - params.k)) ** 2
-    return tuple(Fraction(num, den) for num in _krein_numerators(params, spectrum))
 
 
 @dataclass(frozen=True)

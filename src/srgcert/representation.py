@@ -18,9 +18,7 @@ from .params import SrgParams, Spectrum
 
 __all__ = [
     "ReprConstants",
-    "BivariateQuadratic",
     "repr_constants",
-    "gram3_det",
 ]
 
 
@@ -53,51 +51,37 @@ def repr_constants(params: SrgParams, spectrum: Spectrum | None) -> ReprConstant
 
 
 def scaled_value(n00: int, n10: int, n01: int, n20: int, alpha: int, beta: int) -> int:
-    """n00 + n10*alpha + n01*beta + n20*alpha^2, without a BivariateQuadratic."""
+    """n00 + n10*alpha + n01*beta + n20*alpha^2: the w-split determinant times den."""
     return (n20 * alpha + n10) * alpha + n01 * beta + n00
 
 
-@dataclass(frozen=True)
-class BivariateQuadratic:
-    """Exact polynomial c00 + c10*a + c01*b + c20*a^2 in (alpha, beta): the
-    shape of the w-split determinant, whose a*b and b^2 terms cancel.  Held
-    as integers n00..n20 over one den > 0; rational coefficients given to
-    the constructor are brought over their least common denominator."""
-
-    n00: int
-    n10: int
-    n01: int
-    n20: int
-    den: int = 1
-
-    def __post_init__(self):
-        if self.den > 0 and type(self.n00) is type(self.n10) is type(self.n01) is type(self.n20) is int:
-            return
-        coeffs = [Fraction(n) / self.den for n in (self.n00, self.n10, self.n01, self.n20)]
-        den = math.lcm(*(c.denominator for c in coeffs))
-        for name, c in zip(("n00", "n10", "n01", "n20"), coeffs):
-            object.__setattr__(self, name, c.numerator * (den // c.denominator))
-        object.__setattr__(self, "den", den)
-
-    c00 = property(lambda self: Fraction(self.n00, self.den))
-    c10 = property(lambda self: Fraction(self.n10, self.den))
-    c01 = property(lambda self: Fraction(self.n01, self.den))
-    c20 = property(lambda self: Fraction(self.n20, self.den))
-
-    def scaled(self, alpha: int, beta: int) -> int:
-        """den times the value at integer (alpha, beta): an integer."""
-        return scaled_value(self.n00, self.n10, self.n01, self.n20, alpha, beta)
-
-    def __call__(self, alpha, beta) -> Fraction:
-        return Fraction(self.scaled(alpha, beta), self.den)
-
-
-# The D-scaled parts of the w-split determinant fixed by (tuple, m): see gram3_det.
+# The D-scaled parts of the w-split determinant fixed by (tuple, m): see gram3_per_m.
 Gram3PerM = namedtuple("Gram3PerM", "n00_w n00_ww n10_w n01 n20 den")
 
 
 def gram3_per_m(params: SrgParams, rep: ReprConstants, m: int) -> Gram3PerM:
-    """The w-free parts of gram3_det at edge count m."""
+    """The w-free parts, at edge count m, of the exact determinant of the
+    3x3 w-split Gram matrix as a polynomial in (alpha, beta).
+
+    Y1 sums the n1 = lam - w low-degree common neighbors of an edge, Y2 the
+    w top-degree ones, Y3 = x_u + x_w.  With alpha the top-w degree sum and
+    beta the edges inside the top part, the low part has m + beta - alpha
+    edges and alpha - 2*beta edges cross.  The determinant is unchanged
+    when Y1 becomes X = Y1 + Y2, the sum of all lam common neighbors, and
+    with d = p - q the entries are
+
+        |X|^2 = lam + lam(lam-1)q + 2dm,  <X, Y2> = w(1 + (lam-1)q) + d*alpha
+        |Y2|^2 = w + w(w-1)q + 2d*beta,   <Y2, Y3> = 2wp
+        <X, Y3> = 2*lam*p,                |Y3|^2 = 2 + 2p
+
+    so the determinant is c00 + c10*alpha + c01*beta + c20*alpha^2: beta
+    enters only |Y2|^2 and alpha only <X, Y2>.  c20 = -(2+2p)d^2 < 0 makes
+    it concave in alpha, c01 = 2d(|X|^2 |Y3|^2 - <X, Y3>^2) does not depend
+    on w, c10 = w*c10_w, and c00 = w(c00_w + w*c00_ww) vanishes with Y2 at
+    w = 0.  With every entry and d scaled by D, the coefficients are
+    integers n00, n10, n01, n20 over den = D^3: this computes the w-free
+    parts once per m and gram3_per_w the rest, for 1 <= w < lam.
+    """
     if m < 0:
         raise ValueError(f"need m >= 0, got m={m}")
     lam, D, P, Q = params.lam, rep.D, rep.P, rep.Q
@@ -117,35 +101,5 @@ def gram3_per_m(params: SrgParams, rep: ReprConstants, m: int) -> Gram3PerM:
 
 
 def gram3_per_w(h: Gram3PerM, w: int) -> tuple[int, int]:
-    """The coefficients (n00, n10) of gram3_det at split size w, over h.den."""
+    """The coefficients (n00, n10) of the w-split determinant at w, over h.den."""
     return w * (h.n00_w + w * h.n00_ww), w * h.n10_w
-
-
-def gram3_det(params: SrgParams, rep: ReprConstants, w: int, m: int) -> BivariateQuadratic:
-    """Exact determinant of the 3x3 w-split Gram matrix as a polynomial in
-    (alpha, beta).
-
-    Y1 sums the n1 = lam - w low-degree common neighbors of an edge, Y2 the
-    w top-degree ones, Y3 = x_u + x_w.  With alpha the top-w degree sum and
-    beta the edges inside the top part, the low part has m + beta - alpha
-    edges and alpha - 2*beta edges cross.  The determinant is unchanged
-    when Y1 becomes X = Y1 + Y2, the sum of all lam common neighbors, and
-    with d = p - q the entries are
-
-        |X|^2 = lam + lam(lam-1)q + 2dm,  <X, Y2> = w(1 + (lam-1)q) + d*alpha
-        |Y2|^2 = w + w(w-1)q + 2d*beta,   <Y2, Y3> = 2wp
-        <X, Y3> = 2*lam*p,                |Y3|^2 = 2 + 2p
-
-    so the determinant is c00 + c10*alpha + c01*beta + c20*alpha^2: beta
-    enters only |Y2|^2 and alpha only <X, Y2>.  c20 = -(2+2p)d^2 < 0 makes
-    it concave in alpha, c01 = 2d(|X|^2 |Y3|^2 - <X, Y3>^2) does not depend
-    on w, c10 = w*c10_w, and c00 = w(c00_w + w*c00_ww) vanishes with Y2 at
-    w = 0.  With every entry and d scaled by D, the coefficients are
-    integers over D^3: gram3_per_m computes the w-free parts once per m and
-    gram3_per_w the rest.  Requires 1 <= w < lam.
-    """
-    lam = params.lam
-    if not 1 <= w < lam:
-        raise ValueError(f"need 1 <= w < lam, got w={w}, lam={lam}")
-    h = gram3_per_m(params, rep, m)
-    return BivariateQuadratic(*gram3_per_w(h, w), h.n01, h.n20, h.den)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from srgcert import derive_spectrum
+from srgcert.params import derive_spectrum
 from srgcert.oracle import AdjacencyMatrix, srg_parameters
 
 

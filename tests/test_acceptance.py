@@ -10,17 +10,10 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from srgcert import (
-    SrgParams,
-    Verdict,
-    alpha_min,
-    classical_feasibility,
-    decide,
-    derive_spectrum,
-    gram3_det,
-    repr_constants,
-)
 from srgcert.cli import main
+from srgcert.gramtest import Verdict, alpha_min, decide
+from srgcert.params import SrgParams, classical_feasibility, derive_spectrum
+from srgcert.representation import gram3_per_m, gram3_per_w, repr_constants, scaled_value
 from srgcert.serialize import certificate_to_json, dumps
 from srgcert.oracle import (
     REFERENCE_GRAPHS,
@@ -54,8 +47,8 @@ def test_criterion_1_main_tuple(capsys):
         assert cert.witnesses[0].region_max_det < 0
         params = cert.params
         rep = repr_constants(params, cert.spectrum)
-        det14 = gram3_det(params, rep, w=14, m=39)
-        assert det14(42, 3) == Fraction(-270848, 132651)
+        det14 = _gram3_det(params, rep, w=14, m=39)
+        assert scaled_value(*det14, 42, 3) == Fraction(-270848, 132651)
         assert main(["check", "460", "153", "32", "60"]) == 10
         capsys.readouterr()
         elapsed = time.perf_counter() - t0
@@ -144,6 +137,12 @@ def test_criterion_4_soundness():
 # the Nonexistent verdicts among the primitive classically feasible tuples with
 # integral spectrum and v <= 300; a change to this list must be justified
 NONEXISTENT_UP_TO_300: tuple[tuple[int, int, int, int], ...] = ()
+
+
+def _gram3_det(params, rep, w, m):
+    """The w-split determinant's coefficients (c00, c10, c01, c20) as Fractions."""
+    h = gram3_per_m(params, rep, m)
+    return tuple(Fraction(x, h.den) for x in (*gram3_per_w(h, w), h.n01, h.n20))
 
 
 def _primitive_feasible_tuples(max_v):

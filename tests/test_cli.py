@@ -6,8 +6,7 @@ import sys
 
 import pytest
 
-from srgcert import SrgParams, decide
-from srgcert import cli
+from srgcert import SrgParams, cli, decide
 from srgcert.cli import main
 from srgcert.serialize import certificate_to_json
 
@@ -153,9 +152,21 @@ def test_scan_missing_file(capsys):
 
 def test_scan_non_utf8_input(tmp_path, capsys):
     path = tmp_path / "rows.csv"
-    path.write_bytes(b"v,k,lambda,mu\n16,6,2,2\xff\n")
-    assert main(["scan", str(path)]) == 3
-    assert capsys.readouterr().err.startswith(f"cannot read {path}: ")
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(bom + b"v,k,lambda,mu\n16,6,2,2\xff\n")
+        assert main(["scan", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(f"cannot read {path}: ")
+
+
+def test_scan_accepts_utf8_bom(tmp_path, capsys):
+    """Spreadsheet exports often start with a byte-order mark."""
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(SCAN_CSV, encoding="utf-8")
+    bom.write_bytes(b"\xef\xbb\xbf" + SCAN_CSV.encode())
+    assert main(["scan", str(plain), "--json-lines", "--jobs", "1"]) == 0
+    want = capsys.readouterr().out
+    assert main(["scan", str(bom), "--json-lines", "--jobs", "1"]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_scan_bad_header(tmp_path, capsys):

@@ -6,19 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from srgcert import (
-    K4Bound,
-    ReprConstants,
-    SrgParams,
-    derive_spectrum,
-    gegenbauer_eval,
-    k4_lower_bound,
-    pair_profile,
-    repr_constants,
-)
 from srgcert import cliquebound
-from srgcert.cliquebound import _gegenbauer_coeffs
+from srgcert.cliquebound import K4Bound, _gegenbauer_coeffs, _gegenbauer_ratio, k4_lower_bound, pair_profile
 from srgcert.oracle import validate
+from srgcert.params import SrgParams, derive_spectrum
+from srgcert.representation import ReprConstants, repr_constants
 from test_acceptance import _primitive_feasible_tuples
 
 
@@ -39,18 +31,18 @@ def _form_value(bound, a, k4):
 
 def test_gegenbauer_degree_zero_is_one():
     for d in (3, 7, 45):
-        for x2 in (Fraction(0), Fraction(1, 3), Fraction(4)):
-            assert gegenbauer_eval(d, 0, x2) == 1
+        for a, b in ((0, 1), (1, 3), (4, 1)):
+            assert Fraction(*_gegenbauer_ratio(d, 0, a, b)) == 1
 
 
 def test_gegenbauer_normalization_at_one():
     for d in (3, 5, 45, 342):
         for t in (2, 4, 6, 8):
-            assert gegenbauer_eval(d, t, Fraction(1)) == 1
+            assert Fraction(*_gegenbauer_ratio(d, t, 1, 1)) == 1
 
 
 def test_gegenbauer_degree_two_value():
-    assert gegenbauer_eval(45, 2, Fraction(0)) == Fraction(-1, 44)
+    assert Fraction(*_gegenbauer_ratio(45, 2, 0, 1)) == Fraction(-1, 44)
 
 
 def test_gegenbauer_degree_two_closed_form():
@@ -76,11 +68,11 @@ def test_gegenbauer_degree_four_closed_form():
 
 def test_gegenbauer_rejects_odd_degree_and_small_dimension():
     with pytest.raises(ValueError):
-        gegenbauer_eval(45, 3, Fraction(1, 4))
+        _gegenbauer_ratio(45, 3, 1, 4)
     with pytest.raises(ValueError):
-        gegenbauer_eval(45, 10, Fraction(1, 4))
+        _gegenbauer_ratio(45, 10, 1, 4)
     with pytest.raises(ValueError):
-        gegenbauer_eval(2, 4, Fraction(1, 4))
+        _gegenbauer_ratio(2, 4, 1, 4)
 
 
 def test_profile_counts_for_target_tuple():
@@ -198,7 +190,7 @@ def _fraction_gegenbauer(d, t, x_squared):
 def _fraction_k4_lower_bound(prof, degree):
     """The per-class Fraction sums the integer block sums replaced, kept as
     the oracle."""
-    gval = {cls.name: _fraction_gegenbauer(prof.rep.d, degree, cls.value_sq) for cls in prof.classes}
+    gval = {cls.name: _fraction_gegenbauer(prof.rep.d, degree, Fraction(cls.c**2, cls.den)) for cls in prof.classes}
     s_vv = sum(cls.count_const * gval[cls.name] for cls in prof.classes if cls.kind == "vertex-vertex")
     s_ve = sum(cls.count_const * gval[cls.name] for cls in prof.classes if cls.kind == "vertex-edge")
     s_ee0 = Fraction(0)
@@ -222,11 +214,12 @@ def _fraction_k4_lower_bound(prof, degree):
 
 
 def test_gegenbauer_eval_matches_fraction_horner():
-    grid = [Fraction(0), Fraction(1), Fraction(1, 4), Fraction(2, 3), Fraction(961, 23409), Fraction(9, 4), 5]
+    grid = [Fraction(0), Fraction(1), Fraction(1, 4), Fraction(2, 3), Fraction(961, 23409), Fraction(9, 4), Fraction(5)]
     for d in (3, 4, 7, 45, 276, 1000):
         for t in range(0, 9, 2):
             for x2 in grid:
-                assert gegenbauer_eval(d, t, x2) == _fraction_gegenbauer(d, t, Fraction(x2)), (d, t, x2)
+                got = Fraction(*_gegenbauer_ratio(d, t, x2.numerator, x2.denominator))
+                assert got == _fraction_gegenbauer(d, t, x2), (d, t, x2)
 
 
 def test_k4_bound_matches_fraction_sums(reference_graphs, monkeypatch):
@@ -262,7 +255,7 @@ def test_k4_bound_matches_fraction_sums(reference_graphs, monkeypatch):
 def _fraction_view(prof):
     """A profile as its rational values, the form _fraction_pair_profile
     gives."""
-    classes = tuple((c.name, c.kind, c.value_sq, c.count_const, c.count_k4) for c in prof.classes)
+    classes = tuple((c.name, c.kind, Fraction(c.c**2, c.den), c.count_const, c.count_k4) for c in prof.classes)
     return prof.params, prof.rep, prof.edge_count, classes
 
 

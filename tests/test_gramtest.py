@@ -5,24 +5,21 @@ from pathlib import Path
 
 import pytest
 
-from srgcert import (
-    SrgParams,
+from srgcert import gramtest
+from srgcert.gramtest import (
     Verdict,
     WSplitWitness,
+    _region_max_scaled,
     alpha_min,
     decide,
-    derive_spectrum,
-    gram3_det,
     m_lower,
     m_upper_exact,
-    repr_constants,
     wsplit_contradiction,
 )
-from srgcert import gramtest
-from srgcert.gramtest import _region_max_scaled
 from srgcert.oracle import lambda_subgraph_edge_counts
-from srgcert.representation import BivariateQuadratic, gram3_per_m, gram3_per_w
-from test_acceptance import _primitive_feasible_tuples
+from srgcert.params import SrgParams, derive_spectrum
+from srgcert.representation import gram3_per_m, gram3_per_w, repr_constants, scaled_value
+from test_acceptance import _gram3_det, _primitive_feasible_tuples
 
 PAPER_TUPLES = [(460, 153, 32, 60), (6205, 858, 47, 130), (5929, 1482, 275, 402)]
 FEASIBLE_CSV = Path(__file__).resolve().parent.parent / "bench" / "corpus" / "feasible.csv"
@@ -33,10 +30,18 @@ def _rep(tup):
     return params, repr_constants(params, derive_spectrum(params))
 
 
+def _over_lcm(det):
+    """Four Fraction coefficients as integers over their least common denominator."""
+    den = math.lcm(*(c.denominator for c in det))
+    return [int(c * den) for c in det], den
+
+
 def _region_max(det, n, m, w, alpha_lo):
-    """_region_max_scaled with the maximum as an exact rational."""
-    result = _region_max_scaled(det, n, m, w, alpha_lo)
-    return None if result is None else (Fraction(result[0], det.den), result[1])
+    """_region_max_scaled on four Fraction coefficients (c00, c10, c01, c20),
+    with the maximum as an exact rational."""
+    nums, den = _over_lcm(det)
+    result = _region_max_scaled(*nums, n, m, w, alpha_lo)
+    return None if result is None else (Fraction(result[0], den), result[1])
 
 
 def _probe_point(det, n, m, w, alpha_lo):
@@ -44,11 +49,12 @@ def _probe_point(det, n, m, w, alpha_lo):
     even alpha at or below the vertex of c20*alpha^2 + c10*alpha, clamped
     to the alpha range, with the beta endpoint the region scan takes there.
     None if the region is empty or c20 >= 0."""
+    _, c10, c01, c20 = det
     lo, hi = max(0, alpha_lo), min(2 * m, w * (n - 1), m + w * (w - 1) // 2)
-    if lo > hi or det.n20 >= 0:
+    if lo > hi or c20 >= 0:
         return None
-    alpha = min(max(2 * (-det.n10 // (4 * det.n20)), lo), hi)
-    if det.n01 > 0:
+    alpha = min(max(2 * (-c10 // (4 * c20)), lo), hi)
+    if c01 > 0:
         return alpha, min(w * (w - 1) // 2, alpha // 2)
     return alpha, max(0, alpha - m, -((w * (n - w) - alpha) // 2))
 
@@ -136,7 +142,7 @@ def test_wsplit_witness_target_tuple():
 def test_wsplit_corner_value_at_w14():
     """The w=14 region maximum sits exactly at the corner (42, 3)."""
     params, rep = _rep((460, 153, 32, 60))
-    det = gram3_det(params, rep, 14, 39)
+    det = _gram3_det(params, rep, 14, 39)
     max_det, max_at = _region_max(det, params.lam, 39, 14, alpha_min(32, 39, 14))
     assert max_det == Fraction(-270848, 132651)
     assert max_at == (42, 3)
@@ -155,7 +161,7 @@ def test_wsplit_witness_region_sampling():
     params, rep = _rep((460, 153, 32, 60))
     m = 39
     wit = wsplit_contradiction(params, rep, m)
-    det = gram3_det(params, rep, wit.w, m)
+    det = _gram3_det(params, rep, wit.w, m)
     n, w = params.lam, wit.w
     rng = random.Random(4)
     hits = 0
@@ -167,7 +173,7 @@ def test_wsplit_witness_region_sampling():
         if blo > bhi:
             continue
         beta = rng.randint(blo, bhi)
-        assert det(alpha, beta) < 0, (alpha, beta)
+        assert scaled_value(*det, alpha, beta) < 0, (alpha, beta)
         hits += 1
 
 
@@ -175,11 +181,11 @@ def test_corner_dominance_finite_differences():
     """At w=14 the determinant strictly decreases in alpha on [42, 78] at
     beta=3, and strictly decreases in beta at alpha=42."""
     params, rep = _rep((460, 153, 32, 60))
-    det = gram3_det(params, rep, 14, 39)
+    det = _gram3_det(params, rep, 14, 39)
     for alpha in range(42, 78):
-        assert det(alpha + 1, 3) - det(alpha, 3) < 0
+        assert scaled_value(*det, alpha + 1, 3) - scaled_value(*det, alpha, 3) < 0
     for beta in range(3, 21):
-        assert det(42, beta + 1) - det(42, beta) < 0
+        assert scaled_value(*det, 42, beta + 1) - scaled_value(*det, 42, beta) < 0
 
 
 def test_region_max_agrees_with_full_enumeration():
@@ -194,21 +200,19 @@ def test_region_max_agrees_with_full_enumeration():
             blo = max(0, alpha - m, -((w * (n - w) - alpha) // 2))
             bhi = min(w * (w - 1) // 2, alpha // 2)
             for beta in range(blo, bhi + 1):
-                val = det(alpha, beta)
+                val = scaled_value(*det, alpha, beta)
                 if best is None or val > best[0]:
                     best = (val, (alpha, beta))
         return best
 
     cases = []
     for _ in range(150):
-        q = BivariateQuadratic(
-            *(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(4))
-        )
+        q = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(4))
         n = rng.randint(3, 10)
         m = rng.randint(0, n * (n - 1) // 2)
         cases.append((q, n, m, rng.randint(1, n - 1)))
     params, rep = _rep((460, 153, 32, 60))
-    cases += [(gram3_det(params, rep, w, 39), params.lam, 39, w) for w in range(1, params.lam)]
+    cases += [(_gram3_det(params, rep, w, 39), params.lam, 39, w) for w in range(1, params.lam)]
     for q, n, m, w in cases:
         alo = alpha_min(n, m, w)
         assert _region_max(q, n, m, w, alo) == brute(q, n, m, w, alo), (n, m, w)
@@ -220,9 +224,7 @@ def _loop_region_max(det, n, m, w, alpha_lo):
     alpha_hi = min(2 * m, w * (n - 1))
     cross_cap = w * (n - w)
     beta_cap = w * (w - 1) // 2
-    coeffs = (det.c00, det.c10, det.c01, det.c20)
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    c00, c10, c01, c20 = (int(c * lcm) for c in coeffs)
+    (c00, c10, c01, c20), lcm = _over_lcm(det)
     best_val = best_at = None
     for alpha in range(alpha_lo, alpha_hi + 1):
         blo = max(0, alpha - m, -((cross_cap - alpha) // 2))
@@ -263,7 +265,7 @@ def test_region_max_closed_form_matches_loop_on_tuples():
         top = n * (n - 1) // 2
         for m in sorted({0, 1, n, top // 4, top}):
             for w in range(1, n):
-                det = gram3_det(params, rep, w, m)
+                det = _gram3_det(params, rep, w, m)
                 for alo in {alpha_min(n, m, w), 0}:
                     got = _region_max(det, n, m, w, alo)
                     assert got == _loop_region_max(det, n, m, w, alo), (tup, m, w, alo)
@@ -299,15 +301,15 @@ def test_gram3_det_scaled_matches_fraction_coefficients():
         n = params.lam
         top = n * (n - 1) // 2
         for m in sorted({0, 1, n, top // 4, top}):
+            h = gram3_per_m(params, rep, m)
             for w in range(1, n):
-                det = gram3_det(params, rep, w, m)
                 want = _fraction_gram3_det(params, rep, w, m)
-                nums = (det.n00, det.n10, det.n01, det.n20)
-                assert all(type(x) is int for x in nums) and det.den == rep.D**3
-                assert tuple(Fraction(x, det.den) for x in nums) == want, (tup, m, w)
-                assert (det.c00, det.c10, det.c01, det.c20) == want, (tup, m, w)
+                nums = (*gram3_per_w(h, w), h.n01, h.n20)
+                assert all(type(x) is int for x in nums) and h.den == rep.D**3
+                assert tuple(Fraction(x, h.den) for x in nums) == want, (tup, m, w)
                 alo = alpha_min(n, m, w)
-                assert _region_max(det, n, m, w, alo) == _region_max(BivariateQuadratic(*want), n, m, w, alo)
+                got = _region_max_scaled(*nums, n, m, w, alo)
+                assert _region_max(want, n, m, w, alo) == (Fraction(got[0], h.den), got[1]), (tup, m, w)
 
 
 def test_region_max_closed_form_matches_loop_on_random_quadratics():
@@ -323,8 +325,8 @@ def test_region_max_closed_form_matches_loop_on_random_quadratics():
                 return Fraction(0)
             return Fraction(rng.randint(-scale, scale), rng.choice([1, 1, 2, 3, 7]))
 
-        q = BivariateQuadratic(*(coeff() for _ in range(4)))
-        signs.add((q.c20 > 0) - (q.c20 < 0))
+        q = tuple(coeff() for _ in range(4))
+        signs.add((q[3] > 0) - (q[3] < 0))
         n = rng.randint(2, rng.choice([6, 12, 30]))
         m = rng.randint(0, n * (n - 1) // 2)
         w = rng.randint(1, n - 1)
@@ -347,7 +349,7 @@ def _random_region_cases():
                 return Fraction(0)
             return Fraction(rng.randint(-scale, scale), rng.choice([1, 1, 2, 3, 7]))
 
-        q = BivariateQuadratic(*(coeff() for _ in range(4)))
+        q = tuple(coeff() for _ in range(4))
         n = rng.randint(2, rng.choice([6, 12, 30]))
         m = rng.randint(0, n * (n - 1) // 2)
         w = rng.randint(1, n - 1)
@@ -359,16 +361,16 @@ def _check_probe(det, n, m, w, alpha_lo):
     beta endpoint the region scan takes, and is worth at most the maximum.
     Returns whether there was a probe point."""
     point = _probe_point(det, n, m, w, alpha_lo)
-    best = _region_max_scaled(det, n, m, w, alpha_lo)
+    best = _region_max(det, n, m, w, alpha_lo)
     if point is None:
-        assert best is None or det.n20 >= 0, (det, n, m, w, alpha_lo)
+        assert best is None or det[3] >= 0, (det, n, m, w, alpha_lo)
         return False
     alpha, beta = point
     assert max(0, alpha_lo) <= alpha <= min(2 * m, w * (n - 1)), (det, n, m, w, alpha_lo)
     blo = max(0, alpha - m, -((w * (n - w) - alpha) // 2))
     bhi = min(w * (w - 1) // 2, alpha // 2)
-    assert blo <= beta <= bhi and beta == (bhi if det.n01 > 0 else blo), (det, n, m, w, alpha_lo)
-    assert det.scaled(alpha, beta) <= best[0], (det, n, m, w, alpha_lo)
+    assert blo <= beta <= bhi and beta == (bhi if det[2] > 0 else blo), (det, n, m, w, alpha_lo)
+    assert scaled_value(*det, alpha, beta) <= best[0], (det, n, m, w, alpha_lo)
     return True
 
 
@@ -382,8 +384,8 @@ def test_probe_point_in_region_and_below_maximum():
         top = n * (n - 1) // 2
         for m in sorted({0, 1, n, top // 4, top}):
             for w in range(1, n):
-                det = gram3_det(params, rep, w, m)
-                assert det.n20 < 0
+                det = _gram3_det(params, rep, w, m)
+                assert det[3] < 0
                 probed += _check_probe(det, n, m, w, alpha_min(n, m, w))
     assert probed > 1500
 
@@ -394,12 +396,12 @@ def _unprobed_wsplit(params, rep, m):
     lam = params.lam
     if lam <= 1:
         return None
+    h = gram3_per_m(params, rep, m)
     for w in range(1, lam):
         alpha_lo = alpha_min(lam, m, w)
-        det = gram3_det(params, rep, w, m)
-        result = _region_max_scaled(det, lam, m, w, alpha_lo)
+        result = _region_max_scaled(*gram3_per_w(h, w), h.n01, h.n20, lam, m, w, alpha_lo)
         if result is not None and result[0] < 0:
-            return WSplitWitness(w, m, alpha_lo, Fraction(result[0], det.den), result[1])
+            return WSplitWitness(w, m, alpha_lo, Fraction(result[0], h.den), result[1])
     return None
 
 
@@ -429,9 +431,9 @@ def test_wsplit_probe_value_zero_refutes_without_region_scan(monkeypatch):
 
         def shifted(h, w):
             n00, n10 = real_per_w(h, w)
-            det = BivariateQuadratic(n00, n10, h.n01, h.n20, h.den)
+            det = (n00, n10, h.n01, h.n20)
             alpha, beta = _probe_point(det, params.lam, m, w, alpha_min(params.lam, m, w))
-            return n00 - det.scaled(alpha, beta) + offset, n10
+            return n00 - scaled_value(*det, alpha, beta) + offset, n10
 
         calls = []
 
@@ -445,7 +447,7 @@ def test_wsplit_probe_value_zero_refutes_without_region_scan(monkeypatch):
         if offset == 0:
             assert calls == [] and wit is None
         else:
-            assert calls and calls[0][3] == 1  # w = 1 went on to the exact scan
+            assert calls and calls[0][6] == 1  # w = 1 went on to the exact scan
 
 
 def test_exact_region_scans_are_pinned(monkeypatch):
@@ -473,8 +475,8 @@ def test_exact_region_scans_are_pinned(monkeypatch):
 
 def test_gram3_hoisted_coefficients_match_fraction_formula():
     """The per-m part and the per-w part give the Fraction coefficients of
-    the literal entries, and gram3_det, at every w: every m of the paper
-    windows, and the first m of each primitive feasible tuple with v <= 120."""
+    the literal entries at every w: every m of the paper windows, and the
+    first m of each primitive feasible tuple with v <= 120."""
     cases = []
     for tup in PAPER_TUPLES:
         cert = decide(SrgParams(*tup))
@@ -490,8 +492,6 @@ def test_gram3_hoisted_coefficients_match_fraction_formula():
             n00, n10 = gram3_per_w(h, w)
             want = _fraction_gram3_det(params, rep, w, m)
             assert tuple(Fraction(x, h.den) for x in (n00, n10, h.n01, h.n20)) == want, (params, m, w)
-            det = gram3_det(params, rep, w, m)
-            assert (det.n00, det.n10, det.n01, det.n20, det.den) == (n00, n10, h.n01, h.n20, h.den)
             splits += 1
     assert len(cases) > 100 and splits > 3000
     with pytest.raises(ValueError):

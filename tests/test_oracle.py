@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from srgcert import derive_spectrum
+from srgcert.params import derive_spectrum
 from srgcert.oracle import (
     construct,
     lambda_subgraph_edge_counts,

@@ -4,13 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from srgcert import (
+from srgcert.params import (
     InvalidParamsError,
     SrgParams,
     Spectrum,
+    _krein_numerators,
     classical_feasibility,
     derive_spectrum,
-    krein_parameters,
     subconstituent_scan,
 )
 from srgcert.oracle import construct
@@ -109,7 +109,7 @@ def test_krein_q22_zero_examples():
 def test_krein_q22_zero_on_clebsch_parameters():
     params = SrgParams(16, 5, 0, 2)
     assert classical_feasibility(params).krein_q22_zero is True
-    _, q222 = krein_parameters(params, derive_spectrum(params))
+    _, q222 = _fraction_krein(params, derive_spectrum(params))
     assert q222 == 0
 
 
@@ -139,7 +139,7 @@ def test_krein_equality_form_agrees_with_derived_parameter():
     the reported q22 flag the vanishing of the q22 form."""
     checked = 0
     for params, sp in _identity_tuples(120):
-        q111, q222 = krein_parameters(params, sp)
+        q111, q222 = _fraction_krein(params, sp)
         r, s, k = sp.r, sp.s, params.k
         lit2 = (k + s) * (r + 1) ** 2 - (s + 1) * (k + s + 2 * r * s)
         lit1 = (k + r) * (s + 1) ** 2 - (r + 1) * (k + r + 2 * r * s)
@@ -164,9 +164,10 @@ def _fraction_krein(params, sp):
 
 
 def test_krein_integers_match_fraction_formula():
-    """krein_parameters and the signs classical_feasibility reads from the
-    integer numerators equal the Fraction formula on every primitive tuple
-    with v <= 50 and an integer spectrum, counting identity held or not."""
+    """The integer numerators over v k^2 (v-1-k)^2, and the signs
+    classical_feasibility reads from them, equal the Fraction formula on
+    every primitive tuple with v <= 50 and an integer spectrum, counting
+    identity held or not."""
     checked, identity_fails, signs = 0, 0, set()
     for v in range(5, 51):
         for k in range(2, v - 1):
@@ -177,7 +178,8 @@ def test_krein_integers_match_fraction_formula():
                     if sp is None:
                         continue
                     q111, q222 = _fraction_krein(params, sp)
-                    assert krein_parameters(params, sp) == (q111, q222), params
+                    den = v * (k * (v - 1 - k)) ** 2
+                    assert tuple(Fraction(n, den) for n in _krein_numerators(params, sp)) == (q111, q222), params
                     report = classical_feasibility(params)
                     assert report.krein_ok == (q111 >= 0 and q222 >= 0), params
                     assert report.krein_q22_zero == (q222 == 0), params

@@ -5,17 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from srgcert import (
-    ReprConstants,
-    SrgParams,
-    derive_spectrum,
-    gram3_det,
-    m_upper_exact,
-    repr_constants,
-)
+from srgcert.gramtest import m_upper_exact
 from srgcert.oracle import construct, srg_parameters
+from srgcert.params import SrgParams, derive_spectrum
+from srgcert.representation import ReprConstants, repr_constants, scaled_value
 from numeric import realize_representation, to_numpy
-from test_acceptance import _primitive_feasible_tuples
+from test_acceptance import _gram3_det, _primitive_feasible_tuples
 
 
 def _rep(tup):
@@ -139,25 +134,17 @@ def test_m_upper_exact_is_literal_gram2_root(reference_graphs):
 
 def test_gram3_det_exact_coefficients():
     params, rep = _rep((460, 153, 32, 60))
-    det = gram3_det(params, rep, w=14, m=39)
-    assert det.c20 == Fraction(-516304, 3581577)
-    assert det.c10 == Fraction(35785792, 3581577)
-    assert det.c01 == Fraction(-1252672, 3581577)
-    assert det.c00 == Fraction(-198599296, 1193859)
+    c00, c10, c01, c20 = _gram3_det(params, rep, w=14, m=39)
+    assert c20 == Fraction(-516304, 3581577)
+    assert c10 == Fraction(35785792, 3581577)
+    assert c01 == Fraction(-1252672, 3581577)
+    assert c00 == Fraction(-198599296, 1193859)
 
 
 def test_gram3_det_value_at_corner():
     params, rep = _rep((460, 153, 32, 60))
-    det = gram3_det(params, rep, w=14, m=39)
-    assert det(42, 3) == Fraction(-270848, 132651)
-
-
-def test_gram3_det_rejects_bad_split():
-    params, rep = _rep((460, 153, 32, 60))
-    with pytest.raises(ValueError):
-        gram3_det(params, rep, w=32, m=39)
-    with pytest.raises(ValueError):
-        gram3_det(params, rep, w=0, m=39)
+    det = _gram3_det(params, rep, w=14, m=39)
+    assert scaled_value(*det, 42, 3) == Fraction(-270848, 132651)
 
 
 def _split_stats(g, members, w):
@@ -191,8 +178,8 @@ def test_gram_determinants_nonnegative_on_measured_statistics(reference_graphs):
             assert a11(m) * a22 - a12 * a12 >= 0, (label, (u, w), m)
             for split in range(1, params.lam):
                 alpha, beta = _split_stats(g, members, split)
-                det = gram3_det(params, rep, split, m)
-                assert det(alpha, beta) >= 0, (label, (u, w), split, alpha, beta)
+                det = _gram3_det(params, rep, split, m)
+                assert scaled_value(*det, alpha, beta) >= 0, (label, (u, w), split, alpha, beta)
 
 
 def test_gram3_matches_materialized_vectors(reference_graphs):
@@ -224,7 +211,7 @@ def test_gram3_matches_materialized_vectors(reference_graphs):
                 y3 = vectors[u] + vectors[w]
                 gram = np.array([[y @ z for z in (y1, y2, y3)] for y in (y1, y2, y3)])
                 numeric = np.linalg.det(gram)
-                symbolic = float(gram3_det(params, rep, split, m)(alpha, beta))
+                symbolic = float(scaled_value(*_gram3_det(params, rep, split, m), alpha, beta))
                 assert abs(numeric - symbolic) < 1e-6, (label, (u, w), split)
 
 
@@ -273,7 +260,7 @@ def test_gram3_det_matches_literal_determinant():
                 m = rng.randint(0, lam * (lam - 1) // 2)
                 alpha, beta = rng.randint(-50, 2 * m + 50), rng.randint(-50, 2 * m + 50)
                 literal = _det3(_gram3_literal(params, rep, w, m, alpha, beta))
-                assert gram3_det(params, rep, w, m)(alpha, beta) == literal, (tup, w, m, alpha, beta)
+                assert scaled_value(*_gram3_det(params, rep, w, m), alpha, beta) == literal, (tup, w, m, alpha, beta)
 
 
 def test_gram3_full_split_degenerates_to_zero_row():
