@@ -15,8 +15,6 @@ from .gramtest import Verdict, decide
 from .params import InvalidParamsError, SrgParams, subconstituent_scan
 from .serialize import certificate_to_json, certificate_to_text, dumps, scan_row_to_json
 
-__all__ = ["main", "run"]
-
 EXIT_BY_VERDICT = {
     Verdict.INCONCLUSIVE: 0,
     Verdict.NONEXISTENT: 10,
@@ -144,6 +142,9 @@ def _cmd_scan(args) -> int:
                 return EXIT_IO_ERROR
             continue
         tasks.append((idx, stripped))
+    if header is None:
+        print(f"no header in {args.input}: expected v,k,lambda,mu", file=sys.stderr)
+        return EXIT_IO_ERROR
 
     try:
         out_handle = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")

@@ -19,16 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .params import SrgParams
-from .representation import ReprConstants
-
-__all__ = [
-    "PairClass",
-    "PairProfile",
-    "pair_profile",
-    "K4Bound",
-    "k4_lower_bound",
-]
+from .params import ReprConstants, SrgParams
 
 MAX_DEGREE = 8
 
@@ -152,8 +143,7 @@ def pair_profile(params: SrgParams, rep: ReprConstants) -> PairProfile:
     graphs in the test suite.
     """
     v, k, lam, mu = params.v, params.k, params.lam, params.mu
-    D, P, Q = rep.D, rep.P, rep.Q
-    S = 2 * D + 2 * P  # |x_u + x_w|^2 scaled by D
+    D, P, Q, S = rep.D, rep.P, rep.Q, rep.S
     # counts are built as integers over 48, which clears every /2, /4, /6
     # and /8 below; E48 = 48|E| = 24vk
     count_den = 48

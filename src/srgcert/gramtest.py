@@ -1,40 +1,28 @@
 """The contradiction engine: edge-count window for the densest
 common-neighborhood subgraph, the degree-sum threshold lemma, the w-split
-determinant search, and the overall verdict."""
+determinant search, and the overall verdict.
+
+Both Gram determinants of summed representation vectors live here, as
+polynomials in unknown subgraph statistics: the 2x2 one bounds the window
+for m, and the 3x3 w-split one refutes each m in it."""
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cliquebound import K4Bound, k4_lower_bound
 from .params import (
     FeasibilityReport,
+    ReprConstants,
     Spectrum,
     SrgParams,
     classical_feasibility,
-)
-from .representation import (
-    ReprConstants,
-    gram3_per_m,
-    gram3_per_w,
     repr_constants,
-    scaled_value,
 )
-
-__all__ = [
-    "Verdict",
-    "MRange",
-    "WSplitWitness",
-    "Certificate",
-    "m_upper_exact",
-    "m_lower",
-    "alpha_min",
-    "wsplit_contradiction",
-    "decide",
-]
 
 
 class Verdict(enum.Enum):
@@ -89,25 +77,29 @@ class Certificate:
     notes: tuple[str, ...] = field(default=())
 
 
-def m_upper_exact(params: SrgParams, rep: ReprConstants) -> Fraction | None:
-    """The exact rational root of the linear-in-m 2x2 Gram determinant,
-    or None for lam = 0.
+def _gram_entries(params: SrgParams, rep: ReprConstants, m: int) -> tuple[int, int, int]:
+    """|X|^2, <X, Y3> and |Y3|^2 scaled by D, where X sums the lam common
+    neighbors of an edge uw (m edges among them) and Y3 = x_u + x_w:
+    lam + lam(lam-1)q + 2(p-q)m, 2 lam p and 2 + 2p.  Both Gram
+    determinants are built on these entries."""
+    lam, P, Q = params.lam, rep.P, rep.Q
+    return lam * rep.D + lam * (lam - 1) * Q + 2 * (P - Q) * m, 2 * lam * P, rep.S
 
-    X1 sums an edge's lam common neighbors (m edges among them), X2 = x_u + x_w;
-    the Gram entries lam + lam(lam-1)q + 2m(p-q), 2 lam p and 2 + 2p, scaled by
-    D, give the root ((2 lam p)^2/(2+2p) - lam - lam(lam-1)q) / (2(p-q)).  No
-    edge's common-neighborhood subgraph, the densest included, has more edges.
+
+def m_upper_exact(params: SrgParams, rep: ReprConstants) -> Fraction | None:
+    """The exact rational root of the 2x2 Gram determinant
+    |X|^2 |Y3|^2 - <X, Y3>^2 (see _gram_entries), linear in m, or None for
+    lam = 0.  No edge's common-neighborhood subgraph, the densest included,
+    has more edges.
     """
-    lam = params.lam
-    if lam == 0:
+    if params.lam == 0:
         return None
-    D, P, Q = rep.D, rep.P, rep.Q
-    a22 = 2 * D + 2 * P
-    slope = 2 * (P - Q) * a22
+    xx0, x3, y3 = _gram_entries(params, rep, 0)
+    slope = 2 * (rep.P - rep.Q) * y3
     # negative for primitive parameters
     if slope >= 0:
         raise ValueError("2x2 Gram determinant is not decreasing in m")
-    return Fraction((2 * lam * P) ** 2 - (lam * D + lam * (lam - 1) * Q) * a22, slope)
+    return Fraction(x3 * x3 - xx0 * y3, slope)
 
 
 def m_lower(params: SrgParams, k4_lower: int) -> int:
@@ -138,6 +130,60 @@ def alpha_min(n: int, m: int, w: int) -> int:
     t0 = max(1, (2 * m + n - w) // n)
     rest = 2 * m - (t0 - 1) * (n - w)  # the second term at t0; at t0 + 1 it is n - w less
     return max(0, min(t0 * w, rest), min(t0 * w + w, rest - (n - w)))
+
+
+def scaled_value(n00: int, n10: int, n01: int, n20: int, alpha: int, beta: int) -> int:
+    """n00 + n10*alpha + n01*beta + n20*alpha^2: the w-split determinant times den."""
+    return (n20 * alpha + n10) * alpha + n01 * beta + n00
+
+
+# The D-scaled parts of the w-split determinant fixed by (tuple, m): see gram3_per_m.
+Gram3PerM = namedtuple("Gram3PerM", "n00_w n00_ww n10_w n01 n20 den")
+
+
+def gram3_per_m(params: SrgParams, rep: ReprConstants, m: int) -> Gram3PerM:
+    """The w-free parts, at edge count m, of the exact determinant of the
+    3x3 w-split Gram matrix as a polynomial in (alpha, beta).
+
+    Y1 sums the n1 = lam - w low-degree common neighbors of an edge, Y2 the
+    w top-degree ones, Y3 = x_u + x_w.  With alpha the top-w degree sum and
+    beta the edges inside the top part, the low part has m + beta - alpha
+    edges and alpha - 2*beta edges cross.  The determinant is unchanged
+    when Y1 becomes X = Y1 + Y2, whose entries with X and Y3 are those of
+    _gram_entries, and with d = p - q the others are
+
+        <X, Y2> = w(1 + (lam-1)q) + d*alpha,  <Y2, Y3> = 2wp,
+        |Y2|^2 = w + w(w-1)q + 2d*beta
+
+    so the determinant is c00 + c10*alpha + c01*beta + c20*alpha^2: beta
+    enters only |Y2|^2 and alpha only <X, Y2>.  c20 = -(2+2p)d^2 < 0 makes
+    it concave in alpha, c01 = 2d(|X|^2 |Y3|^2 - <X, Y3>^2) does not depend
+    on w, c10 = w*c10_w, and c00 = w(c00_w + w*c00_ww) vanishes with Y2 at
+    w = 0.  With every entry and d scaled by D, the coefficients are
+    integers n00, n10, n01, n20 over den = D^3: this computes the w-free
+    parts once per m and gram3_per_w the rest, for 1 <= w < lam.
+    """
+    if m < 0:
+        raise ValueError(f"need m >= 0, got m={m}")
+    D, P, Q = rep.D, rep.P, rep.Q
+    d = P - Q
+    xx, x3, y3 = _gram_entries(params, rep, m)
+    x2 = D + (params.lam - 1) * Q  # <X, Y2> less d*alpha, over w
+    # det = |Y2|^2 g - |X|^2 <Y2, Y3>^2 - |Y3|^2 <X, Y2>^2 + 2 <X, Y2> <Y2, Y3> <X, Y3>
+    g = xx * y3 - x3 * x3  # |X|^2 |Y3|^2 - <X, Y3>^2
+    return Gram3PerM(
+        n00_w=(D - Q) * g,
+        n00_ww=Q * g - 4 * P * P * xx - y3 * x2 * x2 + 4 * P * x2 * x3,
+        n10_w=2 * d * (2 * P * x3 - y3 * x2),
+        n01=2 * d * g,
+        n20=-y3 * d * d,
+        den=D**3,
+    )
+
+
+def gram3_per_w(h: Gram3PerM, w: int) -> tuple[int, int]:
+    """The coefficients (n00, n10) of the w-split determinant at w, over h.den."""
+    return w * (h.n00_w + w * h.n00_ww), w * h.n10_w
 
 
 def _alpha_range(n: int, m: int, w: int, alpha_lo: int) -> tuple[int, int]:

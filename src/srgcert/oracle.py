@@ -14,17 +14,6 @@ from .cliquebound import pair_profile
 from .gramtest import Verdict, decide
 from .params import SrgParams
 
-__all__ = [
-    "AdjacencyMatrix",
-    "REFERENCE_GRAPHS",
-    "construct",
-    "srg_parameters",
-    "census",
-    "CensusReport",
-    "lambda_subgraph_edge_counts",
-    "validate",
-]
-
 
 @dataclass(frozen=True)
 class AdjacencyMatrix:
@@ -78,15 +67,16 @@ def srg_parameters(g: AdjacencyMatrix) -> SrgParams:
 # constructions
 
 
+def _pair_graph(n: int, meet: bool) -> AdjacencyMatrix:
+    """The 2-subsets of an n-set, joined when they meet (if meet) or when
+    they are disjoint."""
+    verts = list(combinations(range(n), 2))
+    pairs = [(i, j) for (i, a), (j, b) in combinations(enumerate(verts), 2) if bool(set(a) & set(b)) == meet]
+    return _from_pairs(len(verts), pairs)
+
+
 def _petersen() -> AdjacencyMatrix:
-    verts = list(combinations(range(5), 2))
-    index = {p: i for i, p in enumerate(verts)}
-    pairs = [
-        (index[a], index[b])
-        for a, b in combinations(verts, 2)
-        if not set(a) & set(b)
-    ]
-    return _from_pairs(10, pairs)
+    return _pair_graph(5, meet=False)
 
 
 def _factorize_prime_power(q: int) -> tuple[int, int] | None:
@@ -138,27 +128,14 @@ def _paley(q: int) -> AdjacencyMatrix:
 def _triangular(n: int) -> AdjacencyMatrix:
     if not 5 <= n <= 10:
         raise ValueError(f"triangular order limited to 5..10, got {n}")
-    verts = list(combinations(range(n), 2))
-    index = {p: i for i, p in enumerate(verts)}
-    pairs = [
-        (index[a], index[b])
-        for a, b in combinations(verts, 2)
-        if set(a) & set(b)
-    ]
-    return _from_pairs(len(verts), pairs)
+    return _pair_graph(n, meet=True)
 
 
 def _rook(n: int) -> AdjacencyMatrix:
     if not 3 <= n <= 8:
         raise ValueError(f"rook order limited to 3..8, got {n}")
-    pairs = []
-    for i1 in range(n):
-        for j1 in range(n):
-            for i2 in range(n):
-                for j2 in range(n):
-                    a, b = i1 * n + j1, i2 * n + j2
-                    if a < b and (i1 == i2) != (j1 == j2):
-                        pairs.append((a, b))
+    # cells a = row * n + column, joined when they share exactly one of the two
+    pairs = [(a, b) for a, b in combinations(range(n * n), 2) if (a // n == b // n) != (a % n == b % n)]
     return _from_pairs(n * n, pairs)
 
 
@@ -174,30 +151,27 @@ REFERENCE_GRAPHS = [
 ]
 
 
+# family: (builder, whether it takes an order)
+_FAMILIES = {
+    "petersen": (_petersen, False),
+    "paley": (_paley, True),
+    "triangular": (_triangular, True),
+    "rook": (_rook, True),
+}
+
+
 def construct(name: str, order: int | None = None) -> AdjacencyMatrix:
     """Build a reference strongly regular graph and verify its regularity.
 
     Families: "petersen"; "paley" (prime power order = 1 mod 4, <= 101);
     "triangular" (5 <= order <= 10); "rook" (3 <= order <= 8).
     """
-    if name == "petersen":
-        if order is not None:
-            raise ValueError("petersen takes no order")
-        g = _petersen()
-    elif name == "paley":
-        if order is None:
-            raise ValueError("paley needs an order")
-        g = _paley(order)
-    elif name == "triangular":
-        if order is None:
-            raise ValueError("triangular needs an order")
-        g = _triangular(order)
-    elif name == "rook":
-        if order is None:
-            raise ValueError("rook needs an order")
-        g = _rook(order)
-    else:
+    if name not in _FAMILIES:
         raise ValueError(f"unknown family {name!r}")
+    build, takes_order = _FAMILIES[name]
+    if takes_order != (order is not None):
+        raise ValueError(f"{name} needs an order" if takes_order else f"{name} takes no order")
+    g = build(order) if takes_order else build()
     srg_parameters(g)  # raises if the construction is broken
     return g
 
@@ -214,7 +188,8 @@ class CensusReport:
     adjacent-to-one, adjacent-to-neither, counted over (vertex, edge) pairs.
     shared_edge_class_counts orders: third endpoints adjacent, non-adjacent,
     over unordered pairs of distinct edges sharing a vertex.  n_j_disjoint
-    counts unordered disjoint pairs with j cross adjacencies.
+    counts unordered disjoint pairs with j cross adjacencies.  The last two
+    fields are the maximum and the sum of lambda_subgraph_edge_counts.
     """
 
     k4_count: int
@@ -222,6 +197,7 @@ class CensusReport:
     vertex_edge_class_counts: tuple[int, int, int, int]
     shared_edge_class_counts: tuple[int, int]
     max_lambda_subgraph_edges: int
+    sum_lambda_subgraph_edges: int
 
 
 def lambda_subgraph_edge_counts(g: AdjacencyMatrix) -> list[int]:
@@ -288,6 +264,7 @@ def census(g: AdjacencyMatrix) -> CensusReport:
         vertex_edge_class_counts=tuple(ve),
         shared_edge_class_counts=tuple(shared),
         max_lambda_subgraph_edges=max(m_counts, default=0),
+        sum_lambda_subgraph_edges=sum(m_counts),
     )
 
 
@@ -302,7 +279,7 @@ def validate(g: AdjacencyMatrix) -> str:
     """
     params = srg_parameters(g)
     report = census(g)
-    if sum(lambda_subgraph_edge_counts(g)) != 6 * report.k4_count:
+    if report.sum_lambda_subgraph_edges != 6 * report.k4_count:
         raise AssertionError("sum of per-edge counts != 6 * K4")
     cert = decide(params)
     if cert.verdict is Verdict.NONEXISTENT:

@@ -1,4 +1,5 @@
-"""Parameter tuples, spectra, and the classical feasibility screens.
+"""Parameter tuples, spectra, the representation constants derived from
+them, and the classical feasibility screens.
 
 Everything on the decision path is exact: integers and fractions.Fraction.
 """
@@ -6,18 +7,8 @@ Everything on the decision path is exact: integers and fractions.Fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-
-__all__ = [
-    "InvalidParamsError",
-    "SrgParams",
-    "Spectrum",
-    "FeasibilityReport",
-    "derive_spectrum",
-    "classical_feasibility",
-    "subconstituent_scan",
-]
 
 
 class InvalidParamsError(ValueError):
@@ -107,6 +98,36 @@ def derive_spectrum(params: SrgParams) -> Spectrum | None:
     return Spectrum(r=r, s=s, f=f, g=g)
 
 
+@dataclass(frozen=True)
+class ReprConstants:
+    """Inner products of the vertices' unit vectors in the eigenspace of s:
+    p (adjacent), q (non-adjacent), and the dimension d = g.  Every Gram
+    entry of summed vectors is an integer once scaled by D."""
+
+    p: Fraction
+    q: Fraction
+    d: int
+    D: int = field(init=False, repr=False, compare=False)  # lcm of the denominators of p and q
+    P: int = field(init=False, repr=False, compare=False)  # p * D
+    Q: int = field(init=False, repr=False, compare=False)  # q * D
+    S: int = field(init=False, repr=False, compare=False)  # |x_u + x_w|^2 = 2 + 2p, times D
+
+    def __post_init__(self):
+        D = math.lcm(self.p.denominator, self.q.denominator)
+        P, Q = (x.numerator * (D // x.denominator) for x in (self.p, self.q))
+        for name, value in (("D", D), ("P", P), ("Q", Q), ("S", 2 * D + 2 * P)):
+            object.__setattr__(self, name, value)
+
+
+def repr_constants(params: SrgParams, spectrum: Spectrum | None) -> ReprConstants:
+    """Exact p = s/k, q = -(1+s)/(v-k-1) in lowest terms, d = g."""
+    if spectrum is None:
+        raise ValueError("representation constants need an integer spectrum")
+    p = Fraction(spectrum.s, params.k)
+    q = Fraction(-(1 + spectrum.s), params.v - 1 - params.k)
+    return ReprConstants(p=p, q=q, d=spectrum.g)
+
+
 def _is_conference(params: SrgParams) -> bool:
     """Irrational-eigenvalue tuples with integral multiplicities f = g = (v-1)/2.
 
@@ -194,19 +215,19 @@ def classical_feasibility(params: SrgParams) -> FeasibilityReport:
 def subconstituent_scan(v1: int, k1: int) -> list[tuple[int, int]]:
     """All (lam', mu') making (v1, k1, lam', mu') classically feasible.
 
-    Enumerates 0 <= lam' < k1, 0 < mu' <= k1 in lexicographic order and keeps
-    the tuples passing classical_feasibility (conference-type tuples included
-    when the multiplicity conditions permit).
+    The counting identity, which classical feasibility requires, fixes
+    mu' = k1(k1 - lam' - 1)/(v1 - k1 - 1), so this tries each 0 <= lam' < k1
+    in order with that mu' if it is an integer in 0 < mu' <= k1, and keeps
+    the tuples passing classical_feasibility (conference-type tuples
+    included when the multiplicity conditions permit).
     """
     if not v1 > k1 > 0:
         raise InvalidParamsError(f"need v1 > k1 > 0, got v1={v1}, k1={k1}")
+    if k1 == v1 - 1:
+        return []  # SrgParams rejects the complete graph
     found = []
     for lam in range(k1):
-        for mu in range(1, k1 + 1):
-            try:
-                cand = SrgParams(v1, k1, lam, mu)
-            except InvalidParamsError:
-                continue
-            if classical_feasibility(cand).passed:
-                found.append((lam, mu))
+        mu, rest = divmod(k1 * (k1 - lam - 1), v1 - k1 - 1)
+        if rest == 0 and 0 < mu <= k1 and classical_feasibility(SrgParams(v1, k1, lam, mu)).passed:
+            found.append((lam, mu))
     return found

@@ -14,15 +14,6 @@ from fractions import Fraction
 from .gramtest import Certificate
 from .params import SrgParams
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "rational_to_json",
-    "certificate_to_json",
-    "certificate_to_text",
-    "scan_row_to_json",
-    "dumps",
-]
-
 SCHEMA_VERSION = "1"
 
 

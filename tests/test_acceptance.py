@@ -11,9 +11,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from srgcert.cli import main
-from srgcert.gramtest import Verdict, alpha_min, decide
-from srgcert.params import SrgParams, classical_feasibility, derive_spectrum
-from srgcert.representation import gram3_per_m, gram3_per_w, repr_constants, scaled_value
+from srgcert.gramtest import Verdict, alpha_min, decide, gram3_per_m, gram3_per_w, scaled_value
+from srgcert.params import SrgParams, classical_feasibility, derive_spectrum, repr_constants
 from srgcert.serialize import certificate_to_json, dumps
 from srgcert.oracle import (
     REFERENCE_GRAPHS,

@@ -145,6 +145,17 @@ def test_scan_empty_csv(tmp_path, capsys):
     assert "scanned 0 rows" in captured.err
 
 
+def test_scan_without_header_line(tmp_path, capsys):
+    """A file with no header line at all, empty or only comments and blank
+    lines, is rejected before --output is opened."""
+    path, out = tmp_path / "rows.csv", tmp_path / "out.jsonl"
+    for text in ("", "# no rows yet\n\n  \n# v,k,lambda,mu\n"):
+        path.write_text(text, encoding="utf-8")
+        assert main(["scan", str(path), "--output", str(out)]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == f"no header in {path}: expected v,k,lambda,mu\n"
+
+
 def test_scan_missing_file(capsys):
     assert main(["scan", "/nonexistent/rows.csv"]) == 3
     capsys.readouterr()

@@ -9,8 +9,7 @@ import pytest
 from srgcert import cliquebound
 from srgcert.cliquebound import K4Bound, _gegenbauer_coeffs, _gegenbauer_ratio, k4_lower_bound, pair_profile
 from srgcert.oracle import validate
-from srgcert.params import SrgParams, derive_spectrum
-from srgcert.representation import ReprConstants, repr_constants
+from srgcert.params import ReprConstants, SrgParams, derive_spectrum, repr_constants
 from test_acceptance import _primitive_feasible_tuples
 
 

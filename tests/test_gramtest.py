@@ -12,13 +12,15 @@ from srgcert.gramtest import (
     _region_max_scaled,
     alpha_min,
     decide,
+    gram3_per_m,
+    gram3_per_w,
     m_lower,
     m_upper_exact,
+    scaled_value,
     wsplit_contradiction,
 )
 from srgcert.oracle import lambda_subgraph_edge_counts
-from srgcert.params import SrgParams, derive_spectrum
-from srgcert.representation import gram3_per_m, gram3_per_w, repr_constants, scaled_value
+from srgcert.params import SrgParams, derive_spectrum, repr_constants
 from test_acceptance import _gram3_det, _primitive_feasible_tuples
 
 PAPER_TUPLES = [(460, 153, 32, 60), (6205, 858, 47, 130), (5929, 1482, 275, 402)]
@@ -448,6 +450,33 @@ def test_wsplit_probe_value_zero_refutes_without_region_scan(monkeypatch):
             assert calls == [] and wit is None
         else:
             assert calls and calls[0][6] == 1  # w = 1 went on to the exact scan
+
+
+def test_region_max_zero_is_not_a_witness(monkeypatch):
+    """A w whose exact region maximum is 0 is not refuted; one whose maximum
+    is -1 is.  On T(6) = (15,8,4,4) at m = 2 the probe at w = 2 is worth
+    3150 over den and the region maximum 5400, so shifting c00 at w = 2 by
+    the maximum less the offset sends w = 2 past the probe to the exact scan."""
+    params, rep = _rep((15, 8, 4, 4))
+    lam, m, w = params.lam, 2, 2
+    real_per_w = gramtest.gram3_per_w
+    h = gram3_per_m(params, rep, m)
+    det = (*real_per_w(h, w), h.n01, h.n20)
+    alpha_lo = alpha_min(lam, m, w)
+    assert scaled_value(*det, *_probe_point(det, lam, m, w, alpha_lo)) == 3150
+    assert _region_max_scaled(*det, lam, m, w, alpha_lo)[0] == 5400
+    for offset in (0, -1):
+
+        def shifted(h, w_):
+            n00, n10 = real_per_w(h, w_)
+            return n00 + (offset - 5400 if w_ == w else 0), n10
+
+        monkeypatch.setattr(gramtest, "gram3_per_w", shifted)
+        wit = wsplit_contradiction(params, rep, m)
+        if offset == 0:
+            assert wit is None
+        else:
+            assert (wit.w, wit.region_max_det) == (w, Fraction(-1, h.den))
 
 
 def test_exact_region_scans_are_pinned(monkeypatch):

@@ -73,6 +73,9 @@ def test_construct_rejects_bad_orders():
         construct("kneser", 5)
     with pytest.raises(ValueError):
         construct("petersen", 3)
+    for name in ("paley", "triangular", "rook"):
+        with pytest.raises(ValueError):
+            construct(name)  # these families need an order
 
 
 def test_census_golden_values(reference_censuses):
@@ -113,6 +116,7 @@ def test_edge_count_identity(reference_censuses):
     """sum over edges of common-neighborhood edges equals 6 * K4."""
     for label, (g, params, report) in reference_censuses.items():
         assert sum(lambda_subgraph_edge_counts(g)) == 6 * report.k4_count, label
+        assert report.sum_lambda_subgraph_edges == 6 * report.k4_count, label
 
 
 def test_realize_representation_petersen_and_rook(reference_graphs):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from srgcert import params as params_module
 from srgcert.params import (
     InvalidParamsError,
     SrgParams,
@@ -195,21 +196,42 @@ def test_subconstituent_scan_examples():
     assert (2, 2) in subconstituent_scan(16, 6)
 
 
+def _loop_subconstituent_scan(v1, k1):
+    """Every (lam', mu') with 0 <= lam' < k1, 0 < mu' <= k1 in order, filtered
+    by the four classical flags: the double loop the scan replaced, kept as
+    its oracle."""
+    expected = []
+    for lam in range(k1):
+        for mu in range(1, k1 + 1):
+            try:
+                cand = SrgParams(v1, k1, lam, mu)
+            except InvalidParamsError:
+                continue
+            rep = classical_feasibility(cand)
+            if rep.identity_ok and rep.integrality_ok and rep.krein_ok and rep.absolute_bound_ok:
+                expected.append((lam, mu))
+    return expected
+
+
 def test_subconstituent_scan_matches_independent_filter():
-    for v1, k1 in [(5, 2), (16, 6), (21, 10), (40, 12)]:
-        expected = []
-        for lam in range(k1):
-            for mu in range(1, k1 + 1):
-                try:
-                    cand = SrgParams(v1, k1, lam, mu)
-                except InvalidParamsError:
-                    continue
-                rep = classical_feasibility(cand)
-                if rep.identity_ok and rep.integrality_ok and rep.krein_ok and rep.absolute_bound_ok:
-                    expected.append((lam, mu))
-        got = subconstituent_scan(v1, k1)
-        assert got == expected
-        assert got == sorted(got)
+    pairs = 0
+    for v1 in range(2, 71):
+        for k1 in range(1, v1):
+            assert subconstituent_scan(v1, k1) == _loop_subconstituent_scan(v1, k1), (v1, k1)
+            pairs += 1
+    assert pairs == 2415
+
+
+def test_subconstituent_scan_tries_one_mu_per_lambda(monkeypatch):
+    """The counting identity fixes mu', so a scan screens at most k1 tuples."""
+    calls = []
+    real = params_module.classical_feasibility
+    monkeypatch.setattr(params_module, "classical_feasibility", lambda p: calls.append(p) or real(p))
+    for v1, k1, tried in ((5000, 2000, 0), (16, 6, 1), (100, 22, 3)):
+        calls.clear()
+        subconstituent_scan(v1, k1)
+        assert len(calls) == tried <= k1, (v1, k1)
+        assert all(p.identity_holds() for p in calls)
 
 
 def test_subconstituent_scan_rejects_bad_input():

@@ -5,10 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from srgcert.gramtest import m_upper_exact
+from srgcert.gramtest import m_upper_exact, scaled_value
 from srgcert.oracle import construct, srg_parameters
-from srgcert.params import SrgParams, derive_spectrum
-from srgcert.representation import ReprConstants, repr_constants, scaled_value
+from srgcert.params import ReprConstants, SrgParams, derive_spectrum, repr_constants
 from numeric import realize_representation, to_numpy
 from test_acceptance import _gram3_det, _primitive_feasible_tuples
 
