@@ -25,7 +25,7 @@ EXIT_BAD_INPUT = 2
 EXIT_IO_ERROR = 3
 
 JOBS_ENV_VAR = "SRG_CERTIFY_JOBS"
-SERIAL_GRAM_ROWS = 32
+SERIAL_SECONDS = 0.1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -152,13 +152,12 @@ def _cmd_scan(args) -> int:
         print(f"cannot write {args.output}: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
     try:
-        # A row takes microseconds unless it reaches the Gram tests, then
-        # milliseconds; starting workers costs more than a few dozen of those.
-        # So rows are decided here until SERIAL_GRAM_ROWS have reached them.
-        results, gram_rows = [], 0
-        while len(results) < len(tasks) and (jobs == 1 or gram_rows < SERIAL_GRAM_ROWS):
+        # Rows take from microseconds to seconds, and a pool costs tens of
+        # milliseconds to start: rows are decided here until they have taken
+        # SERIAL_SECONDS of wall time, and only the rest go to the pool.
+        results, start = [], time.perf_counter()
+        while len(results) < len(tasks) and (jobs == 1 or time.perf_counter() - start < SERIAL_SECONDS):
             results.append(_scan_worker(tasks[len(results)]))
-            gram_rows += results[-1][0].get("m_range") is not None
         rest = tasks[len(results):]
         # the pool starts all its workers at once: no more than rows left or CPUs
         workers = min(jobs, len(rest), os.cpu_count() or 1)

@@ -156,12 +156,19 @@ def gram3_per_m(params: SrgParams, rep: ReprConstants, m: int) -> Gram3PerM:
         |Y2|^2 = w + w(w-1)q + 2d*beta
 
     so the determinant is c00 + c10*alpha + c01*beta + c20*alpha^2: beta
-    enters only |Y2|^2 and alpha only <X, Y2>.  c20 = -(2+2p)d^2 < 0 makes
-    it concave in alpha, c01 = 2d(|X|^2 |Y3|^2 - <X, Y3>^2) does not depend
-    on w, c10 = w*c10_w, and c00 = w(c00_w + w*c00_ww) vanishes with Y2 at
-    w = 0.  With every entry and d scaled by D, the coefficients are
+    enters only |Y2|^2 and alpha only <X, Y2>.  c20 = -(2+2p)d^2 and
+    c01 = 2d*g(m), g = |X|^2 |Y3|^2 - <X, Y3>^2 the 2x2 determinant, do not
+    depend on w, c10 = w*c10_w, and c00 = w(c00_w + w*c00_ww) vanishes with
+    Y2 at w = 0.  With every entry and d scaled by D, the coefficients are
     integers n00, n10, n01, n20 over den = D^3: this computes the w-free
     parts once per m and gram3_per_w the rest, for 1 <= w < lam.
+
+    On decide's window, for a primitive tuple with an integer spectrum,
+    c01 <= 0 and c20 < 0: d < 0, as p - q = (s(v-1) + k)/(k(v-k-1)) with
+    s <= -1 and k < v - 1; 2 + 2p > 0, as x^2 - (lam-mu)x - (k-mu) is
+    positive at -k and negative at 0 for mu < k, so its root s > -k;
+    and g(m) >= 0, as g is linear in m with slope 2d(2+2p) < 0 and root
+    m_upper_exact, whose floor bounds the window.
     """
     if m < 0:
         raise ValueError(f"need m >= 0, got m={m}")
@@ -200,10 +207,8 @@ def _alpha_range(n: int, m: int, w: int, alpha_lo: int) -> tuple[int, int]:
     return max(0, alpha_lo), min(2 * m, w * (n - 1), m + w * (w - 1) // 2)
 
 
-def _beta_end(n: int, m: int, w: int, alpha: int, upper: bool) -> int:
-    """The upper (if upper) or lower beta endpoint of the region at alpha."""
-    if upper:
-        return min(w * (w - 1) // 2, alpha // 2)
+def _beta_lo(n: int, m: int, w: int, alpha: int) -> int:
+    """The lower beta endpoint of the region at alpha."""
     return max(0, alpha - m, -((w * (n - w) - alpha) // 2))
 
 
@@ -216,19 +221,18 @@ def _region_max_scaled(
 ) -> tuple[int, tuple[int, int]] | None:
     """Exact maximum of n00 + n10*alpha + n01*beta + n20*alpha^2 (see
     gram3_per_m) over the integer (alpha, beta) region of the w-split (see
-    _alpha_range), or None if the region is empty.
+    _alpha_range), or None if the region is empty.  Needs n01 <= 0 < -n20,
+    which holds on decide's window (see gram3_per_m).
 
-    It is linear in beta, so for each alpha the maximum sits at the upper
-    beta endpoint if n01 > 0 and at the lower one otherwise; ties go to the
-    smallest alpha, then the smallest beta.  On each parity the chosen
-    endpoint is the min or max of at most three lines in t, and on each
-    line it is a quadratic in t.  The smallest maximizer lies on some
-    line's integer stretch, whose ends are range ends or floor/ceil of a
-    crossing of two lines; on that stretch it is an end or, for a concave
-    quadratic, next to the vertex.  Evaluating those O(1) candidates per
-    parity finds it exactly.
+    With n01 <= 0 the maximum at each alpha is at the lower beta endpoint
+    (ties: smallest alpha, then beta), which on each parity of alpha is the
+    max of three lines in t = alpha // 2.  On each line's integer stretch,
+    whose ends are range ends or floor/ceil of a crossing of two lines, the
+    value is concave in t and peaks at an end or next to the vertex: O(1)
+    candidates per parity give the exact maximum.
     """
-    upper = n01 > 0
+    if n01 > 0 or n20 >= 0:
+        raise ValueError(f"need n01 <= 0 < -n20, got n01={n01}, n20={n20}")
     alpha_lo, alpha_hi = _alpha_range(n, m, w, alpha_lo)
     if alpha_lo > alpha_hi:
         return None
@@ -238,20 +242,17 @@ def _region_max_scaled(
         if t_lo > t_hi:
             continue
         ts = [t_lo, t_hi]
-        if upper:  # _beta_end at alpha = 2t + r is the min of these lines (slope, intercept) in t
-            lines_r = (0, w * (w - 1) // 2), (1, 0)
-        else:  # or their max
-            lines_r = (0, 0), (2, r - m), (1, -((w * (n - w) - r) // 2))
+        # _beta_lo at alpha = 2t + r is the max of these lines (slope, intercept) in t
+        lines_r = (0, 0), (2, r - m), (1, -((w * (n - w) - r) // 2))
         for i, (s1, b1) in enumerate(lines_r):
             for s2, b2 in lines_r[i + 1 :]:
                 ts += _floor_ceil(b2 - b1, s1 - s2)
-            if n20 < 0:
-                ts += _floor_ceil(-(2 * n10 + s1 * n01 + 4 * n20 * r), 8 * n20)
+            ts += _floor_ceil(-(2 * n10 + s1 * n01 + 4 * n20 * r), 8 * n20)
         # a t outside [t_lo, t_hi] would clamp to an end, which is in ts already
         candidates.update([2 * t + r for t in ts if t_lo <= t <= t_hi])
     best = None
     for alpha in sorted(candidates):  # ascending, so a tie keeps the smaller alpha
-        beta = _beta_end(n, m, w, alpha, upper)
+        beta = _beta_lo(n, m, w, alpha)
         value = scaled_value(n00, n10, n01, n20, alpha, beta)
         if best is None or value > best[0]:
             best = value, (alpha, beta)
@@ -271,29 +272,28 @@ def wsplit_contradiction(
 
     Most w are refuted by the value at one point, which the region maximum
     is at least: the even alpha at or below the vertex of c20*alpha^2 +
-    c10*alpha, clamped, with the beta endpoint _region_max_scaled takes.
+    c10*alpha, clamped, with the lower beta endpoint.
     """
     lam = params.lam
-    if lam <= 1:
-        return None
     if m > lam * (lam - 1) // 2:
         raise ValueError(f"m={m} exceeds C(lam,2) for lam={lam}")
     h = gram3_per_m(params, rep, m)
     n01, n20 = h.n01, h.n20
-    upper = n01 > 0  # c01 does not depend on w, so neither does the beta endpoint
+    if n01 > 0:
+        raise ValueError(f"m={m} exceeds the root of the 2x2 Gram determinant")
     for w in range(1, lam):
         alpha_lo = alpha_min(lam, m, w)
         lo, hi = _alpha_range(lam, m, w, alpha_lo)
         if lo > hi:
             continue  # an empty region carries no witness
         n00, n10 = gram3_per_w(h, w)
-        if n20 < 0:  # the probe point: the region maximum is at least its value
-            alpha = min(max(2 * (-n10 // (4 * n20)), lo), hi)
-            if scaled_value(n00, n10, n01, n20, alpha, _beta_end(lam, m, w, alpha, upper)) >= 0:
-                continue
+        # the probe point: the region maximum is at least its value
+        alpha = min(max(2 * (-n10 // (4 * n20)), lo), hi)
+        if scaled_value(n00, n10, n01, n20, alpha, _beta_lo(lam, m, w, alpha)) >= 0:
+            continue
         result = _region_max_scaled(n00, n10, n01, n20, lam, m, w, alpha_lo)
         # h.den > 0: the sign of the numerator is the sign of the maximum
-        if result is not None and result[0] < 0:
+        if result[0] < 0:  # not None: lo <= hi above
             max_det = Fraction(result[0], h.den)
             return WSplitWitness(w=w, m=m, alpha_min=alpha_lo, region_max_det=max_det, region_max_at=result[1])
     return None
@@ -335,7 +335,7 @@ def decide(
     if spectrum is None:
         notes.append("irrational eigenvalues: Gram pipeline not applicable")
         return cert(Verdict.NOT_APPLICABLE)
-    if not params.primitive or spectrum.r == 0:
+    if not params.primitive:  # r = 0 needs mu = k, as r*s = mu - k: never primitive
         notes.append("complete-multipartite family: Gram tests skipped")
         return cert(Verdict.INCONCLUSIVE, spectrum=spectrum)
 

@@ -81,9 +81,9 @@ def derive_spectrum(params: SrgParams) -> Spectrum | None:
     c = lam - mu
     disc = c * c + 4 * (k - mu)
     e = math.isqrt(disc)
-    if e * e != disc or e == 0:
-        return None
-    if (c + e) % 2 != 0:
+    # disc = c^2 mod 4 makes e = c mod 2, so r and s are integers; e = 0
+    # would need c = 0 and k = mu, so lam = k, which SrgParams rejects
+    if e * e != disc:
         return None
     r = (c + e) // 2
     s = (c - e) // 2

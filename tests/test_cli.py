@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -214,15 +215,27 @@ def test_scan_output_file_deterministic(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize("serial_gram_rows", [0, 1, 2])
-def test_scan_pool_matches_serial(tmp_path, capsys, monkeypatch, serial_gram_rows):
-    # SCAN_CSV has three rows that reach the Gram tests; the pool takes the
-    # rows after the first 0, 1 or 2 of them, error rows included
-    monkeypatch.setattr(cli, "SERIAL_GRAM_ROWS", serial_gram_rows)
+@pytest.mark.parametrize("serial_rows", [0, 1, 2])
+def test_scan_pool_matches_serial(tmp_path, capsys, monkeypatch, serial_rows):
+    # a fake clock that each decided row moves on by one second: with a
+    # budget of serial_rows - 0.5 seconds (none for 0), the pool takes the
+    # rows after the first 0, 1 or 2 decided ones, error rows included
+    clock = [0.0]
+    real_decide = cli.decide
+
+    def slow_decide(params):
+        clock[0] += 1
+        return real_decide(params)
+
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(cli, "decide", slow_decide)
+    monkeypatch.setattr(cli, "SERIAL_SECONDS", max(0, serial_rows - 0.5))
     csv_path = tmp_path / "rows.csv"
     csv_path.write_text(SCAN_CSV, encoding="utf-8")
     pooled, serial = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     assert main(["scan", str(csv_path), "--json-lines", "--output", str(pooled), "--jobs", "2"]) == 0
+    # workers decide with their own copy of the clock, so this counts the rows decided here
+    assert clock[0] == serial_rows or os.cpu_count() == 1
     assert main(["scan", str(csv_path), "--json-lines", "--output", str(serial), "--jobs", "1"]) == 0
     capsys.readouterr()
     assert pooled.read_bytes() == serial.read_bytes()
@@ -264,7 +277,7 @@ def test_scan_pool_capped_at_rows_and_cpus(tmp_path, capsys, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(cli, "SERIAL_GRAM_ROWS", 0)  # the pool takes every row of SCAN_CSV
+    monkeypatch.setattr(cli, "SERIAL_SECONDS", 0)  # the pool takes every row of SCAN_CSV
     csv_path = tmp_path / "rows.csv"
     csv_path.write_text(SCAN_CSV, encoding="utf-8")
     assert main(["scan", str(csv_path), "--json-lines", "--jobs", "1"]) == 0

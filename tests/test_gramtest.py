@@ -22,8 +22,10 @@ from srgcert.gramtest import (
 from srgcert.oracle import lambda_subgraph_edge_counts
 from srgcert.params import SrgParams, derive_spectrum, repr_constants
 from test_acceptance import _gram3_det, _primitive_feasible_tuples
+from test_families import PRIME_POWERS, _family_tuples
 
 PAPER_TUPLES = [(460, 153, 32, 60), (6205, 858, 47, 130), (5929, 1482, 275, 402)]
+ORACLE_TUPLES = PAPER_TUPLES + [(121, 100, 81, 90)]
 FEASIBLE_CSV = Path(__file__).resolve().parent.parent / "bench" / "corpus" / "feasible.csv"
 
 
@@ -44,6 +46,18 @@ def _region_max(det, n, m, w, alpha_lo):
     nums, den = _over_lcm(det)
     result = _region_max_scaled(*nums, n, m, w, alpha_lo)
     return None if result is None else (Fraction(result[0], den), result[1])
+
+
+def _tuple_windows():
+    """(params, rep, ms, past) for each of ORACLE_TUPLES: five edge counts
+    from 0 up to the window top floor(m_upper_exact), where c01 <= 0 < -c20,
+    and past = top + 1 <= C(lam, 2), the first m beyond the 2x2 root."""
+    for tup in ORACLE_TUPLES:
+        params, rep = _rep(tup)
+        n = params.lam
+        top = math.floor(m_upper_exact(params, rep))
+        assert top < n * (n - 1) // 2, tup
+        yield params, rep, sorted({0, 1, n, top // 4, top}), top + 1
 
 
 def _probe_point(det, n, m, w, alpha_lo):
@@ -207,9 +221,12 @@ def test_region_max_agrees_with_full_enumeration():
                     best = (val, (alpha, beta))
         return best
 
+    def frac(lo, hi):
+        return Fraction(rng.randint(lo, hi), rng.randint(1, 7))
+
     cases = []
     for _ in range(150):
-        q = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(4))
+        q = frac(-9, 9), frac(-9, 9), frac(-9, 0), frac(-9, -1)  # c01 <= 0 < -c20
         n = rng.randint(3, 10)
         m = rng.randint(0, n * (n - 1) // 2)
         cases.append((q, n, m, rng.randint(1, n - 1)))
@@ -218,6 +235,9 @@ def test_region_max_agrees_with_full_enumeration():
     for q, n, m, w in cases:
         alo = alpha_min(n, m, w)
         assert _region_max(q, n, m, w, alo) == brute(q, n, m, w, alo), (n, m, w)
+    for c01, c20 in ((1, -1), (0, 0), (-1, 1)):  # outside the contract
+        with pytest.raises(ValueError):
+            _region_max((Fraction(0), Fraction(0), Fraction(c01), Fraction(c20)), 5, 3, 2, 0)
 
 
 def _loop_region_max(det, n, m, w, alpha_lo):
@@ -258,20 +278,21 @@ def _loop_alpha_min(n, m, w):
 
 
 def test_region_max_closed_form_matches_loop_on_tuples():
-    """Every split of four tuples at five edge counts, from the degree-sum
-    bound and from alpha = 0."""
+    """Every split of four tuples at five edge counts of the window, from
+    the degree-sum bound and from alpha = 0; one m past the window, a
+    ValueError."""
     cases = 0
-    for tup in [(460, 153, 32, 60), (6205, 858, 47, 130), (5929, 1482, 275, 402), (121, 100, 81, 90)]:
-        params, rep = _rep(tup)
+    for params, rep, ms, past in _tuple_windows():
         n = params.lam
-        top = n * (n - 1) // 2
-        for m in sorted({0, 1, n, top // 4, top}):
+        for m in ms:
             for w in range(1, n):
                 det = _gram3_det(params, rep, w, m)
                 for alo in {alpha_min(n, m, w), 0}:
                     got = _region_max(det, n, m, w, alo)
-                    assert got == _loop_region_max(det, n, m, w, alo), (tup, m, w, alo)
+                    assert got == _loop_region_max(det, n, m, w, alo), (params, m, w, alo)
                     cases += 1
+        with pytest.raises(ValueError):
+            _region_max(_gram3_det(params, rep, 1, past), n, past, 1, 0)
     assert cases > 3000
 
 
@@ -295,67 +316,61 @@ def _fraction_gram3_det(params, rep, w, m):
 
 
 def test_gram3_det_scaled_matches_fraction_coefficients():
-    """Every split of four tuples at five edge counts: the integer
-    numerators over D^3 are the Fraction coefficients, and the region
-    maximum is the same from either form."""
-    for tup in [(460, 153, 32, 60), (6205, 858, 47, 130), (5929, 1482, 275, 402), (121, 100, 81, 90)]:
-        params, rep = _rep(tup)
+    """Every split of four tuples at five edge counts of the window, one
+    past it and C(lam, 2): the integer numerators over D^3 are the Fraction
+    coefficients, and inside the window the region maximum is the same from
+    either form."""
+    for params, rep, ms, past in _tuple_windows():
         n = params.lam
-        top = n * (n - 1) // 2
-        for m in sorted({0, 1, n, top // 4, top}):
+        for m in ms + [past, n * (n - 1) // 2]:
             h = gram3_per_m(params, rep, m)
             for w in range(1, n):
                 want = _fraction_gram3_det(params, rep, w, m)
                 nums = (*gram3_per_w(h, w), h.n01, h.n20)
                 assert all(type(x) is int for x in nums) and h.den == rep.D**3
-                assert tuple(Fraction(x, h.den) for x in nums) == want, (tup, m, w)
+                assert tuple(Fraction(x, h.den) for x in nums) == want, (params, m, w)
                 alo = alpha_min(n, m, w)
+                if m >= past:
+                    with pytest.raises(ValueError):
+                        _region_max_scaled(*nums, n, m, w, alo)
+                    continue
                 got = _region_max_scaled(*nums, n, m, w, alo)
-                assert _region_max(want, n, m, w, alo) == (Fraction(got[0], h.den), got[1]), (tup, m, w)
-
-
-def test_region_max_closed_form_matches_loop_on_random_quadratics():
-    """Small integer and rational coefficients of every sign, zeros included,
-    so that ties, c01 = 0 and convex or linear cases all occur."""
-    rng = random.Random(5)
-    signs = set()
-    for _ in range(20000):
-        scale = rng.choice([1, 3, 20])
-
-        def coeff():
-            if rng.random() < 0.15:
-                return Fraction(0)
-            return Fraction(rng.randint(-scale, scale), rng.choice([1, 1, 2, 3, 7]))
-
-        q = tuple(coeff() for _ in range(4))
-        signs.add((q[3] > 0) - (q[3] < 0))
-        n = rng.randint(2, rng.choice([6, 12, 30]))
-        m = rng.randint(0, n * (n - 1) // 2)
-        w = rng.randint(1, n - 1)
-        alo = rng.choice([alpha_min(n, m, w), 0, rng.randint(-2, 2 * m + 2)])
-        assert _region_max(q, n, m, w, alo) == _loop_region_max(q, n, m, w, alo), (q, n, m, w, alo)
-    assert signs == {-1, 0, 1}
-    for w in (0, 5):
-        with pytest.raises(ValueError):
-            _region_max(q, 5, 3, w, 0)
+                assert _region_max(want, n, m, w, alo) == (Fraction(got[0], h.den), got[1]), (params, m, w)
 
 
 def _random_region_cases():
-    """The 20,000 seeded cases of the random-quadratic test above, replayed."""
+    """20,000 seeded (q, n, m, w, alpha_lo): small integer and rational
+    coefficients with c01 <= 0 < -c20, zeros included, on random regions."""
     rng = random.Random(5)
     for _ in range(20000):
         scale = rng.choice([1, 3, 20])
 
-        def coeff():
-            if rng.random() < 0.15:
+        def coeff(lo, hi):
+            if lo <= 0 <= hi and rng.random() < 0.15:
                 return Fraction(0)
-            return Fraction(rng.randint(-scale, scale), rng.choice([1, 1, 2, 3, 7]))
+            return Fraction(rng.randint(lo, hi), rng.choice([1, 1, 2, 3, 7]))
 
-        q = tuple(coeff() for _ in range(4))
+        q = coeff(-scale, scale), coeff(-scale, scale), coeff(-scale, 0), coeff(-scale, -1)
         n = rng.randint(2, rng.choice([6, 12, 30]))
         m = rng.randint(0, n * (n - 1) // 2)
         w = rng.randint(1, n - 1)
         yield q, n, m, w, rng.choice([alpha_min(n, m, w), 0, rng.randint(-2, 2 * m + 2)])
+
+
+def test_region_max_closed_form_matches_loop_on_random_quadratics():
+    """Zeros among the coefficients make ties and c01 = 0 occur; a convex,
+    linear or beta-increasing quadratic is a ValueError."""
+    c01_negative = set()
+    for q, n, m, w, alo in _random_region_cases():
+        c01_negative.add(q[2] < 0)
+        assert _region_max(q, n, m, w, alo) == _loop_region_max(q, n, m, w, alo), (q, n, m, w, alo)
+    assert c01_negative == {True, False}
+    for c01, c20 in ((1, -1), (0, 0), (-1, 1)):
+        with pytest.raises(ValueError):
+            _region_max(q[:2] + (Fraction(c01), Fraction(c20)), n, m, w, alo)
+    for w in (0, 5):
+        with pytest.raises(ValueError):
+            _region_max(q, 5, 3, w, 0)
 
 
 def _check_probe(det, n, m, w, alpha_lo):
@@ -365,7 +380,7 @@ def _check_probe(det, n, m, w, alpha_lo):
     point = _probe_point(det, n, m, w, alpha_lo)
     best = _region_max(det, n, m, w, alpha_lo)
     if point is None:
-        assert best is None or det[3] >= 0, (det, n, m, w, alpha_lo)
+        assert best is None, (det, n, m, w, alpha_lo)
         return False
     alpha, beta = point
     assert max(0, alpha_lo) <= alpha <= min(2 * m, w * (n - 1)), (det, n, m, w, alpha_lo)
@@ -380,11 +395,9 @@ def test_probe_point_in_region_and_below_maximum():
     probed = sum(_check_probe(*case) for case in _random_region_cases())
     assert probed > 5000
     probed = 0
-    for tup in [(460, 153, 32, 60), (6205, 858, 47, 130), (5929, 1482, 275, 402), (121, 100, 81, 90)]:
-        params, rep = _rep(tup)
+    for params, rep, ms, _ in _tuple_windows():
         n = params.lam
-        top = n * (n - 1) // 2
-        for m in sorted({0, 1, n, top // 4, top}):
+        for m in ms:
             for w in range(1, n):
                 det = _gram3_det(params, rep, w, m)
                 assert det[3] < 0
@@ -500,6 +513,45 @@ def test_exact_region_scans_are_pinned(monkeypatch):
     for row in rows:
         decide(SrgParams(*map(int, row.split(","))))
     assert len(rows) == 210 and len(calls) == 461
+
+
+def test_wsplit_coefficient_signs_on_every_window():
+    """c01 <= 0 < -c20 on the window of each of the 648 primitive feasible
+    tuples with v <= 300 and of each family tuple: the sign proof in
+    gram3_per_m's docstring, which lets the w-split take the lower beta
+    endpoint.  Every m of a window up to 1000 wide is checked; of a wider
+    one (GQ(50653, 1369) has 1.3e9 m), the 500 m at each end,
+    since c01 is affine in m and c20 does not depend on it.  c01 = 0 where
+    the window top is the 2x2 root itself, as on every zero-slack
+    GQ(q, q^2)."""
+    tuples = list(_primitive_feasible_tuples(300))
+    assert len(tuples) == 648
+    families = {label: params for label, params, _, _ in _family_tuples()}
+    zero_at, checked = set(), 0
+    for params in tuples + list(families.values()):
+        cert = decide(params)
+        if cert.m_range is None:
+            continue
+        window = range(cert.m_range.lower, cert.m_range.upper + 1)
+        for m in [*window[:500], *window[500:][-500:]]:
+            h = gram3_per_m(params, cert.rep, m)
+            assert h.n01 <= 0 < -h.n20, (params, m)
+            if h.n01 == 0:
+                zero_at.add(params)
+            checked += 1
+    gq = {families[f"GQ({q},{q * q})"] for q in PRIME_POWERS if 3 <= q < 40}
+    assert gq <= zero_at and checked > 200000
+
+
+def test_wsplit_rejects_m_past_the_2x2_root():
+    """One step past floor(m_upper_exact), below C(lam, 2), is a ValueError;
+    the window top itself is searched, also where it is the root exactly,
+    2592 for (121, 100, 81, 90)."""
+    for params, rep, _, past in _tuple_windows():
+        assert (m_upper_exact(params, rep) == past - 1) == (params.v == 121)
+        wsplit_contradiction(params, rep, past - 1)
+        with pytest.raises(ValueError):
+            wsplit_contradiction(params, rep, past)
 
 
 def test_gram3_hoisted_coefficients_match_fraction_formula():

@@ -64,6 +64,27 @@ def test_spectrum_root_identities():
         assert params.k + sp.f * sp.r + sp.g * sp.s == 0
 
 
+def test_square_discriminant_needs_no_parity_or_zero_check():
+    """Every (k, lam, mu) with k < 150, 0 <= lam < k, 0 < mu <= k and a
+    square discriminant e^2 = c^2 + 4(k - mu), c = lam - mu: e = c mod 2, so
+    r = (c + e)/2 is an integer; e > 0; and r = 0 exactly when mu = k.  So
+    derive_spectrum needs no parity or e = 0 return, and decide no r = 0
+    check beside primitivity."""
+    squares = 0
+    for k in range(1, 150):
+        for lam in range(k):
+            for mu in range(1, k + 1):
+                c = lam - mu
+                disc = c * c + 4 * (k - mu)
+                e = math.isqrt(disc)
+                if e * e != disc:
+                    continue
+                squares += 1
+                assert (c + e) % 2 == 0 and e > 0, (k, lam, mu)
+                assert (c + e == 0) == (mu == k), (k, lam, mu)
+    assert squares > 50000
+
+
 def test_classical_feasibility_examples():
     assert classical_feasibility(SrgParams(460, 153, 32, 60)).passed
     report = classical_feasibility(SrgParams(10, 3, 1, 1))
