@@ -25,7 +25,7 @@ EXIT_BAD_INPUT = 2
 EXIT_IO_ERROR = 3
 
 JOBS_ENV_VAR = "SRG_CERTIFY_JOBS"
-SERIAL_SECONDS = 0.1
+SERIAL_SECONDS = 0.3
 
 
 def _build_parser() -> argparse.ArgumentParser:

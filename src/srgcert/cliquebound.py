@@ -25,42 +25,29 @@ MAX_DEGREE = 8
 
 
 @lru_cache(maxsize=None)
-def _gegenbauer_coeffs(d: int, t: int) -> tuple[Fraction, ...]:
-    """Coefficients (constant first) of the degree-t Gegenbauer polynomial
-    for the sphere S^{d-1}, normalized to take value 1 at x = 1.
-
-    Built from the classical three-term recurrence
-    n C_n = 2(n - 1 + nu) x C_{n-1} - (n - 2 + 2 nu) C_{n-2},  nu = (d-2)/2.
-    """
-    nu = Fraction(d - 2, 2)
-    polys = [(Fraction(1),), (Fraction(0), 2 * nu)]
-    for n in range(2, t + 1):
-        prev, prev2 = polys[n - 1], polys[n - 2]
-        coeffs = [Fraction(0)] * (n + 1)
-        for i, c in enumerate(prev):
-            coeffs[i + 1] += 2 * (n - 1 + nu) * c
-        for i, c in enumerate(prev2):
-            coeffs[i] -= (n - 2 + 2 * nu) * c
-        polys.append(tuple(c / n for c in coeffs))
-    raw = polys[t]
-    at_one = sum(raw)
-    return tuple(c / at_one for c in raw)
-
-
-@lru_cache(maxsize=None)
 def _gegenbauer_scaled(d: int, t: int) -> tuple[tuple[int, ...], int]:
-    """The coefficients of x^0, x^2, ..., x^t of the normalized even
-    degree-t Gegenbauer polynomial, as integers over one denominator > 0."""
+    """The coefficients of x^0, x^2, ..., x^t of the even degree-t
+    Gegenbauer polynomial for the sphere S^{d-1}, normalized to take value 1
+    at x = 1, as integers over one denominator > 0.
+
+    Closed form: with nu = (d-2)/2, C_t^nu(x) / C_t^nu(1) has the x^(t-2j)
+    coefficient (-1)^j C(t, 2j) (2j-1)!! prod_{i<t-j} (d-2+2i) over the
+    common denominator prod_{i<t} (d-2+i), and everything is divided by the
+    gcd of the numerators and that denominator.
+    """
     if d < 3:
         raise ValueError(f"need d >= 3, got {d}")
     if t % 2 != 0:
         raise ValueError(f"degree must be even, got {t}")
     if not 0 <= t <= MAX_DEGREE:
         raise ValueError(f"degree must be in 0..{MAX_DEGREE}, got {t}")
-    coeffs = _gegenbauer_coeffs(d, t)
-    assert all(c == 0 for c in coeffs[1::2])
-    den = math.lcm(*(c.denominator for c in coeffs[::2]))
-    return tuple(c.numerator * (den // c.denominator) for c in coeffs[::2]), den
+    nums = []
+    for j in range(t // 2, -1, -1):  # x^(t-2j), so the constant comes first
+        odd = math.prod(range(1, 2 * j, 2))  # (2j-1)!!
+        nums.append((-1) ** j * math.comb(t, 2 * j) * odd * math.prod(range(d - 2, d - 2 + 2 * (t - j), 2)))
+    den = math.prod(range(d - 2, d - 2 + t))
+    g = math.gcd(den, *nums)
+    return tuple(n // g for n in nums), den // g
 
 
 def _gegenbauer_ratio(d: int, t: int, a: int, b: int) -> tuple[int, int]:
@@ -106,7 +93,6 @@ class PairProfile:
 
     params: SrgParams
     rep: ReprConstants
-    edge_count: Fraction
     classes: tuple[PairClass, ...]
     count_den: int
 
@@ -201,7 +187,7 @@ def pair_profile(params: SrgParams, rep: ReprConstants) -> PairProfile:
     for j, (const, coef) in enumerate((n0, n1, n2, n3, n4)):
         add(f"ee-disjoint-{j}", "edge-edge-disjoint", j * P + (4 - j) * Q, S * S, const, coef)
 
-    return PairProfile(params, rep, params.edge_count, tuple(classes), count_den)
+    return PairProfile(params, rep, tuple(classes), count_den)
 
 
 @dataclass(frozen=True)

@@ -45,11 +45,6 @@ class SrgParams:
             raise InvalidParamsError(f"need 0 < mu <= k, got mu={mu}, k={k}")
 
     @property
-    def edge_count(self) -> Fraction:
-        """v*k/2 as an exact fraction (vk may be odd for raw tuples)."""
-        return Fraction(self.v * self.k, 2)
-
-    @property
     def primitive(self) -> bool:
         """True unless the tuple belongs to the complete-multipartite family."""
         return self.mu < self.k

@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from srgcert import cliquebound
-from srgcert.cliquebound import K4Bound, _gegenbauer_coeffs, _gegenbauer_ratio, k4_lower_bound, pair_profile
+from srgcert.cliquebound import K4Bound, _gegenbauer_ratio, _gegenbauer_scaled, k4_lower_bound, pair_profile
 from srgcert.oracle import validate
 from srgcert.params import ReprConstants, SrgParams, derive_spectrum, repr_constants
 from test_acceptance import _primitive_feasible_tuples
@@ -28,6 +29,35 @@ def _form_value(bound, a, k4):
     return sum((c + b * k4) * a**i for i, (c, b) in enumerate(zip(bound.a_quadratic, bound.k4_quadratic)))
 
 
+@functools.lru_cache(maxsize=None)
+def _fraction_gegenbauer_coeffs(d, t):
+    """Coefficients (constant first) of the degree-t Gegenbauer polynomial
+    for the sphere S^{d-1}, normalized to take value 1 at x = 1, from the
+    classical three-term recurrence
+    n C_n = 2(n - 1 + nu) x C_{n-1} - (n - 2 + 2 nu) C_{n-2},  nu = (d-2)/2.
+    The Fraction recurrence the integer closed form replaced, kept as the
+    oracle."""
+    nu = Fraction(d - 2, 2)
+    polys = [(Fraction(1),), (Fraction(0), 2 * nu)]
+    for n in range(2, t + 1):
+        prev, prev2 = polys[n - 1], polys[n - 2]
+        coeffs = [Fraction(0)] * (n + 1)
+        for i, c in enumerate(prev):
+            coeffs[i + 1] += 2 * (n - 1 + nu) * c
+        for i, c in enumerate(prev2):
+            coeffs[i] -= (n - 2 + 2 * nu) * c
+        polys.append(tuple(c / n for c in coeffs))
+    raw = polys[t]
+    at_one = sum(raw)
+    return tuple(c / at_one for c in raw)
+
+
+def _even_coeffs(d, t):
+    """The code's coefficients of x^0, x^2, ..., x^t as Fractions."""
+    nums, den = _gegenbauer_scaled(d, t)
+    return tuple(Fraction(n, den) for n in nums)
+
+
 def test_gegenbauer_degree_zero_is_one():
     for d in (3, 7, 45):
         for a, b in ((0, 1), (1, 3), (4, 1)):
@@ -45,24 +75,55 @@ def test_gegenbauer_degree_two_value():
 
 
 def test_gegenbauer_degree_two_closed_form():
-    """Degree two must equal (d x^2 - 1)/(d - 1), coefficient by coefficient."""
+    """Degree two must equal (d x^2 - 1)/(d - 1), coefficient by coefficient,
+    in the code and in the recurrence."""
     for d in range(3, 11):
-        coeffs = _gegenbauer_coeffs(d, 2)
-        assert coeffs == (Fraction(-1, d - 1), Fraction(0), Fraction(d, d - 1))
+        expected = (Fraction(-1, d - 1), Fraction(d, d - 1))
+        assert _even_coeffs(d, 2) == expected
+        assert _fraction_gegenbauer_coeffs(d, 2) == (expected[0], 0, expected[1])
 
 
 def test_gegenbauer_degree_four_closed_form():
-    """((d+2)(d+4) x^4 - (6d+12) x^2 + 3) / (d^2 - 1), from the recurrence."""
+    """((d+2)(d+4) x^4 - (6d+12) x^2 + 3) / (d^2 - 1), in the code and in the
+    recurrence."""
     for d in range(3, 11):
         den = d * d - 1
-        coeffs = _gegenbauer_coeffs(d, 4)
-        assert coeffs == (
-            Fraction(3, den),
-            Fraction(0),
-            Fraction(-(6 * d + 12), den),
-            Fraction(0),
-            Fraction((d + 2) * (d + 4), den),
-        )
+        expected = (Fraction(3, den), Fraction(-(6 * d + 12), den), Fraction((d + 2) * (d + 4), den))
+        assert _even_coeffs(d, 4) == expected
+        assert _fraction_gegenbauer_coeffs(d, 4) == (expected[0], 0, expected[1], 0, expected[2])
+
+
+def test_gegenbauer_closed_form_matches_recurrence():
+    """Every even degree up to 8 and every d in 3..500: the integer closed
+    form equals the Fraction recurrence, odd coefficients zero, over the
+    smallest common denominator."""
+    for d in range(3, 501):
+        for t in range(0, 9, 2):
+            coeffs = _fraction_gegenbauer_coeffs(d, t)
+            assert all(c == 0 for c in coeffs[1::2]), (d, t)
+            assert _even_coeffs(d, t) == coeffs[::2], (d, t)
+            den = _gegenbauer_scaled(d, t)[1]
+            assert den == math.lcm(*(c.denominator for c in coeffs[::2])), (d, t)
+
+
+def test_gegenbauer_is_orthogonal_for_the_sphere_weight():
+    """The defining property, independent of any formula for the
+    coefficients c_j of x^(2j): the polynomial is 1 at x = 1 and orthogonal
+    to x^(2k), k < t/2, under the weight (1 - x^2)^((d-3)/2) on [-1, 1],
+    whose even moments are M_a = prod_{i<a} (2i+1)/(2i+d) exactly.  Together
+    these fix the even polynomial of degree t."""
+    checks = 0
+    for d in range(3, 301):
+        moments = [Fraction(1)]  # M_0..M_7, since j + k < t <= 8
+        for i in range(7):
+            moments.append(moments[-1] * Fraction(2 * i + 1, 2 * i + d))
+        for t in range(0, 9, 2):
+            coeffs = _even_coeffs(d, t)
+            assert len(coeffs) == t // 2 + 1 and sum(coeffs) == 1, (d, t)
+            for k in range(t // 2):
+                assert sum(c * moments[j + k] for j, c in enumerate(coeffs)) == 0, (d, t, k)
+                checks += 1
+    assert checks == 298 * (0 + 1 + 2 + 3 + 4)
 
 
 def test_gegenbauer_rejects_odd_degree_and_small_dimension():
@@ -77,7 +138,6 @@ def test_gegenbauer_rejects_odd_degree_and_small_dimension():
 def test_profile_counts_for_target_tuple():
     params, rep = _rep((460, 153, 32, 60))
     prof = pair_profile(params, rep)
-    assert prof.edge_count == 35190
     assert _by_name(prof, "vv-self").count_const == 460
     assert _by_name(prof, "ve-endpoint").count_const == 2 * 35190
     assert _by_name(prof, "ee-self").count_const == 35190
@@ -115,7 +175,7 @@ def test_profile_disjoint_total_identity():
         params, rep = _rep(tup)
         prof = pair_profile(params, rep)
         disjoint = [c for c in prof.classes if c.kind == "edge-edge-disjoint"]
-        e = prof.edge_count
+        e = Fraction(params.v * params.k, 2)
         sharing = params.v * Fraction(params.k * (params.k - 1), 2)
         assert sum(c.count_const for c in disjoint) == e * (e - 1) / 2 - sharing
         assert sum(c.count_k4 for c in disjoint) == 0
@@ -177,8 +237,8 @@ def test_form_nonnegative_at_true_k4_on_rational_grid(reference_censuses):
 
 
 def _fraction_gegenbauer(d, t, x_squared):
-    """Fraction Horner of the cached coefficients, one power of x^2 at a time."""
-    coeffs = _gegenbauer_coeffs(d, t)
+    """The recurrence's polynomial at x^2, one power of x^2 at a time."""
+    coeffs = _fraction_gegenbauer_coeffs(d, t)
     total, power = Fraction(0), Fraction(1)
     for i in range(0, t + 1, 2):
         total += coeffs[i] * power
@@ -255,7 +315,7 @@ def _fraction_view(prof):
     """A profile as its rational values, the form _fraction_pair_profile
     gives."""
     classes = tuple((c.name, c.kind, Fraction(c.c**2, c.den), c.count_const, c.count_k4) for c in prof.classes)
-    return prof.params, prof.rep, prof.edge_count, classes
+    return prof.params, prof.rep, classes
 
 
 def _fraction_pair_profile(params, rep):
@@ -263,7 +323,7 @@ def _fraction_pair_profile(params, rep):
     in the form _fraction_view gives."""
     v, k, lam, mu = params.v, params.k, params.lam, params.mu
     p, q = rep.p, rep.q
-    E = params.edge_count
+    E = Fraction(v * k, 2)
     denom = 2 + 2 * p
 
     def comb2(x):
@@ -307,7 +367,7 @@ def _fraction_pair_profile(params, rep):
     for j, (const, coef) in enumerate((n0, n1, n2, n3, n4)):
         c = (j * p + (4 - j) * q) / denom
         add(f"ee-disjoint-{j}", "edge-edge-disjoint", c * c, const, coef)
-    return params, rep, E, tuple(classes)
+    return params, rep, tuple(classes)
 
 
 def _check_profile(params, rep):
@@ -339,7 +399,7 @@ def test_pair_profile_matches_fraction_census(reference_graphs):
                     continue
                 params = SrgParams(v, k, lam, num // den)
                 _check_profile(params, rep)
-                e = params.edge_count
+                e = Fraction(v * k, 2)
                 for name, x in (
                     ("triangles", Fraction(v * k * lam, 6)),
                     ("nonadj", Fraction(v * (v - 1 - k), 2)),
@@ -351,8 +411,8 @@ def test_pair_profile_matches_fraction_census(reference_graphs):
 
 
 def _gegenbauer_float(d, t, x):
-    coeffs = _gegenbauer_coeffs(d, t)
-    return sum(float(c) * x**i for i, c in enumerate(coeffs))
+    """The code's coefficients, as used by k4_lower_bound, in floats."""
+    return sum(float(c) * x ** (2 * j) for j, c in enumerate(_even_coeffs(d, t)))
 
 
 def test_positive_definiteness_sanity():
