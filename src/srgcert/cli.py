@@ -48,9 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="T",
         help="even polynomial degree for the 4-clique bound (default 4)",
     )
-    check.add_argument(
-        "--no-clique-bound", action="store_true", help="skip the 4-clique lower bound"
-    )
 
     scan = sub.add_parser("scan", help="run the pipeline over a CSV of tuples")
     scan.add_argument("input", help="CSV with header v,k,lambda,mu; # starts a comment")
@@ -76,11 +73,7 @@ def _cmd_check(args) -> int:
     if degree % 2 != 0 or not 0 <= degree <= MAX_DEGREE:
         print(f"--max-gegenbauer-degree must be even and at most {MAX_DEGREE}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    cert = decide(
-        params,
-        gegenbauer_degree=degree,
-        use_clique_bound=not args.no_clique_bound,
-    )
+    cert = decide(params, gegenbauer_degree=degree)
     if args.json:
         print(json.dumps(certificate_to_json(cert), indent=2))
     else:

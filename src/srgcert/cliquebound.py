@@ -64,47 +64,32 @@ def _gegenbauer_ratio(d: int, t: int, a: int, b: int) -> tuple[int, int]:
 class PairClass(NamedTuple):
     """One inner-product class of the vertex+edge vector system.
 
-    The inner product is c/sqrt(den), c D-scaled and den the block's D^2,
-    D*S or S^2 (S = |x_u + x_w|^2 scaled by D); the even polynomials only
-    need its square c^2/den.  The count is affine in the 4-clique count K4:
-    (const + k4 * K4) / count_den, the profile's common denominator, over
-    ordered vertex pairs with self-pairs, (vertex, edge) pairs, or unordered
-    pairs of distinct edges plus a separate self class.
+    block is the Gram block the class sits in: "vertex-vertex",
+    "vertex-edge" or "edge-edge".  The inner product is c/sqrt of the
+    block's D^2, D*S or S^2 (c D-scaled, S = |x_u + x_w|^2 scaled by D); the
+    even polynomials only need its square.  The count is affine in the
+    4-clique count K4: (const + k4 * K4) / COUNT_DEN, over ordered vertex
+    pairs with self-pairs, (vertex, edge) pairs, or unordered pairs of
+    distinct edges plus a separate self class.
     """
 
     name: str
-    kind: str
+    block: str
     c: int
-    den: int
     const: int
-    k4: int
-    count_den: int
-
-    count_const = property(lambda self: Fraction(self.const, self.count_den))
-    count_k4 = property(lambda self: Fraction(self.k4, self.count_den))
-
-    def count_at(self, k4) -> Fraction:
-        return self.count_const + self.count_k4 * k4
+    k4: int = 0
 
 
-@dataclass(frozen=True)
-class PairProfile:
-    """Complete inner-product census of the vertex+edge system, symbolic in K4."""
-
-    params: SrgParams
-    rep: ReprConstants
-    classes: tuple[PairClass, ...]
-    count_den: int
-
-    def counts_at(self, k4) -> dict[str, Fraction]:
-        return {cls.name: cls.count_at(k4) for cls in self.classes}
+# every class count is an integer over 48, which clears every /2, /4, /6 and
+# /8 in pair_profile
+COUNT_DEN = 48
 
 
 def _comb2(x: int) -> int:
     return x * (x - 1) // 2
 
 
-def pair_profile(params: SrgParams, rep: ReprConstants) -> PairProfile:
+def pair_profile(params: SrgParams, rep: ReprConstants) -> tuple[PairClass, ...]:
     """All inner-product classes of {x_u} union {y_e} with counts affine in K4.
 
     The disjoint edge-pair classes n_j (j = 0..4 cross adjacencies) come from
@@ -130,39 +115,9 @@ def pair_profile(params: SrgParams, rep: ReprConstants) -> PairProfile:
     """
     v, k, lam, mu = params.v, params.k, params.lam, params.mu
     D, P, Q, S = rep.D, rep.P, rep.Q, rep.S
-    # counts are built as integers over 48, which clears every /2, /4, /6
-    # and /8 below; E48 = 48|E| = 24vk
-    count_den = 48
-    E48 = 24 * v * k
-
-    classes: list[PairClass] = []
-
-    def add(name, kind, c, den, const, k4=0):
-        classes.append(PairClass(name, kind, c, den, const, k4, count_den))
-
-    # vertex-vertex, ordered pairs
-    add("vv-self", "vertex-vertex", D, D * D, 48 * v)
-    add("vv-adjacent", "vertex-vertex", P, D * D, 48 * v * k)
-    add("vv-nonadjacent", "vertex-vertex", Q, D * D, 48 * v * (v - 1 - k))
-
-    # vertex-edge, (vertex, edge) pairs; values c/sqrt(2+2p) stored as c^2/(2+2p)
-    for name, c, count in (
-        ("ve-endpoint", D + P, 2 * E48),
-        ("ve-both", 2 * P, E48 * lam),
-        ("ve-one", P + Q, 2 * E48 * (k - 1 - lam)),
-        ("ve-neither", 2 * Q, E48 * (v - 2 * k + lam)),
-    ):
-        add(name, "vertex-edge", c, D * S, count)
-
-    # edge-edge: self, sharing a vertex (unordered), disjoint (unordered)
-    add("ee-self", "edge-edge-shared", S, S * S, E48)
+    E48 = 24 * v * k  # 48 |E|
     shared_adj = 24 * v * k * lam  # 48 vk lam / 2
     shared_total = 48 * v * _comb2(k)
-    for name, c, count in (
-        ("ee-shared-adjacent", D + 3 * P, shared_adj),
-        ("ee-shared-nonadjacent", D + 2 * P + Q, shared_total - shared_adj),
-    ):
-        add(name, "edge-edge-shared", c, S * S, count)
 
     # disjoint pairs by number of cross adjacencies, as (const, K4 coefficient)
     triangles = 8 * v * k * lam  # 48 vk lam / 6
@@ -184,10 +139,26 @@ def pair_profile(params: SrgParams, rep: ReprConstants) -> PairProfile:
         disjoint_total - n1[0] - n2[0] - n3[0] - n4[0],
         -n1[1] - n2[1] - n3[1] - n4[1],
     )
-    for j, (const, coef) in enumerate((n0, n1, n2, n3, n4)):
-        add(f"ee-disjoint-{j}", "edge-edge-disjoint", j * P + (4 - j) * Q, S * S, const, coef)
 
-    return PairProfile(params, rep, tuple(classes), count_den)
+    return (
+        # vertex-vertex, ordered pairs
+        PairClass("vv-self", "vertex-vertex", D, 48 * v),
+        PairClass("vv-adjacent", "vertex-vertex", P, 48 * v * k),
+        PairClass("vv-nonadjacent", "vertex-vertex", Q, 48 * v * (v - 1 - k)),
+        # vertex-edge, (vertex, edge) pairs
+        PairClass("ve-endpoint", "vertex-edge", D + P, 2 * E48),
+        PairClass("ve-both", "vertex-edge", 2 * P, E48 * lam),
+        PairClass("ve-one", "vertex-edge", P + Q, 2 * E48 * (k - 1 - lam)),
+        PairClass("ve-neither", "vertex-edge", 2 * Q, E48 * (v - 2 * k + lam)),
+        # edge-edge: self, sharing a vertex (unordered), disjoint (unordered)
+        PairClass("ee-self", "edge-edge", S, E48),
+        PairClass("ee-shared-adjacent", "edge-edge", D + 3 * P, shared_adj),
+        PairClass("ee-shared-nonadjacent", "edge-edge", D + 2 * P + Q, shared_total - shared_adj),
+        *(
+            PairClass(f"ee-disjoint-{j}", "edge-edge", j * P + (4 - j) * Q, const, coef)
+            for j, (const, coef) in enumerate((n0, n1, n2, n3, n4))
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -218,21 +189,19 @@ def k4_lower_bound(params: SrgParams, rep: ReprConstants, degree: int = 4) -> K4
     the bound sup_a -A(a)/B(a) is reached at a* = -S_vv/S_ve with value
     (S_ve^2/S_vv - S_ee0)/B2.
     """
-    prof = pair_profile(params, rep)
+    block_den = {"vertex-vertex": rep.D * rep.D, "vertex-edge": rep.D * rep.S, "edge-edge": rep.S * rep.S}
     # per block: (constant-count numerator, K4-count numerator, denominator);
-    # a block's classes share den, so their Gegenbauer values share one too
+    # a block's classes share block_den, so their Gegenbauer values share one too
     sums: dict[str, tuple[int, int, int]] = {}
-    for cls in prof.classes:
-        block = "edge-edge" if cls.kind.startswith("edge-edge") else cls.kind
+    for cls in pair_profile(params, rep):
         # an unordered pair of distinct edges sits twice in the Gram matrix
-        weight = 2 if block == "edge-edge" and cls.name != "ee-self" else 1
-        n, m = _gegenbauer_ratio(rep.d, degree, cls.c * cls.c, cls.den)
-        const, k4, den = sums.get(block, (0, 0, m))
-        assert (den, cls.count_den) == (m, prof.count_den), "a block's classes share their denominators"
-        sums[block] = (const + weight * n * cls.const, k4 + weight * n * cls.k4, den)
+        weight = 2 if cls.block == "edge-edge" and cls.name != "ee-self" else 1
+        n, den = _gegenbauer_ratio(rep.d, degree, cls.c * cls.c, block_den[cls.block])
+        const, k4, _ = sums.get(cls.block, (0, 0, 0))
+        sums[cls.block] = (const + weight * n * cls.const, k4 + weight * n * cls.k4, den)
 
     s_vv, s_ve, s_ee0, b2 = (
-        Fraction(sums[block][i], prof.count_den * sums[block][2])
+        Fraction(sums[block][i], COUNT_DEN * sums[block][2])
         for block, i in (("vertex-vertex", 0), ("vertex-edge", 0), ("edge-edge", 0), ("edge-edge", 1))
     )
     a_quad = (s_vv, 2 * s_ve, s_ee0)

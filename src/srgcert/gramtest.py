@@ -125,8 +125,6 @@ def alpha_min(n: int, m: int, w: int) -> int:
         raise ValueError(f"need 1 <= w <= n, got w={w}, n={n}")
     if not 0 <= m <= n * (n - 1) // 2:
         raise ValueError(f"need 0 <= m <= C(n,2), got m={m}, n={n}")
-    if w == n:
-        return 2 * m
     t0 = max(1, (2 * m + n - w) // n)
     rest = 2 * m - (t0 - 1) * (n - w)  # the second term at t0; at t0 + 1 it is n - w less
     return max(0, min(t0 * w, rest), min(t0 * w + w, rest - (n - w)))
@@ -201,6 +199,12 @@ def _alpha_range(n: int, m: int, w: int, alpha_lo: int) -> tuple[int, int]:
     floor(alpha/2)).  For 0 <= alpha <= min(2m, w(n-1)) the beta range is
     non-empty exactly when alpha <= m + C(w,2), so the feasible alphas form
     one interval.
+
+    With alpha_lo = alpha_min(n, m, w) and m <= C(n,2) the interval is never
+    empty: a graph with n vertices and m edges exists, and its top-w degree
+    sum alpha is at least alpha_min, at most 2m and w(n-1), and, as
+    alpha = 2 beta + x with beta <= C(w,2) inside edges and beta + x <= m,
+    at most m + C(w,2).
     """
     if not 1 <= w < n:
         raise ValueError(f"need 1 <= w < n, got w={w}, n={n}")
@@ -284,8 +288,6 @@ def wsplit_contradiction(
     for w in range(1, lam):
         alpha_lo = alpha_min(lam, m, w)
         lo, hi = _alpha_range(lam, m, w, alpha_lo)
-        if lo > hi:
-            continue  # an empty region carries no witness
         n00, n10 = gram3_per_w(h, w)
         # the probe point: the region maximum is at least its value
         alpha = min(max(2 * (-n10 // (4 * n20)), lo), hi)
@@ -293,18 +295,13 @@ def wsplit_contradiction(
             continue
         result = _region_max_scaled(n00, n10, n01, n20, lam, m, w, alpha_lo)
         # h.den > 0: the sign of the numerator is the sign of the maximum
-        if result[0] < 0:  # not None: lo <= hi above
+        if result[0] < 0:  # not None: the region is never empty (see _alpha_range)
             max_det = Fraction(result[0], h.den)
             return WSplitWitness(w=w, m=m, alpha_min=alpha_lo, region_max_det=max_det, region_max_at=result[1])
     return None
 
 
-def decide(
-    params: SrgParams,
-    *,
-    gegenbauer_degree: int = 4,
-    use_clique_bound: bool = True,
-) -> Certificate:
+def decide(params: SrgParams, *, gegenbauer_degree: int = 4) -> Certificate:
     """Full pipeline: classical screens, 4-clique bound, m window, w-split.
 
     Nonexistent requires an empty m window or a witness for every m in it;
@@ -340,10 +337,10 @@ def decide(
         return cert(Verdict.INCONCLUSIVE, spectrum=spectrum)
 
     rep = repr_constants(params, spectrum)
-    k4 = k4_lower_bound(params, rep, degree=gegenbauer_degree) if use_clique_bound else None
-    if k4 is not None and not k4.informative:
+    k4 = k4_lower_bound(params, rep, degree=gegenbauer_degree)
+    if not k4.informative:
         notes.append("4-clique quadratic form carries no positive K4 coefficient")
-    lo = m_lower(params, k4.lower) if k4 is not None else 0
+    lo = m_lower(params, k4.lower)
     mu_exact = m_upper_exact(params, rep)
     up = 0 if mu_exact is None else max(-1, math.floor(mu_exact))
     cap = params.lam * (params.lam - 1) // 2

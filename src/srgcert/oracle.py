@@ -8,9 +8,10 @@ enumeration, with no floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, product
 
-from .cliquebound import pair_profile
+from .cliquebound import COUNT_DEN, pair_profile
 from .gramtest import Verdict, decide
 from .params import SrgParams
 
@@ -301,7 +302,7 @@ def validate(g: AdjacencyMatrix) -> str:
         "ee-shared-nonadjacent": report.shared_edge_class_counts[1],
         **{f"ee-disjoint-{j}": report.n_j_disjoint[j] for j in range(5)},
     }
-    counts = pair_profile(params, cert.rep).counts_at(report.k4_count)
+    counts = {c.name: Fraction(c.const + c.k4 * report.k4_count, COUNT_DEN) for c in pair_profile(params, cert.rep)}
     for key, want in expected.items():
         if counts[key] != want:
             raise AssertionError(f"class {key}: derived {counts[key]} != census {want}")

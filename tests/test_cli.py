@@ -69,7 +69,8 @@ def test_check_json_golden_bytes(capsys):
 
 
 def test_check_no_clique_bound(capsys):
-    assert main(["check", "460", "153", "32", "60", "--no-clique-bound"]) == 0
+    """At degree 0 the 4-clique bound is 0, and the paper's tuple stays open."""
+    assert main(["check", "460", "153", "32", "60", "--max-gegenbauer-degree", "0"]) == 0
     out = capsys.readouterr().out
     assert "verdict: Inconclusive" in out
 

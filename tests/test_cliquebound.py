@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import dataclasses
 import functools
 import math
 
@@ -19,9 +18,27 @@ def _rep(tup):
     return params, repr_constants(params, derive_spectrum(params))
 
 
-def _by_name(prof, name):
-    (cls,) = [cls for cls in prof.classes if cls.name == name]
+def _by_name(classes, name):
+    (cls,) = [cls for cls in classes if cls.name == name]
     return cls
+
+
+def _count_const(cls):
+    return Fraction(cls.const, cliquebound.COUNT_DEN)
+
+
+def _count_k4(cls):
+    return Fraction(cls.k4, cliquebound.COUNT_DEN)
+
+
+def _count_at(cls, k4):
+    return _count_const(cls) + _count_k4(cls) * k4
+
+
+def _block_den(rep, block):
+    """The D-scaled squared norms whose product a class's c^2 is over."""
+    D, S = rep.D, 2 * rep.D + 2 * rep.P
+    return {"vertex-vertex": D * D, "vertex-edge": D * S, "edge-edge": S * S}[block]
 
 
 def _form_value(bound, a, k4):
@@ -138,16 +155,16 @@ def test_gegenbauer_rejects_odd_degree_and_small_dimension():
 def test_profile_counts_for_target_tuple():
     params, rep = _rep((460, 153, 32, 60))
     prof = pair_profile(params, rep)
-    assert _by_name(prof, "vv-self").count_const == 460
-    assert _by_name(prof, "ve-endpoint").count_const == 2 * 35190
-    assert _by_name(prof, "ee-self").count_const == 35190
+    assert _count_const(_by_name(prof, "vv-self")) == 460
+    assert _count_const(_by_name(prof, "ve-endpoint")) == 2 * 35190
+    assert _count_const(_by_name(prof, "ee-self")) == 35190
 
 
 def test_profile_petersen_triangle_free():
     params, rep = _rep((10, 3, 0, 1))
     prof = pair_profile(params, rep)
-    assert _by_name(prof, "ve-both").count_at(0) == 0
-    assert _by_name(prof, "ee-disjoint-4").count_at(0) == 0
+    assert _count_at(_by_name(prof, "ve-both"), 0) == 0
+    assert _count_at(_by_name(prof, "ee-disjoint-4"), 0) == 0
 
 
 def test_profile_requires_integer_spectrum():
@@ -161,11 +178,11 @@ def test_profile_k4_coefficients():
     for tup in [(460, 153, 32, 60), (16, 6, 2, 2), (21, 10, 5, 4)]:
         params, rep = _rep(tup)
         prof = pair_profile(params, rep)
-        got = [_by_name(prof, f"ee-disjoint-{j}").count_k4 for j in range(5)]
+        got = [_count_k4(_by_name(prof, f"ee-disjoint-{j}")) for j in range(5)]
         assert got == [3, -12, 18, -12, 3]
-        for cls in prof.classes:
-            if cls.kind != "edge-edge-disjoint":
-                assert cls.count_k4 == 0
+        for cls in prof:
+            if not cls.name.startswith("ee-disjoint-"):
+                assert _count_k4(cls) == 0
 
 
 def test_profile_disjoint_total_identity():
@@ -174,11 +191,11 @@ def test_profile_disjoint_total_identity():
     for tup in [(460, 153, 32, 60), (16, 6, 2, 2), (25, 12, 5, 6), (9, 4, 1, 2)]:
         params, rep = _rep(tup)
         prof = pair_profile(params, rep)
-        disjoint = [c for c in prof.classes if c.kind == "edge-edge-disjoint"]
+        disjoint = [c for c in prof if c.name.startswith("ee-disjoint-")]
         e = Fraction(params.v * params.k, 2)
         sharing = params.v * Fraction(params.k * (params.k - 1), 2)
-        assert sum(c.count_const for c in disjoint) == e * (e - 1) / 2 - sharing
-        assert sum(c.count_k4 for c in disjoint) == 0
+        assert sum(_count_const(c) for c in disjoint) == e * (e - 1) / 2 - sharing
+        assert sum(_count_k4(c) for c in disjoint) == 0
 
 
 def test_profile_matches_census_on_reference_graphs(reference_graphs):
@@ -195,8 +212,8 @@ def test_profile_counts_nonnegative_at_true_k4(reference_censuses):
             continue
         rep = repr_constants(params, spectrum)
         prof = pair_profile(params, rep)
-        for cls in prof.classes:
-            assert cls.count_at(report.k4_count) >= 0, (label, cls.name)
+        for cls in prof:
+            assert _count_at(cls, report.k4_count) >= 0, (label, cls.name)
 
 
 def test_k4_bound_target_tuples():
@@ -246,19 +263,21 @@ def _fraction_gegenbauer(d, t, x_squared):
     return total
 
 
-def _fraction_k4_lower_bound(prof, degree):
+def _fraction_k4_lower_bound(classes, rep, degree):
     """The per-class Fraction sums the integer block sums replaced, kept as
     the oracle."""
-    gval = {cls.name: _fraction_gegenbauer(prof.rep.d, degree, Fraction(cls.c**2, cls.den)) for cls in prof.classes}
-    s_vv = sum(cls.count_const * gval[cls.name] for cls in prof.classes if cls.kind == "vertex-vertex")
-    s_ve = sum(cls.count_const * gval[cls.name] for cls in prof.classes if cls.kind == "vertex-edge")
+    gval = {
+        cls.name: _fraction_gegenbauer(rep.d, degree, Fraction(cls.c**2, _block_den(rep, cls.block))) for cls in classes
+    }
+    s_vv = sum(_count_const(cls) * gval[cls.name] for cls in classes if cls.block == "vertex-vertex")
+    s_ve = sum(_count_const(cls) * gval[cls.name] for cls in classes if cls.block == "vertex-edge")
     s_ee0 = Fraction(0)
     b2 = Fraction(0)
-    for cls in prof.classes:
-        if cls.kind == "edge-edge-shared" or cls.kind == "edge-edge-disjoint":
+    for cls in classes:
+        if cls.block == "edge-edge":
             weight = 1 if cls.name == "ee-self" else 2
-            s_ee0 += weight * cls.count_const * gval[cls.name]
-            b2 += weight * cls.count_k4 * gval[cls.name]
+            s_ee0 += weight * _count_const(cls) * gval[cls.name]
+            b2 += weight * _count_k4(cls) * gval[cls.name]
     a_quad = (s_vv, 2 * s_ve, s_ee0)
     k4_quad = (Fraction(0), Fraction(0), b2)
     if b2 <= 0:
@@ -292,30 +311,40 @@ def test_k4_bound_matches_fraction_sums(reference_graphs, monkeypatch):
         rep = repr_constants(params, derive_spectrum(params))
         prof = pair_profile(params, rep)
         for degree in range(0, 9, 2):
-            assert k4_lower_bound(params, rep, degree) == _fraction_k4_lower_bound(prof, degree), (params, degree)
+            assert k4_lower_bound(params, rep, degree) == _fraction_k4_lower_bound(prof, rep, degree), (params, degree)
     for tup in [(460, 153, 32, 60), (16, 6, 2, 2), (27, 16, 10, 8)]:
         params, rep = _rep(tup)
         prof = pair_profile(params, rep)
+        counts = [(_count_const(c), _count_k4(c)) for c in prof]
         for div in (6, 4):
-            # const/div and K4/(div + 1) over the common count denominator
-            # times div(div + 1)
-            count_den = prof.count_den * div * (div + 1)
-            classes = tuple(
-                c._replace(const=c.const * (div + 1), k4=c.k4 * div, count_den=count_den) for c in prof.classes
-            )
-            scaled = dataclasses.replace(prof, classes=classes, count_den=count_den)
-            for c, orig in zip(scaled.classes, prof.classes):
-                assert (c.count_const, c.count_k4) == (orig.count_const / div, orig.count_k4 / (div + 1))
-            monkeypatch.setattr(cliquebound, "pair_profile", lambda *_: scaled)
-            for degree in range(0, 9, 2):
-                assert k4_lower_bound(params, rep, degree) == _fraction_k4_lower_bound(scaled, degree), (tup, div)
+            # const/div and K4/(div + 1) over the count denominator times
+            # div(div + 1)
+            scaled = tuple(c._replace(const=c.const * (div + 1), k4=c.k4 * div) for c in prof)
+            with monkeypatch.context() as mp:
+                mp.setattr(cliquebound, "COUNT_DEN", cliquebound.COUNT_DEN * div * (div + 1))
+                mp.setattr(cliquebound, "pair_profile", lambda *_: scaled)
+                for c, (const, k4) in zip(scaled, counts):
+                    assert (_count_const(c), _count_k4(c)) == (const / div, k4 / (div + 1))
+                for degree in range(0, 9, 2):
+                    want = _fraction_k4_lower_bound(scaled, rep, degree)
+                    assert k4_lower_bound(params, rep, degree) == want, (tup, div)
 
 
-def _fraction_view(prof):
+def test_degree_zero_is_never_informative():
+    """At degree 0 every class weighs 1 and the disjoint classes' K4
+    coefficients 3 (-1)^j C(4, j) sum to 0: B2 = 0, so the bound is 0 on
+    every primitive feasible tuple with v <= 120."""
+    for params in _primitive_feasible_tuples(120):
+        bound = k4_lower_bound(params, repr_constants(params, derive_spectrum(params)), 0)
+        assert bound.k4_quadratic[2] == 0 and not bound.informative and bound.lower == 0, params
+
+
+def _fraction_view(classes, rep):
     """A profile as its rational values, the form _fraction_pair_profile
     gives."""
-    classes = tuple((c.name, c.kind, Fraction(c.c**2, c.den), c.count_const, c.count_k4) for c in prof.classes)
-    return prof.params, prof.rep, classes
+    return tuple(
+        (c.name, c.block, Fraction(c.c**2, _block_den(rep, c.block)), _count_const(c), _count_k4(c)) for c in classes
+    )
 
 
 def _fraction_pair_profile(params, rep):
@@ -331,8 +360,8 @@ def _fraction_pair_profile(params, rep):
 
     classes = []
 
-    def add(name, kind, value_sq, const, k4=Fraction(0)):
-        classes.append((name, kind, Fraction(value_sq), Fraction(const), Fraction(k4)))
+    def add(name, block, value_sq, const, k4=Fraction(0)):
+        classes.append((name, block, Fraction(value_sq), Fraction(const), Fraction(k4)))
 
     add("vv-self", "vertex-vertex", 1, v)
     add("vv-adjacent", "vertex-vertex", p * p, v * k)
@@ -344,14 +373,14 @@ def _fraction_pair_profile(params, rep):
         ("ve-neither", 2 * q, E * (v - 2 * k + lam)),
     ):
         add(name, "vertex-edge", c * c / denom, count)
-    add("ee-self", "edge-edge-shared", 1, E)
+    add("ee-self", "edge-edge", 1, E)
     shared_adj = Fraction(v * k * lam, 2)
     shared_total = v * comb2(k)
     for name, c, count in (
         ("ee-shared-adjacent", 1 + 3 * p, shared_adj),
         ("ee-shared-nonadjacent", 1 + 2 * p + q, shared_total - shared_adj),
     ):
-        add(name, "edge-edge-shared", c * c / (denom * denom), count)
+        add(name, "edge-edge", c * c / (denom * denom), count)
     triangles = Fraction(v * k * lam, 6)
     nonadj_pairs = Fraction(v * (v - 1 - k), 2)
     diamond = (E * comb2(lam), Fraction(-6))
@@ -366,18 +395,12 @@ def _fraction_pair_profile(params, rep):
     n0 = (disjoint_total - n1[0] - n2[0] - n3[0] - n4[0], -n1[1] - n2[1] - n3[1] - n4[1])
     for j, (const, coef) in enumerate((n0, n1, n2, n3, n4)):
         c = (j * p + (4 - j) * q) / denom
-        add(f"ee-disjoint-{j}", "edge-edge-disjoint", c * c, const, coef)
-    return params, rep, tuple(classes)
+        add(f"ee-disjoint-{j}", "edge-edge", c * c, const, coef)
+    return tuple(classes)
 
 
 def _check_profile(params, rep):
-    prof = pair_profile(params, rep)
-    assert _fraction_view(prof) == _fraction_pair_profile(params, rep), params
-    # one unreduced denominator per block, one count denominator per profile
-    D, S = rep.D, 2 * rep.D + 2 * rep.P
-    block_den = {"vertex-vertex": D * D, "vertex-edge": D * S}
-    for cls in prof.classes:
-        assert cls.den == block_den.get(cls.kind, S * S) and cls.count_den == prof.count_den == 48, (params, cls)
+    assert _fraction_view(pair_profile(params, rep), rep) == _fraction_pair_profile(params, rep), params
 
 
 def test_pair_profile_matches_fraction_census(reference_graphs):

@@ -9,6 +9,7 @@ from srgcert import gramtest
 from srgcert.gramtest import (
     Verdict,
     WSplitWitness,
+    _alpha_range,
     _region_max_scaled,
     alpha_min,
     decide,
@@ -113,6 +114,19 @@ def test_alpha_min_reference_case():
 def test_alpha_min_whole_set():
     for n, m in [(10, 17), (5, 0), (20, 190)]:
         assert alpha_min(n, m, n) == 2 * m
+
+
+def test_alpha_range_never_empty():
+    """The degree-sum bound never exceeds the region's top alpha, for every
+    n <= 30, m <= C(n,2) and 1 <= w < n: the w-split region is never empty."""
+    cases = 0
+    for n in range(2, 31):
+        for m in range(n * (n - 1) // 2 + 1):
+            for w in range(1, n):
+                lo, hi = _alpha_range(n, m, w, alpha_min(n, m, w))
+                assert lo <= hi, (n, m, w)
+                cases += 1
+    assert cases == 99325
 
 
 def test_alpha_min_bad_input():
@@ -624,9 +638,9 @@ def test_decide_sound_on_reference_tuples(reference_graphs):
 
 def test_decide_sound_across_configurations(reference_graphs):
     for label, (_, params) in reference_graphs.items():
-        for kwargs in ({"gegenbauer_degree": 2}, {"use_clique_bound": False}):
-            cert = decide(params, **kwargs)
-            assert cert.verdict is not Verdict.NONEXISTENT, (label, kwargs)
+        for degree in (0, 2):
+            cert = decide(params, gegenbauer_degree=degree)
+            assert cert.verdict is not Verdict.NONEXISTENT, (label, degree)
 
 
 def test_decide_infeasible_and_not_applicable():
@@ -642,7 +656,9 @@ def test_decide_flags_complete_multipartite():
 
 
 def test_decide_without_clique_bound():
-    cert = decide(SrgParams(460, 153, 32, 60), use_clique_bound=False)
-    assert cert.k4_bound is None
+    """Degree 0 leaves the 4-clique bound uninformative, so the m window
+    starts at 0."""
+    cert = decide(SrgParams(460, 153, 32, 60), gegenbauer_degree=0)
+    assert not cert.k4_bound.informative and cert.k4_bound.lower == 0
     assert cert.m_range.lower == 0
     assert cert.verdict is Verdict.INCONCLUSIVE
