@@ -211,18 +211,21 @@ def subconstituent_scan(v1: int, k1: int) -> list[tuple[int, int]]:
     """All (lam', mu') making (v1, k1, lam', mu') classically feasible.
 
     The counting identity, which classical feasibility requires, fixes
-    mu' = k1(k1 - lam' - 1)/(v1 - k1 - 1), so this tries each 0 <= lam' < k1
-    in order with that mu' if it is an integer in 0 < mu' <= k1, and keeps
-    the tuples passing classical_feasibility (conference-type tuples
-    included when the multiplicity conditions permit).
+    mu' = k1(k1 - lam' - 1)/(v1 - k1 - 1).  With g = gcd(k1, v1 - k1 - 1)
+    that is an integer exactly when (v1 - k1 - 1)/g divides k1 - lam' - 1,
+    so this steps through those 0 <= lam' < k1 in order, keeps mu' if
+    0 < mu' <= k1, and keeps the tuples passing classical_feasibility
+    (conference-type tuples included when the multiplicity conditions
+    permit).
     """
     if not v1 > k1 > 0:
         raise InvalidParamsError(f"need v1 > k1 > 0, got v1={v1}, k1={k1}")
     if k1 == v1 - 1:
         return []  # SrgParams rejects the complete graph
     found = []
-    for lam in range(k1):
-        mu, rest = divmod(k1 * (k1 - lam - 1), v1 - k1 - 1)
-        if rest == 0 and 0 < mu <= k1 and classical_feasibility(SrgParams(v1, k1, lam, mu)).passed:
+    step = (v1 - k1 - 1) // math.gcd(k1, v1 - k1 - 1)
+    for lam in range((k1 - 1) % step, k1, step):
+        mu = k1 * (k1 - lam - 1) // (v1 - k1 - 1)
+        if 0 < mu <= k1 and classical_feasibility(SrgParams(v1, k1, lam, mu)).passed:
             found.append((lam, mu))
     return found

@@ -14,6 +14,7 @@ from math import comb
 from srgcert.gramtest import (
     Verdict,
     _region_max_scaled,
+    _unrefuted,
     alpha_min,
     decide,
     gram3_per_m,
@@ -59,11 +60,29 @@ def test_families_are_never_refuted():
     assert checked == 524
 
 
+def _complement(params):
+    v, k, lam, mu = params.v, params.k, params.lam, params.mu
+    return SrgParams(v, v - k - 1, v - 2 - 2 * k + mu, v - 2 * k + lam)
+
+
+def test_family_complements_are_never_refuted():
+    """The complement of every primitive family tuple is Inconclusive: 524
+    tuples, up to lam = 3.5e12 for the complement of GQ(50653, 1369), each
+    in milliseconds.  (The complement of a complete multipartite tuple has
+    mu = 0.)"""
+    complements = [_complement(params) for _, params, _, _ in _family_tuples() if params.primitive]
+    assert len(complements) == 524
+    for params in complements:
+        assert decide(params).verdict is Verdict.INCONCLUSIVE, params
+
+
 def test_gq_q_q2_has_zero_slack():
     """GQ(q, q^2), 3 <= q <= 64: the 4-clique bound is exactly K4, the m
     window is exactly {m}, and at that m every split size w has its
     w-split region maximum exactly 0, reached where the common
-    neighborhood, a clique on lam = q - 1 vertices, has its top-w part."""
+    neighborhood, a clique on lam = q - 1 vertices, has its top-w part.
+    The alpha_min end bound of the pieces is exactly that 0 at every w, so
+    they refute every w without a margin."""
     cases = 0
     for q in (q for q in PRIME_POWERS if q >= 3):
         params, k4, m = _gq(q, q * q)
@@ -81,4 +100,5 @@ def test_gq_q_q2_has_zero_slack():
             best = _region_max_scaled(n00, n10, h.n01, h.n20, lam, m, w, alpha)
             assert best is not None and best[0] == 0, (q, w)
             cases += 1
+        assert list(_unrefuted(lam, m, h)) == [], q
     assert cases == 681

@@ -7,10 +7,16 @@ import pytest
 
 from srgcert import gramtest
 from srgcert.gramtest import (
+    Gram3PerM,
     Verdict,
     WSplitWitness,
     _alpha_range,
+    _beta_lo,
+    _newton,
+    _newton_at,
+    _nonneg_runs,
     _region_max_scaled,
+    _unrefuted,
     alpha_min,
     decide,
     gram3_per_m,
@@ -23,7 +29,7 @@ from srgcert.gramtest import (
 from srgcert.oracle import lambda_subgraph_edge_counts
 from srgcert.params import SrgParams, derive_spectrum, repr_constants
 from test_acceptance import _gram3_det, _primitive_feasible_tuples
-from test_families import PRIME_POWERS, _family_tuples
+from test_families import PRIME_POWERS, _complement, _family_tuples, _gq
 
 PAPER_TUPLES = [(460, 153, 32, 60), (6205, 858, 47, 130), (5929, 1482, 275, 402)]
 ORACLE_TUPLES = PAPER_TUPLES + [(121, 100, 81, 90)]
@@ -506,27 +512,180 @@ def test_region_max_zero_is_not_a_witness(monkeypatch):
             assert (wit.w, wit.region_max_det) == (w, Fraction(-1, h.den))
 
 
-def test_exact_region_scans_are_pinned(monkeypatch):
-    """The probe leaves exactly one w per paper tuple, and 461 w over the
-    rows of bench/corpus/feasible.csv, to the exact region scan: a change
-    that sends more w there fails here."""
-    calls = []
+def _work_counts(monkeypatch, tuples):
+    """(exact region scans, w the pieces hand to the per-w loop) over one
+    decide of each tuple."""
+    scans, left = [], []
 
-    def counting_scan(*args):
-        calls.append(args)
-        return _region_max_scaled(*args)
+    def counting_unrefuted(*args):
+        for w in _unrefuted(*args):
+            left.append(w)
+            yield w
 
-    monkeypatch.setattr(gramtest, "_region_max_scaled", counting_scan)
-    for tup in PAPER_TUPLES:
-        calls.clear()
-        decide(SrgParams(*tup))
-        assert len(calls) == 1, tup
-    calls.clear()
+    monkeypatch.setattr(gramtest, "_region_max_scaled", lambda *args: scans.append(args) or _region_max_scaled(*args))
+    monkeypatch.setattr(gramtest, "_unrefuted", counting_unrefuted)
+    for params in tuples:
+        decide(params)
+    return len(scans), len(left)
+
+
+def _feasible_rows():
     lines = FEASIBLE_CSV.read_text(encoding="utf-8").splitlines()
     rows = [line for line in lines if line and not line.startswith("#")][1:]
-    for row in rows:
-        decide(SrgParams(*map(int, row.split(","))))
-    assert len(rows) == 210 and len(calls) == 461
+    assert len(rows) == 210
+    return [SrgParams(*map(int, row.split(","))) for row in rows]
+
+
+def test_exact_region_scans_are_pinned(monkeypatch):
+    """Exactly one w per paper tuple reaches the exact region scan, its
+    witness; over the rows of bench/corpus/feasible.csv, 454 w do, all on
+    rows with lam below PIECES_MIN_LAM, and none when every lam takes the
+    pieces.  The pieces hand the per-w loop only each witness w, and not one
+    w of feasible.csv: a change that sends more w on fails here."""
+    assert gramtest.PIECES_MIN_LAM == 64
+    for min_lam, paper_left, feasible in ((64, (0, 0, 1), (454, 0)), (2, (1, 1, 1), (0, 0))):
+        monkeypatch.setattr(gramtest, "PIECES_MIN_LAM", min_lam)
+        for tup, left in zip(PAPER_TUPLES, paper_left):
+            assert _work_counts(monkeypatch, [SrgParams(*tup)]) == (1, left), (min_lam, tup)
+        assert _work_counts(monkeypatch, _feasible_rows()) == feasible, min_lam
+
+
+def test_co_gq_first_m_leaves_no_w_to_the_loop():
+    """The complement of the GQ(37, 1369) collinearity graph has lam =
+    1824840: at the first m of its window the pieces refute every w, so the
+    per-w loop, which took 20 s there, runs no step."""
+    co = _complement(_gq(37, 37 * 37)[0])
+    cert = decide(co)
+    assert co.lam == 1824840 and cert.verdict is Verdict.INCONCLUSIVE
+    m = cert.m_range.lower
+    assert list(_unrefuted(co.lam, m, gram3_per_m(co, cert.rep, m))) == []
+
+
+def _per_w_wsplit(params, rep, m):
+    """wsplit_contradiction without the pieces: the probe, then the exact
+    region scan, at every 1 <= w < lam in turn, kept as the oracle."""
+    lam = params.lam
+    h = gram3_per_m(params, rep, m)
+    for w in range(1, lam):
+        alpha_lo = alpha_min(lam, m, w)
+        lo, hi = _alpha_range(lam, m, w, alpha_lo)
+        n00, n10 = gram3_per_w(h, w)
+        alpha = min(max(2 * (-n10 // (4 * h.n20)), lo), hi)
+        if scaled_value(n00, n10, h.n01, h.n20, alpha, _beta_lo(lam, m, w, alpha)) >= 0:
+            continue
+        result = _region_max_scaled(n00, n10, h.n01, h.n20, lam, m, w, alpha_lo)
+        if result[0] < 0:
+            return WSplitWitness(w, m, alpha_lo, Fraction(result[0], h.den), result[1])
+    return None
+
+
+def test_wsplit_pieces_match_per_w_oracle(monkeypatch):
+    """The same witness, w, region maximum and its point, or None, as the
+    per-w loop: every m of the paper windows, the first and last m of each
+    of the 648 primitive feasible tuples with v <= 300, and every GQ(q, q^2)
+    at its zero-slack m, both with PIECES_MIN_LAM and with the pieces taken
+    from lam = 2."""
+    cases = [(SrgParams(*t), m) for t in PAPER_TUPLES for m in decide(SrgParams(*t)).m_range]
+    for params in _primitive_feasible_tuples(300):
+        rng = decide(params).m_range
+        if rng is not None and not rng.is_empty:
+            cases += [(params, rng.lower), (params, rng.upper)]
+    cases += [(params, m) for params, _, m in (_gq(q, q * q) for q in PRIME_POWERS if q >= 3)]
+    reps = {params: repr_constants(params, derive_spectrum(params)) for params, _ in cases}
+    want = [_per_w_wsplit(params, reps[params], m) for params, m in cases]
+    for min_lam in (gramtest.PIECES_MIN_LAM, 2):
+        monkeypatch.setattr(gramtest, "PIECES_MIN_LAM", min_lam)
+        got = [wsplit_contradiction(params, reps[params], m) for params, m in cases]
+        assert got == want
+    assert len(cases) == 1325 and sum(wit is not None for wit in want) == 109
+
+
+def _brute_runs(c, a, b):
+    runs = []
+    for w in range(a, b + 1):
+        if _newton_at(c, w) >= 0:
+            if runs and runs[-1][1] == w - 1:
+                runs[-1] = runs[-1][0], w
+            else:
+                runs.append((w, w))
+    return runs
+
+
+def test_nonneg_runs_match_brute_force():
+    """Random integer polynomials of degree 0 to 4 on random intervals:
+    products of (w - r) over roots drawn at and just past the interval
+    ends, with double roots, shifted by -1, 0 or 1, and polynomials with
+    random values around 10^40; intervals include empty ones."""
+    rng = random.Random(16)
+    degrees = set()
+    for _ in range(6000):
+        deg = rng.randint(0, 4)
+        a = rng.randint(-40, 40)
+        b = a + rng.randint(-2, 50)
+        if rng.random() < 0.6:
+            roots = [rng.choice([a, b, a - 1, b + 1, rng.randint(a - 3, b + 3)]) for _ in range(deg)]
+            if deg >= 2 and rng.random() < 0.5:
+                roots[1] = roots[0]
+            lead, values = rng.choice([-3, -1, 1, 2]), []
+            for w in range(deg + 1):
+                values.append(lead * math.prod(w - r for r in roots) + rng.choice([0, 0, 1, -1]))
+        else:
+            values = [rng.randint(-(10**40), 10**40) for _ in range(deg + 1)]
+        c = _newton(values)
+        assert [_newton_at(c, w) for w in range(deg + 1)] == values
+        degrees.add(len(c) - 1)
+        assert _nonneg_runs(c, a, b) == _brute_runs(c, a, b), (c, a, b)
+    assert degrees == {0, 1, 2, 3, 4}
+
+
+def _piece_bounds(n, m, h, w):
+    """The three lower bounds on the region maximum at w that _unrefuted
+    takes, over h.den, written out per w with Fractions: the values at the
+    alpha_min end and at the top end, with beta at most max(0, alpha - m,
+    (alpha - w(n-w) + 1)/2), and, where alpha_min + 2 <= x* <= the top end,
+    the value at the real vertex x* less 4 |n20|, with that beta bound at x*;
+    None where that condition fails."""
+    n00, n10 = gram3_per_w(h, w)
+    alo, ahi = alpha_min(n, m, w), min(2 * m, w * (n - 1), m + w * (w - 1) // 2)
+
+    def value(alpha):
+        beta = max(0, alpha - m, Fraction(alpha - w * (n - w) + 1, 2))
+        return (h.n20 * alpha + n10) * alpha + h.n01 * beta + n00
+
+    x = Fraction(-n10, 2 * h.n20)
+    return value(alo), value(ahi), value(x) + 4 * h.n20 if alo + 2 <= x <= ahi else None
+
+
+def test_pieces_skip_exactly_the_w_a_bound_refutes():
+    """On random coefficients with n01 <= 0 < -n20, _unrefuted leaves out
+    exactly the w where one of the three bounds is >= 0, and each such w
+    has an exact region maximum >= 0.  In most cases n00_w is shifted so
+    that one bound at one w lies in [0, w) or in [-w, 0), where a bound off
+    by a little changes which w are left.  Each bound is the only one >= 0
+    at some w."""
+    rng = random.Random(17)
+    skipped, only = 0, [0, 0, 0]
+    for _ in range(2500):
+        n = rng.randint(2, 40)
+        m = rng.randint(0, n * (n - 1) // 2)
+        s = rng.choice([3, 30, 1000])
+        n00_w, n00_ww, n10_w = (rng.randint(-s, s) * rng.choice([1, 10, 100]) for _ in range(3))
+        h = Gram3PerM(n00_w, n00_ww, n10_w, rng.choice([0, -rng.randint(0, s)]), -rng.randint(1, s), 1)
+        w0, j = rng.randint(1, n - 1), rng.choice([0, 1, 2, 2, 2])  # the vertex bound decides least often
+        bound = _piece_bounds(n, m, h, w0)[j]
+        if bound is not None and rng.random() < 0.8:  # shifting n00_w by 1 moves every bound at w0 by w0
+            h = h._replace(n00_w=n00_w + math.ceil(-bound / w0) - rng.randint(0, 1))
+        left = set(_unrefuted(n, m, h))
+        for w in range(1, n):
+            refuting = [b is not None and b >= 0 for b in _piece_bounds(n, m, h, w)]
+            assert (w not in left) == any(refuting), (h, n, m, w)
+            if w not in left:
+                n00, n10 = gram3_per_w(h, w)
+                assert _region_max_scaled(n00, n10, h.n01, h.n20, n, m, w, alpha_min(n, m, w))[0] >= 0, (h, n, m, w)
+                skipped += 1
+                if sum(refuting) == 1:
+                    only[refuting.index(True)] += 1
+    assert skipped > 2000 and min(only) > 0
 
 
 def test_wsplit_coefficient_signs_on_every_window():

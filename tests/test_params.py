@@ -215,6 +215,31 @@ def test_subconstituent_scan_examples():
     assert subconstituent_scan(891, 204) == []
     assert (0, 1) in subconstituent_scan(5, 2)
     assert (2, 2) in subconstituent_scan(16, 6)
+    assert subconstituent_scan(20000002, 10000000) == []  # steps of 10^7 + 1: one lam' tried
+
+
+def _per_lambda_subconstituent_scan(v1, k1):
+    """Every 0 <= lam' < k1 in order, with mu' from the counting identity
+    where it is an integer in 0 < mu' <= k1: the loop the stepped scan
+    replaced, kept as its oracle."""
+    found = []
+    for lam in range(k1):
+        mu, rest = divmod(k1 * (k1 - lam - 1), v1 - k1 - 1)
+        if rest == 0 and 0 < mu <= k1 and classical_feasibility(SrgParams(v1, k1, lam, mu)).passed:
+            found.append((lam, mu))
+    return found
+
+
+def test_subconstituent_scan_steps_match_per_lambda_loop():
+    """The same pairs in the same order for every 1 <= k1 < v1 - 1, v1 < 90."""
+    pairs = found = 0
+    for v1 in range(3, 90):
+        for k1 in range(1, v1 - 1):
+            want = _per_lambda_subconstituent_scan(v1, k1)
+            assert subconstituent_scan(v1, k1) == want, (v1, k1)
+            pairs += 1
+            found += len(want)
+    assert pairs == 3828 and found > 100
 
 
 def _loop_subconstituent_scan(v1, k1):
