@@ -5,9 +5,9 @@ determinant search, and the overall verdict.
 Both Gram determinants of summed representation vectors live here, as
 polynomials in unknown subgraph statistics: the 2x2 one bounds the window
 for m, and the 3x3 w-split one refutes each m in it.  Split sizes w are
-ruled out a piece at a time, by lower bounds on the region maximum that
-are integer polynomials in w, then one at a time by a probe point, and
-only the rest by the exact region scan."""
+ruled out a piece at a time where the value at the alpha_min end of their
+region, bounded below by quadratics in w, is >= 0; then one at a time by a
+probe point; and only the rest by the exact region scan."""
 
 from __future__ import annotations
 
@@ -266,88 +266,56 @@ def _region_max_scaled(
     return best
 
 
-# From this lam on, wsplit_contradiction rules out runs of w piece by piece
-# before its per-w loop; below it, the loop alone is cheaper.
-PIECES_MIN_LAM = 64
-
-
-def _newton(values: list[int]) -> list[int]:
-    """The Newton coefficients c, p(w) = sum c_j C(w, j), of the polynomial
-    of degree < len(values) with these values at w = 0, 1, ...: its forward
-    differences at 0, integers when the values are."""
-    c = list(values)
-    for k in range(1, len(c)):
-        for i in range(len(c) - 1, k - 1, -1):
-            c[i] -= c[i - 1]
-    return c
+def _newton(values) -> tuple[int, int, int]:
+    """The Newton coefficients (c0, c1, c2), p(w) = c0 + c1 w + c2 C(w, 2),
+    of the polynomial of degree <= 2 with these values at w = 0, 1, 2: its
+    forward differences at 0."""
+    v0, v1, v2 = values
+    return v0, v1 - v0, v2 - 2 * v1 + v0
 
 
 def _newton_at(c, w: int) -> int:
-    if len(c) == 3:
-        return c[0] + c[1] * w + c[2] * (w * (w - 1) // 2)
-    total, binom = 0, 1
-    for j, cj in enumerate(c):
-        total += cj * binom
-        binom = binom * (w - j) // (j + 1)  # C(w, j+1), exact
-    return total
+    """The value at w of the polynomial with Newton coefficients c0, c1, c2."""
+    c0, c1, c2 = c
+    return c0 + c1 * w + c2 * (w * (w - 1) // 2)
 
 
-def _nonneg_runs(c: list[int], a: int, b: int) -> list[tuple[int, int]]:
+def _nonneg_runs(c, a: int, b: int) -> list[tuple[int, int]]:
     """The maximal runs (x, y), a <= x <= y <= b, of integers where the
-    polynomial with Newton coefficients c is >= 0, ascending.
+    polynomial with Newton coefficients c0, c1, c2 is >= 0, ascending: at
+    most two, in closed form.
 
-    Up to degree 2 this is closed form.  A convex p is < 0 exactly where the
-    concave -p - 1 is >= 0.  For c2 < 0 the roots of 2p = -P w^2 + B w + C
-    are (B -+ sqrt(disc)) / 2P; with s = isqrt(disc), the ceiling of the
-    lower one and the floor of the upper one are each one of two integers,
-    and the sign of p there decides which.  Above degree 2, p is monotone
-    on each stretch between the points where its forward difference, with
-    coefficients c[1:], changes sign, so it changes sign at most once there,
-    found by bisection."""
+    A convex p is < 0 exactly where the concave -p - 1 is >= 0.  For c2 < 0
+    the roots of 2p = -P w^2 + B w + C are (B -+ sqrt(disc)) / 2P; with
+    s = isqrt(disc), the ceiling of the lower one and the floor of the upper
+    one are each one of two integers, and the sign of p there decides
+    which."""
     if a > b:
         return []
-    if len(c) <= 3:
-        c0, c1, c2 = (*c, 0, 0)[:3]
-        if c2 > 0:
-            neg = _nonneg_runs([-c0 - 1, -c1, -c2], a, b)
-            return [(x, y) for x, y in ((a, neg[0][0] - 1), (neg[0][1] + 1, b)) if x <= y] if neg else [(a, b)]
-        lo, hi = a, b
-        if c2 < 0:
-            P, B = -c2, 2 * c1 - c2
-            disc = B * B + 8 * P * c0
-            if disc < 0:
-                return []
-            s = math.isqrt(disc)
-            lo, hi = -((s + 1 - B) // (2 * P)), (B + s + 1) // (2 * P)
-            lo, hi = max(a, lo + (_newton_at(c, lo) < 0)), min(b, hi - (_newton_at(c, hi) < 0))
-        elif c1:
-            lo, hi = (max(a, -(c0 // c1)), b) if c1 > 0 else (a, min(b, c0 // -c1))
-        elif c0 < 0:
+    c0, c1, c2 = c
+    if c2 > 0:
+        neg = _nonneg_runs([-c0 - 1, -c1, -c2], a, b)
+        return [(x, y) for x, y in ((a, neg[0][0] - 1), (neg[0][1] + 1, b)) if x <= y] if neg else [(a, b)]
+    lo, hi = a, b
+    if c2 < 0:
+        P, B = -c2, 2 * c1 - c2
+        disc = B * B + 8 * P * c0
+        if disc < 0:
             return []
-        return [(lo, hi)] if lo <= hi else []
-    cuts = sorted({a, b, *(x for run in _nonneg_runs(c[1:], a, b - 1) for x in (run[0], run[1] + 1))})
-    runs = []
-    for u, v in zip(cuts, cuts[1:]) if a < b else [(a, b)]:
-        up = _newton_at(c, u) >= 0
-        if up != (_newton_at(c, v) >= 0):
-            lo, hi = u, v
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = (mid, hi) if (_newton_at(c, mid) >= 0) == up else (lo, mid)
-            u, v = (u, lo) if up else (hi, v)
-        elif not up:
-            continue
-        if runs and runs[-1][1] >= u - 1:
-            runs[-1] = runs[-1][0], v
-        else:
-            runs.append((u, v))
-    return runs
+        s = math.isqrt(disc)
+        lo, hi = -((s + 1 - B) // (2 * P)), (B + s + 1) // (2 * P)
+        lo, hi = max(a, lo + (_newton_at(c, lo) < 0)), min(b, hi - (_newton_at(c, hi) < 0))
+    elif c1:
+        lo, hi = (max(a, -(c0 // c1)), b) if c1 > 0 else (a, min(b, c0 // -c1))
+    elif c0 < 0:
+        return []
+    return [(lo, hi)] if lo <= hi else []
 
 
 def _pick(cands, x: int, end: int, sign: int):
-    """Of the polynomials cands, each with three Newton coefficients, one
-    with the largest (sign 1) or smallest (sign -1) value at x, and the last
-    w <= end up to which it stays so."""
+    """Of the lines cands, each with three Newton coefficients, one with the
+    largest (sign 1) or smallest (sign -1) value at x, and the last w <= end
+    up to which it stays so."""
     best = max(cands, key=lambda c: sign * _newton_at(c, x))
     for c in cands:
         if c is not best:
@@ -357,7 +325,7 @@ def _pick(cands, x: int, end: int, sign: int):
 
 def _survivors(polys, a: int, b: int) -> list[tuple[int, int]]:
     """The maximal runs of [a, b], ascending, where one of the polynomials,
-    each given by its values at w = 0, 1, ..., is < 0."""
+    each given by its values at w = 0, 1, 2, is < 0."""
     runs, out = [(a, b)], []
     for values in polys:
         if runs:
@@ -371,52 +339,27 @@ def _survivors(polys, a: int, b: int) -> list[tuple[int, int]]:
 
 
 def _unrefuted(lam: int, m: int, h: Gram3PerM):
-    """The split sizes 1 <= w < lam, ascending, except runs of w whose
-    region maximum a piece bound shows to be >= 0.
+    """The split sizes 1 <= w < lam, ascending, except runs of w where a
+    lower bound on the region maximum is >= 0.
 
-    On a piece of w, alpha_min is one line and the top alpha, min(2m,
-    w(lam-1), m + C(w,2)), one polynomial: alpha_min's threshold t0 takes at
-    most two values, as (2m + lam - w)/lam spans less than 1, and each max
-    or min keeps one term (_pick).  The region maximum, the largest
-    n00 + n10 alpha + n20 alpha^2 + n01 beta_lo(alpha) over the alpha range,
-    is at least each of these polynomials in w, of degree at most 4:
+    Skipping such a w is sound: a w whose region maximum is >= 0 is no
+    witness.  The bound is the value at the alpha_min end of the alpha
+    range, a point of the region (see _alpha_range), with beta_lo <=
+    max(0, alpha - m, (alpha - w(lam-w) + 1)/2), as ceil(x/2) <= (x+1)/2
+    for integer x.  As n01 <= 0, n01 times this max is the min of its three
+    terms, so the value is >= 0 where all three polynomials in w are.  A
+    weaker bound only hands more w to wsplit_contradiction's exact per-w
+    stage, never a different witness.
 
-    - its value at either end of the alpha range, with beta_lo <=
-      max(0, alpha - m, (alpha - w(lam-w) + 1)/2), as ceil(x/2) <= (x+1)/2
-      for integer x.  As n01 <= 0, n01 times this max is the min of its
-      three terms, so the bound is >= 0 where all three polynomials are.
-    - where alpha_min + 2 <= x* <= the top alpha, x* = -n10/(2 n20) the
-      real vertex: n00 - n10^2/(4 n20) + 4 n20 + n01 beta_hat, beta_hat the
-      same beta bound at x*.  The probe alpha 2 floor(x*/2) is in
-      (x* - 2, x*], so in the range, with n20 (alpha - x*)^2 >= 4 n20; and
-      beta_lo does not decrease in alpha, so with n01 <= 0 its beta term is
-      at least n01 beta_hat.  Times c = -4 n20 > 0, c x* = 2 n10.
-
-    The bounds are scaled to integer polynomials, fixed by their values at
-    five w (_newton).  The top-end and vertex bounds are tried only on the
-    w that the alpha_min end leaves."""
-    n, n01, n20, c = lam, h.n01, h.n20, -4 * h.n20
-    n00 = [w * (h.n00_w + w * h.n00_ww) for w in range(5)]
-    n10 = [w * h.n10_w for w in range(5)]
-    cross = [w * (n - w) for w in range(5)]
-
-    def alpha_end(alpha):  # the three bounds at an alpha end, times 2
-        W = range(5 if alpha[2] else 3)  # enough values for their degree
-        a = [_newton_at(alpha, w) for w in W]
-        v = [2 * (n00[w] + (n10[w] + n20 * a[w]) * a[w]) for w in W]
-        return v, [v[w] + n01 * (2 * a[w] - 2 * m) for w in W], [v[w] + n01 * (a[w] - cross[w] + 1) for w in W]
-
-    def vertex(alo, ahi):  # its two conditions, then the three bounds at x*, times 2c
-        W = range(3)
-        v = [2 * (c * n00[w] + n10[w] ** 2 - c * c) for w in W]
-        return (
-            [2 * n10[w] - c * (_newton_at(alo, w) + 2) for w in W],
-            [c * _newton_at(ahi, w) - 2 * n10[w] for w in W],
-            v,
-            [v[w] + n01 * (4 * n10[w] - 2 * c * m) for w in W],
-            [v[w] + n01 * (2 * n10[w] - c * (cross[w] - 1)) for w in W],
-        )
-
+    On a piece of w, alpha_min is one line: its threshold t0 takes at most
+    two values, as (2m + lam - w)/lam spans less than 1, and each max or
+    min keeps one term (_pick).  The three polynomials, n00 + n10 alpha +
+    n20 alpha^2 + n01 times a beta term, have degree <= 2 there, and are
+    fixed, times 2, by their values at w = 0, 1, 2 (_newton)."""
+    n, n01, n20 = lam, h.n01, h.n20
+    W = range(3)
+    n00 = [w * (h.n00_w + w * h.n00_ww) for w in W]
+    n10 = [w * h.n10_w for w in W]
     x = 1
     while x < n:
         q = (2 * m + n - x) // n  # alpha_min's t0 is max(1, q) up to end
@@ -425,13 +368,11 @@ def _unrefuted(lam: int, m: int, h: Gram3PerM):
         lo1, end = _pick([(0, t0, 0), (r1, t0 - 1, 0)], x, end, -1)
         lo2, end = _pick([(0, t0 + 1, 0), (r1 - n, t0, 0)], x, end, -1)
         alo, end = _pick([(0, 0, 0), lo1, lo2], x, end, 1)
-        for a, b in _survivors(alpha_end(alo), x, end):
-            while a <= b:
-                ahi, e = _pick([(2 * m, 0, 0), (0, n - 1, 0), (m, 0, 1)], a, b, -1)
-                for u, v in _survivors(alpha_end(ahi), a, e):
-                    for y, z in _survivors(vertex(alo, ahi), u, v):
-                        yield from range(y, z + 1)
-                a = e + 1
+        a = [_newton_at(alo, w) for w in W]
+        v = [2 * (n00[w] + (n10[w] + n20 * a[w]) * a[w]) for w in W]
+        bounds = v, [v[w] + n01 * (2 * a[w] - 2 * m) for w in W], [v[w] + n01 * (a[w] - w * (n - w) + 1) for w in W]
+        for y, z in _survivors(bounds, x, end):
+            yield from range(y, z + 1)
         x = end + 1
 
 
@@ -446,12 +387,12 @@ def wsplit_contradiction(
     max(0, alpha - m) with non-negative low-part edges, at most
     min(C(w,2), alpha/2); crossing edges alpha - 2 beta at most w(lam - w).
 
-    From lam = PIECES_MIN_LAM on, whole runs of w whose region maximum is
-    bounded below by a value >= 0 are skipped a piece at a time
-    (_unrefuted).  Each w left, in ascending order, is refuted by the value
-    at one point if it can be, which the region maximum is at least: the
-    even alpha at or below the vertex of c20*alpha^2 + c10*alpha, clamped,
-    with the lower beta endpoint.  Only the rest get the exact region scan.
+    Runs of w whose region maximum the value at the alpha_min end shows to
+    be >= 0 are skipped a piece at a time (_unrefuted).  Each w left, in
+    ascending order, is refuted by the value at one point if it can be,
+    which the region maximum is at least: the even alpha at or below the
+    vertex of c20*alpha^2 + c10*alpha, clamped, with the lower beta
+    endpoint.  Only the rest get the exact region scan.
     """
     lam = params.lam
     if m > lam * (lam - 1) // 2:
@@ -460,7 +401,7 @@ def wsplit_contradiction(
     n01, n20 = h.n01, h.n20
     if n01 > 0:
         raise ValueError(f"m={m} exceeds the root of the 2x2 Gram determinant")
-    for w in range(1, lam) if lam < PIECES_MIN_LAM else _unrefuted(lam, m, h):
+    for w in _unrefuted(lam, m, h):
         alpha_lo = alpha_min(lam, m, w)
         lo, hi = _alpha_range(lam, m, w, alpha_lo)
         n00, n10 = gram3_per_w(h, w)

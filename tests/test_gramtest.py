@@ -456,12 +456,19 @@ def test_wsplit_probe_matches_unprobed_oracle():
     assert cases > 1000 and witnesses >= 3
 
 
+def _every_w_to_the_probe(monkeypatch):
+    """Hand every 1 <= w < lam to the per-w stage: the shifted c00 of the
+    two tests below goes through gram3_per_w, which the pieces do not read."""
+    monkeypatch.setattr(gramtest, "_unrefuted", lambda lam, m, h: range(1, lam))
+
+
 def test_wsplit_probe_value_zero_refutes_without_region_scan(monkeypatch):
     """A w whose probe value is 0 is refuted by the probe alone; one whose
     probe value is -1 goes on to the exact region scan."""
     params, rep = _rep((460, 153, 32, 60))
     m = 39
     real_per_w = gramtest.gram3_per_w
+    _every_w_to_the_probe(monkeypatch)
     for offset in (0, -1):
 
         def shifted(h, w):
@@ -498,6 +505,7 @@ def test_region_max_zero_is_not_a_witness(monkeypatch):
     alpha_lo = alpha_min(lam, m, w)
     assert scaled_value(*det, *_probe_point(det, lam, m, w, alpha_lo)) == 3150
     assert _region_max_scaled(*det, lam, m, w, alpha_lo)[0] == 5400
+    _every_w_to_the_probe(monkeypatch)
     for offset in (0, -1):
 
         def shifted(h, w_):
@@ -538,16 +546,12 @@ def _feasible_rows():
 
 def test_exact_region_scans_are_pinned(monkeypatch):
     """Exactly one w per paper tuple reaches the exact region scan, its
-    witness; over the rows of bench/corpus/feasible.csv, 454 w do, all on
-    rows with lam below PIECES_MIN_LAM, and none when every lam takes the
-    pieces.  The pieces hand the per-w loop only each witness w, and not one
-    w of feasible.csv: a change that sends more w on fails here."""
-    assert gramtest.PIECES_MIN_LAM == 64
-    for min_lam, paper_left, feasible in ((64, (0, 0, 1), (454, 0)), (2, (1, 1, 1), (0, 0))):
-        monkeypatch.setattr(gramtest, "PIECES_MIN_LAM", min_lam)
-        for tup, left in zip(PAPER_TUPLES, paper_left):
-            assert _work_counts(monkeypatch, [SrgParams(*tup)]) == (1, left), (min_lam, tup)
-        assert _work_counts(monkeypatch, _feasible_rows()) == feasible, min_lam
+    witness, and none over the rows of bench/corpus/feasible.csv.  The
+    pieces hand the per-w stage only each witness w, and not one w of
+    feasible.csv: a change that sends more w on fails here."""
+    for tup in PAPER_TUPLES:
+        assert _work_counts(monkeypatch, [SrgParams(*tup)]) == (1, 1), tup
+    assert _work_counts(monkeypatch, _feasible_rows()) == (0, 0)
 
 
 def test_co_gq_first_m_leaves_no_w_to_the_loop():
@@ -579,25 +583,24 @@ def _per_w_wsplit(params, rep, m):
     return None
 
 
-def test_wsplit_pieces_match_per_w_oracle(monkeypatch):
+def test_wsplit_pieces_match_per_w_oracle():
     """The same witness, w, region maximum and its point, or None, as the
     per-w loop: every m of the paper windows, the first and last m of each
-    of the 648 primitive feasible tuples with v <= 300, and every GQ(q, q^2)
-    at its zero-slack m, both with PIECES_MIN_LAM and with the pieces taken
-    from lam = 2."""
+    of the 648 primitive feasible tuples with v <= 300, every GQ(q, q^2) at
+    its zero-slack m, and every m of the windows of the rows of
+    bench/corpus/feasible.csv with lam < 64."""
     cases = [(SrgParams(*t), m) for t in PAPER_TUPLES for m in decide(SrgParams(*t)).m_range]
     for params in _primitive_feasible_tuples(300):
         rng = decide(params).m_range
         if rng is not None and not rng.is_empty:
             cases += [(params, rng.lower), (params, rng.upper)]
     cases += [(params, m) for params, _, m in (_gq(q, q * q) for q in PRIME_POWERS if q >= 3)]
-    reps = {params: repr_constants(params, derive_spectrum(params)) for params, _ in cases}
-    want = [_per_w_wsplit(params, reps[params], m) for params, m in cases]
-    for min_lam in (gramtest.PIECES_MIN_LAM, 2):
-        monkeypatch.setattr(gramtest, "PIECES_MIN_LAM", min_lam)
-        got = [wsplit_contradiction(params, reps[params], m) for params, m in cases]
-        assert got == want
-    assert len(cases) == 1325 and sum(wit is not None for wit in want) == 109
+    feasible = [(params, m) for params in _feasible_rows() if params.lam < 64 for m in decide(params).m_range or ()]
+    for group, n_cases, n_witnesses in ((cases, 1325, 109), (feasible, 10002, 20)):
+        reps = {params: repr_constants(params, derive_spectrum(params)) for params, _ in group}
+        want = [_per_w_wsplit(params, reps[params], m) for params, m in group]
+        assert [wsplit_contradiction(params, reps[params], m) for params, m in group] == want
+        assert (len(group), sum(wit is not None for wit in want)) == (n_cases, n_witnesses)
 
 
 def _brute_runs(c, a, b):
@@ -612,80 +615,70 @@ def _brute_runs(c, a, b):
 
 
 def test_nonneg_runs_match_brute_force():
-    """Random integer polynomials of degree 0 to 4 on random intervals:
+    """Random integer polynomials of degree 0 to 2 on random intervals:
     products of (w - r) over roots drawn at and just past the interval
     ends, with double roots, shifted by -1, 0 or 1, and polynomials with
     random values around 10^40; intervals include empty ones."""
     rng = random.Random(16)
     degrees = set()
     for _ in range(6000):
-        deg = rng.randint(0, 4)
+        deg = rng.randint(0, 2)
         a = rng.randint(-40, 40)
         b = a + rng.randint(-2, 50)
         if rng.random() < 0.6:
             roots = [rng.choice([a, b, a - 1, b + 1, rng.randint(a - 3, b + 3)]) for _ in range(deg)]
-            if deg >= 2 and rng.random() < 0.5:
+            if deg == 2 and rng.random() < 0.5:
                 roots[1] = roots[0]
-            lead, values = rng.choice([-3, -1, 1, 2]), []
-            for w in range(deg + 1):
-                values.append(lead * math.prod(w - r for r in roots) + rng.choice([0, 0, 1, -1]))
+            lead, shift = rng.choice([-3, -1, 1, 2]), rng.choice([0, 0, 1, -1])
+            values = [lead * math.prod(w - r for r in roots) + shift for w in range(3)]
+            c = _newton(values)
+            assert [_newton_at(c, w) for w in range(3)] == values
         else:
-            values = [rng.randint(-(10**40), 10**40) for _ in range(deg + 1)]
-        c = _newton(values)
-        assert [_newton_at(c, w) for w in range(deg + 1)] == values
-        degrees.add(len(c) - 1)
+            c = [rng.randint(-(10**40), 10**40) if j <= deg else 0 for j in range(3)]
+        degrees.add(max((j for j in (1, 2) if c[j]), default=0))
         assert _nonneg_runs(c, a, b) == _brute_runs(c, a, b), (c, a, b)
-    assert degrees == {0, 1, 2, 3, 4}
+    assert degrees == {0, 1, 2}
 
 
-def _piece_bounds(n, m, h, w):
-    """The three lower bounds on the region maximum at w that _unrefuted
-    takes, over h.den, written out per w with Fractions: the values at the
-    alpha_min end and at the top end, with beta at most max(0, alpha - m,
-    (alpha - w(n-w) + 1)/2), and, where alpha_min + 2 <= x* <= the top end,
-    the value at the real vertex x* less 4 |n20|, with that beta bound at x*;
-    None where that condition fails."""
+def _alpha_min_end_bound(n, m, h, w):
+    """The lower bound on the region maximum at w that _unrefuted takes,
+    over h.den, written out per w with Fractions: the value at the
+    alpha_min end, with beta at most max(0, alpha - m,
+    (alpha - w(n-w) + 1)/2)."""
     n00, n10 = gram3_per_w(h, w)
-    alo, ahi = alpha_min(n, m, w), min(2 * m, w * (n - 1), m + w * (w - 1) // 2)
-
-    def value(alpha):
-        beta = max(0, alpha - m, Fraction(alpha - w * (n - w) + 1, 2))
-        return (h.n20 * alpha + n10) * alpha + h.n01 * beta + n00
-
-    x = Fraction(-n10, 2 * h.n20)
-    return value(alo), value(ahi), value(x) + 4 * h.n20 if alo + 2 <= x <= ahi else None
+    alpha = alpha_min(n, m, w)
+    beta = max(0, alpha - m, Fraction(alpha - w * (n - w) + 1, 2))
+    return (h.n20 * alpha + n10) * alpha + h.n01 * beta + n00
 
 
 def test_pieces_skip_exactly_the_w_a_bound_refutes():
     """On random coefficients with n01 <= 0 < -n20, _unrefuted leaves out
-    exactly the w where one of the three bounds is >= 0, and each such w
+    exactly the w where the alpha_min-end bound is >= 0, and each such w
     has an exact region maximum >= 0.  In most cases n00_w is shifted so
-    that one bound at one w lies in [0, w) or in [-w, 0), where a bound off
-    by a little changes which w are left.  Each bound is the only one >= 0
-    at some w."""
+    that the bound at one w lies in [0, w) or in [-w, 0), where a bound off
+    by a little changes which w are left."""
     rng = random.Random(17)
-    skipped, only = 0, [0, 0, 0]
+    skipped = kept = 0
     for _ in range(2500):
         n = rng.randint(2, 40)
         m = rng.randint(0, n * (n - 1) // 2)
         s = rng.choice([3, 30, 1000])
         n00_w, n00_ww, n10_w = (rng.randint(-s, s) * rng.choice([1, 10, 100]) for _ in range(3))
         h = Gram3PerM(n00_w, n00_ww, n10_w, rng.choice([0, -rng.randint(0, s)]), -rng.randint(1, s), 1)
-        w0, j = rng.randint(1, n - 1), rng.choice([0, 1, 2, 2, 2])  # the vertex bound decides least often
-        bound = _piece_bounds(n, m, h, w0)[j]
-        if bound is not None and rng.random() < 0.8:  # shifting n00_w by 1 moves every bound at w0 by w0
+        w0 = rng.randint(1, n - 1)
+        if rng.random() < 0.8:  # shifting n00_w by 1 moves the bound at w0 by w0
+            bound = _alpha_min_end_bound(n, m, h, w0)
             h = h._replace(n00_w=n00_w + math.ceil(-bound / w0) - rng.randint(0, 1))
         left = set(_unrefuted(n, m, h))
         for w in range(1, n):
-            refuting = [b is not None and b >= 0 for b in _piece_bounds(n, m, h, w)]
-            assert (w not in left) == any(refuting), (h, n, m, w)
-            if w not in left:
-                n00, n10 = gram3_per_w(h, w)
-                assert _region_max_scaled(n00, n10, h.n01, h.n20, n, m, w, alpha_min(n, m, w))[0] >= 0, (h, n, m, w)
-                skipped += 1
-                if sum(refuting) == 1:
-                    only[refuting.index(True)] += 1
-    assert skipped > 2000 and min(only) > 0
+            assert (w not in left) == (_alpha_min_end_bound(n, m, h, w) >= 0), (h, n, m, w)
+            if w in left:
+                kept += 1
+                continue
+            n00, n10 = gram3_per_w(h, w)
+            assert _region_max_scaled(n00, n10, h.n01, h.n20, n, m, w, alpha_min(n, m, w))[0] >= 0, (h, n, m, w)
+            skipped += 1
+    assert skipped > 2000 and kept > 2000
 
 
 def test_wsplit_coefficient_signs_on_every_window():
