@@ -4,6 +4,7 @@ and the oracle self-check."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -28,6 +29,8 @@ JOBS_ENV_VAR = "SRG_CERTIFY_JOBS"
 SERIAL_SECONDS = 0.3
 
 
+# built on the first main call, not at import, which every pool worker pays
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srgcert",
@@ -228,17 +231,9 @@ def _cmd_self_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "scan":
-        return _cmd_scan(args)
-    if args.command == "subscan":
-        return _cmd_subscan(args)
-    if args.command == "self-check":
-        return _cmd_self_check(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    args = _build_parser().parse_args(argv)
+    # looked up by name on each call, so a patched `_cmd_*` attribute is the one that runs
+    return globals()["_cmd_" + args.command.replace("-", "_")](args)
 
 
 def run() -> None:

@@ -15,6 +15,7 @@ from .gramtest import Certificate
 from .params import SrgParams
 
 SCHEMA_VERSION = "1"
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
 
 
 def rational_to_json(x: Fraction | None) -> dict | None:
@@ -133,4 +134,4 @@ def scan_row_to_json(cert: Certificate) -> dict:
 
 def dumps(obj) -> str:
     """Compact deterministic JSON string."""
-    return json.dumps(obj, separators=(",", ":"))
+    return _COMPACT.encode(obj)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 
 from srgcert import SrgParams, cli, decide
 from srgcert.cli import main
-from srgcert.serialize import certificate_to_json
+from srgcert.serialize import certificate_to_json, certificate_to_text
 
 
 def test_check_exit_codes(capsys):
@@ -355,13 +356,66 @@ def test_subscan_invalid(capsys):
     capsys.readouterr()
 
 
+def test_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    builds, tup, params = [], ["460", "153", "32", "60"], SrgParams(460, 153, 32, 60)
+
+    assert main(["check", *tup, "--json", "--max-gegenbauer-degree", "6"]) == 0
+    assert json.loads(capsys.readouterr().out) == certificate_to_json(decide(params, gegenbauer_degree=6))
+    builds.append(len(built))
+    for argv, status in ((["check", "1"], 2), (["--help"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == status
+        capsys.readouterr()
+        builds.append(len(built))
+    # --json and degree 6 do not carry over: degree 4 decides Nonexistent
+    assert main(["check", *tup]) == 10
+    assert capsys.readouterr().out == certificate_to_text(decide(params)) + "\n"
+    builds.append(len(built))
+
+    path = tmp_path / "rows.csv"
+    path.write_text("v,k,lambda,mu\n16,6,2,2\n", encoding="utf-8")
+    monkeypatch.setenv("SRG_CERTIFY_JOBS", "0")
+    assert main(["scan", str(path), "--jobs", "3"]) == 0
+    capsys.readouterr()
+    builds.append(len(built))
+    # without --jobs the scan reads SRG_CERTIFY_JOBS again, not the last --jobs
+    assert main(["scan", str(path)]) == 2
+    assert "SRG_CERTIFY_JOBS must be a positive integer, got '0'" in capsys.readouterr().err
+    builds.append(len(built))
+    assert builds == [5] * 6  # the top parser and four subcommands, built by the first call only
+
+
+def test_main_runs_command_patched_after_parser_is_built(monkeypatch, capsys):
+    main(["check", "16", "6", "2", "2"])
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_cmd_check", lambda args: 99)
+    assert main(["check", "16", "6", "2", "2"]) == 99
+
+
+def _in_fresh_interpreter(code):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    return out.stdout.strip()
+
+
 def test_cli_import_leaves_heavy_modules_unloaded():
     # every command pays for what `import srgcert.cli` loads
     heavy = ["srgcert.oracle", "numpy", "multiprocessing", "concurrent.futures.process"]
-    code = f"import sys, srgcert.cli; print([m for m in {heavy!r} if m in sys.modules])"
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    assert _in_fresh_interpreter(f"import sys, srgcert.cli; print([m for m in {heavy!r} if m in sys.modules])") == "[]"
+
+
+def test_cli_import_builds_no_parser():
+    # a fresh command and every pool worker import cli; only main builds the parser
+    assert _in_fresh_interpreter("import srgcert.cli as c; print(c._build_parser.cache_info().currsize)") == "0"
 
 
 def test_self_check(capsys):
