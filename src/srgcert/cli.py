@@ -4,6 +4,7 @@ and the oracle self-check."""
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import math
@@ -14,7 +15,7 @@ import time
 from .cliquebound import MAX_DEGREE
 from .gramtest import Verdict, decide
 from .params import InvalidParamsError, SrgParams, subconstituent_scan
-from .serialize import certificate_to_json, certificate_to_text, dumps, scan_row_to_json
+from .serialize import certificate_to_json, certificate_to_text, dumps, scan_row_line
 
 EXIT_BY_VERDICT = {
     Verdict.INCONCLUSIVE: 0,
@@ -84,27 +85,30 @@ def _cmd_check(args) -> int:
     return EXIT_BY_VERDICT[cert.verdict]
 
 
-def _scan_worker(task):
-    """One CSV row to (row JSON or error record, elapsed milliseconds)."""
+def _scan_worker(json_lines, task):
+    """One CSV row to (verdict name or "Error", its finished output line)."""
     line_no, text = task
     parts = [p.strip() for p in text.split(",")]
     t0 = time.perf_counter()
     try:
         if len(parts) != 4:
             raise ValueError(f"expected 4 fields, got {len(parts)}")
-        v, k, lam, mu = (int(p) for p in parts)
-        params = SrgParams(v, k, lam, mu)
+        params = SrgParams(*map(int, parts))
     except (ValueError, InvalidParamsError) as exc:
-        return {"line": line_no, "error": str(exc)}, 0
-    try:
-        cert = decide(params)
-    except Exception as exc:  # deliberate: one failing row must not abort the scan
-        import traceback
+        error = str(exc)
+    else:
+        try:
+            cert = decide(params)
+        except Exception as exc:  # deliberate: one failing row must not abort the scan
+            import traceback
 
-        print(f"line {line_no}: decide failed", file=sys.stderr)
-        traceback.print_exc()
-        return {"line": line_no, "error": f"{type(exc).__name__}: {exc}"}, 0
-    return scan_row_to_json(cert), int((time.perf_counter() - t0) * 1000)
+            print(f"line {line_no}: decide failed", file=sys.stderr)
+            traceback.print_exc()
+            error = f"{type(exc).__name__}: {exc}"
+        else:
+            return cert.verdict.value, scan_row_line(cert, json_lines, int((time.perf_counter() - t0) * 1000))
+    # the message echoes input, so it needs the JSON encoder's escaping
+    return "Error", (dumps({"line": line_no, "error": error}) if json_lines else f"line {line_no}: error: {error}") + "\n"
 
 
 def _cmd_scan(args) -> int:
@@ -150,10 +154,12 @@ def _cmd_scan(args) -> int:
     try:
         # Rows take from microseconds to seconds, and a pool costs tens of
         # milliseconds to start: rows are decided here until they have taken
-        # SERIAL_SECONDS of wall time, and only the rest go to the pool.
+        # SERIAL_SECONDS of wall time, and only the rest go to the pool, which
+        # can pickle a partial of a module function.
+        worker = functools.partial(_scan_worker, args.json_lines)
         results, start = [], time.perf_counter()
         while len(results) < len(tasks) and (jobs == 1 or time.perf_counter() - start < SERIAL_SECONDS):
-            results.append(_scan_worker(tasks[len(results)]))
+            results.append(worker(tasks[len(results)]))
         rest = tasks[len(results):]
         # the pool starts all its workers at once: no more than rows left or CPUs
         workers = min(jobs, len(rest), os.cpu_count() or 1)
@@ -165,28 +171,12 @@ def _cmd_scan(args) -> int:
             # than most rows take to decide
             chunksize = math.ceil(len(rest) / (4 * workers))
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results += pool.map(_scan_worker, rest, chunksize=chunksize)
+                results += pool.map(worker, rest, chunksize=chunksize)
         else:
-            results += map(_scan_worker, rest)
+            results += map(worker, rest)
 
-        counts: dict[str, int] = {}
-        for res, elapsed in results:
-            name = "Error" if "error" in res else res["verdict"]
-            counts[name] = counts.get(name, 0) + 1
-            if args.json_lines:
-                out_handle.write(dumps(res) + "\n")
-            elif "error" in res:
-                out_handle.write(f"line {res['line']}: error: {res['error']}\n")
-            else:
-                p = res["params"]
-                rng = res["m_range"]
-                rng_text = f"[{rng['lower']},{rng['upper']}]" if rng else "-"
-                wit = res["witness_w"] if res["witness_w"] is not None else "-"
-                out_handle.write(
-                    f"({p['v']},{p['k']},{p['lambda']},{p['mu']}): {name}"
-                    f" k4>={res['k4_lower'] if res['k4_lower'] is not None else '-'}"
-                    f" m={rng_text} w={wit} [{elapsed}ms]\n"
-                )
+        counts = collections.Counter(name for name, _ in results)
+        out_handle.writelines(line for _, line in results)
     finally:
         if out_handle is not sys.stdout:
             out_handle.close()
@@ -237,7 +227,14 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:  # e.g. `srgcert scan ... | head -1`
+        # as the Python docs' note on SIGPIPE: the flush at exit must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

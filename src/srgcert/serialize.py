@@ -12,29 +12,20 @@ import json
 from fractions import Fraction
 
 from .gramtest import Certificate
-from .params import SrgParams
 
 SCHEMA_VERSION = "1"
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
 
 
 def rational_to_json(x: Fraction | None) -> dict | None:
-    if x is None:
-        return None
-    x = Fraction(x)
-    return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
-def _params_to_json(p: SrgParams) -> dict:
-    return {"v": p.v, "k": p.k, "lambda": p.lam, "mu": p.mu}
+    return None if x is None else {"num": str(x.numerator), "den": str(x.denominator)}
 
 
 def certificate_to_json(cert: Certificate) -> dict:
-    rep = cert.rep
-    k4 = cert.k4_bound
+    p, rep, k4 = cert.params, cert.rep, cert.k4_bound
     return {
         "schema": SCHEMA_VERSION,
-        "params": _params_to_json(cert.params),
+        "params": {"v": p.v, "k": p.k, "lambda": p.lam, "mu": p.mu},
         "verdict": cert.verdict.value,
         "feasibility": {
             "identity_ok": cert.feasibility.identity_ok,
@@ -59,9 +50,7 @@ def certificate_to_json(cert: Certificate) -> dict:
             "raw_bound": rational_to_json(k4.raw_bound),
             "informative": k4.informative,
         },
-        "m_range": None
-        if cert.m_range is None
-        else {"lower": cert.m_range.lower, "upper": cert.m_range.upper},
+        "m_range": None if cert.m_range is None else {"lower": cert.m_range.lower, "upper": cert.m_range.upper},
         "m_upper_exact": rational_to_json(cert.m_upper_bound),
         "witnesses": [
             {
@@ -117,19 +106,30 @@ def certificate_to_text(cert: Certificate) -> str:
     return "\n".join(lines)
 
 
-def scan_row_to_json(cert: Certificate) -> dict:
-    """One scan row.  It carries no timing, so scan output stays
-    byte-deterministic."""
-    return {
-        "params": _params_to_json(cert.params),
-        "verdict": cert.verdict.value,
-        "k4_lower": None if cert.k4_bound is None else cert.k4_bound.lower,
-        "m_range": None
-        if cert.m_range is None
-        else {"lower": cert.m_range.lower, "upper": cert.m_range.upper},
-        "witness_w": cert.witnesses[0].w if cert.witnesses else None,
-        "krein_q22_zero": cert.feasibility.krein_q22_zero,
-    }
+# Every field but the verdict is an int, None or a bool, and the Verdict values
+# are ASCII with no quote or backslash: on these the template writes dumps()'s bytes.
+_SCAN_ROW_JSON = ('{"params":{"v":%d,"k":%d,"lambda":%d,"mu":%d},"verdict":"%s","k4_lower":%s,'
+                  '"m_range":%s,"witness_w":%s,"krein_q22_zero":%s}\n')
+
+
+def scan_row_line(cert: Certificate, json_lines: bool, elapsed_ms: int) -> str:
+    """One scan output line, newline included.  Only the table line carries
+    the row's wall time, so JSON-lines output stays byte-deterministic."""
+    p, rng = cert.params, cert.m_range
+    k4 = None if cert.k4_bound is None else cert.k4_bound.lower
+    wit = cert.witnesses[0].w if cert.witnesses else None
+    if json_lines:
+        return _SCAN_ROW_JSON % (
+            p.v, p.k, p.lam, p.mu, cert.verdict.value,
+            "null" if k4 is None else k4,
+            "null" if rng is None else '{"lower":%d,"upper":%d}' % (rng.lower, rng.upper),
+            "null" if wit is None else wit,
+            "true" if cert.feasibility.krein_q22_zero else "false",
+        )
+    return (
+        f"({p.v},{p.k},{p.lam},{p.mu}): {cert.verdict.value} k4>={'-' if k4 is None else k4}"
+        f" m={'-' if rng is None else f'[{rng.lower},{rng.upper}]'} w={'-' if wit is None else wit} [{elapsed_ms}ms]\n"
+    )
 
 
 def dumps(obj) -> str:

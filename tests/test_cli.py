@@ -2,9 +2,11 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -305,6 +307,74 @@ def test_scan_pool_capped_at_rows_and_cpus(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().out == serial
         assert pools == ([] if workers is None else [(workers, -(-rows // (4 * workers)))]), (cpus, jobs, env)
 
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+
+# SHA-256 of scan stdout, table rows less their " [Nms]" wall times, and of
+# the stderr summary, at --jobs 1: (input, --json-lines) -> (stdout, stderr)
+GOLDEN_SCAN_SHA256 = {
+    ("feasible.csv", True): ("5bccd7b27d729d30ea9e3f9ead30ea1a27657b9cf96bba3cfd5a4d9a0decd348",
+                             "4bbe7115ba3c1823ba798d5e2066d54d7ce1ef279ad78bd3a5515561638445cd"),
+    ("feasible.csv", False): ("544117650bcb76d076388b6551e91edc46fc509bd6d0875fd93aac59a02e2e6d",
+                              "4bbe7115ba3c1823ba798d5e2066d54d7ce1ef279ad78bd3a5515561638445cd"),
+    ("screen.csv", True): ("b1c03927294d11247f60f6d40f43e048e9ac479fadf5ebb75a9550626259c57e",
+                           "d59d402b38603212cb843fcc18383d3ec5b8d738b91b1b34b185e90e600f21b3"),
+    ("screen.csv", False): ("6b67811da3ced862b00d9ab4a5ab6047470212edb64219c8bc569ee1bd9e2121",
+                            "d59d402b38603212cb843fcc18383d3ec5b8d738b91b1b34b185e90e600f21b3"),
+    ("SCAN_CSV", True): ("7a94244e30631cbbffe774275dd080dacb11cf674f576880fc3faedf0541c6eb",
+                         "527e0011df90b4f12dfa83855db3e9abf5f93bdd55ce7cd337106b32932a2d94"),
+    ("SCAN_CSV", False): ("53b573ae630162a778dc91ce1aa6dd92227cdb230f7e4d30273c1bbc7d169119",
+                          "527e0011df90b4f12dfa83855db3e9abf5f93bdd55ce7cd337106b32932a2d94"),
+}
+
+
+@pytest.mark.parametrize("name, json_lines", list(GOLDEN_SCAN_SHA256))
+def test_scan_golden_bytes(tmp_path, capsys, name, json_lines):
+    path = CORPUS / name
+    if name == "SCAN_CSV":
+        path = tmp_path / "rows.csv"
+        path.write_text(SCAN_CSV, encoding="utf-8")
+    assert main(["scan", str(path), "--jobs", "1"] + ["--json-lines"] * json_lines) == 0
+    captured = capsys.readouterr()
+    out = re.sub(r" \[\d+ms\]\n", "\n", captured.out)
+    digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest() for text in (out, captured.err))
+    assert digests == GOLDEN_SCAN_SHA256[name, json_lines]
+
+
+def test_scan_error_records_escape_input(tmp_path, capsys):
+    """An error message that echoes a quote or a non-ASCII character is
+    JSON-escaped in a JSON line and written as is in the table."""
+    path = tmp_path / "rows.csv"
+    path.write_text('v,k,lambda,mu\n"5",2,0,1\né,2,0,1\n', encoding="utf-8")
+    assert main(["scan", str(path), "--json-lines", "--jobs", "1"]) == 0
+    assert capsys.readouterr().out == (
+        '{"line":2,"error":"invalid literal for int() with base 10: \'\\"5\\"\'"}\n'
+        '{"line":3,"error":"invalid literal for int() with base 10: \'\\u00e9\'"}\n'
+    )
+    assert main(["scan", str(path), "--jobs", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "line 2: error: invalid literal for int() with base 10: '\"5\"'\n"
+        "line 3: error: invalid literal for int() with base 10: 'é'\n"
+    )
+
+
+def test_scan_into_closed_pipe_exits_without_traceback(tmp_path):
+    """`srgcert scan ... | head -1`: the reader closes the pipe after one
+    line, while the scan still has far more than a pipe buffer to write."""
+    path = tmp_path / "rows.csv"
+    path.write_text("v,k,lambda,mu\n" + "10,3,1,1\n" * 20000, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from srgcert.cli import run; run()",
+         "scan", str(path), "--jobs", "1", "--json-lines"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert json.loads(proc.stdout.readline())["verdict"] == "InfeasibleClassical"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b""
 
 def test_scan_jobs_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SRG_CERTIFY_JOBS", "1")
