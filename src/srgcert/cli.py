@@ -4,9 +4,7 @@ and the oracle self-check."""
 from __future__ import annotations
 
 import argparse
-import collections
 import functools
-import json
 import math
 import os
 import sys
@@ -15,7 +13,7 @@ import time
 from .cliquebound import MAX_DEGREE
 from .gramtest import Verdict, decide
 from .params import InvalidParamsError, SrgParams, subconstituent_scan
-from .serialize import certificate_to_json, certificate_to_text, dumps, scan_row_line
+from .serialize import certificate_json, certificate_to_text, dumps, scan_row_line
 
 EXIT_BY_VERDICT = {
     Verdict.INCONCLUSIVE: 0,
@@ -78,10 +76,7 @@ def _cmd_check(args) -> int:
         print(f"--max-gegenbauer-degree must be even and at most {MAX_DEGREE}", file=sys.stderr)
         return EXIT_BAD_INPUT
     cert = decide(params, gegenbauer_degree=degree)
-    if args.json:
-        print(json.dumps(certificate_to_json(cert), indent=2))
-    else:
-        print(certificate_to_text(cert))
+    print(certificate_json(cert) if args.json else certificate_to_text(cert))
     return EXIT_BY_VERDICT[cert.verdict]
 
 
@@ -109,6 +104,31 @@ def _scan_worker(json_lines, task):
             return cert.verdict.value, scan_row_line(cert, json_lines, int((time.perf_counter() - t0) * 1000))
     # the message echoes input, so it needs the JSON encoder's escaping
     return "Error", (dumps({"line": line_no, "error": error}) if json_lines else f"line {line_no}: error: {error}") + "\n"
+
+
+def _decided_rows(worker, tasks, jobs):
+    """worker's (name, line) of each task in input order, as each is decided.
+    Rows take from microseconds to seconds, and a pool costs tens of ms to
+    start: rows are decided here until they have taken SERIAL_SECONDS of wall
+    time, the rest in a pool, which can pickle a partial of a module function."""
+    done, start = 0, time.perf_counter()
+    while done < len(tasks) and (jobs == 1 or time.perf_counter() - start < SERIAL_SECONDS):
+        yield worker(tasks[done])
+        done += 1
+    rest = tasks[done:]
+    # the pool starts all its workers at once: no more than rows left or CPUs
+    workers = min(jobs, len(rest), os.cpu_count() or 1)
+    if workers > 1:
+        # imported here: multiprocessing slows every command's start, only this path uses it
+        from concurrent.futures import ProcessPoolExecutor
+
+        # a few chunks per worker: one pickled round trip per row costs more
+        # than most rows take to decide
+        chunksize = math.ceil(len(rest) / (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(worker, rest, chunksize=chunksize)
+    else:
+        yield from map(worker, rest)
 
 
 def _cmd_scan(args) -> int:
@@ -152,36 +172,16 @@ def _cmd_scan(args) -> int:
         print(f"cannot write {args.output}: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
     try:
-        # Rows take from microseconds to seconds, and a pool costs tens of
-        # milliseconds to start: rows are decided here until they have taken
-        # SERIAL_SECONDS of wall time, and only the rest go to the pool, which
-        # can pickle a partial of a module function.
-        worker = functools.partial(_scan_worker, args.json_lines)
-        results, start = [], time.perf_counter()
-        while len(results) < len(tasks) and (jobs == 1 or time.perf_counter() - start < SERIAL_SECONDS):
-            results.append(worker(tasks[len(results)]))
-        rest = tasks[len(results):]
-        # the pool starts all its workers at once: no more than rows left or CPUs
-        workers = min(jobs, len(rest), os.cpu_count() or 1)
-        if workers > 1:
-            # imported here: multiprocessing slows every command's start, only this path uses it
-            from concurrent.futures import ProcessPoolExecutor
-
-            # a few chunks per worker: one pickled round trip per row costs more
-            # than most rows take to decide
-            chunksize = math.ceil(len(rest) / (4 * workers))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results += pool.map(worker, rest, chunksize=chunksize)
-        else:
-            results += map(worker, rest)
-
-        counts = collections.Counter(name for name, _ in results)
-        out_handle.writelines(line for _, line in results)
+        # every name a row can have, in a plain dict: its += takes under half of a Counter's
+        counts, write = dict.fromkeys([*(v.value for v in Verdict), "Error"], 0), out_handle.write
+        for name, line in _decided_rows(functools.partial(_scan_worker, args.json_lines), tasks, jobs):
+            counts[name] += 1
+            write(line)
     finally:
         if out_handle is not sys.stdout:
             out_handle.close()
-    summary = ", ".join(f"{name}: {counts[name]}" for name in sorted(counts)) or "no rows"
-    print(f"scanned {len(results)} rows ({summary})", file=sys.stderr)
+    summary = ", ".join(f"{name}: {n}" for name, n in sorted(counts.items()) if n) or "no rows"
+    print(f"scanned {sum(counts.values())} rows ({summary})", file=sys.stderr)
     return 0
 
 

@@ -2,68 +2,72 @@
 
 This module only writes.  Rationals are serialized as {"num": "...",
 "den": "..."} decimal strings so no precision is lost; the schema carries a
-version field.  Serialization is deterministic: dict construction order is
-fixed and no floats appear.
+version field.  A certificate is written from fixed `%` templates built at
+import from one key skeleton each, so key order is fixed and no floats appear.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .gramtest import Certificate
 
 SCHEMA_VERSION = "1"
-_COMPACT = json.JSONEncoder(separators=(",", ":"))
+dumps = json.JSONEncoder(separators=(",", ":")).encode  # compact deterministic JSON string
 
 
-def rational_to_json(x: Fraction | None) -> dict | None:
-    return None if x is None else {"num": str(x.numerator), "den": str(x.denominator)}
+def _template(skeleton, depth: int) -> str:
+    """skeleton's indented JSON for a value depth levels deep, each "%s" a bare slot."""
+    return json.dumps(skeleton, indent=2).replace('"%s"', "%s").replace("\n", "\n" + "  " * depth)
 
 
-def certificate_to_json(cert: Certificate) -> dict:
-    p, rep, k4 = cert.params, cert.rep, cert.k4_bound
-    return {
-        "schema": SCHEMA_VERSION,
-        "params": {"v": p.v, "k": p.k, "lambda": p.lam, "mu": p.mu},
-        "verdict": cert.verdict.value,
-        "feasibility": {
-            "identity_ok": cert.feasibility.identity_ok,
-            "integrality_ok": cert.feasibility.integrality_ok,
-            "krein_ok": cert.feasibility.krein_ok,
-            "absolute_bound_ok": cert.feasibility.absolute_bound_ok,
-            "krein_q22_zero": cert.feasibility.krein_q22_zero,
-        },
-        "spectrum": None
-        if cert.spectrum is None
-        else {"r": cert.spectrum.r, "s": cert.spectrum.s, "f": cert.spectrum.f, "g": cert.spectrum.g},
-        "representation": None
-        if rep is None
-        else {"p": rational_to_json(rep.p), "q": rational_to_json(rep.q), "d": rep.d},
-        "k4_bound": None
-        if k4 is None
-        else {
-            "lower": k4.lower,
-            "optimal_a": rational_to_json(k4.optimal_a),
-            "a_quadratic": [rational_to_json(c) for c in k4.a_quadratic],
-            "k4_quadratic": [rational_to_json(c) for c in k4.k4_quadratic],
-            "raw_bound": rational_to_json(k4.raw_bound),
-            "informative": k4.informative,
-        },
-        "m_range": None if cert.m_range is None else {"lower": cert.m_range.lower, "upper": cert.m_range.upper},
-        "m_upper_exact": rational_to_json(cert.m_upper_bound),
-        "witnesses": [
-            {
-                "m": wit.m,
-                "w": wit.w,
-                "alpha_min": wit.alpha_min,
-                "region_max_det": rational_to_json(wit.region_max_det),
-                "region_max_at": list(wit.region_max_at),
-            }
-            for wit in cert.witnesses
-        ],
-        "notes": list(cert.notes),
-    }
+def _slots(*keys: str) -> dict:
+    return dict.fromkeys(keys, "%s")
+
+
+# one rational template per depth; "%d" keeps its quotes, as rationals are decimal strings
+_RATIONAL = [_template({"num": "%d", "den": "%d"}, depth) for depth in range(4)]
+_CERTIFICATE = _template({
+    "schema": SCHEMA_VERSION, "params": _slots("v", "k", "lambda", "mu"), "verdict": "%s",
+    "feasibility": _slots("identity_ok", "integrality_ok", "krein_ok", "absolute_bound_ok", "krein_q22_zero"),
+    **_slots("spectrum", "representation", "k4_bound", "m_range", "m_upper_exact", "witnesses", "notes"),
+}, 0)
+_SPECTRUM, _REPRESENTATION, _M_RANGE = (_template(_slots(*keys), 1) for keys in ("rsfg", "pqd", ("lower", "upper")))
+_K4_BOUND = _template({**_slots("lower", "optimal_a"), "a_quadratic": ["%s"] * 3, "k4_quadratic": ["%s"] * 3,
+                       **_slots("raw_bound", "informative")}, 1)
+_WITNESS = _template({**_slots("m", "w", "alpha_min", "region_max_det"), "region_max_at": ["%s"] * 2}, 2)
+_BOOL = {True: "true", False: "false"}
+
+
+def _rational(x: Fraction | None, depth: int) -> str:
+    return "null" if x is None else _RATIONAL[depth] % (x.numerator, x.denominator)
+
+
+def _list(items: list[str]) -> str:  # a top-level list of items already written as JSON
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
+def certificate_json(cert: Certificate) -> str:
+    """The certificate as the bytes json.dumps(..., indent=2) writes for it:
+    ints, bools and None as dumps() writes them, strings through its escaper."""
+    p, feas, spec, rep, k4, rng = cert.params, cert.feasibility, cert.spectrum, cert.rep, cert.k4_bound, cert.m_range
+    return _CERTIFICATE % (
+        p.v, p.k, p.lam, p.mu, encode_basestring_ascii(cert.verdict.value),
+        *[_BOOL[x] for x in (feas.identity_ok, feas.integrality_ok, feas.krein_ok, feas.absolute_bound_ok,
+                             feas.krein_q22_zero)],
+        "null" if spec is None else _SPECTRUM % (spec.r, spec.s, spec.f, spec.g),
+        "null" if rep is None else _REPRESENTATION % (_rational(rep.p, 2), _rational(rep.q, 2), rep.d),
+        "null" if k4 is None else _K4_BOUND % (
+            k4.lower, _rational(k4.optimal_a, 2), *[_rational(c, 3) for c in k4.a_quadratic + k4.k4_quadratic],
+            _rational(k4.raw_bound, 2), _BOOL[k4.informative]),
+        "null" if rng is None else _M_RANGE % (rng.lower, rng.upper),
+        _rational(cert.m_upper_bound, 1),
+        _list([_WITNESS % (w.m, w.w, w.alpha_min, _rational(w.region_max_det, 3), *w.region_max_at)
+               for w in cert.witnesses]),
+        _list([encode_basestring_ascii(note) for note in cert.notes]),
+    )
 
 
 def certificate_to_text(cert: Certificate) -> str:
@@ -124,14 +128,9 @@ def scan_row_line(cert: Certificate, json_lines: bool, elapsed_ms: int) -> str:
             "null" if k4 is None else k4,
             "null" if rng is None else '{"lower":%d,"upper":%d}' % (rng.lower, rng.upper),
             "null" if wit is None else wit,
-            "true" if cert.feasibility.krein_q22_zero else "false",
+            _BOOL[cert.feasibility.krein_q22_zero],
         )
     return (
         f"({p.v},{p.k},{p.lam},{p.mu}): {cert.verdict.value} k4>={'-' if k4 is None else k4}"
         f" m={'-' if rng is None else f'[{rng.lower},{rng.upper}]'} w={'-' if wit is None else wit} [{elapsed_ms}ms]\n"
     )
-
-
-def dumps(obj) -> str:
-    """Compact deterministic JSON string."""
-    return _COMPACT.encode(obj)

@@ -5,6 +5,7 @@ complete.
 """
 
 import hashlib
+import json
 import random
 import time
 from contextlib import contextmanager
@@ -13,7 +14,7 @@ from fractions import Fraction
 from srgcert.cli import main
 from srgcert.gramtest import Verdict, alpha_min, decide, gram3_per_m, gram3_per_w, scaled_value
 from srgcert.params import SrgParams, classical_feasibility, derive_spectrum, repr_constants
-from srgcert.serialize import certificate_to_json, dumps
+from srgcert.serialize import certificate_json, dumps
 from srgcert.oracle import (
     REFERENCE_GRAPHS,
     construct,
@@ -21,6 +22,7 @@ from srgcert.oracle import (
     validate,
 )
 from numeric import realize_representation
+from test_serialize import _dict_certificate
 
 
 @contextmanager
@@ -166,9 +168,9 @@ def test_golden_nonexistent_list_up_to_300():
     assert found == NONEXISTENT_UP_TO_300
 
 
-# SHA-256 of one certificate_to_json line per decision: the 648 tuples above at
-# Gegenbauer degree 4, then the primitive feasible tuples with v <= 120 at
-# degrees 0, 2, 6 and 8; pins every K4 rational, m root and witness
+# SHA-256 of each certificate_json as one compact line per decision: the 648
+# tuples above at Gegenbauer degree 4, then the primitive feasible tuples with
+# v <= 120 at degrees 0, 2, 6 and 8; pins every K4 rational, m root and witness
 GOLDEN_CERTIFICATES_SHA256 = "ae48376eeb6838cd467f372645b157e60ce1a44bd5d2bc338d9103b30c0d265b"
 
 
@@ -179,7 +181,9 @@ def test_golden_certificate_bytes_at_scale():
     runs += [(params, degree) for degree in (0, 2, 6, 8) for params in small]
     for params, degree in runs:
         cert = decide(params, gegenbauer_degree=degree)
-        digest.update((dumps(certificate_to_json(cert)) + "\n").encode("utf-8"))
+        text = certificate_json(cert)
+        assert text == json.dumps(_dict_certificate(cert), indent=2), (params, degree)
+        digest.update((dumps(json.loads(text)) + "\n").encode("utf-8"))
     assert digest.hexdigest() == GOLDEN_CERTIFICATES_SHA256
 
 

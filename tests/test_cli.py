@@ -12,7 +12,8 @@ import pytest
 
 from srgcert import SrgParams, cli, decide
 from srgcert.cli import main
-from srgcert.serialize import certificate_to_json, certificate_to_text
+from srgcert.serialize import certificate_json, certificate_to_text
+from test_serialize import _dict_certificate
 
 
 def test_check_exit_codes(capsys):
@@ -46,8 +47,10 @@ def test_check_transcript_contents(capsys):
 def test_check_json_round_trips(capsys):
     code = main(["check", "460", "153", "32", "60", "--json"])
     assert code == 10
-    want = json.dumps(certificate_to_json(decide(SrgParams(460, 153, 32, 60))), indent=2)
-    assert capsys.readouterr().out == want + "\n"
+    cert = decide(SrgParams(460, 153, 32, 60))
+    out = capsys.readouterr().out
+    assert out == certificate_json(cert) + "\n"
+    assert json.loads(out) == _dict_certificate(cert)
 
 
 # SHA-256 of `srgcert check --json` stdout, frozen: refactors must keep the
@@ -217,6 +220,26 @@ def test_scan_output_file_deterministic(tmp_path, capsys):
     assert main(["scan", str(csv_path), "--json-lines", "--output", str(out2), "--jobs", "1"]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_scan_writes_rows_as_they_are_decided(tmp_path, capsys, monkeypatch):
+    """The output file holds the first row before the last row is decided.
+    The handle is buffered, so the rows written before it must fill more
+    than a buffer (8 KiB) for any to reach the file."""
+    out, sizes = tmp_path / "rows.jsonl", []
+
+    def recording_decide(params):
+        sizes.append(out.stat().st_size)
+        return decide(params)
+
+    monkeypatch.setattr(cli, "decide", recording_decide)
+    path = tmp_path / "rows.csv"
+    path.write_text("v,k,lambda,mu\n" + "10,3,1,1\n" * 200, encoding="utf-8")
+    assert main(["scan", str(path), "--json-lines", "--jobs", "1", "--output", str(out)]) == 0
+    capsys.readouterr()
+    lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) == len(sizes) == 200
+    assert len(lines[0]) <= sizes[-1] < sum(map(len, lines))
 
 
 @pytest.mark.parametrize("serial_rows", [0, 1, 2])
@@ -438,7 +461,7 @@ def test_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
     builds, tup, params = [], ["460", "153", "32", "60"], SrgParams(460, 153, 32, 60)
 
     assert main(["check", *tup, "--json", "--max-gegenbauer-degree", "6"]) == 0
-    assert json.loads(capsys.readouterr().out) == certificate_to_json(decide(params, gegenbauer_degree=6))
+    assert json.loads(capsys.readouterr().out) == _dict_certificate(decide(params, gegenbauer_degree=6))
     builds.append(len(built))
     for argv, status in ((["check", "1"], 2), (["--help"], 0)):
         with pytest.raises(SystemExit) as exc:

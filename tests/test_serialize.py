@@ -1,14 +1,16 @@
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
 from srgcert import SrgParams, Verdict, decide
+from srgcert.gramtest import WSplitWitness
 from srgcert.serialize import (
-    certificate_to_json,
+    SCHEMA_VERSION,
+    certificate_json,
     certificate_to_text,
     dumps,
-    rational_to_json,
     scan_row_line,
 )
 
@@ -22,9 +24,62 @@ ROUND_TRIP_TUPLES = [
 ]
 
 
+def _dict_rational(x):
+    return None if x is None else {"num": str(x.numerator), "den": str(x.denominator)}
+
+
+def _dict_certificate(cert):
+    """The certificate as the dict that json.dumps(..., indent=2) wrote
+    before certificate_json: the oracle for its bytes."""
+    p, rep, k4 = cert.params, cert.rep, cert.k4_bound
+    return {
+        "schema": SCHEMA_VERSION,
+        "params": {"v": p.v, "k": p.k, "lambda": p.lam, "mu": p.mu},
+        "verdict": cert.verdict.value,
+        "feasibility": {
+            "identity_ok": cert.feasibility.identity_ok,
+            "integrality_ok": cert.feasibility.integrality_ok,
+            "krein_ok": cert.feasibility.krein_ok,
+            "absolute_bound_ok": cert.feasibility.absolute_bound_ok,
+            "krein_q22_zero": cert.feasibility.krein_q22_zero,
+        },
+        "spectrum": None
+        if cert.spectrum is None
+        else {"r": cert.spectrum.r, "s": cert.spectrum.s, "f": cert.spectrum.f, "g": cert.spectrum.g},
+        "representation": None
+        if rep is None
+        else {"p": _dict_rational(rep.p), "q": _dict_rational(rep.q), "d": rep.d},
+        "k4_bound": None
+        if k4 is None
+        else {
+            "lower": k4.lower,
+            "optimal_a": _dict_rational(k4.optimal_a),
+            "a_quadratic": [_dict_rational(c) for c in k4.a_quadratic],
+            "k4_quadratic": [_dict_rational(c) for c in k4.k4_quadratic],
+            "raw_bound": _dict_rational(k4.raw_bound),
+            "informative": k4.informative,
+        },
+        "m_range": None if cert.m_range is None else {"lower": cert.m_range.lower, "upper": cert.m_range.upper},
+        "m_upper_exact": _dict_rational(cert.m_upper_bound),
+        "witnesses": [
+            {
+                "m": wit.m,
+                "w": wit.w,
+                "alpha_min": wit.alpha_min,
+                "region_max_det": _dict_rational(wit.region_max_det),
+                "region_max_at": list(wit.region_max_at),
+            }
+            for wit in cert.witnesses
+        ],
+        "notes": list(cert.notes),
+    }
+
+
 def test_rational_codec():
-    assert rational_to_json(Fraction(-31, 153)) == {"num": "-31", "den": "153"}
-    assert rational_to_json(None) is None
+    """A rational is two decimal strings, sign on the numerator; None is null."""
+    cert = decide(SrgParams(460, 153, 32, 60))
+    for x, want in ((Fraction(-31, 153), {"num": "-31", "den": "153"}), (None, None)):
+        assert json.loads(certificate_json(dataclasses.replace(cert, m_upper_bound=x)))["m_upper_exact"] == want
 
 
 def _rational(obj):
@@ -33,11 +88,11 @@ def _rational(obj):
 
 @pytest.mark.parametrize("tup", ROUND_TRIP_TUPLES)
 def test_certificate_round_trip(tup):
-    """The encoding survives a JSON text cycle unchanged and keeps every
-    exact rational of the certificate."""
+    """The JSON parses to the oracle's dict and keeps every exact rational
+    of the certificate."""
     cert = decide(SrgParams(*tup))
-    encoded = certificate_to_json(cert)
-    assert json.loads(json.dumps(encoded)) == encoded
+    encoded = json.loads(certificate_json(cert))
+    assert encoded == _dict_certificate(cert)
     assert _rational(encoded["m_upper_exact"]) == cert.m_upper_bound
     if cert.rep is not None:
         rep = encoded["representation"]
@@ -55,9 +110,31 @@ def test_certificate_round_trip(tup):
 
 
 def test_certificate_json_is_deterministic():
-    a = dumps(certificate_to_json(decide(SrgParams(460, 153, 32, 60))))
-    b = dumps(certificate_to_json(decide(SrgParams(460, 153, 32, 60))))
+    a = certificate_json(decide(SrgParams(460, 153, 32, 60)))
+    b = certificate_json(decide(SrgParams(460, 153, 32, 60)))
     assert a == b
+
+
+# notes no decision writes: a quote, a backslash, non-ASCII, a control
+# character and JSON's own punctuation all go through the escaper
+ODD_NOTES = ('say "no"', "back\\slash", "caf\u00e9 \u2260 \U0001f600", "bell\x01\ttab\n", ",:{}[]", "")
+
+
+def test_certificate_json_bytes_on_hand_built_certificates():
+    """Every verdict, with several witnesses and odd notes, gets the bytes
+    json.dumps(..., indent=2) writes for the oracle's dict."""
+    base = decide(SrgParams(460, 153, 32, 60))
+    witnesses = base.witnesses + (
+        WSplitWitness(w=0, m=-1, alpha_min=0, region_max_det=Fraction(0), region_max_at=(0, -7)),
+        WSplitWitness(w=12, m=40, alpha_min=3, region_max_det=Fraction(-10**30, 7), region_max_at=(3, 12)),
+    )
+    for verdict in Verdict:
+        cert = dataclasses.replace(base, verdict=verdict, witnesses=witnesses, notes=ODD_NOTES)
+        assert certificate_json(cert) == json.dumps(_dict_certificate(cert), indent=2), verdict
+        assert json.loads(certificate_json(cert))["notes"] == list(ODD_NOTES)
+    for tup in ROUND_TRIP_TUPLES:  # the same verdicts with no witness, no 4-clique bound or no spectrum
+        cert = dataclasses.replace(decide(SrgParams(*tup)), notes=ODD_NOTES[:1])
+        assert certificate_json(cert) == json.dumps(_dict_certificate(cert), indent=2), tup
 
 
 def test_certificate_text_mentions_key_quantities():
