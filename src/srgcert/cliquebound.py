@@ -83,6 +83,7 @@ class PairClass(NamedTuple):
 # every class count is an integer over 48, which clears every /2, /4, /6 and
 # /8 in pair_profile
 COUNT_DEN = 48
+_ZERO = Fraction(0)  # K4Bound's constant and linear K4 coefficients
 
 
 def _comb2(x: int) -> int:
@@ -165,19 +166,51 @@ def pair_profile(params: SrgParams, rep: ReprConstants) -> tuple[PairClass, ...]
 class K4Bound:
     """Result of optimizing the quadratic form F(a) = A(a) + B(a) * K4.
 
-    A and B are stored lowest-degree-first; positive semidefiniteness forces
+    A and B are lowest-degree-first; positive semidefiniteness forces
     F(a) >= 0 for the true K4, so whenever B(a) > 0 the count satisfies
     K4 >= -A(a)/B(a).  lower is the ceiling of the optimized rational bound
     (clamped at 0), raw_bound the exact optimum, optimal_a its maximizer
-    (None when the optimum is only approached as |a| grows).
+    (None when the optimum is only approached as |a| grows).  These and the
+    quadratics are built when read from the integer block sums of
+    k4_lower_bound, each over its block's positive denominator.
     """
 
     lower: int
-    optimal_a: Fraction | None
-    a_quadratic: tuple[Fraction, Fraction, Fraction]
-    k4_quadratic: tuple[Fraction, Fraction, Fraction]
-    raw_bound: Fraction | None
     informative: bool
+    sums: tuple[int, int, int, int]  # S_vv, S_ve, S_ee0, B2 numerators
+    dens: tuple[int, int, int]  # vertex-vertex, vertex-edge, edge-edge denominators
+
+    @property
+    def a_quadratic(self) -> tuple[Fraction, Fraction, Fraction]:
+        (s_vv, s_ve, s_ee0, _), (d_vv, d_ve, d_ee) = self.sums, self.dens
+        return Fraction(s_vv, d_vv), Fraction(2 * s_ve, d_ve), Fraction(s_ee0, d_ee)
+
+    @property
+    def k4_quadratic(self) -> tuple[Fraction, Fraction, Fraction]:
+        return _ZERO, _ZERO, Fraction(self.sums[3], self.dens[2])
+
+    @property
+    def raw_bound(self) -> Fraction | None:
+        return Fraction(*_raw_bound(self.sums, self.dens)) if self.informative else None
+
+    @property
+    def optimal_a(self) -> Fraction | None:  # -S_vv/S_ve; None at the |a| -> infinity limit
+        (s_vv, s_ve, _, _), (d_vv, d_ve, _) = self.sums, self.dens
+        return Fraction(-s_vv * d_ve, d_vv * s_ve) if self.informative and s_vv and s_ve else None
+
+
+def _raw_bound(sums, dens) -> tuple[int, int]:
+    """sup_a -A(a)/B(a) for B2 > 0 as (numerator, denominator > 0): where
+    S_vv or S_ve is 0 the |a| -> infinity limit -S_ee0/B2 (S_ee0 and B2
+    share a denominator), else (S_ve^2/S_vv - S_ee0)/B2.  The kernel matrix
+    of an existing graph is PSD, so S_vv >= 0, and S_vv = 0 forces S_ve = 0
+    (vertex vectors forming a spherical design); where S_vv < 0, or S_vv = 0
+    with S_ve != 0, no graph exists and any bound is sound."""
+    (s_vv, s_ve, s_ee0, b2), (d_vv, d_ve, d_ee) = sums, dens
+    if s_vv == 0 or s_ve == 0:
+        return -s_ee0, b2
+    num, den = s_ve * s_ve * d_vv * d_ee - s_ee0 * s_vv * d_ve * d_ve, s_vv * d_ve * d_ve * b2
+    return (num, den) if den > 0 else (-num, -den)
 
 
 def k4_lower_bound(params: SrgParams, rep: ReprConstants, degree: int = 4) -> K4Bound:
@@ -200,26 +233,7 @@ def k4_lower_bound(params: SrgParams, rep: ReprConstants, degree: int = 4) -> K4
         const, k4, _ = sums.get(cls.block, (0, 0, 0))
         sums[cls.block] = (const + weight * n * cls.const, k4 + weight * n * cls.k4, den)
 
-    s_vv, s_ve, s_ee0, b2 = (
-        Fraction(sums[block][i], COUNT_DEN * sums[block][2])
-        for block, i in (("vertex-vertex", 0), ("vertex-edge", 0), ("edge-edge", 0), ("edge-edge", 1))
-    )
-    a_quad = (s_vv, 2 * s_ve, s_ee0)
-    k4_quad = (Fraction(0), Fraction(0), b2)
-
-    if b2 <= 0:
-        return K4Bound(0, None, a_quad, k4_quad, None, informative=False)
-    # The kernel matrix of an existing graph is PSD, so S_vv >= 0, and
-    # S_vv = 0 forces S_ve = 0 (vertex vectors forming a spherical design).
-    # S_vv = 0 thus takes the |a| -> infinity limit; where S_vv < 0, or
-    # S_vv = 0 with S_ve != 0, no graph exists and any bound is sound.
-    (a, A), (b, B), (c, C), (e, E) = ((x.numerator, x.denominator) for x in (s_vv, s_ve, s_ee0, b2))
-    if s_vv == 0 or s_ve == 0:
-        raw = Fraction(-c * E, C * e)  # -S_ee0/B2
-        optimal_a = None  # approached as |a| -> infinity
-    else:
-        # (S_ve^2/S_vv - S_ee0)/B2 and -S_vv/S_ve on integers
-        raw = Fraction((b * b * A * C - c * a * B * B) * E, a * B * B * C * e)
-        optimal_a = Fraction(-a * B, A * b)
-    lower = max(0, math.ceil(raw))
-    return K4Bound(lower, optimal_a, a_quad, k4_quad, raw, informative=True)
+    (s_vv, _, d_vv), (s_ve, _, d_ve), (s_ee0, b2, d_ee) = (sums[b] for b in ("vertex-vertex", "vertex-edge", "edge-edge"))
+    bound_sums, dens = (s_vv, s_ve, s_ee0, b2), (COUNT_DEN * d_vv, COUNT_DEN * d_ve, COUNT_DEN * d_ee)
+    num, den = _raw_bound(bound_sums, dens) if b2 > 0 else (0, 1)
+    return K4Bound(max(0, -(-num // den)), b2 > 0, bound_sums, dens)

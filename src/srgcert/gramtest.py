@@ -6,15 +6,16 @@ Both Gram determinants of summed representation vectors live here, as
 polynomials in unknown subgraph statistics: the 2x2 one bounds the window
 for m, and the 3x3 w-split one refutes each m in it.  Split sizes w are
 ruled out a piece at a time where the value at the alpha_min end of their
-region, bounded below by quadratics in w, is >= 0; then one at a time by a
-probe point; and only the rest by the exact region scan."""
+region, bounded below by quadratics in w, is >= 0, and the rest by the
+exact region scan.  Decisions run on integers; a certificate's rational
+fields are built when read."""
 
 from __future__ import annotations
 
 import enum
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cliquebound import K4Bound, k4_lower_bound
@@ -55,29 +56,38 @@ class MRange:
 @dataclass(frozen=True)
 class WSplitWitness:
     """Certifies that for the given m every feasible (alpha, beta) of the
-    w-split makes the 3x3 Gram determinant negative."""
+    w-split makes the 3x3 Gram determinant negative: at most region_max/den."""
 
     w: int
     m: int
     alpha_min: int
-    region_max_det: Fraction
+    region_max: int
+    den: int
     region_max_at: tuple[int, int]
+
+    @property
+    def region_max_det(self) -> Fraction:
+        return Fraction(self.region_max, self.den)
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Machine-checkable transcript of every bound and the contradiction."""
+    """Machine-checkable transcript of every bound and the contradiction;
+    the parts a decision stopped before are None."""
 
     params: SrgParams
     feasibility: FeasibilityReport
-    spectrum: Spectrum | None
-    rep: ReprConstants | None
-    k4_bound: K4Bound | None
-    m_range: MRange | None
-    m_upper_bound: Fraction | None
-    witnesses: tuple[WSplitWitness, ...]
     verdict: Verdict
-    notes: tuple[str, ...] = field(default=())
+    spectrum: Spectrum | None = None
+    rep: ReprConstants | None = None
+    k4_bound: K4Bound | None = None
+    m_range: MRange | None = None
+    witnesses: tuple[WSplitWitness, ...] = ()
+    notes: tuple[str, ...] = ()
+
+    @property
+    def m_upper_bound(self) -> Fraction | None:
+        return None if self.rep is None else m_upper_exact(self.params, self.rep)
 
 
 def _gram_entries(params: SrgParams, rep: ReprConstants, m: int) -> tuple[int, int, int]:
@@ -89,12 +99,10 @@ def _gram_entries(params: SrgParams, rep: ReprConstants, m: int) -> tuple[int, i
     return lam * rep.D + lam * (lam - 1) * Q + 2 * (P - Q) * m, 2 * lam * P, rep.S
 
 
-def m_upper_exact(params: SrgParams, rep: ReprConstants) -> Fraction | None:
-    """The exact rational root of the 2x2 Gram determinant
-    |X|^2 |Y3|^2 - <X, Y3>^2 (see _gram_entries), linear in m, or None for
-    lam = 0.  No edge's common-neighborhood subgraph, the densest included,
-    has more edges.
-    """
+def _gram2_root(params: SrgParams, rep: ReprConstants) -> tuple[int, int] | None:
+    """The root of the 2x2 Gram determinant |X|^2 |Y3|^2 - <X, Y3>^2 (see
+    _gram_entries), linear in m, as (numerator, denominator > 0), or None
+    for lam = 0."""
     if params.lam == 0:
         return None
     xx0, x3, y3 = _gram_entries(params, rep, 0)
@@ -102,7 +110,13 @@ def m_upper_exact(params: SrgParams, rep: ReprConstants) -> Fraction | None:
     # negative for primitive parameters
     if slope >= 0:
         raise ValueError("2x2 Gram determinant is not decreasing in m")
-    return Fraction(x3 * x3 - xx0 * y3, slope)
+    return xx0 * y3 - x3 * x3, -slope
+
+
+def m_upper_exact(params: SrgParams, rep: ReprConstants) -> Fraction | None:
+    """_gram2_root as a rational: no edge's common-neighborhood subgraph has more edges."""
+    root = _gram2_root(params, rep)
+    return None if root is None else Fraction(*root)
 
 
 def m_lower(params: SrgParams, k4_lower: int) -> int:
@@ -214,11 +228,6 @@ def _alpha_range(n: int, m: int, w: int, alpha_lo: int) -> tuple[int, int]:
     return max(0, alpha_lo), min(2 * m, w * (n - 1), m + w * (w - 1) // 2)
 
 
-def _beta_lo(n: int, m: int, w: int, alpha: int) -> int:
-    """The lower beta endpoint of the region at alpha."""
-    return max(0, alpha - m, -((w * (n - w) - alpha) // 2))
-
-
 def _floor_ceil(num: int, den: int) -> tuple[int, int]:
     return num // den, -(-num // den)
 
@@ -249,7 +258,7 @@ def _region_max_scaled(
         if t_lo > t_hi:
             continue
         ts = [t_lo, t_hi]
-        # _beta_lo at alpha = 2t + r is the max of these lines (slope, intercept) in t
+        # the lower beta endpoint at alpha = 2t + r is the max of these lines (slope, intercept) in t
         lines_r = (0, 0), (2, r - m), (1, -((w * (n - w) - r) // 2))
         for i, (s1, b1) in enumerate(lines_r):
             for s2, b2 in lines_r[i + 1 :]:
@@ -259,7 +268,7 @@ def _region_max_scaled(
         candidates.update([2 * t + r for t in ts if t_lo <= t <= t_hi])
     best = None
     for alpha in sorted(candidates):  # ascending, so a tie keeps the smaller alpha
-        beta = _beta_lo(n, m, w, alpha)
+        beta = max(0, alpha - m, -((w * (n - w) - alpha) // 2))  # the lower beta endpoint
         value = scaled_value(n00, n10, n01, n20, alpha, beta)
         if best is None or value > best[0]:
             best = value, (alpha, beta)
@@ -388,11 +397,8 @@ def wsplit_contradiction(
     min(C(w,2), alpha/2); crossing edges alpha - 2 beta at most w(lam - w).
 
     Runs of w whose region maximum the value at the alpha_min end shows to
-    be >= 0 are skipped a piece at a time (_unrefuted).  Each w left, in
-    ascending order, is refuted by the value at one point if it can be,
-    which the region maximum is at least: the even alpha at or below the
-    vertex of c20*alpha^2 + c10*alpha, clamped, with the lower beta
-    endpoint.  Only the rest get the exact region scan.
+    be >= 0 are skipped a piece at a time (_unrefuted); each w left, in
+    ascending order, gets the exact region scan.
     """
     lam = params.lam
     if m > lam * (lam - 1) // 2:
@@ -403,17 +409,10 @@ def wsplit_contradiction(
         raise ValueError(f"m={m} exceeds the root of the 2x2 Gram determinant")
     for w in _unrefuted(lam, m, h):
         alpha_lo = alpha_min(lam, m, w)
-        lo, hi = _alpha_range(lam, m, w, alpha_lo)
-        n00, n10 = gram3_per_w(h, w)
-        # the probe point: the region maximum is at least its value
-        alpha = min(max(2 * (-n10 // (4 * n20)), lo), hi)
-        if scaled_value(n00, n10, n01, n20, alpha, _beta_lo(lam, m, w, alpha)) >= 0:
-            continue
-        result = _region_max_scaled(n00, n10, n01, n20, lam, m, w, alpha_lo)
-        # h.den > 0: the sign of the numerator is the sign of the maximum
-        if result[0] < 0:  # not None: the region is never empty (see _alpha_range)
-            max_det = Fraction(result[0], h.den)
-            return WSplitWitness(w=w, m=m, alpha_min=alpha_lo, region_max_det=max_det, region_max_at=result[1])
+        # not None: the region is never empty (see _alpha_range)
+        best, at = _region_max_scaled(*gram3_per_w(h, w), n01, n20, lam, m, w, alpha_lo)
+        if best < 0:  # h.den > 0: the sign of the numerator is the sign of the maximum
+            return WSplitWitness(w, m, alpha_lo, best, h.den, at)
     return None
 
 
@@ -426,39 +425,22 @@ def decide(params: SrgParams, *, gegenbauer_degree: int = 4) -> Certificate:
     products.
     """
     report = classical_feasibility(params)
-    notes: list[str] = []
-
-    def cert(verdict, spectrum=None, rep=None, k4=None, rng=None, mu_exact=None, wits=()):
-        return Certificate(
-            params=params,
-            feasibility=report,
-            spectrum=spectrum,
-            rep=rep,
-            k4_bound=k4,
-            m_range=rng,
-            m_upper_bound=mu_exact,
-            witnesses=tuple(wits),
-            verdict=verdict,
-            notes=tuple(notes),
-        )
-
     if not report.passed:
-        return cert(Verdict.INFEASIBLE_CLASSICAL)
+        return Certificate(params, report, Verdict.INFEASIBLE_CLASSICAL)
     spectrum = report.spectrum
     if spectrum is None:
-        notes.append("irrational eigenvalues: Gram pipeline not applicable")
-        return cert(Verdict.NOT_APPLICABLE)
+        return Certificate(params, report, Verdict.NOT_APPLICABLE,
+                           notes=("irrational eigenvalues: Gram pipeline not applicable",))
     if not params.primitive:  # r = 0 needs mu = k, as r*s = mu - k: never primitive
-        notes.append("complete-multipartite family: Gram tests skipped")
-        return cert(Verdict.INCONCLUSIVE, spectrum=spectrum)
+        return Certificate(params, report, Verdict.INCONCLUSIVE, spectrum,
+                           notes=("complete-multipartite family: Gram tests skipped",))
 
     rep = repr_constants(params, spectrum)
     k4 = k4_lower_bound(params, rep, degree=gegenbauer_degree)
-    if not k4.informative:
-        notes.append("4-clique quadratic form carries no positive K4 coefficient")
+    notes = [] if k4.informative else ["4-clique quadratic form carries no positive K4 coefficient"]
     lo = m_lower(params, k4.lower)
-    mu_exact = m_upper_exact(params, rep)
-    up = 0 if mu_exact is None else max(-1, math.floor(mu_exact))
+    root = _gram2_root(params, rep)
+    up = 0 if root is None else max(-1, root[0] // root[1])
     cap = params.lam * (params.lam - 1) // 2
     if up > cap:
         notes.append(f"2x2 Gram bound {up} exceeds C(lam,2)={cap}; capped")
@@ -474,4 +456,4 @@ def decide(params: SrgParams, *, gegenbauer_degree: int = 4) -> Certificate:
             verdict = Verdict.INCONCLUSIVE
             break
         witnesses.append(wit)
-    return cert(verdict, spectrum=spectrum, rep=rep, k4=k4, rng=rng, mu_exact=mu_exact, wits=witnesses)
+    return Certificate(params, report, verdict, spectrum, rep, k4, rng, tuple(witnesses), tuple(notes))

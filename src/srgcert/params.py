@@ -1,13 +1,14 @@
 """Parameter tuples, spectra, the representation constants derived from
 them, and the classical feasibility screens.
 
-Everything on the decision path is exact: integers and fractions.Fraction.
+Everything on the decision path is exact integer arithmetic; a Fraction is
+built only when a certificate's rational field is read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -99,28 +100,31 @@ class ReprConstants:
     p (adjacent), q (non-adjacent), and the dimension d = g.  Every Gram
     entry of summed vectors is an integer once scaled by D."""
 
-    p: Fraction
-    q: Fraction
     d: int
-    D: int = field(init=False, repr=False, compare=False)  # lcm of the denominators of p and q
-    P: int = field(init=False, repr=False, compare=False)  # p * D
-    Q: int = field(init=False, repr=False, compare=False)  # q * D
-    S: int = field(init=False, repr=False, compare=False)  # |x_u + x_w|^2 = 2 + 2p, times D
+    D: int  # lcm of the denominators of p and q in lowest terms
+    P: int  # p * D
+    Q: int  # q * D
+    S: int  # |x_u + x_w|^2 = 2 + 2p, times D
 
-    def __post_init__(self):
-        D = math.lcm(self.p.denominator, self.q.denominator)
-        P, Q = (x.numerator * (D // x.denominator) for x in (self.p, self.q))
-        for name, value in (("D", D), ("P", P), ("Q", Q), ("S", 2 * D + 2 * P)):
-            object.__setattr__(self, name, value)
+    @property
+    def p(self) -> Fraction:
+        return Fraction(self.P, self.D)
+
+    @property
+    def q(self) -> Fraction:
+        return Fraction(self.Q, self.D)
 
 
 def repr_constants(params: SrgParams, spectrum: Spectrum | None) -> ReprConstants:
-    """Exact p = s/k, q = -(1+s)/(v-k-1) in lowest terms, d = g."""
+    """p = s/k, q = -(1+s)/(v-k-1) over D, the lcm of their reduced
+    denominators, and d = g."""
     if spectrum is None:
         raise ValueError("representation constants need an integer spectrum")
-    p = Fraction(spectrum.s, params.k)
-    q = Fraction(-(1 + spectrum.s), params.v - 1 - params.k)
-    return ReprConstants(p=p, q=q, d=spectrum.g)
+    s, k, c = spectrum.s, params.k, params.v - 1 - params.k
+    den_p, den_q = k // math.gcd(s, k), c // math.gcd(1 + s, c)
+    D = math.lcm(den_p, den_q)
+    P = s * D // k  # exact, as den_p divides D; so is Q's division, as den_q does
+    return ReprConstants(d=spectrum.g, D=D, P=P, Q=-(1 + s) * D // c, S=2 * D + 2 * P)
 
 
 def _is_conference(params: SrgParams) -> bool:

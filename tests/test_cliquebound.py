@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from srgcert import cliquebound
-from srgcert.cliquebound import K4Bound, _gegenbauer_ratio, _gegenbauer_scaled, k4_lower_bound, pair_profile
+from srgcert.cliquebound import _gegenbauer_ratio, _gegenbauer_scaled, k4_lower_bound, pair_profile
 from srgcert.oracle import validate
-from srgcert.params import ReprConstants, SrgParams, derive_spectrum, repr_constants
+from srgcert.params import SrgParams, derive_spectrum, repr_constants
+from support import rep_from_fractions
 from test_acceptance import _primitive_feasible_tuples
 
 
@@ -263,9 +264,17 @@ def _fraction_gegenbauer(d, t, x_squared):
     return total
 
 
+K4_FIELDS = ("lower", "informative", "optimal_a", "a_quadratic", "k4_quadratic", "raw_bound")
+
+
+def _k4_fields(bound):
+    """The six public fields of a K4Bound, by name."""
+    return {name: getattr(bound, name) for name in K4_FIELDS}
+
+
 def _fraction_k4_lower_bound(classes, rep, degree):
     """The per-class Fraction sums the integer block sums replaced, kept as
-    the oracle."""
+    the oracle: the six public fields of the bound, by name."""
     gval = {
         cls.name: _fraction_gegenbauer(rep.d, degree, Fraction(cls.c**2, _block_den(rep, cls.block))) for cls in classes
     }
@@ -281,14 +290,14 @@ def _fraction_k4_lower_bound(classes, rep, degree):
     a_quad = (s_vv, 2 * s_ve, s_ee0)
     k4_quad = (Fraction(0), Fraction(0), b2)
     if b2 <= 0:
-        return K4Bound(0, None, a_quad, k4_quad, None, informative=False)
-    if s_vv == 0 or s_ve == 0:
+        lower, informative, optimal_a, raw = 0, False, None, None
+    elif s_vv == 0 or s_ve == 0:
         raw = -s_ee0 / b2
-        optimal_a = None
+        lower, informative, optimal_a = max(0, math.ceil(raw)), True, None
     else:
         raw = (s_ve * s_ve / s_vv - s_ee0) / b2
-        optimal_a = -s_vv / s_ve
-    return K4Bound(max(0, math.ceil(raw)), optimal_a, a_quad, k4_quad, raw, informative=True)
+        lower, informative, optimal_a = max(0, math.ceil(raw)), True, -s_vv / s_ve
+    return dict(zip(K4_FIELDS, (lower, informative, optimal_a, a_quad, k4_quad, raw)))
 
 
 def test_gegenbauer_eval_matches_fraction_horner():
@@ -311,7 +320,8 @@ def test_k4_bound_matches_fraction_sums(reference_graphs, monkeypatch):
         rep = repr_constants(params, derive_spectrum(params))
         prof = pair_profile(params, rep)
         for degree in range(0, 9, 2):
-            assert k4_lower_bound(params, rep, degree) == _fraction_k4_lower_bound(prof, rep, degree), (params, degree)
+            want = _fraction_k4_lower_bound(prof, rep, degree)
+            assert _k4_fields(k4_lower_bound(params, rep, degree)) == want, (params, degree)
     for tup in [(460, 153, 32, 60), (16, 6, 2, 2), (27, 16, 10, 8)]:
         params, rep = _rep(tup)
         prof = pair_profile(params, rep)
@@ -327,7 +337,7 @@ def test_k4_bound_matches_fraction_sums(reference_graphs, monkeypatch):
                     assert (_count_const(c), _count_k4(c)) == (const / div, k4 / (div + 1))
                 for degree in range(0, 9, 2):
                     want = _fraction_k4_lower_bound(scaled, rep, degree)
-                    assert k4_lower_bound(params, rep, degree) == want, (tup, div)
+                    assert _k4_fields(k4_lower_bound(params, rep, degree)) == want, (tup, div)
 
 
 def test_degree_zero_is_never_informative():
@@ -412,7 +422,7 @@ def test_pair_profile_matches_fraction_census(reference_graphs):
     tuples += _primitive_feasible_tuples(300)
     for params in tuples:
         _check_profile(params, repr_constants(params, derive_spectrum(params)))
-    rep = ReprConstants(p=Fraction(-1, 3), q=Fraction(1, 7), d=5)
+    rep = rep_from_fractions(Fraction(-1, 3), Fraction(1, 7), 5)
     fractional = set()
     for v in range(5, 61):
         for k in range(2, v - 1):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,7 +12,6 @@ from srgcert.gramtest import (
     Verdict,
     WSplitWitness,
     _alpha_range,
-    _beta_lo,
     _newton,
     _newton_at,
     _nonneg_runs,
@@ -28,8 +28,10 @@ from srgcert.gramtest import (
 )
 from srgcert.oracle import lambda_subgraph_edge_counts
 from srgcert.params import SrgParams, derive_spectrum, repr_constants
+from srgcert.serialize import certificate_json, scan_row_line
 from test_acceptance import _gram3_det, _primitive_feasible_tuples
 from test_families import PRIME_POWERS, _complement, _family_tuples, _gq
+from test_serialize import _dict_certificate
 
 PAPER_TUPLES = [(460, 153, 32, 60), (6205, 858, 47, 130), (5929, 1482, 275, 402)]
 ORACLE_TUPLES = PAPER_TUPLES + [(121, 100, 81, 90)]
@@ -65,21 +67,6 @@ def _tuple_windows():
         top = math.floor(m_upper_exact(params, rep))
         assert top < n * (n - 1) // 2, tup
         yield params, rep, sorted({0, 1, n, top // 4, top}), top + 1
-
-
-def _probe_point(det, n, m, w, alpha_lo):
-    """The point wsplit_contradiction probes, written out as the oracle: the
-    even alpha at or below the vertex of c20*alpha^2 + c10*alpha, clamped
-    to the alpha range, with the beta endpoint the region scan takes there.
-    None if the region is empty or c20 >= 0."""
-    _, c10, c01, c20 = det
-    lo, hi = max(0, alpha_lo), min(2 * m, w * (n - 1), m + w * (w - 1) // 2)
-    if lo > hi or c20 >= 0:
-        return None
-    alpha = min(max(2 * (-c10 // (4 * c20)), lo), hi)
-    if c01 > 0:
-        return alpha, min(w * (w - 1) // 2, alpha // 2)
-    return alpha, max(0, alpha - m, -((w * (n - w) - alpha) // 2))
 
 
 def test_m_upper_target_tuple():
@@ -393,119 +380,59 @@ def test_region_max_closed_form_matches_loop_on_random_quadratics():
             _region_max(q, 5, 3, w, 0)
 
 
-def _check_probe(det, n, m, w, alpha_lo):
-    """The probe point satisfies the literal region constraints, sits on the
-    beta endpoint the region scan takes, and is worth at most the maximum.
-    Returns whether there was a probe point."""
-    point = _probe_point(det, n, m, w, alpha_lo)
-    best = _region_max(det, n, m, w, alpha_lo)
-    if point is None:
-        assert best is None, (det, n, m, w, alpha_lo)
-        return False
-    alpha, beta = point
-    assert max(0, alpha_lo) <= alpha <= min(2 * m, w * (n - 1)), (det, n, m, w, alpha_lo)
-    blo = max(0, alpha - m, -((w * (n - w) - alpha) // 2))
-    bhi = min(w * (w - 1) // 2, alpha // 2)
-    assert blo <= beta <= bhi and beta == (bhi if det[2] > 0 else blo), (det, n, m, w, alpha_lo)
-    assert scaled_value(*det, alpha, beta) <= best[0], (det, n, m, w, alpha_lo)
-    return True
-
-
-def test_probe_point_in_region_and_below_maximum():
-    probed = sum(_check_probe(*case) for case in _random_region_cases())
-    assert probed > 5000
-    probed = 0
-    for params, rep, ms, _ in _tuple_windows():
-        n = params.lam
-        for m in ms:
-            for w in range(1, n):
-                det = _gram3_det(params, rep, w, m)
-                assert det[3] < 0
-                probed += _check_probe(det, n, m, w, alpha_min(n, m, w))
-    assert probed > 1500
-
-
-def _unprobed_wsplit(params, rep, m):
-    """wsplit_contradiction without the probe: the exact region maximum at
-    every w, kept as the oracle."""
-    lam = params.lam
-    if lam <= 1:
-        return None
-    h = gram3_per_m(params, rep, m)
-    for w in range(1, lam):
-        alpha_lo = alpha_min(lam, m, w)
-        result = _region_max_scaled(*gram3_per_w(h, w), h.n01, h.n20, lam, m, w, alpha_lo)
-        if result is not None and result[0] < 0:
-            return WSplitWitness(w, m, alpha_lo, Fraction(result[0], h.den), result[1])
-    return None
-
-
-def test_wsplit_probe_matches_unprobed_oracle():
-    """Every m of the window of the paper tuples and of every primitive
-    feasible tuple with v <= 120."""
-    tuples = [SrgParams(*t) for t in PAPER_TUPLES]
-    tuples += _primitive_feasible_tuples(120)
-    cases = witnesses = 0
-    for params in tuples:
-        cert = decide(params)
-        for m in cert.m_range or ():
-            want = _unprobed_wsplit(params, cert.rep, m)
-            assert wsplit_contradiction(params, cert.rep, m) == want, (params, m)
-            cases += 1
-            witnesses += want is not None
-    assert cases > 1000 and witnesses >= 3
-
-
-def _every_w_to_the_probe(monkeypatch):
-    """Hand every 1 <= w < lam to the per-w stage: the shifted c00 of the
-    two tests below goes through gram3_per_w, which the pieces do not read."""
+def _every_w_to_the_scan(monkeypatch):
+    """Hand every 1 <= w < lam to the exact region scan: the shifted c00 of
+    the two tests below goes through gram3_per_w, which the pieces do not
+    read."""
     monkeypatch.setattr(gramtest, "_unrefuted", lambda lam, m, h: range(1, lam))
 
 
-def test_wsplit_probe_value_zero_refutes_without_region_scan(monkeypatch):
-    """A w whose probe value is 0 is refuted by the probe alone; one whose
-    probe value is -1 goes on to the exact region scan."""
+def test_wsplit_region_max_zero_at_every_w_is_no_witness(monkeypatch):
+    """With c00 shifted so that the exact region maximum is 0 at every w,
+    every w goes through the exact scan and none is a witness; shifted to a
+    maximum of -1, the first w scanned, w = 1, is the witness, with that
+    maximum."""
     params, rep = _rep((460, 153, 32, 60))
-    m = 39
+    lam, m = params.lam, 39
     real_per_w = gramtest.gram3_per_w
-    _every_w_to_the_probe(monkeypatch)
+    _every_w_to_the_scan(monkeypatch)
     for offset in (0, -1):
 
         def shifted(h, w):
             n00, n10 = real_per_w(h, w)
-            det = (n00, n10, h.n01, h.n20)
-            alpha, beta = _probe_point(det, params.lam, m, w, alpha_min(params.lam, m, w))
-            return n00 - scaled_value(*det, alpha, beta) + offset, n10
+            best, _ = _region_max_scaled(n00, n10, h.n01, h.n20, lam, m, w, alpha_min(lam, m, w))
+            return n00 - best + offset, n10
 
         calls = []
 
         def counting_scan(*args):
-            calls.append(args)
+            calls.append(args[6])
             return _region_max_scaled(*args)
 
         monkeypatch.setattr(gramtest, "gram3_per_w", shifted)
         monkeypatch.setattr(gramtest, "_region_max_scaled", counting_scan)
         wit = wsplit_contradiction(params, rep, m)
         if offset == 0:
-            assert calls == [] and wit is None
+            assert calls == list(range(1, lam)) and wit is None
         else:
-            assert calls and calls[0][6] == 1  # w = 1 went on to the exact scan
+            h = gram3_per_m(params, rep, m)
+            assert calls == [1] and (wit.w, wit.region_max, wit.den) == (1, -1, h.den)
+            assert wit.region_max_det == Fraction(-1, h.den)
 
 
 def test_region_max_zero_is_not_a_witness(monkeypatch):
     """A w whose exact region maximum is 0 is not refuted; one whose maximum
-    is -1 is.  On T(6) = (15,8,4,4) at m = 2 the probe at w = 2 is worth
-    3150 over den and the region maximum 5400, so shifting c00 at w = 2 by
-    the maximum less the offset sends w = 2 past the probe to the exact scan."""
+    is -1 is.  On T(6) = (15,8,4,4) at m = 2 the region maximum at w = 2 is
+    5400 over den, so c00 at w = 2 is shifted by the maximum less the
+    offset."""
     params, rep = _rep((15, 8, 4, 4))
     lam, m, w = params.lam, 2, 2
     real_per_w = gramtest.gram3_per_w
     h = gram3_per_m(params, rep, m)
     det = (*real_per_w(h, w), h.n01, h.n20)
     alpha_lo = alpha_min(lam, m, w)
-    assert scaled_value(*det, *_probe_point(det, lam, m, w, alpha_lo)) == 3150
     assert _region_max_scaled(*det, lam, m, w, alpha_lo)[0] == 5400
-    _every_w_to_the_probe(monkeypatch)
+    _every_w_to_the_scan(monkeypatch)
     for offset in (0, -1):
 
         def shifted(h, w_):
@@ -554,6 +481,30 @@ def test_exact_region_scans_are_pinned(monkeypatch):
     assert _work_counts(monkeypatch, _feasible_rows()) == (0, 0)
 
 
+def test_scan_rows_build_no_fraction(monkeypatch):
+    """Deciding and writing the scan rows of bench/corpus/feasible.csv and
+    of the paper tuples, which are Nonexistent with witnesses, builds no
+    Fraction: decisions run on integers.  certificate_json then builds the
+    rationals as it reads them, to the oracle's bytes."""
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    certs = []
+    for params in _feasible_rows() + [SrgParams(*t) for t in PAPER_TUPLES]:
+        certs.append(decide(params))
+        scan_row_line(certs[-1], True, 0), scan_row_line(certs[-1], False, 0)
+    assert built == []
+    assert all(cert.verdict is Verdict.NONEXISTENT and cert.witnesses for cert in certs[-3:])
+    for cert in certs:
+        assert certificate_json(cert) == json.dumps(_dict_certificate(cert), indent=2), cert.params
+    assert built
+
+
 def test_co_gq_first_m_leaves_no_w_to_the_loop():
     """The complement of the GQ(37, 1369) collinearity graph has lam =
     1824840: at the first m of its window the pieces refute every w, so the
@@ -566,20 +517,15 @@ def test_co_gq_first_m_leaves_no_w_to_the_loop():
 
 
 def _per_w_wsplit(params, rep, m):
-    """wsplit_contradiction without the pieces: the probe, then the exact
-    region scan, at every 1 <= w < lam in turn, kept as the oracle."""
+    """wsplit_contradiction without the pieces: the exact region scan at
+    every 1 <= w < lam in turn, kept as the oracle."""
     lam = params.lam
     h = gram3_per_m(params, rep, m)
     for w in range(1, lam):
         alpha_lo = alpha_min(lam, m, w)
-        lo, hi = _alpha_range(lam, m, w, alpha_lo)
-        n00, n10 = gram3_per_w(h, w)
-        alpha = min(max(2 * (-n10 // (4 * h.n20)), lo), hi)
-        if scaled_value(n00, n10, h.n01, h.n20, alpha, _beta_lo(lam, m, w, alpha)) >= 0:
-            continue
-        result = _region_max_scaled(n00, n10, h.n01, h.n20, lam, m, w, alpha_lo)
+        result = _region_max_scaled(*gram3_per_w(h, w), h.n01, h.n20, lam, m, w, alpha_lo)
         if result[0] < 0:
-            return WSplitWitness(w, m, alpha_lo, Fraction(result[0], h.den), result[1])
+            return WSplitWitness(w, m, alpha_lo, result[0], h.den, result[1])
     return None
 
 

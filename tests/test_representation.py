@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ import pytest
 
 from srgcert.gramtest import m_upper_exact, scaled_value
 from srgcert.oracle import construct, srg_parameters
-from srgcert.params import ReprConstants, SrgParams, derive_spectrum, repr_constants
+from srgcert.params import SrgParams, derive_spectrum, repr_constants
+from support import rep_from_fractions
 from numeric import realize_representation, to_numpy
 from test_acceptance import _gram3_det, _primitive_feasible_tuples
 
@@ -30,6 +32,22 @@ def test_repr_constants_petersen_and_rook():
     _, rep = _rep((16, 6, 2, 2))
     # dimension is the multiplicity of s = -2, which is 9 for the rook graph
     assert (rep.p, rep.q, rep.d) == (Fraction(-1, 3), Fraction(1, 9), 9)
+
+
+def test_repr_constants_match_fraction_lcm(reference_graphs):
+    """The gcd-built D, P, Q, S, and p and q read from them, equal those
+    taken from Fraction(s, k) and Fraction(-(1+s), v-k-1) over the lcm of
+    their denominators, on every reference graph with an integer spectrum
+    and the 648 primitive feasible tuples with v <= 300."""
+    tuples = list(_primitive_feasible_tuples(300))
+    assert len(tuples) == 648
+    tuples += [params for _, params in reference_graphs.values() if derive_spectrum(params) is not None]
+    for params in tuples:
+        spectrum = derive_spectrum(params)
+        p, q = Fraction(spectrum.s, params.k), Fraction(-(1 + spectrum.s), params.v - 1 - params.k)
+        rep, want = repr_constants(params, spectrum), rep_from_fractions(p, q, spectrum.g)
+        assert (rep.D, rep.P, rep.Q, rep.S, rep.d) == (want.D, want.P, want.Q, want.S, want.d), params
+        assert rep.D == math.lcm(p.denominator, q.denominator) and (rep.p, rep.q) == (p, q), params
 
 
 def test_repr_constants_requires_integer_spectrum():
@@ -128,7 +146,7 @@ def test_m_upper_exact_is_literal_gram2_root(reference_graphs):
         assert m_upper_exact(params, rep) == want, params
     params, rep = _rep((460, 153, 32, 60))
     with pytest.raises(ValueError):  # p > q: the determinant grows with m
-        m_upper_exact(params, ReprConstants(p=rep.q, q=rep.p, d=rep.d))
+        m_upper_exact(params, rep_from_fractions(rep.q, rep.p, rep.d))
 
 
 def test_gram3_det_exact_coefficients():

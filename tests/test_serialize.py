@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from srgcert import SrgParams, Verdict, decide
+from srgcert import SrgParams, Verdict, decide, serialize
 from srgcert.gramtest import WSplitWitness
 from srgcert.serialize import (
     SCHEMA_VERSION,
@@ -76,10 +76,17 @@ def _dict_certificate(cert):
 
 
 def test_rational_codec():
-    """A rational is two decimal strings, sign on the numerator; None is null."""
-    cert = decide(SrgParams(460, 153, 32, 60))
-    for x, want in ((Fraction(-31, 153), {"num": "-31", "den": "153"}), (None, None)):
-        assert json.loads(certificate_json(dataclasses.replace(cert, m_upper_bound=x)))["m_upper_exact"] == want
+    """A rational is two decimal strings, sign on the numerator, in lowest
+    terms; None is null.  At each nesting depth the writer gives the bytes
+    json.dumps(..., indent=2) writes there."""
+    for x, want in (
+        (Fraction(-31, 153), {"num": "-31", "den": "153"}),
+        (Fraction(6, -4), {"num": "-3", "den": "2"}),
+        (Fraction(0), {"num": "0", "den": "1"}),
+        (None, None),
+    ):
+        for depth in range(4):
+            assert serialize._rational(x, depth) == json.dumps(want, indent=2).replace("\n", "\n" + "  " * depth)
 
 
 def _rational(obj):
@@ -125,8 +132,8 @@ def test_certificate_json_bytes_on_hand_built_certificates():
     json.dumps(..., indent=2) writes for the oracle's dict."""
     base = decide(SrgParams(460, 153, 32, 60))
     witnesses = base.witnesses + (
-        WSplitWitness(w=0, m=-1, alpha_min=0, region_max_det=Fraction(0), region_max_at=(0, -7)),
-        WSplitWitness(w=12, m=40, alpha_min=3, region_max_det=Fraction(-10**30, 7), region_max_at=(3, 12)),
+        WSplitWitness(w=0, m=-1, alpha_min=0, region_max=0, den=5, region_max_at=(0, -7)),
+        WSplitWitness(w=12, m=40, alpha_min=3, region_max=-10**30 * 3, den=21, region_max_at=(3, 12)),
     )
     for verdict in Verdict:
         cert = dataclasses.replace(base, verdict=verdict, witnesses=witnesses, notes=ODD_NOTES)
