@@ -14,7 +14,6 @@ enter through their rational squares, which even polynomials consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -162,8 +161,7 @@ def pair_profile(params: SrgParams, rep: ReprConstants) -> tuple[PairClass, ...]
     )
 
 
-@dataclass(frozen=True)
-class K4Bound:
+class K4Bound(NamedTuple):
     """Result of optimizing the quadratic form F(a) = A(a) + B(a) * K4.
 
     A and B are lowest-degree-first; positive semidefiniteness forces

@@ -15,8 +15,8 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cliquebound import K4Bound, k4_lower_bound
 from .params import (
@@ -36,11 +36,11 @@ class Verdict(enum.Enum):
     NOT_APPLICABLE = "NotApplicable"
 
 
-@dataclass(frozen=True)
-class MRange:
+class MRange(NamedTuple):
     """Window for the maximal common-neighborhood edge count m: lower from
     4-clique averaging, upper from the 2x2 Gram determinant.  An empty
-    window is an immediate contradiction."""
+    window is an immediate contradiction.  Iterating the named tuple gives
+    (lower, upper); ms walks the window."""
 
     lower: int
     upper: int
@@ -49,12 +49,12 @@ class MRange:
     def is_empty(self) -> bool:
         return self.lower > self.upper
 
-    def __iter__(self):
-        return iter(range(self.lower, self.upper + 1))
+    @property
+    def ms(self) -> range:
+        return range(self.lower, self.upper + 1)
 
 
-@dataclass(frozen=True)
-class WSplitWitness:
+class WSplitWitness(NamedTuple):
     """Certifies that for the given m every feasible (alpha, beta) of the
     w-split makes the 3x3 Gram determinant negative: at most region_max/den."""
 
@@ -70,8 +70,7 @@ class WSplitWitness:
         return Fraction(self.region_max, self.den)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Machine-checkable transcript of every bound and the contradiction;
     the parts a decision stopped before are None."""
 
@@ -450,7 +449,7 @@ def decide(params: SrgParams, *, gegenbauer_degree: int = 4) -> Certificate:
     # an empty window is itself the contradiction: the loop does not run
     verdict = Verdict.NONEXISTENT
     witnesses: list[WSplitWitness] = []
-    for m in rng:
+    for m in rng.ms:
         wit = wsplit_contradiction(params, rep, m)
         if wit is None:
             verdict = Verdict.INCONCLUSIVE

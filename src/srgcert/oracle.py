@@ -7,17 +7,16 @@ enumeration, with no floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .cliquebound import COUNT_DEN, pair_profile
 from .gramtest import Verdict, decide
 from .params import SrgParams
 
 
-@dataclass(frozen=True)
-class AdjacencyMatrix:
+class AdjacencyMatrix(NamedTuple):
     """Symmetric, irreflexive boolean matrix stored as per-row bitmasks."""
 
     n: int
@@ -181,8 +180,7 @@ def construct(name: str, order: int | None = None) -> AdjacencyMatrix:
 # censuses
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     """Brute-force pair census.
 
     vertex_edge_class_counts orders: endpoint, adjacent-to-both,

@@ -8,32 +8,35 @@ built only when a certificate's rational field is read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class InvalidParamsError(ValueError):
     """Raised for tuples outside the admissible (v, k, lam, mu) ranges."""
 
 
-@dataclass(frozen=True)
-class SrgParams:
+class _SrgFields(NamedTuple):
+    v: int
+    k: int
+    lam: int
+    mu: int
+
+
+class SrgParams(_SrgFields):
     """A candidate strongly-regular-graph parameter tuple (v, k, lam, mu).
 
-    Construction enforces the connected, non-complete ranges: 0 < k < v - 1,
+    Every way of building one (the constructor, _make, _replace, unpickling)
+    enforces the connected, non-complete ranges: 0 < k < v - 1,
     0 <= lam < k, 0 < mu <= k.  The counting identity
     k(k - lam - 1) = (v - k - 1) mu is deliberately *not* a construction
     invariant; tuples violating it are classically infeasible, which is a
     verdict, not a type error (see classical_feasibility).
     """
 
-    v: int
-    k: int
-    lam: int
-    mu: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        v, k, lam, mu = self.v, self.k, self.lam, self.mu
+    def __new__(cls, v: int, k: int, lam: int, mu: int):
         if not (0 < k < v):
             raise InvalidParamsError(f"need 0 < k < v, got k={k}, v={v}")
         if k == v - 1:
@@ -44,6 +47,11 @@ class SrgParams:
             raise InvalidParamsError("mu = 0 (disconnected case) is degenerate")
         if not (0 < mu <= k):
             raise InvalidParamsError(f"need 0 < mu <= k, got mu={mu}, k={k}")
+        return tuple.__new__(cls, (v, k, lam, mu))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     @property
     def primitive(self) -> bool:
@@ -55,8 +63,7 @@ class SrgParams:
         return self.k * (self.k - self.lam - 1) == (self.v - self.k - 1) * self.mu
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Integer non-principal eigenvalues r >= 0 > s with multiplicities f, g."""
 
     r: int
@@ -94,8 +101,7 @@ def derive_spectrum(params: SrgParams) -> Spectrum | None:
     return Spectrum(r=r, s=s, f=f, g=g)
 
 
-@dataclass(frozen=True)
-class ReprConstants:
+class ReprConstants(NamedTuple):
     """Inner products of the vertices' unit vectors in the eigenspace of s:
     p (adjacent), q (non-adjacent), and the dimension d = g.  Every Gram
     entry of summed vectors is an integer once scaled by D."""
@@ -153,8 +159,7 @@ def _krein_numerators(params: SrgParams, spectrum: Spectrum) -> tuple[int, int]:
     )
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     """Outcome of the classical necessary conditions.
 
     Field semantics: each *_ok flag is "this check did not reject".  Checks

@@ -502,7 +502,7 @@ def _in_fresh_interpreter(code):
 
 def test_cli_import_leaves_heavy_modules_unloaded():
     # every command pays for what `import srgcert.cli` loads
-    heavy = ["srgcert.oracle", "numpy", "multiprocessing", "concurrent.futures.process"]
+    heavy = ["srgcert.oracle", "numpy", "multiprocessing", "concurrent.futures.process", "dataclasses", "inspect"]
     assert _in_fresh_interpreter(f"import sys, srgcert.cli; print([m for m in {heavy!r} if m in sys.modules])") == "[]"
 
 

@@ -9,6 +9,7 @@ import pytest
 from srgcert import gramtest
 from srgcert.gramtest import (
     Gram3PerM,
+    MRange,
     Verdict,
     WSplitWitness,
     _alpha_range,
@@ -26,7 +27,7 @@ from srgcert.gramtest import (
     scaled_value,
     wsplit_contradiction,
 )
-from srgcert.oracle import lambda_subgraph_edge_counts
+from srgcert.oracle import census, construct, lambda_subgraph_edge_counts
 from srgcert.params import SrgParams, derive_spectrum, repr_constants
 from srgcert.serialize import certificate_json, scan_row_line
 from test_acceptance import _gram3_det, _primitive_feasible_tuples
@@ -535,13 +536,14 @@ def test_wsplit_pieces_match_per_w_oracle():
     of the 648 primitive feasible tuples with v <= 300, every GQ(q, q^2) at
     its zero-slack m, and every m of the windows of the rows of
     bench/corpus/feasible.csv with lam < 64."""
-    cases = [(SrgParams(*t), m) for t in PAPER_TUPLES for m in decide(SrgParams(*t)).m_range]
+    cases = [(SrgParams(*t), m) for t in PAPER_TUPLES for m in decide(SrgParams(*t)).m_range.ms]
     for params in _primitive_feasible_tuples(300):
         rng = decide(params).m_range
         if rng is not None and not rng.is_empty:
             cases += [(params, rng.lower), (params, rng.upper)]
     cases += [(params, m) for params, _, m in (_gq(q, q * q) for q in PRIME_POWERS if q >= 3)]
-    feasible = [(params, m) for params in _feasible_rows() if params.lam < 64 for m in decide(params).m_range or ()]
+    feasible = [(params, m) for params in _feasible_rows() if params.lam < 64
+                for rng in [decide(params).m_range] if rng is not None for m in rng.ms]
     for group, n_cases, n_witnesses in ((cases, 1325, 109), (feasible, 10002, 20)):
         reps = {params: repr_constants(params, derive_spectrum(params)) for params, _ in group}
         want = [_per_w_wsplit(params, reps[params], m) for params, m in group]
@@ -673,7 +675,7 @@ def test_gram3_hoisted_coefficients_match_fraction_formula():
     cases = []
     for tup in PAPER_TUPLES:
         cert = decide(SrgParams(*tup))
-        cases += [(cert.params, cert.rep, m) for m in cert.m_range]
+        cases += [(cert.params, cert.rep, m) for m in cert.m_range.ms]
     for params in _primitive_feasible_tuples(120):
         cert = decide(params)
         if cert.m_range is not None and not cert.m_range.is_empty:
@@ -720,6 +722,33 @@ def test_decide_q22_zero_tuple_closes_by_empty_window():
     assert cert.m_range.is_empty
     assert (cert.m_range.lower, cert.m_range.upper) == (3214, 3213)
     assert cert.witnesses == ()
+
+
+def test_m_range_ms_walks_the_window():
+    """ms walks the window; iterating the named tuple gives its two ends."""
+    assert list(MRange(3, 5).ms) == [3, 4, 5]
+    assert tuple(MRange(3, 5)) == (3, 5)
+    assert MRange(4, 3).is_empty and list(MRange(4, 3).ms) == []
+
+
+VALUE_PARTS = ["params", "feasibility", "spectrum", "rep", "k4_bound", "m_range", "witness", "certificate",
+               "adjacency", "census"]
+
+
+@pytest.mark.parametrize("part", VALUE_PARTS)
+def test_value_types_are_immutable(part):
+    cert = decide(SrgParams(460, 153, 32, 60))
+    petersen = construct("petersen")
+    value = {
+        **{name: getattr(cert, name) for name in ("params", "feasibility", "spectrum", "rep", "k4_bound", "m_range")},
+        "witness": cert.witnesses[0],
+        "certificate": cert,
+        "adjacency": petersen,
+        "census": census(petersen),
+    }[part]
+    for name in (*value._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
 
 
 def test_decide_sound_on_reference_tuples(reference_graphs):

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,18 @@ def test_validation_rejects_degenerate_tuples():
         SrgParams(10, 3, 0, 0)  # mu = 0
     with pytest.raises(InvalidParamsError):
         SrgParams(10, 3, 0, 4)  # mu > k
+
+
+def test_validation_holds_on_every_construction_path():
+    params = SrgParams(16, 6, 2, 2)
+    with pytest.raises(InvalidParamsError):
+        params._replace(k=0)
+    with pytest.raises(InvalidParamsError):
+        SrgParams._make((16, 15, 2, 2))
+    replaced = params._replace(lam=1)
+    assert type(replaced) is SrgParams and replaced == SrgParams(16, 6, 1, 2) == (16, 6, 1, 2)
+    unpickled = pickle.loads(pickle.dumps(params))
+    assert type(unpickled) is SrgParams and unpickled == params
 
 
 def test_spectrum_target_tuple():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -136,11 +135,11 @@ def test_certificate_json_bytes_on_hand_built_certificates():
         WSplitWitness(w=12, m=40, alpha_min=3, region_max=-10**30 * 3, den=21, region_max_at=(3, 12)),
     )
     for verdict in Verdict:
-        cert = dataclasses.replace(base, verdict=verdict, witnesses=witnesses, notes=ODD_NOTES)
+        cert = base._replace(verdict=verdict, witnesses=witnesses, notes=ODD_NOTES)
         assert certificate_json(cert) == json.dumps(_dict_certificate(cert), indent=2), verdict
         assert json.loads(certificate_json(cert))["notes"] == list(ODD_NOTES)
     for tup in ROUND_TRIP_TUPLES:  # the same verdicts with no witness, no 4-clique bound or no spectrum
-        cert = dataclasses.replace(decide(SrgParams(*tup)), notes=ODD_NOTES[:1])
+        cert = decide(SrgParams(*tup))._replace(notes=ODD_NOTES[:1])
         assert certificate_json(cert) == json.dumps(_dict_certificate(cert), indent=2), tup
 
 
