@@ -4,7 +4,9 @@ determinant search, and the overall verdict.
 
 Both Gram determinants of summed representation vectors live here, as
 polynomials in unknown subgraph statistics: the 2x2 one bounds the window
-for m, and the 3x3 w-split one refutes each m in it.  Split sizes w are
+for m, and the 3x3 w-split one refutes each m in it.  1 <= w < lam splits
+into at most two pieces, one for each q = (2m + lam - w) // lam, and on
+each alpha_min = q*w + max(0, 2m - q*lam) is one line.  Split sizes w are
 ruled out a piece at a time where the value at the alpha_min end of their
 region, bounded below by quadratics in w, is >= 0, and the rest by the
 exact region scan.  Decisions run on integers; a certificate's rational
@@ -128,22 +130,26 @@ def m_lower(params: SrgParams, k4_lower: int) -> int:
 
 def alpha_min(n: int, m: int, w: int) -> int:
     """Lower bound for the degree sum of the w largest-degree vertices of any
-    graph with n vertices and m edges.
+    graph with n vertices and m edges: q*w + max(0, 2m - q*n), with
+    q = (2m + n - w) // n.
 
     For every threshold t >= 1, either all top-w degrees reach t (sum >= tw)
     or some top degree is below t, hence every degree outside the top w is
     at most t - 1 and the top sum is at least 2m - (t-1)(n-w).  The best
     threshold gives max(0, max_t min(tw, 2m - (t-1)(n-w))).  The first term
     rises in t and the second falls; they cross at t = (2m + n - w)/n, so
-    the integer maximum sits at the floor of the crossing or the next t.
+    the integer maximum sits at t = q or q + 1.  For q >= 1, w <= 2m - (q-1)n
+    makes qw the smaller term at q, and w > 2m - qn makes
+    2m - q(n-w) = qw + 2m - qn the smaller term at q + 1.  For q = 0,
+    w > 2m, so every vertex of positive degree is among the top w and the
+    bound is 2m.
     """
     if not 1 <= w <= n:
         raise ValueError(f"need 1 <= w <= n, got w={w}, n={n}")
     if not 0 <= m <= n * (n - 1) // 2:
         raise ValueError(f"need 0 <= m <= C(n,2), got m={m}, n={n}")
-    t0 = max(1, (2 * m + n - w) // n)
-    rest = 2 * m - (t0 - 1) * (n - w)  # the second term at t0; at t0 + 1 it is n - w less
-    return max(0, min(t0 * w, rest), min(t0 * w + w, rest - (n - w)))
+    q = (2 * m + n - w) // n
+    return q * w + max(0, 2 * m - q * n)
 
 
 def scaled_value(n00: int, n10: int, n01: int, n20: int, alpha: int, beta: int) -> int:
@@ -274,27 +280,13 @@ def _region_max_scaled(
     return best
 
 
-def _newton(values) -> tuple[int, int, int]:
-    """The Newton coefficients (c0, c1, c2), p(w) = c0 + c1 w + c2 C(w, 2),
-    of the polynomial of degree <= 2 with these values at w = 0, 1, 2: its
-    forward differences at 0."""
-    v0, v1, v2 = values
-    return v0, v1 - v0, v2 - 2 * v1 + v0
-
-
-def _newton_at(c, w: int) -> int:
-    """The value at w of the polynomial with Newton coefficients c0, c1, c2."""
-    c0, c1, c2 = c
-    return c0 + c1 * w + c2 * (w * (w - 1) // 2)
-
-
 def _nonneg_runs(c, a: int, b: int) -> list[tuple[int, int]]:
-    """The maximal runs (x, y), a <= x <= y <= b, of integers where the
-    polynomial with Newton coefficients c0, c1, c2 is >= 0, ascending: at
-    most two, in closed form.
+    """The maximal runs (x, y), a <= x <= y <= b, of integers where
+    p(w) = c0 + c1 w + c2 w^2 is >= 0, ascending: at most two, in closed
+    form.
 
     A convex p is < 0 exactly where the concave -p - 1 is >= 0.  For c2 < 0
-    the roots of 2p = -P w^2 + B w + C are (B -+ sqrt(disc)) / 2P; with
+    the roots of p = -P w^2 + c1 w + c0 are (c1 -+ sqrt(disc)) / 2P; with
     s = isqrt(disc), the ceiling of the lower one and the floor of the upper
     one are each one of two integers, and the sign of p there decides
     which."""
@@ -306,13 +298,13 @@ def _nonneg_runs(c, a: int, b: int) -> list[tuple[int, int]]:
         return [(x, y) for x, y in ((a, neg[0][0] - 1), (neg[0][1] + 1, b)) if x <= y] if neg else [(a, b)]
     lo, hi = a, b
     if c2 < 0:
-        P, B = -c2, 2 * c1 - c2
-        disc = B * B + 8 * P * c0
+        P = -c2
+        disc = c1 * c1 + 4 * P * c0
         if disc < 0:
             return []
         s = math.isqrt(disc)
-        lo, hi = -((s + 1 - B) // (2 * P)), (B + s + 1) // (2 * P)
-        lo, hi = max(a, lo + (_newton_at(c, lo) < 0)), min(b, hi - (_newton_at(c, hi) < 0))
+        lo, hi = -((s + 1 - c1) // (2 * P)), (c1 + s + 1) // (2 * P)
+        lo, hi = max(a, lo + (c0 + (c1 + c2 * lo) * lo < 0)), min(b, hi - (c0 + (c1 + c2 * hi) * hi < 0))
     elif c1:
         lo, hi = (max(a, -(c0 // c1)), b) if c1 > 0 else (a, min(b, c0 // -c1))
     elif c0 < 0:
@@ -320,30 +312,31 @@ def _nonneg_runs(c, a: int, b: int) -> list[tuple[int, int]]:
     return [(lo, hi)] if lo <= hi else []
 
 
-def _pick(cands, x: int, end: int, sign: int):
-    """Of the lines cands, each with three Newton coefficients, one with the
-    largest (sign 1) or smallest (sign -1) value at x, and the last w <= end
-    up to which it stays so."""
-    best = max(cands, key=lambda c: sign * _newton_at(c, x))
-    for c in cands:
-        if c is not best:
-            end = _nonneg_runs([sign * (p - q) for p, q in zip(best, c)], x, end)[0][1]
-    return best, end
-
-
 def _survivors(polys, a: int, b: int) -> list[tuple[int, int]]:
     """The maximal runs of [a, b], ascending, where one of the polynomials,
-    each given by its values at w = 0, 1, 2, is < 0."""
+    each given by its coefficients (c0, c1, c2) in powers of w, is < 0."""
     runs, out = [(a, b)], []
-    for values in polys:
+    for c in polys:
         if runs:
-            c = _newton(values)
             runs = [r for x, y in runs for r in _nonneg_runs(c, x, y)]
     for x, y in runs + [(b + 1, b)]:
         if a < x:
             out.append((a, x - 1))
         a = y + 1
     return out
+
+
+def _pieces(n: int, m: int):
+    """The pieces (x, end, q, a0), ascending, that tile 1 <= w < n, one for
+    each value of q = (2m + n - w) // n: at most two, as (2m + n - w)/n
+    spans less than 1 there.  On each, alpha_min(n, m, w) = a0 + q*w with
+    a0 = max(0, 2m - qn)."""
+    x = 1
+    while x < n:
+        q = (2 * m + n - x) // n
+        end = min(n - 1, 2 * m + n - n * q)  # the last w with this q; n - 1 for q = 0
+        yield x, end, q, max(0, 2 * m - q * n)
+        x = end + 1
 
 
 def _unrefuted(lam: int, m: int, h: Gram3PerM):
@@ -359,29 +352,18 @@ def _unrefuted(lam: int, m: int, h: Gram3PerM):
     weaker bound only hands more w to wsplit_contradiction's exact per-w
     stage, never a different witness.
 
-    On a piece of w, alpha_min is one line: its threshold t0 takes at most
-    two values, as (2m + lam - w)/lam spans less than 1, and each max or
-    min keeps one term (_pick).  The three polynomials, n00 + n10 alpha +
-    n20 alpha^2 + n01 times a beta term, have degree <= 2 there, and are
-    fixed, times 2, by their values at w = 0, 1, 2 (_newton)."""
-    n, n01, n20 = lam, h.n01, h.n20
-    W = range(3)
-    n00 = [w * (h.n00_w + w * h.n00_ww) for w in W]
-    n10 = [w * h.n10_w for w in W]
-    x = 1
-    while x < n:
-        q = (2 * m + n - x) // n  # alpha_min's t0 is max(1, q) up to end
-        t0, end = max(1, q), n - 1 if q <= 1 else min(n - 1, 2 * m + n - n * q)
-        r1 = 2 * m - (t0 - 1) * n  # alpha_min's lines: t0 w, rest, (t0+1) w, rest - (n-w)
-        lo1, end = _pick([(0, t0, 0), (r1, t0 - 1, 0)], x, end, -1)
-        lo2, end = _pick([(0, t0 + 1, 0), (r1 - n, t0, 0)], x, end, -1)
-        alo, end = _pick([(0, 0, 0), lo1, lo2], x, end, 1)
-        a = [_newton_at(alo, w) for w in W]
-        v = [2 * (n00[w] + (n10[w] + n20 * a[w]) * a[w]) for w in W]
-        bounds = v, [v[w] + n01 * (2 * a[w] - 2 * m) for w in W], [v[w] + n01 * (a[w] - w * (n - w) + 1) for w in W]
+    On each piece of w (_pieces), alpha = a0 + q*w, so with
+    V = 2(n00 + n10 alpha + n20 alpha^2) the three polynomials, times 2,
+    are V, V + n01(2 alpha - 2m) and V + n01(alpha - w(lam - w) + 1):
+    quadratics in w, written here in powers of w."""
+    n01, n20 = h.n01, h.n20
+    for x, end, q, a0 in _pieces(lam, m):
+        v0 = 2 * n20 * a0 * a0
+        v1, v2 = 2 * (h.n00_w + (h.n10_w + 2 * n20 * q) * a0), 2 * (h.n00_ww + (h.n10_w + n20 * q) * q)
+        bounds = ((v0, v1, v2), (v0 + 2 * n01 * (a0 - m), v1 + 2 * n01 * q, v2),
+                  (v0 + n01 * (a0 + 1), v1 + n01 * (q - lam), v2 + n01))
         for y, z in _survivors(bounds, x, end):
             yield from range(y, z + 1)
-        x = end + 1
 
 
 def wsplit_contradiction(

@@ -95,7 +95,7 @@ def certificate_to_text(cert: Certificate) -> str:
         lines.append(f"4-cliques: K4 >= {b.lower}{extra}")
     if cert.m_range is not None:
         rng = cert.m_range
-        exact = f" (2x2 Gram bound {cert.m_upper_bound})" if cert.m_upper_bound is not None else ""
+        exact = f" (2x2 Gram bound {upper})" if (upper := cert.m_upper_bound) is not None else ""
         lines.append(f"max common-neighborhood edges: {rng.lower} <= m <= {rng.upper}{exact}")
         if rng.is_empty:
             lines.append("empty window: contradiction")

@@ -13,9 +13,8 @@ from srgcert.gramtest import (
     Verdict,
     WSplitWitness,
     _alpha_range,
-    _newton,
-    _newton_at,
     _nonneg_runs,
+    _pieces,
     _region_max_scaled,
     _unrefuted,
     alpha_min,
@@ -551,10 +550,14 @@ def test_wsplit_pieces_match_per_w_oracle():
         assert (len(group), sum(wit is not None for wit in want)) == (n_cases, n_witnesses)
 
 
+def _poly_at(c, w):
+    return c[0] + c[1] * w + c[2] * w * w
+
+
 def _brute_runs(c, a, b):
     runs = []
     for w in range(a, b + 1):
-        if _newton_at(c, w) >= 0:
+        if _poly_at(c, w) >= 0:
             if runs and runs[-1][1] == w - 1:
                 runs[-1] = runs[-1][0], w
             else:
@@ -563,10 +566,11 @@ def _brute_runs(c, a, b):
 
 
 def test_nonneg_runs_match_brute_force():
-    """Random integer polynomials of degree 0 to 2 on random intervals:
-    products of (w - r) over roots drawn at and just past the interval
-    ends, with double roots, shifted by -1, 0 or 1, and polynomials with
-    random values around 10^40; intervals include empty ones."""
+    """Random integer polynomials c0 + c1 w + c2 w^2 of degree 0 to 2 on
+    random intervals: products of (w - r) over roots drawn at and just past
+    the interval ends, with double roots, shifted by -1, 0 or 1, and
+    polynomials with random coefficients around 10^40; intervals include
+    empty ones."""
     rng = random.Random(16)
     degrees = set()
     for _ in range(6000):
@@ -578,14 +582,33 @@ def test_nonneg_runs_match_brute_force():
             if deg == 2 and rng.random() < 0.5:
                 roots[1] = roots[0]
             lead, shift = rng.choice([-3, -1, 1, 2]), rng.choice([0, 0, 1, -1])
-            values = [lead * math.prod(w - r for r in roots) + shift for w in range(3)]
-            c = _newton(values)
-            assert [_newton_at(c, w) for w in range(3)] == values
+            c = [lead, 0, 0]
+            for r in roots:  # times (w - r)
+                c = [-r * c[0], c[0] - r * c[1], c[1] - r * c[2]]
+            c[0] += shift
+            assert all(_poly_at(c, w) == lead * math.prod(w - r for r in roots) + shift for w in range(3))
         else:
             c = [rng.randint(-(10**40), 10**40) if j <= deg else 0 for j in range(3)]
         degrees.add(max((j for j in (1, 2) if c[j]), default=0))
         assert _nonneg_runs(c, a, b) == _brute_runs(c, a, b), (c, a, b)
     assert degrees == {0, 1, 2}
+
+
+def test_pieces_tile_the_split_sizes_with_alpha_min_one_line():
+    """For every 2 <= n < 60 and 0 <= m <= C(n,2), the pieces tile
+    [1, n-1] in at most two, and alpha_min is a0 + q*w at every w of each:
+    the property the piece walk of _unrefuted rests on."""
+    for n in range(2, 60):
+        for m in range(n * (n - 1) // 2 + 1):
+            pieces = list(_pieces(n, m))
+            assert 1 <= len(pieces) <= 2, (n, m)
+            assert pieces[0][0] == 1 and pieces[-1][1] == n - 1, (n, m)
+            for (_, end, _, _), (x, _, _, _) in zip(pieces, pieces[1:]):
+                assert x == end + 1, (n, m)
+            for x, end, q, a0 in pieces:
+                assert x <= end, (n, m)
+                for w in range(x, end + 1):
+                    assert alpha_min(n, m, w) == a0 + q * w, (n, m, w)
 
 
 def _alpha_min_end_bound(n, m, h, w):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from srgcert import SrgParams, Verdict, decide, serialize
+from srgcert import SrgParams, Verdict, decide, gramtest, serialize
 from srgcert.gramtest import WSplitWitness
 from srgcert.serialize import (
     SCHEMA_VERSION,
@@ -149,6 +149,23 @@ def test_certificate_text_mentions_key_quantities():
     assert "39 <= m <= 39" in text
     assert "2416/61" in text
     assert "verdict: Nonexistent" in text
+
+
+def test_certificate_text_computes_the_2x2_bound_once(monkeypatch):
+    """Certificate.m_upper_bound is computed on each read; the transcript
+    reads it once, and its bytes are those of the unpatched run."""
+    cert = decide(SrgParams(460, 153, 32, 60))
+    want = certificate_to_text(cert)
+    calls = []
+    exact = gramtest.m_upper_exact
+
+    def counting(params, rep):
+        calls.append(params)
+        return exact(params, rep)
+
+    monkeypatch.setattr(gramtest, "m_upper_exact", counting)
+    assert certificate_to_text(cert) == want
+    assert len(calls) == 1
 
 
 # One scan row of each shape: its JSON line, byte for byte what the compact
