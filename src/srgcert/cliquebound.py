@@ -49,17 +49,6 @@ def _gegenbauer_scaled(d: int, t: int) -> tuple[tuple[int, ...], int]:
     return tuple(n // g for n in nums), den // g
 
 
-def _gegenbauer_ratio(d: int, t: int, a: int, b: int) -> tuple[int, int]:
-    """(N, M) with M > 0 and N/M the normalized degree-t Gegenbauer value at
-    x^2 = a/b, b > 0, by Horner's rule on integers."""
-    nums, den = _gegenbauer_scaled(d, t)
-    acc, b_pow = nums[-1], 1
-    for c in reversed(nums[:-1]):
-        b_pow *= b
-        acc = acc * a + c * b_pow
-    return acc, den * b_pow
-
-
 class PairClass(NamedTuple):
     """One inner-product class of the vertex+edge vector system.
 
@@ -79,8 +68,7 @@ class PairClass(NamedTuple):
     k4: int = 0
 
 
-# every class count is an integer over 48, which clears every /2, /4, /6 and
-# /8 in pair_profile
+# every class count is an integer over 48, which clears every /2, /4, /6 and /8 in _class_rows
 COUNT_DEN = 48
 _ZERO = Fraction(0)  # K4Bound's constant and linear K4 coefficients
 
@@ -89,8 +77,21 @@ def _comb2(x: int) -> int:
     return x * (x - 1) // 2
 
 
-def pair_profile(params: SrgParams, rep: ReprConstants) -> tuple[PairClass, ...]:
-    """All inner-product classes of {x_u} union {y_e} with counts affine in K4.
+# pair_profile's class names per Gram block, in _class_rows's order
+_CLASS_NAMES = (
+    ("vertex-vertex", ("vv-self", "vv-adjacent", "vv-nonadjacent")),
+    ("vertex-edge", ("ve-endpoint", "ve-both", "ve-one", "ve-neither")),
+    ("edge-edge", ("ee-self", "ee-shared-adjacent", "ee-shared-nonadjacent", *(f"ee-disjoint-{j}" for j in range(5)))),
+)
+# each class's weight in its block's Gram sum: an unordered pair of distinct
+# edges sits twice in the Gram matrix
+_WEIGHTS = ((1, 1, 1), (1, 1, 1, 1), (1, 2, 2, 2, 2, 2, 2, 2))
+
+
+def _class_rows(params: SrgParams, rep: ReprConstants) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The inner-product classes of {x_u} union {y_e} with counts affine in K4,
+    as the (c, const, k4) of PairClass in integer rows, one tuple per Gram
+    block (vertex-vertex, vertex-edge, edge-edge) in _CLASS_NAMES's order.
 
     The disjoint edge-pair classes n_j (j = 0..4 cross adjacencies) come from
     4-vertex subgraph counts: a disjoint pair with j cross edges spans a
@@ -130,34 +131,27 @@ def pair_profile(params: SrgParams, rep: ReprConstants) -> tuple[PairClass, ...]
     n3 = (2 * diamond[0], 2 * diamond[1])
     n2 = (2 * c4[0] + paw[0], 2 * c4[1] + paw[1])
     cross_total = E48 * ((k - 1) ** 2 - lam)  # sum over disjoint pairs of j
-    n1 = (
-        cross_total - 2 * n2[0] - 3 * n3[0] - 4 * n4[0],
-        -2 * n2[1] - 3 * n3[1] - 4 * n4[1],
-    )
+    n1 = (cross_total - 2 * n2[0] - 3 * n3[0] - 4 * n4[0], -2 * n2[1] - 3 * n3[1] - 4 * n4[1])
     disjoint_total = E48 * (E48 - 48) // 96 - shared_total  # 48 C(|E|,2) = 48|E|(48|E| - 48) / 96
-    n0 = (
-        disjoint_total - n1[0] - n2[0] - n3[0] - n4[0],
-        -n1[1] - n2[1] - n3[1] - n4[1],
-    )
-
+    n0 = (disjoint_total - n1[0] - n2[0] - n3[0] - n4[0], -n1[1] - n2[1] - n3[1] - n4[1])
     return (
         # vertex-vertex, ordered pairs
-        PairClass("vv-self", "vertex-vertex", D, 48 * v),
-        PairClass("vv-adjacent", "vertex-vertex", P, 48 * v * k),
-        PairClass("vv-nonadjacent", "vertex-vertex", Q, 48 * v * (v - 1 - k)),
+        ((D, 48 * v, 0), (P, 48 * v * k, 0), (Q, 48 * v * (v - 1 - k), 0)),
         # vertex-edge, (vertex, edge) pairs
-        PairClass("ve-endpoint", "vertex-edge", D + P, 2 * E48),
-        PairClass("ve-both", "vertex-edge", 2 * P, E48 * lam),
-        PairClass("ve-one", "vertex-edge", P + Q, 2 * E48 * (k - 1 - lam)),
-        PairClass("ve-neither", "vertex-edge", 2 * Q, E48 * (v - 2 * k + lam)),
-        # edge-edge: self, sharing a vertex (unordered), disjoint (unordered)
-        PairClass("ee-self", "edge-edge", S, E48),
-        PairClass("ee-shared-adjacent", "edge-edge", D + 3 * P, shared_adj),
-        PairClass("ee-shared-nonadjacent", "edge-edge", D + 2 * P + Q, shared_total - shared_adj),
-        *(
-            PairClass(f"ee-disjoint-{j}", "edge-edge", j * P + (4 - j) * Q, const, coef)
-            for j, (const, coef) in enumerate((n0, n1, n2, n3, n4))
-        ),
+        ((D + P, 2 * E48, 0), (2 * P, E48 * lam, 0),
+         (P + Q, 2 * E48 * (k - 1 - lam), 0), (2 * Q, E48 * (v - 2 * k + lam), 0)),
+        # edge-edge: self, sharing a vertex (unordered), disjoint by cross adjacencies (unordered)
+        ((S, E48, 0), (D + 3 * P, shared_adj, 0), (D + 2 * P + Q, shared_total - shared_adj, 0),
+         (4 * Q, *n0), (P + 3 * Q, *n1), (2 * P + 2 * Q, *n2), (3 * P + Q, *n3), (4 * P, *n4)),
+    )
+
+
+def pair_profile(params: SrgParams, rep: ReprConstants) -> tuple[PairClass, ...]:
+    """All inner-product classes of {x_u} union {y_e}: _class_rows, named."""
+    return tuple(
+        PairClass(name, block, *row)
+        for (block, names), rows in zip(_CLASS_NAMES, _class_rows(params, rep))
+        for name, row in zip(names, rows, strict=True)
     )
 
 
@@ -220,18 +214,24 @@ def k4_lower_bound(params: SrgParams, rep: ReprConstants, degree: int = 4) -> K4
     the bound sup_a -A(a)/B(a) is reached at a* = -S_vv/S_ve with value
     (S_ve^2/S_vv - S_ee0)/B2.
     """
-    block_den = {"vertex-vertex": rep.D * rep.D, "vertex-edge": rep.D * rep.S, "edge-edge": rep.S * rep.S}
-    # per block: (constant-count numerator, K4-count numerator, denominator);
-    # a block's classes share block_den, so their Gegenbauer values share one too
-    sums: dict[str, tuple[int, int, int]] = {}
-    for cls in pair_profile(params, rep):
-        # an unordered pair of distinct edges sits twice in the Gram matrix
-        weight = 2 if cls.block == "edge-edge" and cls.name != "ee-self" else 1
-        n, den = _gegenbauer_ratio(rep.d, degree, cls.c * cls.c, block_den[cls.block])
-        const, k4, _ = sums.get(cls.block, (0, 0, 0))
-        sums[cls.block] = (const + weight * n * cls.const, k4 + weight * n * cls.k4, den)
-
-    (s_vv, _, d_vv), (s_ve, _, d_ve), (s_ee0, b2, d_ee) = (sums[b] for b in ("vertex-vertex", "vertex-edge", "edge-edge"))
-    bound_sums, dens = (s_vv, s_ve, s_ee0, b2), (COUNT_DEN * d_vv, COUNT_DEN * d_ve, COUNT_DEN * d_ee)
+    nums, den = _gegenbauer_scaled(rep.d, degree)
+    half = degree // 2
+    sums, dens = [], []
+    for rows, weights, b in zip(_class_rows(params, rep), _WEIGHTS, (rep.D * rep.D, rep.D * rep.S, rep.S * rep.S)):
+        # a block's c^2 share the denominator b, so with the coefficient of
+        # x^(2j) scaled once to nums[j] b^(t/2-j), Horner at x^2 = c^2 gives
+        # each class's Gegenbauer value as an integer over den b^(t/2)
+        top, *rest = (nums[j] * b ** (half - j) for j in range(half, -1, -1))
+        const = k4 = 0
+        for weight, (c, row_const, row_k4) in zip(weights, rows):
+            x, n = c * c, top
+            for coef in rest:
+                n = n * x + coef
+            const += weight * n * row_const
+            k4 += weight * n * row_k4
+        sums.append((const, k4))
+        dens.append(COUNT_DEN * den * b**half)
+    (s_vv, _), (s_ve, _), (s_ee0, b2) = sums
+    bound_sums = (s_vv, s_ve, s_ee0, b2)
     num, den = _raw_bound(bound_sums, dens) if b2 > 0 else (0, 1)
-    return K4Bound(max(0, -(-num // den)), b2 > 0, bound_sums, dens)
+    return K4Bound(max(0, -(-num // den)), b2 > 0, bound_sums, tuple(dens))

@@ -1,15 +1,16 @@
 from fractions import Fraction
 
 import functools
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from srgcert import cliquebound
-from srgcert.cliquebound import _gegenbauer_ratio, _gegenbauer_scaled, k4_lower_bound, pair_profile
+from srgcert.cliquebound import _class_rows, _gegenbauer_scaled, k4_lower_bound, pair_profile
 from srgcert.oracle import validate
-from srgcert.params import SrgParams, derive_spectrum, repr_constants
+from srgcert.params import ReprConstants, SrgParams, derive_spectrum, repr_constants
 from support import rep_from_fractions
 from test_acceptance import _primitive_feasible_tuples
 
@@ -76,20 +77,34 @@ def _even_coeffs(d, t):
     return tuple(Fraction(n, den) for n in nums)
 
 
+def _gegenbauer_value(d, t, x2):
+    """The normalized degree-t Gegenbauer value at x^2 = x2 >= 0, read from
+    k4_lower_bound on one vertex-edge class of count 1: with D = 1 that
+    block's c^2 is over S, so x2 = a/b is c = a over S = a b (S = b at 0)."""
+    a, b = x2.numerator, x2.denominator
+    rep = ReprConstants(d=d, D=1, P=0, Q=0, S=a * b or b)
+    rows = ((), ((a, cliquebound.COUNT_DEN, 0),), ())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cliquebound, "_class_rows", lambda *_: rows)
+        bound = k4_lower_bound(SrgParams(5, 2, 0, 1), rep, t)
+    assert (bound.sums[0], *bound.sums[2:]) == (0, 0, 0)
+    return Fraction(bound.sums[1], bound.dens[1])
+
+
 def test_gegenbauer_degree_zero_is_one():
     for d in (3, 7, 45):
-        for a, b in ((0, 1), (1, 3), (4, 1)):
-            assert Fraction(*_gegenbauer_ratio(d, 0, a, b)) == 1
+        for x2 in (Fraction(0), Fraction(1, 3), Fraction(4)):
+            assert _gegenbauer_value(d, 0, x2) == 1
 
 
 def test_gegenbauer_normalization_at_one():
     for d in (3, 5, 45, 342):
         for t in (2, 4, 6, 8):
-            assert Fraction(*_gegenbauer_ratio(d, t, 1, 1)) == 1
+            assert _gegenbauer_value(d, t, Fraction(1)) == 1
 
 
 def test_gegenbauer_degree_two_value():
-    assert Fraction(*_gegenbauer_ratio(45, 2, 0, 1)) == Fraction(-1, 44)
+    assert _gegenbauer_value(45, 2, Fraction(0)) == Fraction(-1, 44)
 
 
 def test_gegenbauer_degree_two_closed_form():
@@ -145,12 +160,11 @@ def test_gegenbauer_is_orthogonal_for_the_sphere_weight():
 
 
 def test_gegenbauer_rejects_odd_degree_and_small_dimension():
-    with pytest.raises(ValueError):
-        _gegenbauer_ratio(45, 3, 1, 4)
-    with pytest.raises(ValueError):
-        _gegenbauer_ratio(45, 10, 1, 4)
-    with pytest.raises(ValueError):
-        _gegenbauer_ratio(2, 4, 1, 4)
+    for d, t in ((45, 3), (45, 10), (2, 4)):
+        with pytest.raises(ValueError):
+            _gegenbauer_scaled(d, t)
+        with pytest.raises(ValueError):
+            _gegenbauer_value(d, t, Fraction(1, 4))
 
 
 def test_profile_counts_for_target_tuple():
@@ -305,15 +319,15 @@ def test_gegenbauer_eval_matches_fraction_horner():
     for d in (3, 4, 7, 45, 276, 1000):
         for t in range(0, 9, 2):
             for x2 in grid:
-                got = Fraction(*_gegenbauer_ratio(d, t, x2.numerator, x2.denominator))
-                assert got == _fraction_gegenbauer(d, t, x2), (d, t, x2)
+                assert _gegenbauer_value(d, t, x2) == _fraction_gegenbauer(d, t, x2), (d, t, x2)
 
 
 def test_k4_bound_matches_fraction_sums(reference_graphs, monkeypatch):
     """Every even degree, on every reference graph with an integer spectrum
-    and on the primitive feasible tuples with v <= 120; then on profiles
+    and on the primitive feasible tuples with v <= 120; then on class rows
     whose counts are divided by 6 or 4, since no integer-spectrum tuple with
-    v < 400 has a non-integral class count."""
+    v < 400 has a non-integral class count.  The bound must move with the
+    scaled rows, so they are the ones k4_lower_bound read."""
     tuples = [params for _, params in reference_graphs.values() if derive_spectrum(params) is not None]
     tuples += _primitive_feasible_tuples(120)
     for params in tuples:
@@ -326,18 +340,24 @@ def test_k4_bound_matches_fraction_sums(reference_graphs, monkeypatch):
         params, rep = _rep(tup)
         prof = pair_profile(params, rep)
         counts = [(_count_const(c), _count_k4(c)) for c in prof]
+        unscaled = [_k4_fields(k4_lower_bound(params, rep, degree)) for degree in range(0, 9, 2)]
         for div in (6, 4):
             # const/div and K4/(div + 1) over the count denominator times
             # div(div + 1)
-            scaled = tuple(c._replace(const=c.const * (div + 1), k4=c.k4 * div) for c in prof)
+            rows = tuple(
+                tuple((c, const * (div + 1), k4 * div) for c, const, k4 in block) for block in _class_rows(params, rep)
+            )
             with monkeypatch.context() as mp:
                 mp.setattr(cliquebound, "COUNT_DEN", cliquebound.COUNT_DEN * div * (div + 1))
-                mp.setattr(cliquebound, "pair_profile", lambda *_: scaled)
+                mp.setattr(cliquebound, "_class_rows", lambda *_: rows)
+                scaled = pair_profile(params, rep)
+                assert scaled == tuple(c._replace(const=c.const * (div + 1), k4=c.k4 * div) for c in prof)
                 for c, (const, k4) in zip(scaled, counts):
                     assert (_count_const(c), _count_k4(c)) == (const / div, k4 / (div + 1))
-                for degree in range(0, 9, 2):
-                    want = _fraction_k4_lower_bound(scaled, rep, degree)
-                    assert _k4_fields(k4_lower_bound(params, rep, degree)) == want, (tup, div)
+                got = [_k4_fields(k4_lower_bound(params, rep, degree)) for degree in range(0, 9, 2)]
+                for degree, fields in zip(range(0, 9, 2), got):
+                    assert fields == _fraction_k4_lower_bound(scaled, rep, degree), (tup, div, degree)
+            assert got != unscaled, (tup, div)
 
 
 def test_degree_zero_is_never_informative():
@@ -347,6 +367,25 @@ def test_degree_zero_is_never_informative():
     for params in _primitive_feasible_tuples(120):
         bound = k4_lower_bound(params, repr_constants(params, derive_spectrum(params)), 0)
         assert bound.k4_quadratic[2] == 0 and not bound.informative and bound.lower == 0, params
+
+
+# SHA-256 of repr((v, k, lam, mu), degree, lower, informative, sums, dens) of
+# k4_lower_bound, one line each, over the 648 primitive feasible tuples with
+# v <= 300 at every even degree up to 8; taken from the per-class Horner the
+# block Horner replaced
+GOLDEN_K4_SHA256 = "8553adb1119085ac2ba7f4c0451be51ab719434af9b30e7eedce82f52b66f9b2"
+
+
+def test_k4_bound_integers_golden():
+    digest = hashlib.sha256()
+    tuples = list(_primitive_feasible_tuples(300))
+    assert len(tuples) == 648
+    for params in tuples:
+        rep = repr_constants(params, derive_spectrum(params))
+        for degree in range(0, 9, 2):
+            b = k4_lower_bound(params, rep, degree)
+            digest.update(repr((tuple(params), degree, b.lower, b.informative, b.sums, b.dens)).encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_K4_SHA256
 
 
 def _fraction_view(classes, rep):

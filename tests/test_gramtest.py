@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from srgcert import gramtest
+from srgcert.cliquebound import PairClass, pair_profile
 from srgcert.gramtest import (
     Gram3PerM,
     MRange,
@@ -503,6 +504,25 @@ def test_scan_rows_build_no_fraction(monkeypatch):
     for cert in certs:
         assert certificate_json(cert) == json.dumps(_dict_certificate(cert), indent=2), cert.params
     assert built
+
+
+def test_decide_builds_no_pair_class(monkeypatch):
+    """Deciding the rows of bench/corpus/feasible.csv and the paper tuples
+    builds no PairClass: the 4-clique bound sums the census's integer rows,
+    and only pair_profile names them, as its 15 classes."""
+    built = []
+    new = PairClass.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(PairClass, "__new__", counting_new)
+    certs = [decide(params) for params in _feasible_rows() + [SrgParams(*t) for t in PAPER_TUPLES]]
+    assert built == []
+    assert all(cert.k4_bound.informative for cert in certs[-3:])
+    classes = pair_profile(certs[-1].params, certs[-1].rep)
+    assert len(built) == len(classes) == len({c.name for c in classes}) == 15
 
 
 def test_co_gq_first_m_leaves_no_w_to_the_loop():
