@@ -13,7 +13,7 @@ import time
 from .cliquebound import MAX_DEGREE
 from .gramtest import Verdict, decide
 from .params import InvalidParamsError, SrgParams, subconstituent_scan
-from .serialize import certificate_json, certificate_to_text, dumps, scan_row_line
+from .serialize import certificate_json, certificate_to_text, dumps, scan_row
 
 EXIT_BY_VERDICT = {
     Verdict.INCONCLUSIVE: 0,
@@ -84,7 +84,7 @@ def _scan_worker(json_lines, task):
     """One CSV row to (verdict name or "Error", its finished output line)."""
     line_no, text = task
     parts = [p.strip() for p in text.split(",")]
-    t0 = time.perf_counter()
+    t0 = 0 if json_lines else time.perf_counter()  # only the table line prints the row's time
     try:
         if len(parts) != 4:
             raise ValueError(f"expected 4 fields, got {len(parts)}")
@@ -101,7 +101,7 @@ def _scan_worker(json_lines, task):
             traceback.print_exc()
             error = f"{type(exc).__name__}: {exc}"
         else:
-            return cert.verdict.value, scan_row_line(cert, json_lines, int((time.perf_counter() - t0) * 1000))
+            return scan_row(cert, json_lines, 0 if json_lines else int((time.perf_counter() - t0) * 1000))
     # the message echoes input, so it needs the JSON encoder's escaping
     return "Error", (dumps({"line": line_no, "error": error}) if json_lines else f"line {line_no}: error: {error}") + "\n"
 

@@ -221,14 +221,17 @@ def k4_lower_bound(params: SrgParams, rep: ReprConstants, degree: int = 4) -> K4
         # a block's c^2 share the denominator b, so with the coefficient of
         # x^(2j) scaled once to nums[j] b^(t/2-j), Horner at x^2 = c^2 gives
         # each class's Gegenbauer value as an integer over den b^(t/2)
-        top, *rest = (nums[j] * b ** (half - j) for j in range(half, -1, -1))
+        top, *rest = [nums[j] * b ** (half - j) for j in range(half, -1, -1)]
         const = k4 = 0
         for weight, (c, row_const, row_k4) in zip(weights, rows):
             x, n = c * c, top
             for coef in rest:
                 n = n * x + coef
-            const += weight * n * row_const
-            k4 += weight * n * row_k4
+            if weight != 1:
+                n *= weight
+            const += n * row_const
+            if row_k4:  # the K4 column is 0 but in the disjoint edge-pair rows
+                k4 += n * row_k4
         sums.append((const, k4))
         dens.append(COUNT_DEN * den * b**half)
     (s_vv, _), (s_ve, _), (s_ee0, b2) = sums

@@ -198,14 +198,9 @@ def gram3_per_m(params: SrgParams, rep: ReprConstants, m: int) -> Gram3PerM:
     x2 = D + (params.lam - 1) * Q  # <X, Y2> less d*alpha, over w
     # det = |Y2|^2 g - |X|^2 <Y2, Y3>^2 - |Y3|^2 <X, Y2>^2 + 2 <X, Y2> <Y2, Y3> <X, Y3>
     g = xx * y3 - x3 * x3  # |X|^2 |Y3|^2 - <X, Y3>^2
-    return Gram3PerM(
-        n00_w=(D - Q) * g,
-        n00_ww=Q * g - 4 * P * P * xx - y3 * x2 * x2 + 4 * P * x2 * x3,
-        n10_w=2 * d * (2 * P * x3 - y3 * x2),
-        n01=2 * d * g,
-        n20=-y3 * d * d,
-        den=D**3,
-    )
+    n00_w, n00_ww = (D - Q) * g, Q * g - 4 * P * P * xx - y3 * x2 * x2 + 4 * P * x2 * x3
+    n10_w, n01, n20 = 2 * d * (2 * P * x3 - y3 * x2), 2 * d * g, -y3 * d * d
+    return Gram3PerM(n00_w, n00_ww, n10_w, n01, n20, D**3)
 
 
 def gram3_per_w(h: Gram3PerM, w: int) -> tuple[int, int]:
@@ -296,6 +291,8 @@ def _nonneg_runs(c, a: int, b: int) -> list[tuple[int, int]]:
     if c2 > 0:
         neg = _nonneg_runs([-c0 - 1, -c1, -c2], a, b)
         return [(x, y) for x, y in ((a, neg[0][0] - 1), (neg[0][1] + 1, b)) if x <= y] if neg else [(a, b)]
+    if c0 + (c1 + c2 * a) * a >= 0 and c0 + (c1 + c2 * b) * b >= 0:
+        return [(a, b)]  # a concave or linear p is >= 0 between two ends where it is
     lo, hi = a, b
     if c2 < 0:
         P = -c2
@@ -419,14 +416,14 @@ def decide(params: SrgParams, *, gegenbauer_degree: int = 4) -> Certificate:
     rep = repr_constants(params, spectrum)
     k4 = k4_lower_bound(params, rep, degree=gegenbauer_degree)
     notes = [] if k4.informative else ["4-clique quadratic form carries no positive K4 coefficient"]
-    lo = m_lower(params, k4.lower)
+    lower = m_lower(params, k4.lower)
     root = _gram2_root(params, rep)
-    up = 0 if root is None else max(-1, root[0] // root[1])
+    upper = 0 if root is None else max(-1, root[0] // root[1])
     cap = params.lam * (params.lam - 1) // 2
-    if up > cap:
-        notes.append(f"2x2 Gram bound {up} exceeds C(lam,2)={cap}; capped")
-        up = cap
-    rng = MRange(lower=lo, upper=up)
+    if upper > cap:
+        notes.append(f"2x2 Gram bound {upper} exceeds C(lam,2)={cap}; capped")
+        upper = cap
+    rng = MRange(lower, upper)
 
     # an empty window is itself the contradiction: the loop does not run
     verdict = Verdict.NONEXISTENT

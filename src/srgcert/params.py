@@ -37,6 +37,9 @@ class SrgParams(_SrgFields):
     __slots__ = ()
 
     def __new__(cls, v: int, k: int, lam: int, mu: int):
+        if 0 < k < v - 1 and 0 <= lam < k and 0 < mu <= k:
+            return tuple.__new__(cls, (v, k, lam, mu))
+        # the first range the tuple breaks names the error
         if not (0 < k < v):
             raise InvalidParamsError(f"need 0 < k < v, got k={k}, v={v}")
         if k == v - 1:
@@ -45,9 +48,7 @@ class SrgParams(_SrgFields):
             raise InvalidParamsError(f"need 0 <= lam < k, got lam={lam}, k={k}")
         if mu == 0:
             raise InvalidParamsError("mu = 0 (disconnected case) is degenerate")
-        if not (0 < mu <= k):
-            raise InvalidParamsError(f"need 0 < mu <= k, got mu={mu}, k={k}")
-        return tuple.__new__(cls, (v, k, lam, mu))
+        raise InvalidParamsError(f"need 0 < mu <= k, got mu={mu}, k={k}")
 
     @classmethod
     def _make(cls, fields):
@@ -98,7 +99,7 @@ def derive_spectrum(params: SrgParams) -> Spectrum | None:
     g = v - 1 - f
     if f < 0 or g < 0:
         return None
-    return Spectrum(r=r, s=s, f=f, g=g)
+    return Spectrum(r, s, f, g)
 
 
 class ReprConstants(NamedTuple):
@@ -130,7 +131,8 @@ def repr_constants(params: SrgParams, spectrum: Spectrum | None) -> ReprConstant
     den_p, den_q = k // math.gcd(s, k), c // math.gcd(1 + s, c)
     D = math.lcm(den_p, den_q)
     P = s * D // k  # exact, as den_p divides D; so is Q's division, as den_q does
-    return ReprConstants(d=spectrum.g, D=D, P=P, Q=-(1 + s) * D // c, S=2 * D + 2 * P)
+    Q, S = -(1 + s) * D // c, 2 * D + 2 * P
+    return ReprConstants(spectrum.g, D, P, Q, S)
 
 
 def _is_conference(params: SrgParams) -> bool:
@@ -153,10 +155,9 @@ def _krein_numerators(params: SrgParams, spectrum: Spectrum) -> tuple[int, int]:
     q = (mult^2/v)(1 + (e/k)^2 e - ((1+e)/c)^2 (1+e)), which is
     mult^2 (k^2 c^2 + e^3 c^2 - k^2 (1+e)^3) / (v k^2 c^2)."""
     k, c = params.k, params.v - 1 - params.k
-    return tuple(
-        mult * mult * ((k * c) ** 2 + e**3 * c * c - k * k * (1 + e) ** 3)
-        for e, mult in ((spectrum.r, spectrum.f), (spectrum.s, spectrum.g))
-    )
+    r, s, f, g = spectrum
+    kc, cc, kk = (k * c) ** 2, c * c, k * k
+    return f * f * (kc + r**3 * cc - kk * (1 + r) ** 3), g * g * (kc + s**3 * cc - kk * (1 + s) ** 3)
 
 
 class FeasibilityReport(NamedTuple):
@@ -198,22 +199,16 @@ def classical_feasibility(params: SrgParams) -> FeasibilityReport:
     """
     spectrum = derive_spectrum(params)
     integrality_ok = spectrum is not None or _is_conference(params)
-    krein_ok = absolute_ok = True
-    q22_zero = False
+    krein_ok = absolute_bound_ok = True
+    krein_q22_zero = False
     if spectrum is not None and params.primitive:
         v, f, g = params.v, spectrum.f, spectrum.g
         num111, num222 = _krein_numerators(params, spectrum)
         krein_ok = num111 >= 0 and num222 >= 0
-        absolute_ok = 2 * v <= f * (f + 3) and 2 * v <= g * (g + 3)
-        q22_zero = num222 == 0
-    return FeasibilityReport(
-        identity_ok=params.identity_holds(),
-        spectrum=spectrum,
-        integrality_ok=integrality_ok,
-        krein_ok=krein_ok,
-        absolute_bound_ok=absolute_ok,
-        krein_q22_zero=q22_zero,
-    )
+        absolute_bound_ok = 2 * v <= f * (f + 3) and 2 * v <= g * (g + 3)
+        krein_q22_zero = num222 == 0
+    identity_ok = params.identity_holds()
+    return FeasibilityReport(identity_ok, spectrum, integrality_ok, krein_ok, absolute_bound_ok, krein_q22_zero)
 
 
 def subconstituent_scan(v1: int, k1: int) -> list[tuple[int, int]]:

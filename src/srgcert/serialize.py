@@ -116,21 +116,22 @@ _SCAN_ROW_JSON = ('{"params":{"v":%d,"k":%d,"lambda":%d,"mu":%d},"verdict":"%s",
                   '"m_range":%s,"witness_w":%s,"krein_q22_zero":%s}\n')
 
 
-def scan_row_line(cert: Certificate, json_lines: bool, elapsed_ms: int) -> str:
-    """One scan output line, newline included.  Only the table line carries
-    the row's wall time, so JSON-lines output stays byte-deterministic."""
-    p, rng = cert.params, cert.m_range
+def scan_row(cert: Certificate, json_lines: bool, elapsed_ms: int) -> tuple[str, str]:
+    """The verdict's name and one scan output line, newline included.  Only
+    the table line carries the row's wall time, so JSON-lines output stays
+    byte-deterministic."""
+    p, rng, name = cert.params, cert.m_range, cert.verdict.value
     k4 = None if cert.k4_bound is None else cert.k4_bound.lower
     wit = cert.witnesses[0].w if cert.witnesses else None
     if json_lines:
-        return _SCAN_ROW_JSON % (
-            p.v, p.k, p.lam, p.mu, cert.verdict.value,
+        return name, _SCAN_ROW_JSON % (
+            p.v, p.k, p.lam, p.mu, name,
             "null" if k4 is None else k4,
             "null" if rng is None else '{"lower":%d,"upper":%d}' % (rng.lower, rng.upper),
             "null" if wit is None else wit,
             _BOOL[cert.feasibility.krein_q22_zero],
         )
-    return (
-        f"({p.v},{p.k},{p.lam},{p.mu}): {cert.verdict.value} k4>={'-' if k4 is None else k4}"
+    return name, (
+        f"({p.v},{p.k},{p.lam},{p.mu}): {name} k4>={'-' if k4 is None else k4}"
         f" m={'-' if rng is None else f'[{rng.lower},{rng.upper}]'} w={'-' if wit is None else wit} [{elapsed_ms}ms]\n"
     )

@@ -351,6 +351,29 @@ GOLDEN_SCAN_SHA256 = {
 }
 
 
+def test_json_lines_rows_read_no_clock(tmp_path, capsys, monkeypatch):
+    """scan --json-lines --jobs 1 reads the clock as often for 10 rows as
+    for all of feasible.csv: a JSON line prints no time, so its row reads
+    no clock.  The table still ends every row in its wall time."""
+    lines = (CORPUS / "feasible.csv").read_text(encoding="utf-8").splitlines()
+    head = [line for line in lines if line[:1].isalpha() or line[:1].isdigit()][:11]
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join(head) + "\n", encoding="utf-8")
+    clock, calls = cli.time.perf_counter, []
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: calls.append(1) or clock())
+    counts = []
+    for path in (short, CORPUS / "feasible.csv"):
+        calls.clear()
+        assert main(["scan", str(path), "--json-lines", "--jobs", "1"]) == 0
+        counts.append(len(calls))
+        assert "[" not in capsys.readouterr().out
+    assert counts[0] == counts[1]
+    assert main(["scan", str(CORPUS / "feasible.csv"), "--jobs", "1"]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert len(table) == 210 and all(re.search(r" \[\d+ms\]$", line) for line in table)
+    assert len(calls) > counts[1] + 210
+
+
 @pytest.mark.parametrize("name, json_lines", list(GOLDEN_SCAN_SHA256))
 def test_scan_golden_bytes(tmp_path, capsys, name, json_lines):
     path = CORPUS / name

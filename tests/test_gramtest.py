@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from srgcert.gramtest import (
 )
 from srgcert.oracle import census, construct, lambda_subgraph_edge_counts
 from srgcert.params import SrgParams, derive_spectrum, repr_constants
-from srgcert.serialize import certificate_json, scan_row_line
+from srgcert.serialize import certificate_json, scan_row
 from test_acceptance import _gram3_det, _primitive_feasible_tuples
 from test_families import PRIME_POWERS, _complement, _family_tuples, _gq
 from test_serialize import _dict_certificate
@@ -482,6 +483,23 @@ def test_exact_region_scans_are_pinned(monkeypatch):
     assert _work_counts(monkeypatch, _feasible_rows()) == (0, 0)
 
 
+def test_nonneg_runs_isqrt_calls_are_pinned(monkeypatch):
+    """Deciding the rows of bench/corpus/feasible.csv and the paper tuples
+    takes 257 isqrt calls in gramtest, 695 before _nonneg_runs returned a
+    run whole where a concave or linear polynomial is >= 0 at both of its
+    ends: a change that takes more square roots fails here."""
+    calls = []
+
+    def counting_isqrt(n):
+        calls.append(n)
+        return math.isqrt(n)
+
+    monkeypatch.setattr(gramtest, "math", types.SimpleNamespace(**{**vars(math), "isqrt": counting_isqrt}))
+    for params in _feasible_rows() + [SrgParams(*t) for t in PAPER_TUPLES]:
+        decide(params)
+    assert len(calls) == 257
+
+
 def test_scan_rows_build_no_fraction(monkeypatch):
     """Deciding and writing the scan rows of bench/corpus/feasible.csv and
     of the paper tuples, which are Nonexistent with witnesses, builds no
@@ -498,7 +516,7 @@ def test_scan_rows_build_no_fraction(monkeypatch):
     certs = []
     for params in _feasible_rows() + [SrgParams(*t) for t in PAPER_TUPLES]:
         certs.append(decide(params))
-        scan_row_line(certs[-1], True, 0), scan_row_line(certs[-1], False, 0)
+        scan_row(certs[-1], True, 0), scan_row(certs[-1], False, 0)
     assert built == []
     assert all(cert.verdict is Verdict.NONEXISTENT and cert.witnesses for cert in certs[-3:])
     for cert in certs:
@@ -590,7 +608,10 @@ def test_nonneg_runs_match_brute_force():
     random intervals: products of (w - r) over roots drawn at and just past
     the interval ends, with double roots, shifted by -1, 0 or 1, and
     polynomials with random coefficients around 10^40; intervals include
-    empty ones."""
+    empty ones.  Then concave and linear polynomials that are >= 0 at both
+    ends of the interval, which _nonneg_runs returns whole before any
+    square root: vertex inside, at an end or outside, leading coefficient
+    up to about 10^40, and c0 lifted just enough, or a little more."""
     rng = random.Random(16)
     degrees = set()
     for _ in range(6000):
@@ -612,6 +633,23 @@ def test_nonneg_runs_match_brute_force():
         degrees.add(max((j for j in (1, 2) if c[j]), default=0))
         assert _nonneg_runs(c, a, b) == _brute_runs(c, a, b), (c, a, b)
     assert degrees == {0, 1, 2}
+    drawn = set()
+    for _ in range(3000):
+        a = rng.randint(-40, 40)
+        b = a + rng.randint(0, 50)
+        lead = rng.choice([0, 1, 3, rng.randint(10**39, 10**40)])
+        place, vertex = rng.choice([("inside", rng.randint(a, b)), ("end", rng.choice([a, b])),
+                                    ("outside", rng.choice([a - rng.randint(1, 9), b + rng.randint(1, 9)]))])
+        if lead == 0:
+            place, c1 = "linear", rng.choice([-1, 1]) * rng.choice([0, 1, 7, rng.randint(10**39, 10**40)])
+        else:  # vertex 2*lead*vertex/(2*lead), or half a step past it
+            c1 = 2 * lead * vertex + rng.choice([0, 0, -lead, lead])
+        c = [0, c1, -lead]
+        c[0] = rng.choice([0, 0, 1, rng.randint(0, 10**40)]) - min(_poly_at(c, a), _poly_at(c, b))
+        assert min(_poly_at(c, a), _poly_at(c, b)) >= 0
+        drawn.add((place, lead > 10**30 or abs(c1) > 10**30))
+        assert _nonneg_runs(c, a, b) == _brute_runs(c, a, b) == [(a, b)], (c, a, b)
+    assert drawn == {(place, big) for place in ("inside", "end", "outside", "linear") for big in (False, True)}
 
 
 def test_pieces_tile_the_split_sizes_with_alpha_min_one_line():

@@ -1,6 +1,7 @@
 import math
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from srgcert.params import (
 from srgcert.oracle import construct
 from numeric import to_numpy
 
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+
 
 def test_validation_rejects_degenerate_tuples():
     with pytest.raises(InvalidParamsError):
@@ -30,6 +33,44 @@ def test_validation_rejects_degenerate_tuples():
         SrgParams(10, 3, 0, 0)  # mu = 0
     with pytest.raises(InvalidParamsError):
         SrgParams(10, 3, 0, 4)  # mu > k
+
+
+def _ordered_checks_error(v, k, lam, mu):
+    """The message of the first of SrgParams' five range checks, in their
+    order, that the tuple fails, or None: kept as the oracle of the one
+    chained test that admits a tuple."""
+    if not (0 < k < v):
+        return f"need 0 < k < v, got k={k}, v={v}"
+    if k == v - 1:
+        return "k = v - 1 (complete graph) is degenerate"
+    if not (0 <= lam < k):
+        return f"need 0 <= lam < k, got lam={lam}, k={k}"
+    if mu == 0:
+        return "mu = 0 (disconnected case) is degenerate"
+    if not (0 < mu <= k):
+        return f"need 0 < mu <= k, got mu={mu}, k={k}"
+    return None
+
+
+def test_validation_matches_ordered_checks_oracle():
+    """Over v <= 12 with k, lam and mu each in [-2, v + 1], SrgParams admits
+    exactly the oracle's tuples and rejects every other with the oracle's
+    message, which scan error records echo."""
+    accepted, failed_checks = 0, set()
+    for v in range(-2, 13):
+        for k in range(-2, v + 2):
+            for lam in range(-2, v + 2):
+                for mu in range(-2, v + 2):
+                    want = _ordered_checks_error(v, k, lam, mu)
+                    if want is None:
+                        assert SrgParams(v, k, lam, mu) == (v, k, lam, mu)
+                        accepted += 1
+                        continue
+                    with pytest.raises(InvalidParamsError) as exc:
+                        SrgParams(v, k, lam, mu)
+                    assert str(exc.value) == want, (v, k, lam, mu)
+                    failed_checks.add(want.split(",")[0])
+    assert accepted > 500 and len(failed_checks) == 5
 
 
 def test_validation_holds_on_every_construction_path():
@@ -196,6 +237,53 @@ def _fraction_krein(params, sp):
     q111 = Fraction(f * f, v) * (1 + p1 * p1 * r - q1 * q1 * (1 + r))
     q222 = Fraction(g * g, v) * (1 + p2 * p2 * s - q2 * q2 * (1 + s))
     return q111, q222
+
+
+def _corpus_params():
+    """Every row of bench/corpus/screen.csv and feasible.csv."""
+    rows = []
+    for name in ("screen.csv", "feasible.csv"):
+        lines = (CORPUS / name).read_text(encoding="utf-8").splitlines()
+        rows += [SrgParams(*map(int, line.split(","))) for line in lines if line[:1].isdigit()]
+    return rows
+
+
+def test_screen_fields_match_formulas_by_name():
+    """On every corpus row each FeasibilityReport field, read by name,
+    equals a formula written here (Krein against _fraction_krein), and the
+    spectrum solves 1 + f + g = v and k + f r + g s = 0 with r >= 0 > s.
+    The rows disagree on krein_ok and absolute_bound_ok both ways, so two
+    swapped fields fail here even where a scan row prints neither."""
+    rows, disagree = _corpus_params(), set()
+    assert len(rows) == 8093 + 210
+    for params in rows:
+        v, k, lam, mu = params
+        report = classical_feasibility(params)
+        assert report.identity_ok == (k * (k - lam - 1) == (v - k - 1) * mu), params
+        disc = (lam - mu) ** 2 + 4 * (k - mu)
+        root = math.isqrt(disc)
+        spectrum = None
+        if root * root == disc:
+            r, s = (lam - mu + root) // 2, (lam - mu - root) // 2
+            f = Fraction(-k - s * (v - 1), r - s)
+            if f.denominator == 1 and 0 <= f <= v - 1:
+                spectrum = Spectrum(r, s, int(f), v - 1 - int(f))
+            integral = spectrum is not None
+        else:
+            integral = 2 * k == v - 1 and 4 * mu == v - 1 and lam == mu - 1
+        assert report.spectrum == spectrum and report.integrality_ok == integral, params
+        krein, absolute, q22_zero = True, True, False
+        if spectrum is not None:
+            r, s, f, g = report.spectrum.r, report.spectrum.s, report.spectrum.f, report.spectrum.g
+            assert r >= 0 > s and 1 + f + g == v and k + f * r + g * s == 0, params
+            if mu < k:
+                q111, q222 = _fraction_krein(params, spectrum)
+                krein, q22_zero = q111 >= 0 and q222 >= 0, q222 == 0
+                absolute = v <= Fraction(f * (f + 3), 2) and v <= Fraction(g * (g + 3), 2)
+        assert report.krein_ok == krein and report.krein_q22_zero == q22_zero, params
+        assert report.absolute_bound_ok == absolute, params
+        disagree.add((krein, absolute))
+    assert {(True, False), (False, True)} <= disagree
 
 
 def test_krein_integers_match_fraction_formula():

@@ -10,7 +10,7 @@ from srgcert.serialize import (
     certificate_json,
     certificate_to_text,
     dumps,
-    scan_row_line,
+    scan_row,
 )
 
 ROUND_TRIP_TUPLES = [
@@ -206,8 +206,8 @@ SCAN_ROWS = {
 
 def test_scan_row_json_has_no_timing():
     cert = decide(SrgParams(16, 6, 2, 2))
-    assert scan_row_line(cert, True, 0) == scan_row_line(cert, True, 12345)
-    assert scan_row_line(cert, False, 12345).endswith(" w=- [12345ms]\n")
+    assert scan_row(cert, True, 0) == scan_row(cert, True, 12345)
+    assert scan_row(cert, False, 12345)[1].endswith(" w=- [12345ms]\n")
 
 
 def test_scan_row_json_fields():
@@ -215,8 +215,8 @@ def test_scan_row_json_fields():
     in the wall time it is given; the rows cover every verdict."""
     for tup, (want_json, want_table) in SCAN_ROWS.items():
         cert = decide(SrgParams(*tup))
-        line = scan_row_line(cert, True, 7)
-        assert line == want_json + "\n", tup
+        name, line = scan_row(cert, True, 7)
+        assert name == cert.verdict.value and line == want_json + "\n", tup
         assert dumps(json.loads(line)) + "\n" == line, tup
-        assert scan_row_line(cert, False, 7) == want_table + " [7ms]\n", tup
+        assert scan_row(cert, False, 7) == (name, want_table + " [7ms]\n"), tup
     assert {json.loads(want)["verdict"] for want, _ in SCAN_ROWS.values()} == {v.value for v in Verdict}
