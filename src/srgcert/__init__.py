@@ -6,11 +6,4 @@ from .params import InvalidParamsError, SrgParams
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Certificate",
-    "InvalidParamsError",
-    "SrgParams",
-    "Verdict",
-    "decide",
-    "__version__",
-]
+__all__ = ["Certificate", "InvalidParamsError", "SrgParams", "Verdict", "decide", "__version__"]

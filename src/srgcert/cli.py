@@ -9,11 +9,12 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 
 from .cliquebound import MAX_DEGREE
 from .gramtest import Verdict, decide
 from .params import InvalidParamsError, SrgParams, subconstituent_scan
-from .serialize import certificate_json, certificate_to_text, dumps, scan_row
+from .serialize import certificate_json, certificate_to_text, dumps, exact_digits, scan_row
 
 EXIT_BY_VERDICT = {
     Verdict.INCONCLUSIVE: 0,
@@ -26,6 +27,10 @@ EXIT_IO_ERROR = 3
 
 JOBS_ENV_VAR = "SRG_CERTIFY_JOBS"
 SERIAL_SECONDS = 0.3
+# a serial batch costs about 1.5 us besides its rows (worker call, clock read,
+# write): 64 rows make that under 0.5% of a 6 us screened row, and 64 of the
+# slowest corpus rows (0.13 ms) overrun the budget by under 3%
+SERIAL_BATCH_CAP = 64
 
 
 # built on the first main call, not at import, which every pool worker pays
@@ -76,59 +81,83 @@ def _cmd_check(args) -> int:
         print(f"--max-gegenbauer-degree must be even and at most {MAX_DEGREE}", file=sys.stderr)
         return EXIT_BAD_INPUT
     cert = decide(params, gegenbauer_degree=degree)
-    print(certificate_json(cert) if args.json else certificate_to_text(cert))
+    write = certificate_json if args.json else certificate_to_text
+    try:
+        text = write(cert)
+    except ValueError:  # an int longer than sys.get_int_max_str_digits()
+        text = exact_digits(write, cert)
+    print(text)
     return EXIT_BY_VERDICT[cert.verdict]
 
 
-def _scan_worker(json_lines, task):
-    """One CSV row to (verdict name or "Error", its finished output line)."""
-    line_no, text = task
-    parts = [p.strip() for p in text.split(",")]
-    t0 = 0 if json_lines else time.perf_counter()  # only the table line prints the row's time
-    try:
-        if len(parts) != 4:
-            raise ValueError(f"expected 4 fields, got {len(parts)}")
-        params = SrgParams(*map(int, parts))
-    except (ValueError, InvalidParamsError) as exc:
-        error = str(exc)
-    else:
+def _scan_worker(json_lines, tasks):
+    """A batch of CSV rows, (line number, text) each, to their verdict names
+    ("Error" for a row that fails) and their output lines joined."""
+    names, lines = [], []
+    for line_no, text in tasks:
+        t0 = 0 if json_lines else time.perf_counter()  # only the table line prints the row's time
         try:
-            cert = decide(params)
-        except Exception as exc:  # deliberate: one failing row must not abort the scan
-            import traceback
-
-            print(f"line {line_no}: decide failed", file=sys.stderr)
-            traceback.print_exc()
-            error = f"{type(exc).__name__}: {exc}"
+            try:
+                v, k, lam, mu = map(int, text.split(","))  # int() skips the spaces around a field
+            except ValueError:  # but not \x1f, and its message quotes them: strip each field
+                parts = [p.strip() for p in text.split(",")]
+                if len(parts) != 4:
+                    raise ValueError(f"expected 4 fields, got {len(parts)}")
+                v, k, lam, mu = map(int, parts)
+            params = SrgParams(v, k, lam, mu)
+        except ValueError as exc:  # InvalidParamsError is one
+            error = str(exc)
         else:
-            return scan_row(cert, json_lines, 0 if json_lines else int((time.perf_counter() - t0) * 1000))
-    # the message echoes input, so it needs the JSON encoder's escaping
-    return "Error", (dumps({"line": line_no, "error": error}) if json_lines else f"line {line_no}: error: {error}") + "\n"
+            try:
+                cert = decide(params)
+            except Exception as exc:  # deliberate: one failing row must not abort the scan
+                import traceback
+
+                print(f"line {line_no}: decide failed", file=sys.stderr)
+                traceback.print_exc()
+                error = f"{type(exc).__name__}: {exc}"
+            else:
+                ms = 0 if json_lines else int((time.perf_counter() - t0) * 1000)
+                try:
+                    name, line = scan_row(cert, json_lines, ms)
+                except ValueError:  # an int longer than sys.get_int_max_str_digits()
+                    name, line = exact_digits(scan_row, cert, json_lines, ms)
+                names.append(name)
+                lines.append(line)
+                continue
+        names.append("Error")
+        # the message echoes input, so it needs the JSON encoder's escaping
+        lines.append((dumps({"line": line_no, "error": error}) if json_lines else f"line {line_no}: error: {error}") + "\n")
+    return names, "".join(lines)
 
 
 def _decided_rows(worker, tasks, jobs):
-    """worker's (name, line) of each task in input order, as each is decided.
-    Rows take from microseconds to seconds, and a pool costs tens of ms to
-    start: rows are decided here until they have taken SERIAL_SECONDS of wall
-    time, the rest in a pool, which can pickle a partial of a module function."""
-    done, start = 0, time.perf_counter()
+    """worker's (names, lines) of each batch of tasks, in input order, as each
+    is decided.  Rows take from microseconds to seconds, and a pool costs tens
+    of ms to start: batches of 1, 2, 4, ... up to SERIAL_BATCH_CAP rows are
+    decided here until they have taken SERIAL_SECONDS of wall time, read
+    between batches (never at --jobs 1), the rest in a pool, which can pickle
+    a partial of a module function."""
+    done, size, start = 0, 1, 0 if jobs == 1 else time.perf_counter()
     while done < len(tasks) and (jobs == 1 or time.perf_counter() - start < SERIAL_SECONDS):
-        yield worker(tasks[done])
-        done += 1
+        yield worker(tasks[done:done + size])
+        done += size
+        size = min(2 * size, SERIAL_BATCH_CAP)
     rest = tasks[done:]
     # the pool starts all its workers at once: no more than rows left or CPUs
     workers = min(jobs, len(rest), os.cpu_count() or 1)
+    # a few batches per worker: one pickled round trip per row costs more
+    # than most rows take to decide
+    size = math.ceil(len(rest) / (4 * workers)) if workers > 1 else SERIAL_BATCH_CAP
+    batches = [rest[i:i + size] for i in range(0, len(rest), size)]
     if workers > 1:
         # imported here: multiprocessing slows every command's start, only this path uses it
         from concurrent.futures import ProcessPoolExecutor
 
-        # a few chunks per worker: one pickled round trip per row costs more
-        # than most rows take to decide
-        chunksize = math.ceil(len(rest) / (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(worker, rest, chunksize=chunksize)
+            yield from pool.map(worker, batches)
     else:
-        yield from map(worker, rest)
+        yield from map(worker, batches)
 
 
 def _cmd_scan(args) -> int:
@@ -149,21 +178,14 @@ def _cmd_scan(args) -> int:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
 
-    tasks: list[tuple[int, str]] = []
-    header = None
-    for idx, line in enumerate(raw_lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if header is None:
-            header = [f.strip().lower() for f in stripped.split(",")]
-            if header != ["v", "k", "lambda", "mu"]:
-                print(f"bad header {stripped!r}: expected v,k,lambda,mu", file=sys.stderr)
-                return EXIT_IO_ERROR
-            continue
-        tasks.append((idx, stripped))
-    if header is None:
+    # every line that is neither blank nor a comment: the header, then the rows
+    tasks = [(idx, text) for idx, line in enumerate(raw_lines, start=1) if (text := line.strip()) and text[0] != "#"]
+    if not tasks:
         print(f"no header in {args.input}: expected v,k,lambda,mu", file=sys.stderr)
+        return EXIT_IO_ERROR
+    header = tasks.pop(0)[1]
+    if [f.strip().lower() for f in header.split(",")] != ["v", "k", "lambda", "mu"]:
+        print(f"bad header {header!r}: expected v,k,lambda,mu", file=sys.stderr)
         return EXIT_IO_ERROR
 
     try:
@@ -171,17 +193,16 @@ def _cmd_scan(args) -> int:
     except OSError as exc:
         print(f"cannot write {args.output}: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
+    counts = Counter()
     try:
-        # every name a row can have, in a plain dict: its += takes under half of a Counter's
-        counts, write = dict.fromkeys([*(v.value for v in Verdict), "Error"], 0), out_handle.write
-        for name, line in _decided_rows(functools.partial(_scan_worker, args.json_lines), tasks, jobs):
-            counts[name] += 1
-            write(line)
+        for names, lines in _decided_rows(functools.partial(_scan_worker, args.json_lines), tasks, jobs):
+            counts.update(names)
+            out_handle.write(lines)
     finally:
         if out_handle is not sys.stdout:
             out_handle.close()
-    summary = ", ".join(f"{name}: {n}" for name, n in sorted(counts.items()) if n) or "no rows"
-    print(f"scanned {sum(counts.values())} rows ({summary})", file=sys.stderr)
+    summary = ", ".join(f"{name}: {n}" for name, n in sorted(counts.items())) or "no rows"
+    print(f"scanned {counts.total()} rows ({summary})", file=sys.stderr)
     return 0
 
 

@@ -38,6 +38,9 @@ class Verdict(enum.Enum):
     NOT_APPLICABLE = "NotApplicable"
 
 
+_INFEASIBLE = Verdict.INFEASIBLE_CLASSICAL  # a global read, not a class attribute lookup per row
+
+
 class MRange(NamedTuple):
     """Window for the maximal common-neighborhood edge count m: lower from
     4-clique averaging, upper from the 2x2 Gram determinant.  An empty
@@ -403,8 +406,8 @@ def decide(params: SrgParams, *, gegenbauer_degree: int = 4) -> Certificate:
     products.
     """
     report = classical_feasibility(params)
-    if not report.passed:
-        return Certificate(params, report, Verdict.INFEASIBLE_CLASSICAL)
+    if not report.passed:  # most scan rows: built whole, without the named tuple's Python __new__
+        return tuple.__new__(Certificate, (params, report, _INFEASIBLE, None, None, None, None, (), ()))
     spectrum = report.spectrum
     if spectrum is None:
         return Certificate(params, report, Verdict.NOT_APPLICABLE,

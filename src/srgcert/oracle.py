@@ -206,8 +206,7 @@ def lambda_subgraph_edge_counts(g: AdjacencyMatrix) -> list[int]:
     for u, w in g.edges():
         common = g.rows[u] & g.rows[w]
         members = [t for t in range(g.n) if common >> t & 1]
-        m = sum(1 for a, b in combinations(members, 2) if g.adjacent(a, b))
-        counts.append(m)
+        counts.append(sum(1 for a, b in combinations(members, 2) if g.adjacent(a, b)))
     return counts
 
 
@@ -248,23 +247,10 @@ def census(g: AdjacencyMatrix) -> CensusReport:
                 b2 = w2 if u2 == a else u2
                 shared[0 if g.adjacent(b, b2) else 1] += 1
             else:
-                j = (
-                    g.adjacent(u, u2)
-                    + g.adjacent(u, w2)
-                    + g.adjacent(w, u2)
-                    + g.adjacent(w, w2)
-                )
-                n_j[j] += 1
+                n_j[g.adjacent(u, u2) + g.adjacent(u, w2) + g.adjacent(w, u2) + g.adjacent(w, w2)] += 1
 
     m_counts = lambda_subgraph_edge_counts(g)
-    return CensusReport(
-        k4_count=k4,
-        n_j_disjoint=tuple(n_j),
-        vertex_edge_class_counts=tuple(ve),
-        shared_edge_class_counts=tuple(shared),
-        max_lambda_subgraph_edges=max(m_counts, default=0),
-        sum_lambda_subgraph_edges=sum(m_counts),
-    )
+    return CensusReport(k4, tuple(n_j), tuple(ve), tuple(shared), max(m_counts, default=0), sum(m_counts))
 
 
 def validate(g: AdjacencyMatrix) -> str:
@@ -287,23 +273,12 @@ def validate(g: AdjacencyMatrix) -> str:
     if cert.spectrum is None:
         return detail + " (irrational spectrum: census identities only)"
     v, k = params.v, params.k
-    expected = {
-        "vv-self": v,
-        "vv-adjacent": v * k,
-        "vv-nonadjacent": v * (v - 1 - k),
-        "ve-endpoint": report.vertex_edge_class_counts[0],
-        "ve-both": report.vertex_edge_class_counts[1],
-        "ve-one": report.vertex_edge_class_counts[2],
-        "ve-neither": report.vertex_edge_class_counts[3],
-        "ee-self": v * k // 2,
-        "ee-shared-adjacent": report.shared_edge_class_counts[0],
-        "ee-shared-nonadjacent": report.shared_edge_class_counts[1],
-        **{f"ee-disjoint-{j}": report.n_j_disjoint[j] for j in range(5)},
-    }
-    counts = {c.name: Fraction(c.const + c.k4 * report.k4_count, COUNT_DEN) for c in pair_profile(params, cert.rep)}
-    for key, want in expected.items():
-        if counts[key] != want:
-            raise AssertionError(f"class {key}: derived {counts[key]} != census {want}")
+    # the census count of each pair_profile class, in its order
+    want = (v, v * k, v * (v - 1 - k), *report.vertex_edge_class_counts, v * k // 2,
+            *report.shared_edge_class_counts, *report.n_j_disjoint)
+    for c, count in zip(pair_profile(params, cert.rep), want, strict=True):
+        if (derived := Fraction(c.const + c.k4 * report.k4_count, COUNT_DEN)) != count:
+            raise AssertionError(f"class {c.name}: derived {derived} != census {count}")
     bound = cert.k4_bound.lower
     if bound > report.k4_count:
         raise AssertionError(f"4-clique bound {bound} exceeds true count {report.k4_count}")

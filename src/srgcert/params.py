@@ -141,12 +141,7 @@ def _is_conference(params: SrgParams) -> bool:
     This forces 2k = v - 1, mu = (v-1)/4 and lam = mu - 1.
     """
     v, k, lam, mu = params.v, params.k, params.lam, params.mu
-    return (
-        2 * k == v - 1
-        and (v - 1) % 4 == 0
-        and mu == (v - 1) // 4
-        and lam == mu - 1
-    )
+    return 2 * k == v - 1 and (v - 1) % 4 == 0 and mu == (v - 1) // 4 and lam == mu - 1
 
 
 def _krein_numerators(params: SrgParams, spectrum: Spectrum) -> tuple[int, int]:
@@ -178,12 +173,7 @@ class FeasibilityReport(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        return (
-            self.identity_ok
-            and self.integrality_ok
-            and self.krein_ok
-            and self.absolute_bound_ok
-        )
+        return self.identity_ok and self.integrality_ok and self.krein_ok and self.absolute_bound_ok
 
 
 def classical_feasibility(params: SrgParams) -> FeasibilityReport:

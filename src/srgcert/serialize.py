@@ -9,6 +9,7 @@ import from one key skeleton each, so key order is fixed and no floats appear.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -120,18 +121,31 @@ def scan_row(cert: Certificate, json_lines: bool, elapsed_ms: int) -> tuple[str,
     """The verdict's name and one scan output line, newline included.  Only
     the table line carries the row's wall time, so JSON-lines output stays
     byte-deterministic."""
-    p, rng, name = cert.params, cert.m_range, cert.verdict.value
-    k4 = None if cert.k4_bound is None else cert.k4_bound.lower
-    wit = cert.witnesses[0].w if cert.witnesses else None
+    p, feas, verdict, _, _, k4, rng, witnesses, _ = cert
+    name = verdict._value_  # the enum's value property costs ten times this
+    k4 = None if k4 is None else k4.lower
+    wit = witnesses[0].w if witnesses else None
     if json_lines:
         return name, _SCAN_ROW_JSON % (
             p.v, p.k, p.lam, p.mu, name,
             "null" if k4 is None else k4,
             "null" if rng is None else '{"lower":%d,"upper":%d}' % (rng.lower, rng.upper),
             "null" if wit is None else wit,
-            _BOOL[cert.feasibility.krein_q22_zero],
+            _BOOL[feas.krein_q22_zero],
         )
     return name, (
         f"({p.v},{p.k},{p.lam},{p.mu}): {name} k4>={'-' if k4 is None else k4}"
         f" m={'-' if rng is None else f'[{rng.lower},{rng.upper}]'} w={'-' if wit is None else wit} [{elapsed_ms}ms]\n"
     )
+
+
+def exact_digits(write, *args):
+    """write(*args) with Python's limit on the decimal digits of an int
+    (sys.set_int_max_str_digits, 4300 by default) lifted for the call only:
+    the input of a huge tuple stays within the limit, its certificate need not."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return write(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -244,9 +244,11 @@ def test_scan_writes_rows_as_they_are_decided(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("serial_rows", [0, 1, 2])
 def test_scan_pool_matches_serial(tmp_path, capsys, monkeypatch, serial_rows):
-    # a fake clock that each decided row moves on by one second: with a
-    # budget of serial_rows - 0.5 seconds (none for 0), the pool takes the
-    # rows after the first 0, 1 or 2 decided ones, error rows included
+    # a fake clock that each decided row moves on by one second, with a
+    # budget of serial_rows - 0.5 seconds (none for 0).  The clock is read
+    # between serial batches of 1, 2, 4, ... rows, so the pool takes the rows
+    # after the first batch boundary past the budget: after 0, 1 or 3 decided
+    # rows, as SCAN_CSV's first batches are its rows [1] and [2, 3]
     clock = [0.0]
     real_decide = cli.decide
 
@@ -262,10 +264,37 @@ def test_scan_pool_matches_serial(tmp_path, capsys, monkeypatch, serial_rows):
     pooled, serial = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     assert main(["scan", str(csv_path), "--json-lines", "--output", str(pooled), "--jobs", "2"]) == 0
     # workers decide with their own copy of the clock, so this counts the rows decided here
-    assert clock[0] == serial_rows or os.cpu_count() == 1
+    assert clock[0] == {0: 0, 1: 1, 2: 3}[serial_rows] or os.cpu_count() == 1
     assert main(["scan", str(csv_path), "--json-lines", "--output", str(serial), "--jobs", "1"]) == 0
     capsys.readouterr()
     assert pooled.read_bytes() == serial.read_bytes()
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """ProcessPoolExecutor replaced by a pool that maps in-process, so that
+    no process starts: the list of each pool's (workers, batch sizes)."""
+    import concurrent.futures
+
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, batches):
+            batches = list(batches)
+            pools.append((self.max_workers, [len(batch) for batch in batches]))
+            return map(fn, batches)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return pools
 
 
 def test_small_scan_starts_no_pool(tmp_path, capsys, monkeypatch):
@@ -281,41 +310,21 @@ def test_small_scan_starts_no_pool(tmp_path, capsys, monkeypatch):
     assert len(capsys.readouterr().out.splitlines()) == 6
 
 
-def test_scan_pool_capped_at_rows_and_cpus(tmp_path, capsys, monkeypatch):
+def test_scan_pool_capped_at_rows_and_cpus(tmp_path, capsys, monkeypatch, fake_pool):
     """A huge --jobs or SRG_CERTIFY_JOBS starts no more workers than rows
-    left or CPUs, and a cap of one worker starts no pool.  The pool is a
-    fake that maps in-process: no process is started here."""
-    import concurrent.futures
-
-    pools = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize):
-            pools.append((self.max_workers, chunksize))
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(cli, "SERIAL_SECONDS", 0)  # the pool takes every row of SCAN_CSV
+    left or CPUs, and a cap of one worker starts no pool.  The pool gets one
+    task per batch of ceil(rows / (4 workers)) rows."""
+    monkeypatch.setattr(cli, "SERIAL_SECONDS", 0)  # the pool takes every row
     csv_path = tmp_path / "rows.csv"
-    csv_path.write_text(SCAN_CSV, encoding="utf-8")
+    csv_path.write_text(SCAN_CSV + SCAN_CSV.split("\n", 1)[1] * 4, encoding="utf-8")  # its 6 rows, 5 times
     assert main(["scan", str(csv_path), "--json-lines", "--jobs", "1"]) == 0
     serial = capsys.readouterr().out
-    rows = len(serial.splitlines())
-    assert rows == 6 and pools == []
-    for cpus, jobs, env, workers in [
-        (3, "100000", None, 3),
-        (3, None, "100000", 3),
-        (64, "100000", None, rows),
-        (8, "2", None, 2),
+    assert len(serial.splitlines()) == 30 and fake_pool == []
+    for cpus, jobs, env, pool in [
+        (3, "100000", None, (3, [3] * 10)),
+        (3, None, "100000", (3, [3] * 10)),
+        (64, "100000", None, (30, [1] * 30)),
+        (8, "2", None, (2, [4] * 7 + [2])),
         (None, "100000", None, None),
         (1, "2", None, None),
     ]:
@@ -325,10 +334,143 @@ def test_scan_pool_capped_at_rows_and_cpus(tmp_path, capsys, monkeypatch):
         else:
             monkeypatch.setenv("SRG_CERTIFY_JOBS", env)
         argv = ["scan", str(csv_path), "--json-lines"] + (["--jobs", jobs] if jobs else [])
-        pools.clear()
+        fake_pool.clear()
         assert main(argv) == 0
         assert capsys.readouterr().out == serial
-        assert pools == ([] if workers is None else [(workers, -(-rows // (4 * workers)))]), (cpus, jobs, env)
+        assert fake_pool == ([] if pool is None else [pool]), (cpus, jobs, env)
+
+
+def test_scan_batch_mixes_errors_and_rows(tmp_path, capsys, monkeypatch, fake_pool):
+    """Batches that each hold a malformed row, a row whose decide raises and
+    good rows write the same bytes at --jobs 1 as through the pool, in input
+    order, with the same Error count and tracebacks on stderr."""
+
+    def failing_decide(params):
+        if params == SrgParams(16, 6, 2, 2):
+            raise ZeroDivisionError("injected")
+        return decide(params)
+
+    monkeypatch.setattr(cli, "decide", failing_decide)
+    monkeypatch.setattr(cli, "SERIAL_SECONDS", 0)  # the pool takes every row
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    path = tmp_path / "rows.csv"
+    path.write_text("v,k,lambda,mu\n" + "10,3,1,1\nnot,a,row\n16,6,2,2\n5,2,0,1\n" * 8, encoding="utf-8")
+    runs = []
+    for jobs in ("1", "2"):  # serial batches 1, 2, 4, 8, 16, 1; pool batches 4 x 8
+        assert main(["scan", str(path), "--json-lines", "--jobs", jobs]) == 0
+        runs.append(capsys.readouterr())
+    assert fake_pool == [(2, [4] * 8)]
+    serial, pooled = runs
+    assert pooled.out == serial.out and pooled.err == serial.err
+    rows = serial.out.splitlines()
+    assert [json.loads(row)["verdict"] for row in rows[::4]] == ["InfeasibleClassical"] * 8
+    assert rows[1::4] == ['{"line":%d,"error":"expected 4 fields, got 3"}' % line for line in range(3, 34, 4)]
+    assert rows[2::4] == ['{"line":%d,"error":"ZeroDivisionError: injected"}' % line for line in range(4, 34, 4)]
+    assert [json.loads(row)["verdict"] for row in rows[3::4]] == ["NotApplicable"] * 8
+    err = serial.err.splitlines()
+    assert [line for line in err if "decide failed" in line] == [f"line {n}: decide failed" for n in range(4, 34, 4)]
+    assert err.count("Traceback (most recent call last):") == 8
+    assert err.count("ZeroDivisionError: injected") == 8
+    assert err[-1] == "scanned 32 rows (Error: 16, InfeasibleClassical: 8, NotApplicable: 8)"
+
+
+def test_scan_reads_clock_and_writes_once_per_batch(tmp_path, capsys, monkeypatch):
+    """Below the serial budget a --jobs 2 scan reads the clock once to start
+    and once per batch, and hands each batch of 1, 2, 4, ... up to
+    SERIAL_BATCH_CAP rows to one write call; --jobs 1 reads no clock."""
+    writes, reads = [], []
+    clock = cli.time.perf_counter
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: reads.append(1) or clock())
+    monkeypatch.setattr(cli, "SERIAL_BATCH_CAP", 4)
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
+    path = tmp_path / "rows.csv"
+    path.write_text("v,k,lambda,mu\n" + "10,3,1,1\n" * 20, encoding="utf-8")
+    for jobs, clock_reads in (("2", 8), ("1", 0)):
+        writes.clear()
+        reads.clear()
+        assert main(["scan", str(path), "--json-lines", "--jobs", jobs]) == 0
+        assert [text.count("\n") for text in writes] == [1, 2, 4, 4, 4, 4, 1]
+        assert len(reads) == clock_reads
+    assert "scanned 20 rows (InfeasibleClassical: 20)" in capsys.readouterr().err
+
+
+def _lifted_int_digit_limit(fn, *args):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return fn(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_scan_writes_rows_past_the_int_digit_limit(tmp_path, capsys):
+    """The complement of the Latin square graph L3(n), n = 10^551 + 7, has a
+    1103-digit v, and its 4-clique bound has more than the 4300 digits that
+    Python converts between int and str by default.  Its row is written
+    exactly and the scan goes on, while an input field past the limit is
+    still an error record."""
+    n = 10**551 + 7
+    v = n * n
+    big = (v, v - 3 * (n - 1) - 1, v - 6 * (n - 1) + 4, v - 6 * (n - 1) + n)
+    path = tmp_path / "rows.csv"
+    path.write_text("v,k,lambda,mu\n16,6,2,2\n" + ",".join(map(str, big)) + "\n10,3,1,1\n" + "1" * 4301 + ",2,0,1\n",
+                    encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    k4 = decide(SrgParams(*big)).k4_bound.lower
+    assert _lifted_int_digit_limit(lambda: len(str(k4))) > limit
+    for json_lines in (True, False):
+        assert main(["scan", str(path), "--jobs", "1"] + ["--json-lines"] * json_lines) == 0
+        captured = capsys.readouterr()
+        assert sys.get_int_max_str_digits() == limit
+        rows = captured.out.splitlines()
+        assert len(rows) == 4 and captured.err == "scanned 4 rows (Error: 1, Inconclusive: 2, InfeasibleClassical: 1)\n"
+        if json_lines:
+            row = _lifted_int_digit_limit(json.loads, rows[1])
+            assert row["params"] == dict(zip(("v", "k", "lambda", "mu"), big))
+            assert (row["verdict"], row["k4_lower"]) == ("Inconclusive", k4)
+            assert rows[3].startswith('{"line":5,"error":"Exceeds the limit (4300 digits) for integer string conversion')
+        else:
+            assert rows[1].startswith(f"({big[0]},{big[1]},{big[2]},{big[3]}): Inconclusive k4>=")
+            assert _lifted_int_digit_limit(lambda: f" k4>={k4} m=") in rows[1]
+            assert rows[3].startswith("line 5: error: Exceeds the limit (4300 digits)")
+
+
+def test_check_json_past_the_int_digit_limit(capsys):
+    """check --json writes a certificate whose ints pass the 4300-digit
+    limit exactly, and leaves the limit as it found it; an argument past the
+    limit is a usage error."""
+    n = 10**300 + 7
+    params = SrgParams(n * n, 3 * (n - 1), n, 6)
+    limit = sys.get_int_max_str_digits()
+    assert main(["check", *map(str, params), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert sys.get_int_max_str_digits() == limit
+    assert _lifted_int_digit_limit(lambda: json.loads(out) == _dict_certificate(decide(params)))
+    assert main(["check", *map(str, params)]) == 0
+    assert capsys.readouterr().out.endswith("verdict: Inconclusive\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "1" * 4301, "2", "0", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_scan_strips_fields_for_error_records(tmp_path, capsys):
+    """Spaces around a field are ignored, and an error record quotes a bad
+    field without them: the same records as when every field was stripped
+    before int().  A unit separator (\\x1f) is a space to strip too."""
+    path = tmp_path / "rows.csv"
+    path.write_text("v,k,lambda,mu\n16, x ,2,2\n 16 , 6 ,2,\t2\n16,\x1f6,2,2\x1f\n16,6,2\n16,6,2,2,1\n16,,2,2\n1,2,3,4\n",
+                    encoding="utf-8")
+    assert main(["scan", str(path), "--jobs", "1"]) == 0
+    assert re.sub(r" \[\d+ms\]\n", "\n", capsys.readouterr().out) == (
+        "line 2: error: invalid literal for int() with base 10: 'x'\n"
+        "(16,6,2,2): Inconclusive k4>=0 m=[0,1] w=-\n"
+        "(16,6,2,2): Inconclusive k4>=0 m=[0,1] w=-\n"
+        "line 5: error: expected 4 fields, got 3\n"
+        "line 6: error: expected 4 fields, got 5\n"
+        "line 7: error: invalid literal for int() with base 10: ''\n"
+        "line 8: error: need 0 < k < v, got k=2, v=1\n"
+    )
 
 
 CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
