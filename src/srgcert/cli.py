@@ -3,12 +3,13 @@ and the oracle self-check."""
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import os
+import re
 import sys
 import time
+import types
 from collections import Counter
 
 from .cliquebound import MAX_DEGREE
@@ -33,41 +34,159 @@ SERIAL_SECONDS = 0.3
 SERIAL_BATCH_CAP = 64
 
 
-# built on the first main call, not at import, which every pool worker pays
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="srgcert",
-        description="Exact non-existence certificates for strongly regular graph parameters.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+DESCRIPTION = "Exact non-existence certificates for strongly regular graph parameters."
+# each command: its help, its positionals as (attribute, type, metavar, help),
+# and its options as flag -> (attribute, type or None for a switch, default, metavar, help)
+COMMANDS = {
+    "check": (
+        "run the full pipeline on one tuple",
+        (("v", int, "v", ""), ("k", int, "k", ""), ("lam", int, "lambda", ""), ("mu", int, "mu", "")),
+        {
+            "--json": ("json", None, False, "", "emit the certificate as JSON"),
+            "--max-gegenbauer-degree": (
+                "max_gegenbauer_degree", int, 4, "T", "even polynomial degree for the 4-clique bound (default 4)"
+            ),
+        },
+    ),
+    "scan": (
+        "run the pipeline over a CSV of tuples",
+        (("input", str, "input", "CSV with header v,k,lambda,mu; # starts a comment"),),
+        {
+            "--jobs": ("jobs", int, None, "JOBS", f"worker processes (default: ${JOBS_ENV_VAR} or CPU count)"),
+            "--output": ("output", str, None, "OUTPUT", "write rows here instead of stdout"),
+            "--json-lines": ("json_lines", None, False, "", "one JSON object per row"),
+        },
+    ),
+    "subscan": (
+        "classically feasible (lambda', mu') for fixed (v1, k1)", (("v1", int, "v1", ""), ("k1", int, "k1", "")), {}
+    ),
+    "self-check": ("validate derived counts against brute-force censuses", (), {}),
+}
+HELP = "show this help message and exit"
+# an argument that starts with "-" but reads as a negative number is a positional
+NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    check = sub.add_parser("check", help="run the full pipeline on one tuple")
-    check.add_argument("v", type=int)
-    check.add_argument("k", type=int)
-    check.add_argument("lam", type=int, metavar="lambda")
-    check.add_argument("mu", type=int)
-    check.add_argument("--json", action="store_true", help="emit the certificate as JSON")
-    check.add_argument(
-        "--max-gegenbauer-degree",
-        type=int,
-        default=4,
-        metavar="T",
-        help="even polynomial degree for the 4-clique bound (default 4)",
-    )
 
-    scan = sub.add_parser("scan", help="run the pipeline over a CSV of tuples")
-    scan.add_argument("input", help="CSV with header v,k,lambda,mu; # starts a comment")
-    scan.add_argument("--jobs", type=int, default=None, help=f"worker processes (default: ${JOBS_ENV_VAR} or CPU count)")
-    scan.add_argument("--output", default=None, help="write rows here instead of stdout")
-    scan.add_argument("--json-lines", action="store_true", help="one JSON object per row")
+def _usage(command):
+    if command is None:
+        return "usage: srgcert [-h] {%s} ..." % ",".join(COMMANDS)
+    _, positionals, options = COMMANDS[command]
+    flags = [f"[{flag} {spec[3]}]" if spec[1] else f"[{flag}]" for flag, spec in options.items()]
+    return " ".join(["usage: srgcert", command, "[-h]", *flags, *(p[2] for p in positionals)])
 
-    subscan = sub.add_parser("subscan", help="classically feasible (lambda', mu') for fixed (v1, k1)")
-    subscan.add_argument("v1", type=int)
-    subscan.add_argument("k1", type=int)
 
-    sub.add_parser("self-check", help="validate derived counts against brute-force censuses")
-    return parser
+def _help(command) -> str:
+    """The help screen, laid out as argparse lays it out at 80 columns."""
+    import textwrap  # only a help screen wraps text
+
+    if command is None:
+        head = [_usage(None), "", DESCRIPTION, ""]
+        rows = [(2, "{%s}" % ",".join(COMMANDS), "")] + [(4, name, spec[0]) for name, spec in COMMANDS.items()]
+        sections = {"positional arguments": rows, "options": [(2, "-h, --help", HELP)]}
+    else:
+        _, positionals, options = COMMANDS[command]
+        head = [_usage(command), ""]
+        flags = [(2, f"{flag} {spec[3]}" if spec[1] else flag, spec[4]) for flag, spec in options.items()]
+        sections = {
+            "positional arguments": [(2, p[2], p[3]) for p in positionals],
+            "options": [(2, "-h, --help", HELP), *flags],
+        }
+    # help text starts in this column, or on the next line after a longer invocation
+    column = min(24, 2 + max(indent + len(name) for rows in sections.values() for indent, name, _ in rows))
+    lines = head
+    for title, rows in sections.items():
+        if rows:
+            lines.append(title + ":")
+            for indent, name, text in rows:
+                wrapped = [" " * column + line for line in textwrap.wrap(text, 78 - column)]
+                if wrapped and len(name) <= column - indent - 2:
+                    wrapped[0] = (" " * indent + name).ljust(column) + wrapped[0][column:]
+                else:
+                    lines.append(" " * indent + name)
+                lines += wrapped
+            lines.append("")
+    return "\n".join(lines)
+
+
+def _fail(command, message):
+    prog = "srgcert" if command is None else "srgcert " + command
+    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_BAD_INPUT)
+
+
+def _read(command, kind, name, text):
+    try:
+        return kind(text)  # int() skips the spaces around a number, as argparse let it
+    except ValueError:
+        _fail(command, f"argument {name}: invalid {kind.__name__} value: {text!r}")
+
+
+def _parse(args, command=None):
+    """args read as argparse read them, for command or else for the top
+    level: (fields, unrecognized arguments).  Options may come before,
+    between or after the positionals, as --opt value or --opt=value, or
+    abbreviated to a unique prefix; the last of a repeated option wins, and
+    every argument after "--" is a positional.  -h or --help prints the help
+    and exits 0; any other usage error exits 2 with a message on stderr."""
+    _, positionals, options = COMMANDS[command] if command else ("", (), {})
+    options = {"-h": None, "--help": None, **options}
+    fields = {spec[0]: spec[2] for spec in options.values() if spec}
+    extras, filled, i, dashes = [], 0, 0, False
+    while i < len(args):
+        arg, i = args[i], i + 1
+        option = None if dashes or arg == "--" else _option(command, arg, options)
+        if option is None:
+            if arg == "--" and not dashes:
+                dashes = True
+            elif command is None:  # the command: its own arguments are all the rest
+                if arg not in COMMANDS:
+                    choices = ", ".join(map(repr, COMMANDS))
+                    _fail(None, f"argument command: invalid choice: {arg!r} (choose from {choices})")
+                sub, sub_extras = _parse(args[i:], arg)
+                return {"command": arg, **sub}, extras + sub_extras
+            elif filled < len(positionals):
+                attr, kind, name, _ = positionals[filled]
+                fields[attr], filled = _read(command, kind, name, arg), filled + 1
+            else:
+                extras.append(arg)
+            continue
+        flag, value = option
+        if flag not in options:  # an option that this parser does not have
+            extras.append(arg)
+            continue
+        spec = options[flag]
+        if value is not None and (spec is None or spec[1] is None):
+            _fail(command, f"argument {flag}: ignored explicit argument {value!r}")
+        if spec is None:
+            print(_help(command), end="")
+            raise SystemExit(0)
+        if spec[1] is None:  # a switch
+            fields[spec[0]] = True
+            continue
+        if value is None:
+            if i == len(args) or args[i] == "--" or _option(command, args[i], options) is not None:
+                _fail(command, f"argument {flag}: expected one argument")
+            value, i = args[i], i + 1
+        fields[spec[0]] = _read(command, spec[1], flag, value)
+    if command is None:
+        _fail(None, "the following arguments are required: command")
+    if filled < len(positionals):
+        _fail(command, "the following arguments are required: " + ", ".join(p[2] for p in positionals[filled:]))
+    return fields, extras
+
+
+def _option(command, arg, options):
+    """None if arg is a positional, else (its flag, or arg itself if options
+    has no such flag; the value after "=", or None)."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    name, eq, value = arg.partition("=")
+    matches = [name] if name in options else [f for f in options if name[:2] == "--" and f.startswith(name)]
+    if len(matches) > 1:
+        _fail(command, f"ambiguous option: {arg} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value if eq else None
+    return None if NEGATIVE_NUMBER.match(arg) or " " in arg else (arg, None)
 
 
 def _cmd_check(args) -> int:
@@ -173,7 +292,8 @@ def _cmd_scan(args) -> int:
         jobs = int(env) if env else os.cpu_count() or 1
     try:
         with open(args.input, encoding="utf-8-sig") as handle:
-            raw_lines = handle.read().splitlines()
+            # text mode reads \r\n and \r as \n; splitlines() would also split rows at \v, \f, \x85, ...
+            raw_lines = handle.read().split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
@@ -241,8 +361,16 @@ def _cmd_self_check(args) -> int:
     return 0
 
 
+def parse_args(argv):
+    """argv as a namespace of its command and the command's fields."""
+    fields, extras = _parse(list(argv))
+    if extras:
+        _fail(None, "unrecognized arguments: " + " ".join(extras))
+    return types.SimpleNamespace(**fields)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     # looked up by name on each call, so a patched `_cmd_*` attribute is the one that runs
     return globals()["_cmd_" + args.command.replace("-", "_")](args)
 

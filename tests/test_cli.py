@@ -546,6 +546,23 @@ def test_scan_error_records_escape_input(tmp_path, capsys):
     )
 
 
+def test_scan_numbers_rows_by_newline_only(tmp_path, capsys):
+    """A row is one \\n-terminated line: a vertical tab, form feed, file,
+    group or record separator, NEL, or line or paragraph separator inside it
+    splits nothing, so every later row keeps its true line number."""
+    breaks = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    path = tmp_path / "rows.csv"
+    rows = "".join(f"16,6{c},2,2\n" for c in breaks)
+    path.write_text(f"v,k,lambda,mu\n{rows}\r\n16,6,2,x\r5,2,0,1\n", encoding="utf-8")
+    assert main(["scan", str(path), "--json-lines", "--jobs", "1"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.split("\n")[:-1]]
+    assert [r["params"]["v"] for r in records[: len(breaks)]] == [16] * len(breaks)
+    # \r\n and \r end a line too: the blank line is len(breaks) + 2
+    assert records[len(breaks)] == {"line": len(breaks) + 3, "error": "invalid literal for int() with base 10: 'x'"}
+    assert records[len(breaks) + 1]["params"] == {"v": 5, "k": 2, "lambda": 0, "mu": 1}
+    assert len(records) == len(breaks) + 2
+
+
 def test_scan_into_closed_pipe_exits_without_traceback(tmp_path):
     """`srgcert scan ... | head -1`: the reader closes the pipe after one
     line, while the scan still has far more than a pipe buffer to write."""
@@ -615,41 +632,133 @@ def test_subscan_invalid(capsys):
 
 
 def test_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
-    built, init = [], argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    cli._build_parser.cache_clear()
-    builds, tup, params = [], ["460", "153", "32", "60"], SrgParams(460, 153, 32, 60)
+    tup, params = ["460", "153", "32", "60"], SrgParams(460, 153, 32, 60)
 
     assert main(["check", *tup, "--json", "--max-gegenbauer-degree", "6"]) == 0
     assert json.loads(capsys.readouterr().out) == _dict_certificate(decide(params, gegenbauer_degree=6))
-    builds.append(len(built))
     for argv, status in ((["check", "1"], 2), (["--help"], 0)):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == status
         capsys.readouterr()
-        builds.append(len(built))
     # --json and degree 6 do not carry over: degree 4 decides Nonexistent
     assert main(["check", *tup]) == 10
     assert capsys.readouterr().out == certificate_to_text(decide(params)) + "\n"
-    builds.append(len(built))
 
     path = tmp_path / "rows.csv"
     path.write_text("v,k,lambda,mu\n16,6,2,2\n", encoding="utf-8")
     monkeypatch.setenv("SRG_CERTIFY_JOBS", "0")
     assert main(["scan", str(path), "--jobs", "3"]) == 0
     capsys.readouterr()
-    builds.append(len(built))
     # without --jobs the scan reads SRG_CERTIFY_JOBS again, not the last --jobs
     assert main(["scan", str(path)]) == 2
     assert "SRG_CERTIFY_JOBS must be a positive integer, got '0'" in capsys.readouterr().err
-    builds.append(len(built))
-    assert builds == [5] * 6  # the top parser and four subcommands, built by the first call only
+
+
+def _argparse_reference():
+    """The argparse parser that cli.parse_args replaced, built from the same
+    command table."""
+    parser = argparse.ArgumentParser(prog="srgcert", description=cli.DESCRIPTION)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, positionals, options) in cli.COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for attr, kind, metavar, help_ in positionals:
+            command.add_argument(attr, type=kind, metavar=metavar, help=help_ or None)
+        for flag, (attr, kind, default, metavar, help_) in options.items():
+            if kind is None:
+                command.add_argument(flag, action="store_true", help=help_)
+            else:
+                command.add_argument(flag, type=kind, default=default, metavar=metavar, help=help_)
+    return parser
+
+
+CHECK = ["check", "460", "153", "32", "60"]
+# argv that argparse reads alike on Python 3.10 to 3.13
+ARGV_CASES = [
+    # options before, between and after the positionals; --opt value and --opt=value
+    CHECK,
+    [*CHECK, "--json"],
+    ["check", "--json", "460", "153", "32", "60"],
+    ["check", "460", "153", "--max-gegenbauer-degree", "6", "32", "60"],
+    [*CHECK, "--max-gegenbauer-degree=0"],
+    ["scan", "--jobs=3", "rows.csv", "--output", "out.jsonl", "--json-lines"],
+    ["scan", "rows.csv", "--output="],
+    # unique prefixes, and a flag that is a prefix of another command's flag
+    ["check", "--max", "2", "460", "153", "32", "60", "--j"],
+    [*CHECK, "--max-g=2"],
+    ["scan", "rows.csv", "--jo", "2", "--o=x", "--json"],
+    # the last of a repeated option wins
+    [*CHECK, "--max-gegenbauer-degree", "2", "--max-gegenbauer-degree", "6", "--json", "--json"],
+    ["scan", "rows.csv", "--jobs", "2", "--jobs", "3"],
+    # negative numbers, int() spaces and the 4300-digit limit
+    ["check", "-5", "2", "0", "-1"],
+    ["scan", "rows.csv", "--jobs", "-1"],
+    [*CHECK, "--max-gegenbauer-degree", "-2"],
+    ["check", " 460 ", "153\n", "\t32", "6_0"],
+    ["check", "1" * 4300, "2", "0", "1"],
+    # "--" ends the options; "-" and an argument with a space are positionals
+    ["check", "460", "153", "--", "-32", "60"],
+    ["scan", "-"],
+    ["scan", "-x y"],
+    ["subscan", "891", "204"],
+    ["self-check"],
+    # help, at the top level and per command, wherever it stands
+    ["-h"],
+    ["--help"],
+    ["--he", "check"],
+    ["check", "-h"],
+    ["check", "460", "--help", "x"],
+    ["scan", "rows.csv", "--h"],
+    ["subscan", "--help"],
+    ["self-check", "-h"],
+    ["--bogus", "-h"],
+    # usage errors
+    [],
+    ["bogus"],
+    ["chec", "460", "153", "32", "60"],
+    ["check", "460"],
+    [*CHECK, "61"],
+    ["subscan", "1", "2", "3"],
+    ["scan"],
+    ["self-check", "x"],
+    ["check", "460", "153", "32", "sixty"],
+    ["check", "460", "x", "32", "60", "--help"],
+    ["check", "1" * 4301, "2", "0", "1"],
+    [*CHECK, "--max-gegenbauer-degree", "4.0"],
+    [*CHECK, "--max-gegenbauer-degree"],
+    [*CHECK, "--bogus"],
+    [*CHECK, "-j"],
+    ["--json", *CHECK],
+    [*CHECK, "--json=x"],
+    [*CHECK, "--json="],
+    ["--help=x"],
+    ["scan", "rows.csv", "--jobs", "x"],
+    ["scan", "rows.csv", "--jobs=", "2"],
+    ["scan", "rows.csv", "--j", "2"],
+    ["scan", "rows.csv", "--output", "--json-lines"],
+    ["scan", "rows.csv", "--output"],
+]
+
+
+def _outcome(parse, argv, capsys):
+    """The fields parse(argv) reads, or its exit code and what it printed."""
+    try:
+        return vars(parse(argv))
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, bool(out.err)
+
+
+def test_parse_args_reads_argv_as_argparse_did(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the width cli lays its help out for
+    reference = _argparse_reference()
+    assert len(ARGV_CASES) >= 30
+    for argv in ARGV_CASES:
+        expected = _outcome(reference.parse_args, argv, capsys)
+        assert _outcome(cli.parse_args, argv, capsys) == expected, argv
+    codes = [_outcome(cli.parse_args, argv, capsys) for argv in ARGV_CASES]
+    assert sum(isinstance(c, dict) for c in codes) >= 20
+    assert sum(c[0] == 0 for c in codes if isinstance(c, tuple)) >= 8
 
 
 def test_main_runs_command_patched_after_parser_is_built(monkeypatch, capsys):
@@ -667,13 +776,13 @@ def _in_fresh_interpreter(code):
 
 def test_cli_import_leaves_heavy_modules_unloaded():
     # every command pays for what `import srgcert.cli` loads
-    heavy = ["srgcert.oracle", "numpy", "multiprocessing", "concurrent.futures.process", "dataclasses", "inspect"]
+    heavy = ["srgcert.oracle", "numpy", "multiprocessing", "concurrent.futures.process", "dataclasses", "inspect",
+             "argparse"]
     assert _in_fresh_interpreter(f"import sys, srgcert.cli; print([m for m in {heavy!r} if m in sys.modules])") == "[]"
-
-
-def test_cli_import_builds_no_parser():
-    # a fresh command and every pool worker import cli; only main builds the parser
-    assert _in_fresh_interpreter("import srgcert.cli as c; print(c._build_parser.cache_info().currsize)") == "0"
+    # nor does parsing argv load argparse
+    code = "import io, sys, contextlib, srgcert.cli as c\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+    code += "    c.main(['check', '460', '153', '32', '60'])\nprint('argparse' in sys.modules)"
+    assert _in_fresh_interpreter(code) == "False"
 
 
 def test_self_check(capsys):

@@ -4,14 +4,14 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "srgcert"
 
 # ROADMAP item 6's budget; an independent verify.py is counted on its own
-SRC_LINE_BUDGET = 1615
+SRC_LINE_BUDGET = 1743
 
 # the package's modules in layer order: each imports only modules before it
 LAYERS = ["params", "cliquebound", "gramtest", "serialize", "oracle", "cli", "__init__"]
 
 # imports cli keeps inside the functions that use them, so that starting
 # any command does not pay for them
-LAZY_IN_CLI = {"oracle", "concurrent.futures"}
+LAZY_IN_CLI = {"oracle", "concurrent.futures", "textwrap"}
 
 
 def _modules():
