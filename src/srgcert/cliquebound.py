@@ -14,11 +14,10 @@ enter through their rational squares, which even polynomials consume.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .params import ReprConstants, SrgParams
+from .params import ReprConstants, SrgParams, as_fraction
 
 MAX_DEGREE = 8
 
@@ -49,49 +48,26 @@ def _gegenbauer_scaled(d: int, t: int) -> tuple[tuple[int, ...], int]:
     return tuple(n // g for n in nums), den // g
 
 
-class PairClass(NamedTuple):
-    """One inner-product class of the vertex+edge vector system.
-
-    block is the Gram block the class sits in: "vertex-vertex",
-    "vertex-edge" or "edge-edge".  The inner product is c/sqrt of the
-    block's D^2, D*S or S^2 (c D-scaled, S = |x_u + x_w|^2 scaled by D); the
-    even polynomials only need its square.  The count is affine in the
-    4-clique count K4: (const + k4 * K4) / COUNT_DEN, over ordered vertex
-    pairs with self-pairs, (vertex, edge) pairs, or unordered pairs of
-    distinct edges plus a separate self class.
-    """
-
-    name: str
-    block: str
-    c: int
-    const: int
-    k4: int = 0
-
-
 # every class count is an integer over 48, which clears every /2, /4, /6 and /8 in _class_rows
 COUNT_DEN = 48
-_ZERO = Fraction(0)  # K4Bound's constant and linear K4 coefficients
 
 
 def _comb2(x: int) -> int:
     return x * (x - 1) // 2
 
 
-# pair_profile's class names per Gram block, in _class_rows's order
-_CLASS_NAMES = (
-    ("vertex-vertex", ("vv-self", "vv-adjacent", "vv-nonadjacent")),
-    ("vertex-edge", ("ve-endpoint", "ve-both", "ve-one", "ve-neither")),
-    ("edge-edge", ("ee-self", "ee-shared-adjacent", "ee-shared-nonadjacent", *(f"ee-disjoint-{j}" for j in range(5)))),
-)
-# each class's weight in its block's Gram sum: an unordered pair of distinct
-# edges sits twice in the Gram matrix
+# each class's weight in its block's Gram sum, in _class_rows's order: an
+# unordered pair of distinct edges sits twice in the Gram matrix
 _WEIGHTS = ((1, 1, 1), (1, 1, 1, 1), (1, 2, 2, 2, 2, 2, 2, 2))
 
 
 def _class_rows(params: SrgParams, rep: ReprConstants) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """The inner-product classes of {x_u} union {y_e} with counts affine in K4,
-    as the (c, const, k4) of PairClass in integer rows, one tuple per Gram
-    block (vertex-vertex, vertex-edge, edge-edge) in _CLASS_NAMES's order.
+    as integer rows (c, const, k4), one tuple per Gram block (vertex-vertex,
+    vertex-edge, edge-edge); oracle.pair_profile names them.  A class's
+    inner product is c/sqrt of its block's D^2, D*S or S^2 (S = |x_u + x_w|^2
+    scaled by D), and its count (const + k4 * K4) / COUNT_DEN, over ordered
+    vertex pairs, (vertex, edge) pairs, or unordered pairs of edges.
 
     The disjoint edge-pair classes n_j (j = 0..4 cross adjacencies) come from
     4-vertex subgraph counts: a disjoint pair with j cross edges spans a
@@ -146,15 +122,6 @@ def _class_rows(params: SrgParams, rep: ReprConstants) -> tuple[tuple[tuple[int,
     )
 
 
-def pair_profile(params: SrgParams, rep: ReprConstants) -> tuple[PairClass, ...]:
-    """All inner-product classes of {x_u} union {y_e}: _class_rows, named."""
-    return tuple(
-        PairClass(name, block, *row)
-        for (block, names), rows in zip(_CLASS_NAMES, _class_rows(params, rep))
-        for name, row in zip(names, rows, strict=True)
-    )
-
-
 class K4Bound(NamedTuple):
     """Result of optimizing the quadratic form F(a) = A(a) + B(a) * K4.
 
@@ -162,9 +129,9 @@ class K4Bound(NamedTuple):
     F(a) >= 0 for the true K4, so whenever B(a) > 0 the count satisfies
     K4 >= -A(a)/B(a).  lower is the ceiling of the optimized rational bound
     (clamped at 0), raw_bound the exact optimum, optimal_a its maximizer
-    (None when the optimum is only approached as |a| grows).  These and the
-    quadratics are built when read from the integer block sums of
-    k4_lower_bound, each over its block's positive denominator.
+    (None when the optimum is only approached as |a| grows).  Each is a
+    Fraction built when read from a *_pair method's (numerator, denominator)
+    of the integer block sums of k4_lower_bound, the pairs the writers read.
     """
 
     lower: int
@@ -172,23 +139,33 @@ class K4Bound(NamedTuple):
     sums: tuple[int, int, int, int]  # S_vv, S_ve, S_ee0, B2 numerators
     dens: tuple[int, int, int]  # vertex-vertex, vertex-edge, edge-edge denominators
 
-    @property
-    def a_quadratic(self) -> tuple[Fraction, Fraction, Fraction]:
-        (s_vv, s_ve, s_ee0, _), (d_vv, d_ve, d_ee) = self.sums, self.dens
-        return Fraction(s_vv, d_vv), Fraction(2 * s_ve, d_ve), Fraction(s_ee0, d_ee)
+    def quadratic_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The coefficients of A(a), then of B(a), as (numerator, denominator > 0)."""
+        (s_vv, s_ve, s_ee0, b2), (d_vv, d_ve, d_ee) = self.sums, self.dens
+        return (s_vv, d_vv), (2 * s_ve, d_ve), (s_ee0, d_ee), (0, 1), (0, 1), (b2, d_ee)
 
-    @property
-    def k4_quadratic(self) -> tuple[Fraction, Fraction, Fraction]:
-        return _ZERO, _ZERO, Fraction(self.sums[3], self.dens[2])
+    def raw_bound_pair(self) -> tuple[int, int] | None:
+        return _raw_bound(self.sums, self.dens) if self.informative else None
 
-    @property
-    def raw_bound(self) -> Fraction | None:
-        return Fraction(*_raw_bound(self.sums, self.dens)) if self.informative else None
-
-    @property
-    def optimal_a(self) -> Fraction | None:  # -S_vv/S_ve; None at the |a| -> infinity limit
+    def optimal_a_pair(self) -> tuple[int, int] | None:  # -S_vv/S_ve; None at the |a| -> infinity limit
         (s_vv, s_ve, _, _), (d_vv, d_ve, _) = self.sums, self.dens
-        return Fraction(-s_vv * d_ve, d_vv * s_ve) if self.informative and s_vv and s_ve else None
+        return (-s_vv * d_ve, d_vv * s_ve) if self.informative and s_vv and s_ve else None
+
+    @property
+    def a_quadratic(self):
+        return tuple(map(as_fraction, self.quadratic_pairs()[:3]))
+
+    @property
+    def k4_quadratic(self):
+        return tuple(map(as_fraction, self.quadratic_pairs()[3:]))
+
+    @property
+    def raw_bound(self):
+        return as_fraction(self.raw_bound_pair())
+
+    @property
+    def optimal_a(self):
+        return as_fraction(self.optimal_a_pair())
 
 
 def _raw_bound(sums, dens) -> tuple[int, int]:
@@ -211,8 +188,7 @@ def k4_lower_bound(params: SrgParams, rep: ReprConstants, degree: int = 4) -> K4
     With S_vv, S_ve, S_ee the class-weighted polynomial sums over the
     vertex-vertex, vertex-edge and edge-edge blocks,
     F(a) = S_vv + 2a S_ve + a^2 (S_ee0 + B2 K4) >= 0 for all a.  For B2 > 0
-    the bound sup_a -A(a)/B(a) is reached at a* = -S_vv/S_ve with value
-    (S_ve^2/S_vv - S_ee0)/B2.
+    the bound is sup_a -A(a)/B(a): see _raw_bound.
     """
     nums, den = _gegenbauer_scaled(rep.d, degree)
     half = degree // 2

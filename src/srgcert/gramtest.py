@@ -10,14 +10,13 @@ each alpha_min = q*w + max(0, 2m - q*lam) is one line.  Split sizes w are
 ruled out a piece at a time where the value at the alpha_min end of their
 region, bounded below by quadratics in w, is >= 0, and the rest by the
 exact region scan.  Decisions run on integers; a certificate's rational
-fields are built when read."""
+fields are built when read, from integer pairs that the writers read."""
 
 from __future__ import annotations
 
 import enum
 import math
 from collections import namedtuple
-from fractions import Fraction
 from typing import NamedTuple
 
 from .cliquebound import K4Bound, k4_lower_bound
@@ -26,6 +25,7 @@ from .params import (
     ReprConstants,
     Spectrum,
     SrgParams,
+    as_fraction,
     classical_feasibility,
     repr_constants,
 )
@@ -71,8 +71,8 @@ class WSplitWitness(NamedTuple):
     region_max_at: tuple[int, int]
 
     @property
-    def region_max_det(self) -> Fraction:
-        return Fraction(self.region_max, self.den)
+    def region_max_det(self):  # a Fraction
+        return as_fraction((self.region_max, self.den))
 
 
 class Certificate(NamedTuple):
@@ -89,9 +89,12 @@ class Certificate(NamedTuple):
     witnesses: tuple[WSplitWitness, ...] = ()
     notes: tuple[str, ...] = ()
 
+    def m_upper_pair(self) -> tuple[int, int] | None:  # m_upper_bound as (numerator, denominator > 0)
+        return None if self.rep is None else _gram2_root(self.params, self.rep)
+
     @property
-    def m_upper_bound(self) -> Fraction | None:
-        return None if self.rep is None else m_upper_exact(self.params, self.rep)
+    def m_upper_bound(self):  # a Fraction, or None
+        return as_fraction(self.m_upper_pair())
 
 
 def _gram_entries(params: SrgParams, rep: ReprConstants, m: int) -> tuple[int, int, int]:
@@ -117,10 +120,9 @@ def _gram2_root(params: SrgParams, rep: ReprConstants) -> tuple[int, int] | None
     return xx0 * y3 - x3 * x3, -slope
 
 
-def m_upper_exact(params: SrgParams, rep: ReprConstants) -> Fraction | None:
-    """_gram2_root as a rational: no edge's common-neighborhood subgraph has more edges."""
-    root = _gram2_root(params, rep)
-    return None if root is None else Fraction(*root)
+def m_upper_exact(params: SrgParams, rep: ReprConstants):
+    """_gram2_root as a Fraction: no edge's common-neighborhood subgraph has more edges."""
+    return as_fraction(_gram2_root(params, rep))
 
 
 def m_lower(params: SrgParams, k4_lower: int) -> int:
@@ -235,9 +237,8 @@ def _floor_ceil(num: int, den: int) -> tuple[int, int]:
     return num // den, -(-num // den)
 
 
-def _region_max_scaled(
-    n00: int, n10: int, n01: int, n20: int, n: int, m: int, w: int, alpha_lo: int
-) -> tuple[int, tuple[int, int]] | None:
+def _region_max_scaled(n00: int, n10: int, n01: int, n20: int, n: int, m: int, w: int,
+                       alpha_lo: int) -> tuple[int, tuple[int, int]] | None:
     """Exact maximum of n00 + n10*alpha + n01*beta + n20*alpha^2 (see
     gram3_per_m) over the integer (alpha, beta) region of the w-split (see
     _alpha_range), or None if the region is empty.  Needs n01 <= 0 < -n20,
@@ -366,16 +367,10 @@ def _unrefuted(lam: int, m: int, h: Gram3PerM):
             yield from range(y, z + 1)
 
 
-def wsplit_contradiction(
-    params: SrgParams, rep: ReprConstants, m: int
-) -> WSplitWitness | None:
+def wsplit_contradiction(params: SrgParams, rep: ReprConstants, m: int) -> WSplitWitness | None:
     """Search all split sizes w for one whose entire (alpha, beta) region
     makes the 3x3 Gram determinant negative; return the smallest such w.
-
-    The region constraints are necessary conditions only: alpha at least the
-    degree-sum bound and at most min(2m, w(lam-1)); beta at least
-    max(0, alpha - m) with non-negative low-part edges, at most
-    min(C(w,2), alpha/2); crossing edges alpha - 2 beta at most w(lam - w).
+    The region's constraints (see _alpha_range) are necessary conditions only.
 
     Runs of w whose region maximum the value at the alpha_min end shows to
     be >= 0 are skipped a piece at a time (_unrefuted); each w left, in

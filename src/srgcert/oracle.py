@@ -7,13 +7,14 @@ enumeration, with no floating point.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .cliquebound import COUNT_DEN, pair_profile
+from .cliquebound import COUNT_DEN, _class_rows
 from .gramtest import Verdict, decide
-from .params import SrgParams
+from .params import ReprConstants, SrgParams
 
 
 class AdjacencyMatrix(NamedTuple):
@@ -140,15 +141,8 @@ def _rook(n: int) -> AdjacencyMatrix:
 
 
 # (family, order) of every graph that self-check and the test suite validate
-REFERENCE_GRAPHS = [
-    ("petersen", None),
-    ("paley", 9),
-    ("paley", 13),
-    ("paley", 17),
-    ("paley", 25),
-    ("triangular", 7),
-    ("rook", 4),
-]
+REFERENCE_GRAPHS = [("petersen", None), ("paley", 9), ("paley", 13), ("paley", 17), ("paley", 25),
+                    ("triangular", 7), ("rook", 4)]
 
 
 # family: (builder, whether it takes an order)
@@ -178,6 +172,26 @@ def construct(name: str, order: int | None = None) -> AdjacencyMatrix:
 
 # ---------------------------------------------------------------------------
 # censuses
+
+
+# one inner-product class of the vertex+edge vector system: a row (c, const, k4)
+# of cliquebound._class_rows with its name and its Gram block
+PairClass = namedtuple("PairClass", "name block c const k4")
+# the class names per Gram block, in _class_rows's order
+_CLASS_NAMES = (
+    ("vertex-vertex", ("vv-self", "vv-adjacent", "vv-nonadjacent")),
+    ("vertex-edge", ("ve-endpoint", "ve-both", "ve-one", "ve-neither")),
+    ("edge-edge", ("ee-self", "ee-shared-adjacent", "ee-shared-nonadjacent", *(f"ee-disjoint-{j}" for j in range(5)))),
+)
+
+
+def pair_profile(params: SrgParams, rep: ReprConstants) -> tuple[PairClass, ...]:
+    """All inner-product classes of {x_u} union {y_e}: _class_rows, named."""
+    return tuple(
+        PairClass(name, block, *row)
+        for (block, names), rows in zip(_CLASS_NAMES, _class_rows(params, rep))
+        for name, row in zip(names, rows, strict=True)
+    )
 
 
 class CensusReport(NamedTuple):

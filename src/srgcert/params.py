@@ -2,14 +2,23 @@
 them, and the classical feasibility screens.
 
 Everything on the decision path is exact integer arithmetic; a Fraction is
-built only when a certificate's rational field is read.
+built, and fractions imported, only when a certificate's rational field is read.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+
+def as_fraction(pair: tuple[int, int] | None) -> Fraction | None:
+    """The rational (numerator, denominator) as a Fraction, None as None."""
+    from fractions import Fraction  # imported on first use: the commands write rationals from integer pairs
+
+    return None if pair is None else Fraction(*pair)
 
 
 class InvalidParamsError(ValueError):
@@ -115,11 +124,11 @@ class ReprConstants(NamedTuple):
 
     @property
     def p(self) -> Fraction:
-        return Fraction(self.P, self.D)
+        return as_fraction((self.P, self.D))
 
     @property
     def q(self) -> Fraction:
-        return Fraction(self.Q, self.D)
+        return as_fraction((self.Q, self.D))
 
 
 def repr_constants(params: SrgParams, spectrum: Spectrum | None) -> ReprConstants:

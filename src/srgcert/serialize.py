@@ -1,16 +1,17 @@
 """JSON and text output of certificates and scan rows.
 
 This module only writes.  Rationals are serialized as {"num": "...",
-"den": "..."} decimal strings so no precision is lost; the schema carries a
-version field.  A certificate is written from fixed `%` templates built at
-import from one key skeleton each, so key order is fixed and no floats appear.
+"den": "..."} decimal strings so no precision is lost, reduced from integer
+pairs as Fraction reduces them; the schema carries a version field.  A
+certificate is written from fixed `%` templates built at import from one key
+skeleton each, so key order is fixed and no floats appear.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .gramtest import Certificate
@@ -40,10 +41,24 @@ _K4_BOUND = _template({**_slots("lower", "optimal_a"), "a_quadratic": ["%s"] * 3
                        **_slots("raw_bound", "informative")}, 1)
 _WITNESS = _template({**_slots("m", "w", "alpha_min", "region_max_det"), "region_max_at": ["%s"] * 2}, 2)
 _BOOL = {True: "true", False: "false"}
+_OK = {True: "ok", False: "FAILED"}
 
 
-def _rational(x: Fraction | None, depth: int) -> str:
-    return "null" if x is None else _RATIONAL[depth] % (x.numerator, x.denominator)
+def _reduced(pair: tuple[int, int]) -> tuple[int, int]:
+    """num/den in lowest terms with the sign on the numerator, as Fraction keeps it."""
+    num, den = pair
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return num // g, den // g
+
+
+def _rational(pair: tuple[int, int] | None, depth: int) -> str:
+    return "null" if pair is None else _RATIONAL[depth] % _reduced(pair)
+
+
+def _str(pair: tuple[int, int] | None) -> str:
+    """pair as str() writes its Fraction: n/d, or n where d is 1; None as None."""
+    num, den = (None, 1) if pair is None else _reduced(pair)
+    return f"{num}/{den}" if den != 1 else str(num)
 
 
 def _list(items: list[str]) -> str:  # a top-level list of items already written as JSON
@@ -59,13 +74,14 @@ def certificate_json(cert: Certificate) -> str:
         *[_BOOL[x] for x in (feas.identity_ok, feas.integrality_ok, feas.krein_ok, feas.absolute_bound_ok,
                              feas.krein_q22_zero)],
         "null" if spec is None else _SPECTRUM % (spec.r, spec.s, spec.f, spec.g),
-        "null" if rep is None else _REPRESENTATION % (_rational(rep.p, 2), _rational(rep.q, 2), rep.d),
+        "null" if rep is None else _REPRESENTATION % (
+            _rational((rep.P, rep.D), 2), _rational((rep.Q, rep.D), 2), rep.d),
         "null" if k4 is None else _K4_BOUND % (
-            k4.lower, _rational(k4.optimal_a, 2), *[_rational(c, 3) for c in k4.a_quadratic + k4.k4_quadratic],
-            _rational(k4.raw_bound, 2), _BOOL[k4.informative]),
+            k4.lower, _rational(k4.optimal_a_pair(), 2), *[_rational(c, 3) for c in k4.quadratic_pairs()],
+            _rational(k4.raw_bound_pair(), 2), _BOOL[k4.informative]),
         "null" if rng is None else _M_RANGE % (rng.lower, rng.upper),
-        _rational(cert.m_upper_bound, 1),
-        _list([_WITNESS % (w.m, w.w, w.alpha_min, _rational(w.region_max_det, 3), *w.region_max_at)
+        _rational(cert.m_upper_pair(), 1),
+        _list([_WITNESS % (w.m, w.w, w.alpha_min, _rational((w.region_max, w.den), 3), *w.region_max_at)
                for w in cert.witnesses]),
         _list([encode_basestring_ascii(note) for note in cert.notes]),
     )
@@ -73,40 +89,29 @@ def certificate_json(cert: Certificate) -> str:
 
 def certificate_to_text(cert: Certificate) -> str:
     """Human-readable pipeline transcript."""
-    p = cert.params
-    lines = [f"parameters: v={p.v} k={p.k} lambda={p.lam} mu={p.mu}"]
-    feas = cert.feasibility
-    lines.append(f"counting identity: {'ok' if feas.identity_ok else 'FAILED'}")
-    if cert.spectrum is not None:
-        s = cert.spectrum
-        lines.append(f"spectrum: r={s.r} (x{s.f}), s={s.s} (x{s.g})")
-    else:
-        lines.append("spectrum: no integer eigenvalues")
-    lines.append(f"integrality: {'ok' if feas.integrality_ok else 'FAILED'}")
-    lines.append(
-        f"krein: {'ok' if feas.krein_ok else 'FAILED'}"
-        + (" (q22^2 = 0)" if feas.krein_q22_zero else "")
-    )
-    lines.append(f"absolute bound: {'ok' if feas.absolute_bound_ok else 'FAILED'}")
-    if cert.rep is not None:
-        lines.append(f"representation: p = {cert.rep.p}, q = {cert.rep.q}, dimension {cert.rep.d}")
-    if cert.k4_bound is not None:
-        b = cert.k4_bound
-        extra = f" (exact {b.raw_bound}, optimal a = {b.optimal_a})" if b.raw_bound is not None else ""
-        lines.append(f"4-cliques: K4 >= {b.lower}{extra}")
-    if cert.m_range is not None:
-        rng = cert.m_range
-        exact = f" (2x2 Gram bound {upper})" if (upper := cert.m_upper_bound) is not None else ""
+    p, feas, spec, rep, k4, rng = cert.params, cert.feasibility, cert.spectrum, cert.rep, cert.k4_bound, cert.m_range
+    lines = [
+        f"parameters: v={p.v} k={p.k} lambda={p.lam} mu={p.mu}",
+        f"counting identity: {_OK[feas.identity_ok]}",
+        "spectrum: no integer eigenvalues" if spec is None else
+        f"spectrum: r={spec.r} (x{spec.f}), s={spec.s} (x{spec.g})",
+        f"integrality: {_OK[feas.integrality_ok]}",
+        f"krein: {_OK[feas.krein_ok]}" + (" (q22^2 = 0)" if feas.krein_q22_zero else ""),
+        f"absolute bound: {_OK[feas.absolute_bound_ok]}",
+    ]
+    if rep is not None:
+        lines.append(f"representation: p = {_str((rep.P, rep.D))}, q = {_str((rep.Q, rep.D))}, dimension {rep.d}")
+    if k4 is not None:
+        raw = k4.raw_bound_pair()
+        extra = f" (exact {_str(raw)}, optimal a = {_str(k4.optimal_a_pair())})" if raw is not None else ""
+        lines.append(f"4-cliques: K4 >= {k4.lower}{extra}")
+    if rng is not None:
+        exact = f" (2x2 Gram bound {_str(upper)})" if (upper := cert.m_upper_pair()) is not None else ""
         lines.append(f"max common-neighborhood edges: {rng.lower} <= m <= {rng.upper}{exact}")
-        if rng.is_empty:
-            lines.append("empty window: contradiction")
-    for wit in cert.witnesses:
-        lines.append(
-            f"w-split: m={wit.m} contradicted at w={wit.w} (alpha >= {wit.alpha_min}, "
-            f"max det = {wit.region_max_det} at (alpha,beta)={wit.region_max_at})"
-        )
-    for note in cert.notes:
-        lines.append(f"note: {note}")
+        lines += ["empty window: contradiction"] * rng.is_empty
+    lines += [f"w-split: m={w.m} contradicted at w={w.w} (alpha >= {w.alpha_min}, max det = "
+              f"{_str((w.region_max, w.den))} at (alpha,beta)={w.region_max_at})" for w in cert.witnesses]
+    lines += [f"note: {note}" for note in cert.notes]
     lines.append(f"verdict: {cert.verdict.value}")
     return "\n".join(lines)
 

@@ -74,6 +74,30 @@ def test_check_json_golden_bytes(capsys):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, tup
 
 
+# SHA-256 of `srgcert check` stdout, the text transcript, frozen as for
+# GOLDEN_CERTIFICATE_SHA256: the same tuples, then the paper's tuple at two
+# more Gegenbauer degrees
+GOLDEN_TRANSCRIPT_SHA256 = {
+    (460, 153, 32, 60): "86bd647fd75c185fb761ce1ba7e531005b02860cc7aa4ed42ebf1c794a41848f",
+    (6205, 858, 47, 130): "6e63f6474f1b7a1da9c68d678e54d3cf85aa27847f6540bf56a0766ad3f2666b",
+    (2950, 891, 204, 297): "77ce2d4d2a176ec173669f954a306658a65c5a252ded87b08d6853b8c90ac291",
+    (5929, 1482, 275, 402): "55cdd514950b07aff5733f90cc008ae17e81dd0cce17edf08eb3b28e2229357d",
+    (16, 6, 2, 2): "da5664fee7325b9fbb05e46d1f457429e83ee34d95b8825e9d5f68b65a621e45",
+    (10, 3, 1, 1): "c0e29bee84964bf683f6f489a3d524c619a959bb59c04f2d42524eae08368664",
+    (5, 2, 0, 1): "69d8ba0b4a21a3e312e5a62bef610579da4f3cd036e9ab1524266bd0f4a9aca0",
+    (6, 4, 2, 4): "6a767e19e4aebfda7b74a0a1976da0845501baebff886e5efc0d09e6ca10867b",
+    (460, 153, 32, 60, "--max-gegenbauer-degree", 0): "bf117be1e078314ffdb76a43dd13318d9a9a64c75bdd49165c9c00fb01f2f2f0",
+    (460, 153, 32, 60, "--max-gegenbauer-degree", 8): "bf117be1e078314ffdb76a43dd13318d9a9a64c75bdd49165c9c00fb01f2f2f0",
+}
+
+
+def test_check_transcript_golden_bytes(capsys):
+    for args, digest in GOLDEN_TRANSCRIPT_SHA256.items():
+        main(["check", *map(str, args)])
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, args
+
+
 def test_check_no_clique_bound(capsys):
     """At degree 0 the 4-clique bound is 0, and the paper's tuple stays open."""
     assert main(["check", "460", "153", "32", "60", "--max-gegenbauer-degree", "0"]) == 0
@@ -777,7 +801,7 @@ def _in_fresh_interpreter(code):
 def test_cli_import_leaves_heavy_modules_unloaded():
     # every command pays for what `import srgcert.cli` loads
     heavy = ["srgcert.oracle", "numpy", "multiprocessing", "concurrent.futures.process", "dataclasses", "inspect",
-             "argparse"]
+             "argparse", "fractions", "decimal", "numbers"]
     assert _in_fresh_interpreter(f"import sys, srgcert.cli; print([m for m in {heavy!r} if m in sys.modules])") == "[]"
     # nor does parsing argv load argparse
     code = "import io, sys, contextlib, srgcert.cli as c\nwith contextlib.redirect_stdout(io.StringIO()):\n"
@@ -789,3 +813,16 @@ def test_self_check(capsys):
     assert main(["self-check"]) == 0
     out = capsys.readouterr().out
     assert "all self-checks passed" in out
+
+
+def test_commands_leave_fractions_unloaded(tmp_path):
+    """`check --json`, the text `check` and a two-row `scan` write every
+    rational from integer pairs: none of them imports fractions, or the
+    decimal and numbers modules that come with it."""
+    rows = tmp_path / "rows.csv"
+    rows.write_text("v,k,lambda,mu\n16,6,2,2\n460,153,32,60\n", encoding="utf-8")
+    for argv in (["check", "460", "153", "32", "60", "--json"], ["check", "5929", "1482", "275", "402"],
+                 ["scan", str(rows), "--jobs", "1"]):
+        code = "import io, sys, contextlib, srgcert.cli as c\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+        code += f"    c.main({argv!r})\nprint([m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules])"
+        assert _in_fresh_interpreter(code) == "[]", argv

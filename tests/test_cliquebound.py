@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from srgcert import cliquebound
-from srgcert.cliquebound import _class_rows, _gegenbauer_scaled, k4_lower_bound, pair_profile
-from srgcert.oracle import validate
+from srgcert import cliquebound, oracle
+from srgcert.cliquebound import _class_rows, _gegenbauer_scaled, k4_lower_bound
+from srgcert.oracle import pair_profile, validate
 from srgcert.params import ReprConstants, SrgParams, derive_spectrum, repr_constants
 from support import rep_from_fractions
 from test_acceptance import _primitive_feasible_tuples
@@ -349,7 +349,8 @@ def test_k4_bound_matches_fraction_sums(reference_graphs, monkeypatch):
             )
             with monkeypatch.context() as mp:
                 mp.setattr(cliquebound, "COUNT_DEN", cliquebound.COUNT_DEN * div * (div + 1))
-                mp.setattr(cliquebound, "_class_rows", lambda *_: rows)
+                for module in (cliquebound, oracle):  # pair_profile reads oracle's name for it
+                    mp.setattr(module, "_class_rows", lambda *_: rows)
                 scaled = pair_profile(params, rep)
                 assert scaled == tuple(c._replace(const=c.const * (div + 1), k4=c.k4 * div) for c in prof)
                 for c, (const, k4) in zip(scaled, counts):

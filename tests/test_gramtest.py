@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from srgcert import gramtest
-from srgcert.cliquebound import PairClass, pair_profile
 from srgcert.gramtest import (
     Gram3PerM,
     MRange,
@@ -28,9 +27,9 @@ from srgcert.gramtest import (
     scaled_value,
     wsplit_contradiction,
 )
-from srgcert.oracle import census, construct, lambda_subgraph_edge_counts
+from srgcert.oracle import PairClass, census, construct, lambda_subgraph_edge_counts, pair_profile
 from srgcert.params import SrgParams, derive_spectrum, repr_constants
-from srgcert.serialize import certificate_json, scan_row
+from srgcert.serialize import certificate_json, certificate_to_text, scan_row
 from test_acceptance import _gram3_det, _primitive_feasible_tuples
 from test_families import PRIME_POWERS, _complement, _family_tuples, _gq
 from test_serialize import _dict_certificate
@@ -501,10 +500,11 @@ def test_nonneg_runs_isqrt_calls_are_pinned(monkeypatch):
 
 
 def test_scan_rows_build_no_fraction(monkeypatch):
-    """Deciding and writing the scan rows of bench/corpus/feasible.csv and
-    of the paper tuples, which are Nonexistent with witnesses, builds no
-    Fraction: decisions run on integers.  certificate_json then builds the
-    rationals as it reads them, to the oracle's bytes."""
+    """Deciding and writing the scan rows, the JSON certificates and the
+    text transcripts of bench/corpus/feasible.csv and of the paper tuples,
+    which are Nonexistent with witnesses, builds no Fraction: decisions run
+    on integers and the writers read integer pairs.  The JSON has the bytes
+    of the oracle, which reads the Fraction properties."""
     built = []
     new = Fraction.__new__
 
@@ -513,15 +513,17 @@ def test_scan_rows_build_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting_new)
-    certs = []
+    certs, written = [], []
     for params in _feasible_rows() + [SrgParams(*t) for t in PAPER_TUPLES]:
         certs.append(decide(params))
         scan_row(certs[-1], True, 0), scan_row(certs[-1], False, 0)
+        written.append(certificate_json(certs[-1]))
+        certificate_to_text(certs[-1])
     assert built == []
     assert all(cert.verdict is Verdict.NONEXISTENT and cert.witnesses for cert in certs[-3:])
-    for cert in certs:
-        assert certificate_json(cert) == json.dumps(_dict_certificate(cert), indent=2), cert.params
-    assert built
+    for cert, text in zip(certs, written, strict=True):
+        assert text == json.dumps(_dict_certificate(cert), indent=2), cert.params
+    assert built  # the oracle did read the Fraction properties
 
 
 def test_decide_builds_no_pair_class(monkeypatch):

@@ -75,17 +75,28 @@ def _dict_certificate(cert):
 
 
 def test_rational_codec():
-    """A rational is two decimal strings, sign on the numerator, in lowest
-    terms; None is null.  At each nesting depth the writer gives the bytes
-    json.dumps(..., indent=2) writes there."""
-    for x, want in (
-        (Fraction(-31, 153), {"num": "-31", "den": "153"}),
-        (Fraction(6, -4), {"num": "-3", "den": "2"}),
-        (Fraction(0), {"num": "0", "den": "1"}),
+    """A rational, given as an integer pair, is two decimal strings, sign on
+    the numerator, in lowest terms, as Fraction reduces it; None is null.
+    At each nesting depth the writer gives the bytes json.dumps(...,
+    indent=2) writes there."""
+    for pair, want in (
+        ((-31, 153), {"num": "-31", "den": "153"}),
+        ((6, -4), {"num": "-3", "den": "2"}),
+        ((-62, -306), {"num": "31", "den": "153"}),
+        ((0, 5), {"num": "0", "den": "1"}),
+        ((0, -5), {"num": "0", "den": "1"}),
+        ((7, 1), {"num": "7", "den": "1"}),
         (None, None),
     ):
         for depth in range(4):
-            assert serialize._rational(x, depth) == json.dumps(want, indent=2).replace("\n", "\n" + "  " * depth)
+            assert serialize._rational(pair, depth) == json.dumps(want, indent=2).replace("\n", "\n" + "  " * depth)
+        if pair is not None:
+            x = Fraction(*pair)
+            assert want == {"num": str(x.numerator), "den": str(x.denominator)}
+            assert serialize._str(pair) == str(x)
+    assert serialize._str(None) == str(None)
+    for num, den in ((3 * 10**40, 21), (-(2**200), 6 * 2**100), (5, -1), (12, 18)):
+        assert serialize._str((num, den)) == str(Fraction(num, den))
 
 
 def _rational(obj):
@@ -152,20 +163,67 @@ def test_certificate_text_mentions_key_quantities():
 
 
 def test_certificate_text_computes_the_2x2_bound_once(monkeypatch):
-    """Certificate.m_upper_bound is computed on each read; the transcript
-    reads it once, and its bytes are those of the unpatched run."""
+    """The 2x2 Gram bound is computed on each read of the certificate's
+    m_upper_pair; the transcript reads it once, and its bytes are those of
+    the unpatched run."""
     cert = decide(SrgParams(460, 153, 32, 60))
     want = certificate_to_text(cert)
     calls = []
-    exact = gramtest.m_upper_exact
+    root = gramtest._gram2_root
 
     def counting(params, rep):
         calls.append(params)
-        return exact(params, rep)
+        return root(params, rep)
 
-    monkeypatch.setattr(gramtest, "m_upper_exact", counting)
+    monkeypatch.setattr(gramtest, "_gram2_root", counting)
     assert certificate_to_text(cert) == want
     assert len(calls) == 1
+
+
+def test_certificate_text_writes_rationals_as_fractions_do():
+    """Each rational of the transcript is written as str() writes its
+    Fraction property, on hand-built witnesses too: a zero maximum, one
+    that reduces, and an unreduced p over D."""
+    base = decide(SrgParams(460, 153, 32, 60))
+    witnesses = base.witnesses + (
+        WSplitWitness(w=0, m=-1, alpha_min=0, region_max=0, den=5, region_max_at=(0, -7)),
+        WSplitWitness(w=12, m=40, alpha_min=3, region_max=-10**30 * 3, den=21, region_max_at=(3, 12)),
+    )
+    rep = base.rep._replace(D=2 * base.rep.D, P=2 * base.rep.P, Q=2 * base.rep.Q, S=2 * base.rep.S)
+    for cert in (base._replace(witnesses=witnesses), base._replace(rep=rep), decide(SrgParams(6205, 858, 47, 130))):
+        text = certificate_to_text(cert)
+        k4 = cert.k4_bound
+        assert f"representation: p = {cert.rep.p}, q = {cert.rep.q}, dimension" in text
+        assert f"(exact {k4.raw_bound}, optimal a = {k4.optimal_a})" in text
+        assert f"(2x2 Gram bound {cert.m_upper_bound})" in text
+        for wit in cert.witnesses:
+            assert f"max det = {wit.region_max_det} at (alpha,beta)={wit.region_max_at}" in text
+
+
+PAPER_TUPLES = [(460, 153, 32, 60), (6205, 858, 47, 130), (5929, 1482, 275, 402)]
+
+
+@pytest.mark.parametrize("tup", PAPER_TUPLES)
+def test_rational_properties_stay_fractions(tup):
+    """Every rational property of a certificate is still a Fraction, equal
+    to the num/den the JSON writes for it from its integer pair."""
+    cert = decide(SrgParams(*tup))
+    encoded = json.loads(certificate_json(cert))
+    rep, k4, k4_json = cert.rep, cert.k4_bound, encoded["k4_bound"]
+    pairs = [
+        (rep.p, encoded["representation"]["p"]),
+        (rep.q, encoded["representation"]["q"]),
+        (k4.optimal_a, k4_json["optimal_a"]),
+        (k4.raw_bound, k4_json["raw_bound"]),
+        *zip(k4.a_quadratic + k4.k4_quadratic, k4_json["a_quadratic"] + k4_json["k4_quadratic"], strict=True),
+        (cert.m_upper_bound, encoded["m_upper_exact"]),
+        *zip([w.region_max_det for w in cert.witnesses], [w["region_max_det"] for w in encoded["witnesses"]],
+             strict=True),
+    ]
+    assert len(pairs) == 11 + len(cert.witnesses)
+    for value, written in pairs:
+        assert type(value) is Fraction
+        assert (value.numerator, value.denominator) == (int(written["num"]), int(written["den"]))
 
 
 # One scan row of each shape: its JSON line, byte for byte what the compact
