@@ -43,9 +43,9 @@ COMMANDS = {
         (("v", int, "v", ""), ("k", int, "k", ""), ("lam", int, "lambda", ""), ("mu", int, "mu", "")),
         {
             "--json": ("json", None, False, "", "emit the certificate as JSON"),
-            "--max-gegenbauer-degree": (
-                "max_gegenbauer_degree", int, 4, "T", "even polynomial degree for the 4-clique bound (default 4)"
-            ),
+            "--max-gegenbauer-degree": ("max_gegenbauer_degree", int, 4, "T", (
+                "the one even Gegenbauer degree T, 0 to 8, that the 4-clique bound uses (default 4): not a cap,"
+                " as no other degree is tried; check 460 153 32 60 is Inconclusive at T = 8")),
         },
     ),
     "scan": (
@@ -332,11 +332,7 @@ def _cmd_subscan(args) -> int:
     except InvalidParamsError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if not pairs:
-        print("NONE")
-    else:
-        for lam, mu in pairs:
-            print(f"({lam}, {mu})")
+    print("\n".join(f"({lam}, {mu})" for lam, mu in pairs) or "NONE")
     return 0
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from .params import ReprConstants, SrgParams, as_fraction
@@ -51,23 +52,20 @@ def _gegenbauer_scaled(d: int, t: int) -> tuple[tuple[int, ...], int]:
 # every class count is an integer over 48, which clears every /2, /4, /6 and /8 in _class_rows
 COUNT_DEN = 48
 
-
-def _comb2(x: int) -> int:
-    return x * (x - 1) // 2
-
-
-# each class's weight in its block's Gram sum, in _class_rows's order: an
-# unordered pair of distinct edges sits twice in the Gram matrix
-_WEIGHTS = ((1, 1, 1), (1, 1, 1, 1), (1, 2, 2, 2, 2, 2, 2, 2))
+# the K4 coefficients of the class counts of _class_rows, over COUNT_DEN, for
+# every tuple: 0 but in the disjoint edge-pair classes n_j, 3 (-1)^j C(4, j) there
+K4_COLUMN = ((0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 144, -576, 864, -576, 144))
 
 
-def _class_rows(params: SrgParams, rep: ReprConstants) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """The inner-product classes of {x_u} union {y_e} with counts affine in K4,
-    as integer rows (c, const, k4), one tuple per Gram block (vertex-vertex,
-    vertex-edge, edge-edge); oracle.pair_profile names them.  A class's
-    inner product is c/sqrt of its block's D^2, D*S or S^2 (S = |x_u + x_w|^2
-    scaled by D), and its count (const + k4 * K4) / COUNT_DEN, over ordered
-    vertex pairs, (vertex, edge) pairs, or unordered pairs of edges.
+def _class_rows(params: SrgParams, rep: ReprConstants) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The inner-product classes of {x_u} union {y_e}, one pair (cs, counts)
+    of parallel integer tuples per Gram block (vertex-vertex, vertex-edge,
+    edge-edge); oracle.pair_profile names them.  A class's inner product is
+    c/sqrt of its block's D^2, D*S or S^2 (S = |x_u + x_w|^2 scaled by D),
+    and its count (count + k4 * K4) / COUNT_DEN, over ordered vertex pairs,
+    (vertex, edge) pairs, or unordered pairs of edges, with k4 its entry of
+    K4_COLUMN.  The vertex-vertex and edge-edge blocks open with their self
+    class, at inner product 1.
 
     The disjoint edge-pair classes n_j (j = 0..4 cross adjacencies) come from
     4-vertex subgraph counts: a disjoint pair with j cross edges spans a
@@ -87,38 +85,31 @@ def _class_rows(params: SrgParams, rep: ReprConstants) -> tuple[tuple[tuple[int,
 
     and the two low classes follow from the pair total
     C(|E|,2) - v C(k,2) and the cross-adjacency total |E|((k-1)^2 - lam).
-    Every coefficient is validated against brute-force censuses of reference
-    graphs in the test suite.
+    So n_4 = 3 K4, n_3 = 2 diamond, n_2 = 2 4-cycle + paw, and the K4 terms
+    carry no parameter: K4_COLUMN.  Every coefficient is validated against
+    brute-force censuses of reference graphs in the test suite.
     """
-    v, k, lam, mu = params.v, params.k, params.lam, params.mu
+    v, k, lam, mu = params
     D, P, Q, S = rep.D, rep.P, rep.Q, rep.S
     E48 = 24 * v * k  # 48 |E|
-    shared_adj = 24 * v * k * lam  # 48 vk lam / 2
-    shared_total = 48 * v * _comb2(k)
+    shared_adj = E48 * lam  # 48 vk lam / 2
+    shared_total = 24 * v * k * (k - 1)  # 48 v C(k,2)
 
-    # disjoint pairs by number of cross adjacencies, as (const, K4 coefficient)
-    triangles = 8 * v * k * lam  # 48 vk lam / 6
-    nonadj_pairs = 24 * v * (v - 1 - k)  # 48 v(v-1-k) / 2
-    diamond = (E48 * _comb2(lam), -6 * 48)
-    paw = (3 * triangles * (k - 2 * lam), 12 * 48)
-    c4 = ((nonadj_pairs * _comb2(mu) - diamond[0]) // 2, -diamond[1] // 2)
-
-    n4 = (0, 3 * 48)
-    n3 = (2 * diamond[0], 2 * diamond[1])
-    n2 = (2 * c4[0] + paw[0], 2 * c4[1] + paw[1])
-    cross_total = E48 * ((k - 1) ** 2 - lam)  # sum over disjoint pairs of j
-    n1 = (cross_total - 2 * n2[0] - 3 * n3[0] - 4 * n4[0], -2 * n2[1] - 3 * n3[1] - 4 * n4[1])
-    disjoint_total = E48 * (E48 - 48) // 96 - shared_total  # 48 C(|E|,2) = 48|E|(48|E| - 48) / 96
-    n0 = (disjoint_total - n1[0] - n2[0] - n3[0] - n4[0], -n1[1] - n2[1] - n3[1] - n4[1])
+    # the K4-free parts of the disjoint classes n_3, n_2, n_1, n_0 (n_4 = 3 K4)
+    diamond = E48 * lam * (lam - 1) // 2
+    c4 = (12 * v * (v - 1 - k) * mu * (mu - 1) - diamond) // 2  # 48 N C(mu,2) = 12 v(v-1-k) mu(mu-1)
+    n3 = 2 * diamond
+    n2 = 2 * c4 + 24 * v * k * lam * (k - 2 * lam)  # paw = 3 (48 T)(k - 2 lam), 48 T = 8 vk lam
+    n1 = E48 * ((k - 1) ** 2 - lam) - 2 * n2 - 3 * n3  # the cross-adjacency total less j n_j, j >= 2
+    n0 = E48 * (E48 - 48) // 96 - shared_total - n1 - n2 - n3  # 48 C(|E|,2) = 48|E|(48|E| - 48) / 96
     return (
         # vertex-vertex, ordered pairs
-        ((D, 48 * v, 0), (P, 48 * v * k, 0), (Q, 48 * v * (v - 1 - k), 0)),
+        ((D, P, Q), (48 * v, 48 * v * k, 48 * v * (v - 1 - k))),
         # vertex-edge, (vertex, edge) pairs
-        ((D + P, 2 * E48, 0), (2 * P, E48 * lam, 0),
-         (P + Q, 2 * E48 * (k - 1 - lam), 0), (2 * Q, E48 * (v - 2 * k + lam), 0)),
+        ((D + P, 2 * P, P + Q, 2 * Q), (2 * E48, E48 * lam, 2 * E48 * (k - 1 - lam), E48 * (v - 2 * k + lam))),
         # edge-edge: self, sharing a vertex (unordered), disjoint by cross adjacencies (unordered)
-        ((S, E48, 0), (D + 3 * P, shared_adj, 0), (D + 2 * P + Q, shared_total - shared_adj, 0),
-         (4 * Q, *n0), (P + 3 * Q, *n1), (2 * P + 2 * Q, *n2), (3 * P + Q, *n3), (4 * P, *n4)),
+        ((S, D + 3 * P, D + 2 * P + Q, 4 * Q, P + 3 * Q, 2 * P + 2 * Q, 3 * P + Q, 4 * P),
+         (E48, shared_adj, shared_total - shared_adj, n0, n1, n2, n3, 0)),
     )
 
 
@@ -189,28 +180,32 @@ def k4_lower_bound(params: SrgParams, rep: ReprConstants, degree: int = 4) -> K4
     vertex-vertex, vertex-edge and edge-edge blocks,
     F(a) = S_vv + 2a S_ve + a^2 (S_ee0 + B2 K4) >= 0 for all a.  For B2 > 0
     the bound is sup_a -A(a)/B(a): see _raw_bound.
+
+    A block's c^2 share the denominator b: with the coefficient of x^(2j)
+    scaled once to nums[j] b^(t/2-j), one Horner pass at x^2 = c^2 gives a
+    class's value g over den b^(t/2).  By K4_COLUMN, B2 is 288 times the
+    fourth difference sum_j (-1)^j C(4, j) g_j of the disjoint classes n_j.
     """
     nums, den = _gegenbauer_scaled(rep.d, degree)
-    half = degree // 2
+    top, *tail = nums[::-1]
+    D, S = rep.D, rep.S
     sums, dens = [], []
-    for rows, weights, b in zip(_class_rows(params, rep), _WEIGHTS, (rep.D * rep.D, rep.D * rep.S, rep.S * rep.S)):
-        # a block's c^2 share the denominator b, so with the coefficient of
-        # x^(2j) scaled once to nums[j] b^(t/2-j), Horner at x^2 = c^2 gives
-        # each class's Gegenbauer value as an integer over den b^(t/2)
-        top, *rest = [nums[j] * b ** (half - j) for j in range(half, -1, -1)]
-        const = k4 = 0
-        for weight, (c, row_const, row_k4) in zip(weights, rows):
-            x, n = c * c, top
+    for (cs, counts), b in zip(_class_rows(params, rep), (D * D, D * S, S * S)):
+        rest, power = [], 1
+        for n in tail:
+            power *= b
+            rest.append(n * power)
+        gs = []
+        for c in cs:
+            x, g = c * c, top
             for coef in rest:
-                n = n * x + coef
-            if weight != 1:
-                n *= weight
-            const += n * row_const
-            if row_k4:  # the K4 column is 0 but in the disjoint edge-pair rows
-                k4 += n * row_k4
-        sums.append((const, k4))
-        dens.append(COUNT_DEN * den * b**half)
-    (s_vv, _), (s_ve, _), (s_ee0, b2) = sums
-    bound_sums = (s_vv, s_ve, s_ee0, b2)
+                g = g * x + coef
+            gs.append(g)
+        sums.append(sum(map(mul, gs, counts)))
+        dens.append(COUNT_DEN * den * power)  # power = b^(t/2)
+    s_vv, s_ve, s_ee = sums
+    b2 = 2 * sum(map(mul, gs, K4_COLUMN[2]))
+    # a pair of distinct edges sits twice in the Gram matrix, the self class once
+    bound_sums = (s_vv, s_ve, 2 * s_ee - gs[0] * counts[0], b2)
     num, den = _raw_bound(bound_sums, dens) if b2 > 0 else (0, 1)
-    return K4Bound(max(0, -(-num // den)), b2 > 0, bound_sums, tuple(dens))
+    return tuple.__new__(K4Bound, (max(0, -(-num // den)), b2 > 0, bound_sums, tuple(dens)))

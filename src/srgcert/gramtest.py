@@ -205,7 +205,7 @@ def gram3_per_m(params: SrgParams, rep: ReprConstants, m: int) -> Gram3PerM:
     g = xx * y3 - x3 * x3  # |X|^2 |Y3|^2 - <X, Y3>^2
     n00_w, n00_ww = (D - Q) * g, Q * g - 4 * P * P * xx - y3 * x2 * x2 + 4 * P * x2 * x3
     n10_w, n01, n20 = 2 * d * (2 * P * x3 - y3 * x2), 2 * d * g, -y3 * d * d
-    return Gram3PerM(n00_w, n00_ww, n10_w, n01, n20, D**3)
+    return tuple.__new__(Gram3PerM, (n00_w, n00_ww, n10_w, n01, n20, D**3))
 
 
 def gram3_per_w(h: Gram3PerM, w: int) -> tuple[int, int]:
@@ -313,6 +313,17 @@ def _nonneg_runs(c, a: int, b: int) -> list[tuple[int, int]]:
     return [(lo, hi)] if lo <= hi else []
 
 
+def _nonneg_on(c, a: int, b: int) -> bool:
+    """Whether c0 + c1 w + c2 w^2 >= 0 at every integer a <= w <= b, in O(1):
+    a concave or linear one is least at an end, a convex one at the floor of
+    its vertex -c1/(2 c2) or the next integer, clamped to [a, b]."""
+    c0, c1, c2 = c
+    if c2 > 0:
+        x = -c1 // (2 * c2)
+        a, b = min(b, max(a, x)), min(b, max(a, x + 1))
+    return c0 + (c1 + c2 * a) * a >= 0 and c0 + (c1 + c2 * b) * b >= 0
+
+
 def _survivors(polys, a: int, b: int) -> list[tuple[int, int]]:
     """The maximal runs of [a, b], ascending, where one of the polynomials,
     each given by its coefficients (c0, c1, c2) in powers of w, is < 0."""
@@ -363,6 +374,8 @@ def _unrefuted(lam: int, m: int, h: Gram3PerM):
         v1, v2 = 2 * (h.n00_w + (h.n10_w + 2 * n20 * q) * a0), 2 * (h.n00_ww + (h.n10_w + n20 * q) * q)
         bounds = ((v0, v1, v2), (v0 + 2 * n01 * (a0 - m), v1 + 2 * n01 * q, v2),
                   (v0 + n01 * (a0 + 1), v1 + n01 * (q - lam), v2 + n01))
+        if _nonneg_on(bounds[0], x, end) and _nonneg_on(bounds[1], x, end) and _nonneg_on(bounds[2], x, end):
+            continue  # all three >= 0 on the whole piece, shown in O(1)
         for y, z in _survivors(bounds, x, end):
             yield from range(y, z + 1)
 
@@ -421,7 +434,7 @@ def decide(params: SrgParams, *, gegenbauer_degree: int = 4) -> Certificate:
     if upper > cap:
         notes.append(f"2x2 Gram bound {upper} exceeds C(lam,2)={cap}; capped")
         upper = cap
-    rng = MRange(lower, upper)
+    rng = tuple.__new__(MRange, (lower, upper))
 
     # an empty window is itself the contradiction: the loop does not run
     verdict = Verdict.NONEXISTENT
@@ -432,4 +445,4 @@ def decide(params: SrgParams, *, gegenbauer_degree: int = 4) -> Certificate:
             verdict = Verdict.INCONCLUSIVE
             break
         witnesses.append(wit)
-    return Certificate(params, report, verdict, spectrum, rep, k4, rng, tuple(witnesses), tuple(notes))
+    return tuple.__new__(Certificate, (params, report, verdict, spectrum, rep, k4, rng, tuple(witnesses), tuple(notes)))

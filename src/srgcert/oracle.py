@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .cliquebound import COUNT_DEN, _class_rows
+from .cliquebound import COUNT_DEN, K4_COLUMN, _class_rows
 from .gramtest import Verdict, decide
 from .params import ReprConstants, SrgParams
 
@@ -174,8 +174,8 @@ def construct(name: str, order: int | None = None) -> AdjacencyMatrix:
 # censuses
 
 
-# one inner-product class of the vertex+edge vector system: a row (c, const, k4)
-# of cliquebound._class_rows with its name and its Gram block
+# one inner-product class of the vertex+edge vector system: its c and count of
+# cliquebound._class_rows and its K4_COLUMN entry k4, with its name and its Gram block
 PairClass = namedtuple("PairClass", "name block c const k4")
 # the class names per Gram block, in _class_rows's order
 _CLASS_NAMES = (
@@ -186,11 +186,11 @@ _CLASS_NAMES = (
 
 
 def pair_profile(params: SrgParams, rep: ReprConstants) -> tuple[PairClass, ...]:
-    """All inner-product classes of {x_u} union {y_e}: _class_rows, named."""
+    """All inner-product classes of {x_u} union {y_e}: _class_rows with K4_COLUMN, named."""
     return tuple(
-        PairClass(name, block, *row)
-        for (block, names), rows in zip(_CLASS_NAMES, _class_rows(params, rep))
-        for name, row in zip(names, rows, strict=True)
+        PairClass(name, block, c, const, k4)
+        for (block, names), (cs, counts), k4s in zip(_CLASS_NAMES, _class_rows(params, rep), K4_COLUMN)
+        for name, c, const, k4 in zip(names, cs, counts, k4s, strict=True)
     )
 
 
@@ -229,17 +229,9 @@ def census(g: AdjacencyMatrix) -> CensusReport:
     pair classes."""
     edges = g.edges()
 
-    k4 = 0
-    for u in range(g.n):
-        for w in range(u + 1, g.n):
-            if not g.adjacent(u, w):
-                continue
-            common = g.rows[u] & g.rows[w]
-            members = [t for t in range(g.n) if common >> t & 1 and t > w]
-            for i, t in enumerate(members):
-                for z in members[i + 1 :]:
-                    if g.adjacent(t, z):
-                        k4 += 1
+    # each 4-clique once: its two lowest vertices u < w and an adjacent pair of common neighbors above w
+    k4 = sum(g.adjacent(t, z) for u, w in edges
+             for t, z in combinations([t for t in range(w + 1, g.n) if (g.rows[u] & g.rows[w]) >> t & 1], 2))
 
     ve = [0, 0, 0, 0]
     for t in range(g.n):

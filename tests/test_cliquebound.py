@@ -80,10 +80,11 @@ def _even_coeffs(d, t):
 def _gegenbauer_value(d, t, x2):
     """The normalized degree-t Gegenbauer value at x^2 = x2 >= 0, read from
     k4_lower_bound on one vertex-edge class of count 1: with D = 1 that
-    block's c^2 is over S, so x2 = a/b is c = a over S = a b (S = b at 0)."""
+    block's c^2 is over S, so x2 = a/b is c = a over S = a b (S = b at 0).
+    The edge-edge block keeps its self class, at count 0."""
     a, b = x2.numerator, x2.denominator
     rep = ReprConstants(d=d, D=1, P=0, Q=0, S=a * b or b)
-    rows = ((), ((a, cliquebound.COUNT_DEN, 0),), ())
+    rows = (((), ()), ((a,), (cliquebound.COUNT_DEN,)), ((rep.S,), (0,)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cliquebound, "_class_rows", lambda *_: rows)
         bound = k4_lower_bound(SrgParams(5, 2, 0, 1), rep, t)
@@ -343,14 +344,14 @@ def test_k4_bound_matches_fraction_sums(reference_graphs, monkeypatch):
         unscaled = [_k4_fields(k4_lower_bound(params, rep, degree)) for degree in range(0, 9, 2)]
         for div in (6, 4):
             # const/div and K4/(div + 1) over the count denominator times
-            # div(div + 1)
-            rows = tuple(
-                tuple((c, const * (div + 1), k4 * div) for c, const, k4 in block) for block in _class_rows(params, rep)
-            )
+            # div(div + 1): the counts of _class_rows and the constant K4 column
+            rows = tuple((cs, tuple(n * (div + 1) for n in counts)) for cs, counts in _class_rows(params, rep))
+            column = tuple(tuple(k4 * div for k4 in block) for block in cliquebound.K4_COLUMN)
             with monkeypatch.context() as mp:
                 mp.setattr(cliquebound, "COUNT_DEN", cliquebound.COUNT_DEN * div * (div + 1))
-                for module in (cliquebound, oracle):  # pair_profile reads oracle's name for it
+                for module in (cliquebound, oracle):  # pair_profile reads oracle's names for them
                     mp.setattr(module, "_class_rows", lambda *_: rows)
+                    mp.setattr(module, "K4_COLUMN", column)
                 scaled = pair_profile(params, rep)
                 assert scaled == tuple(c._replace(const=c.const * (div + 1), k4=c.k4 * div) for c in prof)
                 for c, (const, k4) in zip(scaled, counts):
@@ -359,6 +360,34 @@ def test_k4_bound_matches_fraction_sums(reference_graphs, monkeypatch):
                 for degree, fields in zip(range(0, 9, 2), got):
                     assert fields == _fraction_k4_lower_bound(scaled, rep, degree), (tup, div, degree)
             assert got != unscaled, (tup, div)
+
+
+def test_k4_column_is_constant_and_b2_a_fourth_difference(reference_censuses):
+    """The disjoint classes' K4 coefficients are 3 (-1)^j C(4, j) through
+    pair_profile, and at the census K4 each reference graph's class counts
+    are its census n_j; then B2 is 288 times the fourth difference
+    sum_j (-1)^j C(4, j) g_j of the disjoint classes' Gegenbauer values over
+    the edge-edge denominator, at every even degree: 6 times that of the
+    normalized values, 0 below degree 4, where the values are a polynomial
+    of degree t < 4 in j."""
+    steps = [(-1) ** j * math.comb(4, j) for j in range(5)]
+    tuples = 0
+    for label, (g, params, report) in reference_censuses.items():
+        if derive_spectrum(params) is None:
+            continue
+        tuples += 1
+        params, rep = _rep(tuple(params))
+        disjoint = [_by_name(pair_profile(params, rep), f"ee-disjoint-{j}") for j in range(5)]
+        assert [_count_k4(cls) for cls in disjoint] == [3 * step for step in steps], label
+        assert [_count_at(cls, report.k4_count) for cls in disjoint] == list(report.n_j_disjoint), label
+        p, q = rep.p, rep.q
+        x2s = [((j * p + (4 - j) * q) / (2 + 2 * p)) ** 2 for j in range(5)]
+        for degree in range(0, 9, 2):
+            bound = k4_lower_bound(params, rep, degree)
+            fourth = sum(step * _fraction_gegenbauer(rep.d, degree, x2) for step, x2 in zip(steps, x2s))
+            assert Fraction(bound.sums[3], bound.dens[2]) == 6 * fourth, (label, degree)
+            assert degree >= 4 or bound.sums[3] == 0, (label, degree)
+    assert tuples >= 3
 
 
 def test_degree_zero_is_never_informative():

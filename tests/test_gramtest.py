@@ -14,9 +14,11 @@ from srgcert.gramtest import (
     Verdict,
     WSplitWitness,
     _alpha_range,
+    _nonneg_on,
     _nonneg_runs,
     _pieces,
     _region_max_scaled,
+    _survivors,
     _unrefuted,
     alpha_min,
     decide,
@@ -484,9 +486,11 @@ def test_exact_region_scans_are_pinned(monkeypatch):
 
 def test_nonneg_runs_isqrt_calls_are_pinned(monkeypatch):
     """Deciding the rows of bench/corpus/feasible.csv and the paper tuples
-    takes 257 isqrt calls in gramtest, 695 before _nonneg_runs returned a
-    run whole where a concave or linear polynomial is >= 0 at both of its
-    ends: a change that takes more square roots fails here."""
+    takes 5 isqrt calls in gramtest: 257 before _unrefuted skipped a piece
+    whole where _nonneg_on shows all three bounds >= 0 on it, and 695
+    before _nonneg_runs returned a run whole where a concave or linear
+    polynomial is >= 0 at both of its ends.  A change that takes more
+    square roots fails here."""
     calls = []
 
     def counting_isqrt(n):
@@ -496,7 +500,7 @@ def test_nonneg_runs_isqrt_calls_are_pinned(monkeypatch):
     monkeypatch.setattr(gramtest, "math", types.SimpleNamespace(**{**vars(math), "isqrt": counting_isqrt}))
     for params in _feasible_rows() + [SrgParams(*t) for t in PAPER_TUPLES]:
         decide(params)
-    assert len(calls) == 257
+    assert len(calls) == 5
 
 
 def test_scan_rows_build_no_fraction(monkeypatch):
@@ -652,6 +656,37 @@ def test_nonneg_runs_match_brute_force():
         drawn.add((place, lead > 10**30 or abs(c1) > 10**30))
         assert _nonneg_runs(c, a, b) == _brute_runs(c, a, b) == [(a, b)], (c, a, b)
     assert drawn == {(place, big) for place in ("inside", "end", "outside", "linear") for big in (False, True)}
+
+
+def test_piece_check_matches_survivors_and_brute_force():
+    """_nonneg_on finds a polynomial c0 + c1 w + c2 w^2 >= 0 on a whole
+    interval exactly where every integer of it is >= 0 and _survivors finds
+    no run of it < 0: random concave, linear and convex polynomials, the
+    vertex inside the interval, left or right of it, at an integer or
+    between two, leading coefficient up to about 10^40, and c0 set so that
+    the least value on the interval is -1, 0, 1 or larger."""
+    rng = random.Random(29)
+    drawn = set()
+    for _ in range(6000):
+        a = rng.randint(-40, 40)
+        b = a + rng.randint(0, 50)
+        lead = rng.choice([1, 2, 7, rng.randint(10**39, 10**40)])
+        shape, place = rng.choice(["concave", "convex", "linear"]), "linear"
+        if shape == "linear":
+            c2, c1 = 0, rng.choice([-1, 1]) * rng.choice([0, 1, 7, lead])
+        else:
+            place, vertex = rng.choice([("inside", rng.randint(a, b)), ("left", a - rng.randint(1, 9)),
+                                        ("right", b + rng.randint(1, 9))])
+            c2 = lead if shape == "convex" else -lead
+            # the vertex -c1/(2 c2) is vertex + r/(2 lead), 0 <= r < 2 lead
+            c1 = -2 * c2 * vertex - (c2 // lead) * rng.choice([0, rng.randint(0, 2 * lead - 1)])
+        c = [0, c1, c2]
+        c[0] = rng.choice([-1, 0, 1, rng.randint(2, 10**40)]) - min(_poly_at(c, w) for w in range(a, b + 1))
+        nonneg = all(_poly_at(c, w) >= 0 for w in range(a, b + 1))
+        assert _nonneg_on(c, a, b) == nonneg == (_survivors([c], a, b) == []), (c, a, b)
+        drawn.add((shape, place, nonneg))
+    assert drawn == {(shape, place, nonneg) for shape in ("concave", "convex") for place in ("inside", "left", "right")
+                     for nonneg in (False, True)} | {("linear", "linear", False), ("linear", "linear", True)}
 
 
 def test_pieces_tile_the_split_sizes_with_alpha_min_one_line():
