@@ -12,7 +12,6 @@ import time
 import types
 from collections import Counter
 
-from .cliquebound import MAX_DEGREE
 from .gramtest import Verdict, decide
 from .params import InvalidParamsError, SrgParams, subconstituent_scan
 from .serialize import certificate_json, certificate_to_text, dumps, exact_digits, scan_row
@@ -43,9 +42,6 @@ COMMANDS = {
         (("v", int, "v", ""), ("k", int, "k", ""), ("lam", int, "lambda", ""), ("mu", int, "mu", "")),
         {
             "--json": ("json", None, False, "", "emit the certificate as JSON"),
-            "--max-gegenbauer-degree": ("max_gegenbauer_degree", int, 4, "T", (
-                "the one even Gegenbauer degree T, 0 to 8, that the 4-clique bound uses (default 4): not a cap,"
-                " as no other degree is tried; check 460 153 32 60 is Inconclusive at T = 8")),
         },
     ),
     "scan": (
@@ -195,11 +191,7 @@ def _cmd_check(args) -> int:
     except InvalidParamsError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    degree = args.max_gegenbauer_degree
-    if degree % 2 != 0 or not 0 <= degree <= MAX_DEGREE:
-        print(f"--max-gegenbauer-degree must be even and at most {MAX_DEGREE}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    cert = decide(params, gegenbauer_degree=degree)
+    cert = decide(params)
     write = certificate_json if args.json else certificate_to_text
     try:
         text = write(cert)

@@ -1,14 +1,14 @@
-"""Lower bound on the number of 4-cliques from positive-definite sphere
-polynomials.
+"""Lower bound on the number of 4-cliques from the degree-4 positive-definite
+sphere polynomial.
 
 The unit-vector system is the v vertex vectors together with one normalized
 vector y_e = (x_u + x_w)/|x_u + x_w| per edge.  Its inner-product
 distribution is determined by (v, k, lam, mu) and the 4-clique count alone;
-applying an even Gegenbauer polynomial entrywise to the Gram matrix keeps it
-positive semidefinite, and evaluating the quadratic form at weight 1 on
-vertex vectors and a on edge vectors yields an inequality affine in the
+applying the degree-4 Gegenbauer polynomial entrywise to the Gram matrix
+keeps it positive semidefinite, and evaluating the quadratic form at weight
+1 on vertex vectors and a on edge vectors yields an inequality affine in the
 4-clique count.  Everything is exact: irrational inner products only ever
-enter through their rational squares, which even polynomials consume.
+enter through their rational squares, which the even polynomial consumes.
 """
 
 from __future__ import annotations
@@ -20,31 +20,17 @@ from typing import NamedTuple
 
 from .params import ReprConstants, SrgParams, as_fraction
 
-MAX_DEGREE = 8
-
 
 @lru_cache(maxsize=None)
-def _gegenbauer_scaled(d: int, t: int) -> tuple[tuple[int, ...], int]:
-    """The coefficients of x^0, x^2, ..., x^t of the even degree-t
-    Gegenbauer polynomial for the sphere S^{d-1}, normalized to take value 1
-    at x = 1, as integers over one denominator > 0.
-
-    Closed form: with nu = (d-2)/2, C_t^nu(x) / C_t^nu(1) has the x^(t-2j)
-    coefficient (-1)^j C(t, 2j) (2j-1)!! prod_{i<t-j} (d-2+2i) over the
-    common denominator prod_{i<t} (d-2+i), and everything is divided by the
-    gcd of the numerators and that denominator.
-    """
+def _gegenbauer_scaled(d: int) -> tuple[tuple[int, int, int], int]:
+    """The coefficients of x^0, x^2, x^4 of the degree-4 Gegenbauer
+    polynomial for the sphere S^{d-1}, normalized to take value 1 at x = 1,
+    as integers over one denominator > 0: (3, -6(d+2), (d+2)(d+4)) over
+    (d-1)(d+1), all four divided by their gcd."""
     if d < 3:
         raise ValueError(f"need d >= 3, got {d}")
-    if t % 2 != 0:
-        raise ValueError(f"degree must be even, got {t}")
-    if not 0 <= t <= MAX_DEGREE:
-        raise ValueError(f"degree must be in 0..{MAX_DEGREE}, got {t}")
-    nums = []
-    for j in range(t // 2, -1, -1):  # x^(t-2j), so the constant comes first
-        odd = math.prod(range(1, 2 * j, 2))  # (2j-1)!!
-        nums.append((-1) ** j * math.comb(t, 2 * j) * odd * math.prod(range(d - 2, d - 2 + 2 * (t - j), 2)))
-    den = math.prod(range(d - 2, d - 2 + t))
+    nums = (3, -6 * (d + 2), (d + 2) * (d + 4))
+    den = (d - 1) * (d + 1)
     g = math.gcd(den, *nums)
     return tuple(n // g for n in nums), den // g
 
@@ -117,16 +103,16 @@ class K4Bound(NamedTuple):
     """Result of optimizing the quadratic form F(a) = A(a) + B(a) * K4.
 
     A and B are lowest-degree-first; positive semidefiniteness forces
-    F(a) >= 0 for the true K4, so whenever B(a) > 0 the count satisfies
-    K4 >= -A(a)/B(a).  lower is the ceiling of the optimized rational bound
-    (clamped at 0), raw_bound the exact optimum, optimal_a its maximizer
-    (None when the optimum is only approached as |a| grows).  Each is a
-    Fraction built when read from a *_pair method's (numerator, denominator)
-    of the integer block sums of k4_lower_bound, the pairs the writers read.
+    F(a) >= 0 for the true K4, and B(a) = B2 a^2 with B2 > 0, so the count
+    satisfies K4 >= -A(a)/B(a).  lower is the ceiling of the optimized
+    rational bound (clamped at 0), raw_bound the exact optimum, optimal_a
+    its maximizer (None when the optimum is only approached as |a| grows).
+    Each is a Fraction built when read from a *_pair method's (numerator,
+    denominator) of the integer block sums of k4_lower_bound, the pairs the
+    writers read.
     """
 
     lower: int
-    informative: bool
     sums: tuple[int, int, int, int]  # S_vv, S_ve, S_ee0, B2 numerators
     dens: tuple[int, int, int]  # vertex-vertex, vertex-edge, edge-edge denominators
 
@@ -135,12 +121,12 @@ class K4Bound(NamedTuple):
         (s_vv, s_ve, s_ee0, b2), (d_vv, d_ve, d_ee) = self.sums, self.dens
         return (s_vv, d_vv), (2 * s_ve, d_ve), (s_ee0, d_ee), (0, 1), (0, 1), (b2, d_ee)
 
-    def raw_bound_pair(self) -> tuple[int, int] | None:
-        return _raw_bound(self.sums, self.dens) if self.informative else None
+    def raw_bound_pair(self) -> tuple[int, int]:
+        return _raw_bound(self.sums, self.dens)
 
     def optimal_a_pair(self) -> tuple[int, int] | None:  # -S_vv/S_ve; None at the |a| -> infinity limit
         (s_vv, s_ve, _, _), (d_vv, d_ve, _) = self.sums, self.dens
-        return (-s_vv * d_ve, d_vv * s_ve) if self.informative and s_vv and s_ve else None
+        return (-s_vv * d_ve, d_vv * s_ve) if s_vv and s_ve else None
 
     @property
     def a_quadratic(self):
@@ -173,39 +159,36 @@ def _raw_bound(sums, dens) -> tuple[int, int]:
     return (num, den) if den > 0 else (-num, -den)
 
 
-def k4_lower_bound(params: SrgParams, rep: ReprConstants, degree: int = 4) -> K4Bound:
-    """Best 4-clique lower bound obtainable from one even Gegenbauer degree.
+def k4_lower_bound(params: SrgParams, rep: ReprConstants) -> K4Bound:
+    """Best 4-clique lower bound obtainable from the degree-4 Gegenbauer
+    polynomial.
 
     With S_vv, S_ve, S_ee the class-weighted polynomial sums over the
     vertex-vertex, vertex-edge and edge-edge blocks,
-    F(a) = S_vv + 2a S_ve + a^2 (S_ee0 + B2 K4) >= 0 for all a.  For B2 > 0
-    the bound is sup_a -A(a)/B(a): see _raw_bound.
+    F(a) = S_vv + 2a S_ve + a^2 (S_ee0 + B2 K4) >= 0 for all a, and the
+    bound is sup_a -A(a)/B(a): see _raw_bound.
 
-    A block's c^2 share the denominator b: with the coefficient of x^(2j)
-    scaled once to nums[j] b^(t/2-j), one Horner pass at x^2 = c^2 gives a
-    class's value g over den b^(t/2).  By K4_COLUMN, B2 is 288 times the
-    fourth difference sum_j (-1)^j C(4, j) g_j of the disjoint classes n_j.
+    A block's c^2 share the denominator b: with the coefficients scaled to
+    (n0 b^2, n2 b, n4), a class's value g at x = c^2 is (n4 x + n2 b) x + n0 b^2
+    over den b^2.  By K4_COLUMN, B2 is 288 times the fourth difference
+    sum_j (-1)^j C(4, j) g_j of the disjoint classes n_j, whose c_j =
+    4Q + j(P - Q) make g_j a quartic in j with leading coefficient
+    n4 (P - Q)^4: B2 = 6912 n4 (P - Q)^4 > 0, as n4 > 0 and P != Q (see
+    gramtest.gram3_per_m).
     """
-    nums, den = _gegenbauer_scaled(rep.d, degree)
-    top, *tail = nums[::-1]
+    (n0, n2, n4), den = _gegenbauer_scaled(rep.d)
     D, S = rep.D, rep.S
     sums, dens = [], []
     for (cs, counts), b in zip(_class_rows(params, rep), (D * D, D * S, S * S)):
-        rest, power = [], 1
-        for n in tail:
-            power *= b
-            rest.append(n * power)
-        gs = []
-        for c in cs:
-            x, g = c * c, top
-            for coef in rest:
-                g = g * x + coef
-            gs.append(g)
+        mid, low = n2 * b, n0 * b * b
+        gs = [(n4 * x + mid) * x + low for x in map(mul, cs, cs)]
         sums.append(sum(map(mul, gs, counts)))
-        dens.append(COUNT_DEN * den * power)  # power = b^(t/2)
+        dens.append(COUNT_DEN * den * b * b)
     s_vv, s_ve, s_ee = sums
     b2 = 2 * sum(map(mul, gs, K4_COLUMN[2]))
+    if b2 <= 0:
+        raise ValueError("4-clique coefficient B2 is not positive")
     # a pair of distinct edges sits twice in the Gram matrix, the self class once
     bound_sums = (s_vv, s_ve, 2 * s_ee - gs[0] * counts[0], b2)
-    num, den = _raw_bound(bound_sums, dens) if b2 > 0 else (0, 1)
-    return tuple.__new__(K4Bound, (max(0, -(-num // den)), b2 > 0, bound_sums, tuple(dens)))
+    num, den = _raw_bound(bound_sums, dens)
+    return tuple.__new__(K4Bound, (max(0, -(-num // den)), bound_sums, tuple(dens)))

@@ -405,7 +405,7 @@ def wsplit_contradiction(params: SrgParams, rep: ReprConstants, m: int) -> WSpli
     return None
 
 
-def decide(params: SrgParams, *, gegenbauer_degree: int = 4) -> Certificate:
+def decide(params: SrgParams) -> Certificate:
     """Full pipeline: classical screens, 4-clique bound, m window, w-split.
 
     Nonexistent requires an empty m window or a witness for every m in it;
@@ -425,8 +425,8 @@ def decide(params: SrgParams, *, gegenbauer_degree: int = 4) -> Certificate:
                            notes=("complete-multipartite family: Gram tests skipped",))
 
     rep = repr_constants(params, spectrum)
-    k4 = k4_lower_bound(params, rep, degree=gegenbauer_degree)
-    notes = [] if k4.informative else ["4-clique quadratic form carries no positive K4 coefficient"]
+    k4 = k4_lower_bound(params, rep)
+    notes = []
     lower = m_lower(params, k4.lower)
     root = _gram2_root(params, rep)
     upper = 0 if root is None else max(-1, root[0] // root[1])

@@ -38,7 +38,7 @@ _CERTIFICATE = _template({
 }, 0)
 _SPECTRUM, _REPRESENTATION, _M_RANGE = (_template(_slots(*keys), 1) for keys in ("rsfg", "pqd", ("lower", "upper")))
 _K4_BOUND = _template({**_slots("lower", "optimal_a"), "a_quadratic": ["%s"] * 3, "k4_quadratic": ["%s"] * 3,
-                       **_slots("raw_bound", "informative")}, 1)
+                       **_slots("raw_bound"), "informative": True}, 1)
 _WITNESS = _template({**_slots("m", "w", "alpha_min", "region_max_det"), "region_max_at": ["%s"] * 2}, 2)
 _BOOL = {True: "true", False: "false"}
 _OK = {True: "ok", False: "FAILED"}
@@ -78,7 +78,7 @@ def certificate_json(cert: Certificate) -> str:
             _rational((rep.P, rep.D), 2), _rational((rep.Q, rep.D), 2), rep.d),
         "null" if k4 is None else _K4_BOUND % (
             k4.lower, _rational(k4.optimal_a_pair(), 2), *[_rational(c, 3) for c in k4.quadratic_pairs()],
-            _rational(k4.raw_bound_pair(), 2), _BOOL[k4.informative]),
+            _rational(k4.raw_bound_pair(), 2)),
         "null" if rng is None else _M_RANGE % (rng.lower, rng.upper),
         _rational(cert.m_upper_pair(), 1),
         _list([_WITNESS % (w.m, w.w, w.alpha_min, _rational((w.region_max, w.den), 3), *w.region_max_at)
@@ -102,9 +102,8 @@ def certificate_to_text(cert: Certificate) -> str:
     if rep is not None:
         lines.append(f"representation: p = {_str((rep.P, rep.D))}, q = {_str((rep.Q, rep.D))}, dimension {rep.d}")
     if k4 is not None:
-        raw = k4.raw_bound_pair()
-        extra = f" (exact {_str(raw)}, optimal a = {_str(k4.optimal_a_pair())})" if raw is not None else ""
-        lines.append(f"4-cliques: K4 >= {k4.lower}{extra}")
+        lines.append(f"4-cliques: K4 >= {k4.lower} (exact {_str(k4.raw_bound_pair())},"
+                     f" optimal a = {_str(k4.optimal_a_pair())})")
     if rng is not None:
         exact = f" (2x2 Gram bound {_str(upper)})" if (upper := cert.m_upper_pair()) is not None else ""
         lines.append(f"max common-neighborhood edges: {rng.lower} <= m <= {rng.upper}{exact}")

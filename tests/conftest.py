@@ -1,6 +1,13 @@
 import pytest
 
-from srgcert.oracle import REFERENCE_GRAPHS, census, construct, srg_parameters
+from srgcert.oracle import REFERENCE_GRAPHS, AdjacencyMatrix, census, construct, srg_parameters
+
+
+def complement(g: AdjacencyMatrix) -> AdjacencyMatrix:
+    """The complement of g, on its row bitmasks: every other vertex that a
+    row does not join."""
+    full = (1 << g.n) - 1
+    return AdjacencyMatrix(g.n, tuple(full & ~row & ~(1 << u) for u, row in enumerate(g.rows)))
 
 
 @pytest.fixture(scope="session")

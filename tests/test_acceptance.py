@@ -168,21 +168,17 @@ def test_golden_nonexistent_list_up_to_300():
     assert found == NONEXISTENT_UP_TO_300
 
 
-# SHA-256 of each certificate_json as one compact line per decision: the 648
-# tuples above at Gegenbauer degree 4, then the primitive feasible tuples with
-# v <= 120 at degrees 0, 2, 6 and 8; pins every K4 rational, m root and witness
-GOLDEN_CERTIFICATES_SHA256 = "ae48376eeb6838cd467f372645b157e60ce1a44bd5d2bc338d9103b30c0d265b"
+# SHA-256 of each certificate_json as one compact line per decision over the
+# 648 tuples above; pins every K4 rational, m root and witness
+GOLDEN_CERTIFICATES_SHA256 = "53972e3830acee4425ccbd0d409e58f549e5e925bfeed23c595231b578e977b5"
 
 
 def test_golden_certificate_bytes_at_scale():
     digest = hashlib.sha256()
-    runs = [(params, 4) for params in _primitive_feasible_tuples(300)]
-    small = list(_primitive_feasible_tuples(120))
-    runs += [(params, degree) for degree in (0, 2, 6, 8) for params in small]
-    for params, degree in runs:
-        cert = decide(params, gegenbauer_degree=degree)
+    for params in _primitive_feasible_tuples(300):
+        cert = decide(params)
         text = certificate_json(cert)
-        assert text == json.dumps(_dict_certificate(cert), indent=2), (params, degree)
+        assert text == json.dumps(_dict_certificate(cert), indent=2), params
         digest.update((dumps(json.loads(text)) + "\n").encode("utf-8"))
     assert digest.hexdigest() == GOLDEN_CERTIFICATES_SHA256
 

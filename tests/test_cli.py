@@ -32,8 +32,13 @@ def test_check_rejects_malformed_integers():
 
 
 def test_check_rejects_bad_degree(capsys):
-    assert main(["check", "460", "153", "32", "60", "--max-gegenbauer-degree", "3"]) == 2
-    capsys.readouterr()
+    """The 4-clique bound's Gegenbauer degree is fixed at 4, and check has no
+    option for it: --max-gegenbauer-degree is unrecognized at any value."""
+    for degree in ("3", "4"):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "460", "153", "32", "60", "--max-gegenbauer-degree", degree])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-gegenbauer-degree" in capsys.readouterr().err
 
 
 def test_check_transcript_contents(capsys):
@@ -75,8 +80,7 @@ def test_check_json_golden_bytes(capsys):
 
 
 # SHA-256 of `srgcert check` stdout, the text transcript, frozen as for
-# GOLDEN_CERTIFICATE_SHA256: the same tuples, then the paper's tuple at two
-# more Gegenbauer degrees
+# GOLDEN_CERTIFICATE_SHA256, over the same tuples
 GOLDEN_TRANSCRIPT_SHA256 = {
     (460, 153, 32, 60): "86bd647fd75c185fb761ce1ba7e531005b02860cc7aa4ed42ebf1c794a41848f",
     (6205, 858, 47, 130): "6e63f6474f1b7a1da9c68d678e54d3cf85aa27847f6540bf56a0766ad3f2666b",
@@ -86,22 +90,24 @@ GOLDEN_TRANSCRIPT_SHA256 = {
     (10, 3, 1, 1): "c0e29bee84964bf683f6f489a3d524c619a959bb59c04f2d42524eae08368664",
     (5, 2, 0, 1): "69d8ba0b4a21a3e312e5a62bef610579da4f3cd036e9ab1524266bd0f4a9aca0",
     (6, 4, 2, 4): "6a767e19e4aebfda7b74a0a1976da0845501baebff886e5efc0d09e6ca10867b",
-    (460, 153, 32, 60, "--max-gegenbauer-degree", 0): "bf117be1e078314ffdb76a43dd13318d9a9a64c75bdd49165c9c00fb01f2f2f0",
-    (460, 153, 32, 60, "--max-gegenbauer-degree", 8): "bf117be1e078314ffdb76a43dd13318d9a9a64c75bdd49165c9c00fb01f2f2f0",
 }
 
 
 def test_check_transcript_golden_bytes(capsys):
-    for args, digest in GOLDEN_TRANSCRIPT_SHA256.items():
-        main(["check", *map(str, args)])
+    for tup, digest in GOLDEN_TRANSCRIPT_SHA256.items():
+        main(["check", *map(str, tup)])
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, args
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, tup
 
 
 def test_check_no_clique_bound(capsys):
-    """At degree 0 the 4-clique bound is 0, and the paper's tuple stays open."""
-    assert main(["check", "460", "153", "32", "60", "--max-gegenbauer-degree", "0"]) == 0
+    """The triangular graph T(7) has 105 4-cliques, but the 4-clique bound
+    of its parameters is 0, so the m window starts at 0 and stays open."""
+    assert main(["check", "21", "10", "5", "4"]) == 0
     out = capsys.readouterr().out
+    assert "4-cliques: K4 >= 0 (" in out
+    assert "0 <= m <= 7" in out
+    assert "note:" not in out
     assert "verdict: Inconclusive" in out
 
 
@@ -658,19 +664,25 @@ def test_subscan_invalid(capsys):
 def test_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
     tup, params = ["460", "153", "32", "60"], SrgParams(460, 153, 32, 60)
 
-    assert main(["check", *tup, "--json", "--max-gegenbauer-degree", "6"]) == 0
-    assert json.loads(capsys.readouterr().out) == _dict_certificate(decide(params, gegenbauer_degree=6))
+    assert main(["check", *tup, "--json"]) == 10
+    assert json.loads(capsys.readouterr().out) == _dict_certificate(decide(params))
     for argv, status in ((["check", "1"], 2), (["--help"], 0)):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == status
         capsys.readouterr()
-    # --json and degree 6 do not carry over: degree 4 decides Nonexistent
+    # --json does not carry over: the transcript is text
     assert main(["check", *tup]) == 10
     assert capsys.readouterr().out == certificate_to_text(decide(params)) + "\n"
 
-    path = tmp_path / "rows.csv"
+    path, out = tmp_path / "rows.csv", tmp_path / "rows.out"
     path.write_text("v,k,lambda,mu\n16,6,2,2\n", encoding="utf-8")
+    assert main(["scan", str(path), "--jobs", "1", "--output", str(out), "--json-lines"]) == 0
+    assert capsys.readouterr().out == ""
+    # --output and --json-lines do not carry over: the table goes to stdout
+    assert main(["scan", str(path), "--jobs", "1"]) == 0
+    assert capsys.readouterr().out.startswith("(16,6,2,2): Inconclusive")
+    assert out.read_text(encoding="utf-8").startswith('{"params":{"v":16')
     monkeypatch.setenv("SRG_CERTIFY_JOBS", "0")
     assert main(["scan", str(path), "--jobs", "3"]) == 0
     capsys.readouterr()
@@ -703,21 +715,25 @@ ARGV_CASES = [
     CHECK,
     [*CHECK, "--json"],
     ["check", "--json", "460", "153", "32", "60"],
-    ["check", "460", "153", "--max-gegenbauer-degree", "6", "32", "60"],
-    [*CHECK, "--max-gegenbauer-degree=0"],
+    ["check", "460", "153", "--json", "32", "60"],
+    ["scan", "--jobs", "3", "rows.csv"],
+    ["scan", "rows.csv", "--jobs=0"],
     ["scan", "--jobs=3", "rows.csv", "--output", "out.jsonl", "--json-lines"],
     ["scan", "rows.csv", "--output="],
     # unique prefixes, and a flag that is a prefix of another command's flag
-    ["check", "--max", "2", "460", "153", "32", "60", "--j"],
-    [*CHECK, "--max-g=2"],
+    [*CHECK, "--j"],
+    ["scan", "--out", "x", "rows.csv"],
+    ["scan", "rows.csv", "--jo=2"],
     ["scan", "rows.csv", "--jo", "2", "--o=x", "--json"],
     # the last of a repeated option wins
-    [*CHECK, "--max-gegenbauer-degree", "2", "--max-gegenbauer-degree", "6", "--json", "--json"],
+    [*CHECK, "--json", "--json"],
+    ["scan", "rows.csv", "--output", "a", "--output=b", "--json-lines", "--json-lines"],
     ["scan", "rows.csv", "--jobs", "2", "--jobs", "3"],
     # negative numbers, int() spaces and the 4300-digit limit
     ["check", "-5", "2", "0", "-1"],
     ["scan", "rows.csv", "--jobs", "-1"],
-    [*CHECK, "--max-gegenbauer-degree", "-2"],
+    ["scan", "rows.csv", "--jobs=-2"],
+    ["scan", "rows.csv", "--output", "-2"],
     ["check", " 460 ", "153\n", "\t32", "6_0"],
     ["check", "1" * 4300, "2", "0", "1"],
     # "--" ends the options; "-" and an argument with a space are positionals
@@ -748,8 +764,10 @@ ARGV_CASES = [
     ["check", "460", "153", "32", "sixty"],
     ["check", "460", "x", "32", "60", "--help"],
     ["check", "1" * 4301, "2", "0", "1"],
-    [*CHECK, "--max-gegenbauer-degree", "4.0"],
-    [*CHECK, "--max-gegenbauer-degree"],
+    ["scan", "rows.csv", "--jobs", "4.0"],
+    ["scan", "rows.csv", "--jobs"],
+    [*CHECK, "--max-gegenbauer-degree", "4"],
+    [*CHECK, "--max", "4"],
     [*CHECK, "--bogus"],
     [*CHECK, "-j"],
     ["--json", *CHECK],

@@ -71,50 +71,32 @@ def _fraction_gegenbauer_coeffs(d, t):
     return tuple(c / at_one for c in raw)
 
 
-def _even_coeffs(d, t):
-    """The code's coefficients of x^0, x^2, ..., x^t as Fractions."""
-    nums, den = _gegenbauer_scaled(d, t)
+def _even_coeffs(d):
+    """The code's coefficients of x^0, x^2, x^4 as Fractions."""
+    nums, den = _gegenbauer_scaled(d)
     return tuple(Fraction(n, den) for n in nums)
 
 
-def _gegenbauer_value(d, t, x2):
-    """The normalized degree-t Gegenbauer value at x^2 = x2 >= 0, read from
+def _gegenbauer_value(d, x2):
+    """The normalized degree-4 Gegenbauer value at x^2 = x2 >= 0, read from
     k4_lower_bound on one vertex-edge class of count 1: with D = 1 that
     block's c^2 is over S, so x2 = a/b is c = a over S = a b (S = b at 0).
-    The edge-edge block keeps its self class, at count 0."""
+    The edge-edge block keeps its self class, at count 0 and with a K4
+    coefficient of 1, so that B2 > 0."""
     a, b = x2.numerator, x2.denominator
     rep = ReprConstants(d=d, D=1, P=0, Q=0, S=a * b or b)
     rows = (((), ()), ((a,), (cliquebound.COUNT_DEN,)), ((rep.S,), (0,)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cliquebound, "_class_rows", lambda *_: rows)
-        bound = k4_lower_bound(SrgParams(5, 2, 0, 1), rep, t)
-    assert (bound.sums[0], *bound.sums[2:]) == (0, 0, 0)
+        mp.setattr(cliquebound, "K4_COLUMN", ((), (), (1,)))
+        bound = k4_lower_bound(SrgParams(5, 2, 0, 1), rep)
+    assert bound.sums[0] == bound.sums[2] == 0 and bound.sums[3] > 0
     return Fraction(bound.sums[1], bound.dens[1])
-
-
-def test_gegenbauer_degree_zero_is_one():
-    for d in (3, 7, 45):
-        for x2 in (Fraction(0), Fraction(1, 3), Fraction(4)):
-            assert _gegenbauer_value(d, 0, x2) == 1
 
 
 def test_gegenbauer_normalization_at_one():
     for d in (3, 5, 45, 342):
-        for t in (2, 4, 6, 8):
-            assert _gegenbauer_value(d, t, Fraction(1)) == 1
-
-
-def test_gegenbauer_degree_two_value():
-    assert _gegenbauer_value(45, 2, Fraction(0)) == Fraction(-1, 44)
-
-
-def test_gegenbauer_degree_two_closed_form():
-    """Degree two must equal (d x^2 - 1)/(d - 1), coefficient by coefficient,
-    in the code and in the recurrence."""
-    for d in range(3, 11):
-        expected = (Fraction(-1, d - 1), Fraction(d, d - 1))
-        assert _even_coeffs(d, 2) == expected
-        assert _fraction_gegenbauer_coeffs(d, 2) == (expected[0], 0, expected[1])
+        assert _gegenbauer_value(d, Fraction(1)) == 1
 
 
 def test_gegenbauer_degree_four_closed_form():
@@ -123,49 +105,43 @@ def test_gegenbauer_degree_four_closed_form():
     for d in range(3, 11):
         den = d * d - 1
         expected = (Fraction(3, den), Fraction(-(6 * d + 12), den), Fraction((d + 2) * (d + 4), den))
-        assert _even_coeffs(d, 4) == expected
+        assert _even_coeffs(d) == expected
         assert _fraction_gegenbauer_coeffs(d, 4) == (expected[0], 0, expected[1], 0, expected[2])
 
 
 def test_gegenbauer_closed_form_matches_recurrence():
-    """Every even degree up to 8 and every d in 3..500: the integer closed
-    form equals the Fraction recurrence, odd coefficients zero, over the
-    smallest common denominator."""
+    """Every d in 3..500: the integer closed form equals the Fraction
+    recurrence at degree 4, odd coefficients zero, over the smallest common
+    denominator."""
     for d in range(3, 501):
-        for t in range(0, 9, 2):
-            coeffs = _fraction_gegenbauer_coeffs(d, t)
-            assert all(c == 0 for c in coeffs[1::2]), (d, t)
-            assert _even_coeffs(d, t) == coeffs[::2], (d, t)
-            den = _gegenbauer_scaled(d, t)[1]
-            assert den == math.lcm(*(c.denominator for c in coeffs[::2])), (d, t)
+        coeffs = _fraction_gegenbauer_coeffs(d, 4)
+        assert all(c == 0 for c in coeffs[1::2]), d
+        assert _even_coeffs(d) == coeffs[::2], d
+        assert _gegenbauer_scaled(d)[1] == math.lcm(*(c.denominator for c in coeffs[::2])), d
 
 
 def test_gegenbauer_is_orthogonal_for_the_sphere_weight():
     """The defining property, independent of any formula for the
     coefficients c_j of x^(2j): the polynomial is 1 at x = 1 and orthogonal
-    to x^(2k), k < t/2, under the weight (1 - x^2)^((d-3)/2) on [-1, 1],
-    whose even moments are M_a = prod_{i<a} (2i+1)/(2i+d) exactly.  Together
-    these fix the even polynomial of degree t."""
-    checks = 0
+    to 1 and x^2 under the weight (1 - x^2)^((d-3)/2) on [-1, 1], whose even
+    moments are M_a = prod_{i<a} (2i+1)/(2i+d) exactly.  Together these fix
+    the even polynomial of degree 4."""
     for d in range(3, 301):
-        moments = [Fraction(1)]  # M_0..M_7, since j + k < t <= 8
-        for i in range(7):
+        moments = [Fraction(1)]  # M_0..M_3, since j + k < 4
+        for i in range(3):
             moments.append(moments[-1] * Fraction(2 * i + 1, 2 * i + d))
-        for t in range(0, 9, 2):
-            coeffs = _even_coeffs(d, t)
-            assert len(coeffs) == t // 2 + 1 and sum(coeffs) == 1, (d, t)
-            for k in range(t // 2):
-                assert sum(c * moments[j + k] for j, c in enumerate(coeffs)) == 0, (d, t, k)
-                checks += 1
-    assert checks == 298 * (0 + 1 + 2 + 3 + 4)
+        coeffs = _even_coeffs(d)
+        assert len(coeffs) == 3 and sum(coeffs) == 1, d
+        for k in range(2):
+            assert sum(c * moments[j + k] for j, c in enumerate(coeffs)) == 0, (d, k)
 
 
-def test_gegenbauer_rejects_odd_degree_and_small_dimension():
-    for d, t in ((45, 3), (45, 10), (2, 4)):
+def test_gegenbauer_rejects_small_dimension():
+    for d in (0, 1, 2):
         with pytest.raises(ValueError):
-            _gegenbauer_scaled(d, t)
+            _gegenbauer_scaled(d)
         with pytest.raises(ValueError):
-            _gegenbauer_value(d, t, Fraction(1, 4))
+            _gegenbauer_value(d, Fraction(1, 4))
 
 
 def test_profile_counts_for_target_tuple():
@@ -269,30 +245,28 @@ def test_form_nonnegative_at_true_k4_on_rational_grid(reference_censuses):
             assert _form_value(bound, a, report.k4_count) >= 0, (label, a)
 
 
-def _fraction_gegenbauer(d, t, x_squared):
-    """The recurrence's polynomial at x^2, one power of x^2 at a time."""
-    coeffs = _fraction_gegenbauer_coeffs(d, t)
+def _fraction_gegenbauer(d, x_squared):
+    """The recurrence's degree-4 polynomial at x^2, one power of x^2 at a time."""
+    coeffs = _fraction_gegenbauer_coeffs(d, 4)
     total, power = Fraction(0), Fraction(1)
-    for i in range(0, t + 1, 2):
+    for i in range(0, 5, 2):
         total += coeffs[i] * power
         power *= x_squared
     return total
 
 
-K4_FIELDS = ("lower", "informative", "optimal_a", "a_quadratic", "k4_quadratic", "raw_bound")
+K4_FIELDS = ("lower", "optimal_a", "a_quadratic", "k4_quadratic", "raw_bound")
 
 
 def _k4_fields(bound):
-    """The six public fields of a K4Bound, by name."""
+    """The five public fields of a K4Bound, by name."""
     return {name: getattr(bound, name) for name in K4_FIELDS}
 
 
-def _fraction_k4_lower_bound(classes, rep, degree):
+def _fraction_k4_lower_bound(classes, rep):
     """The per-class Fraction sums the integer block sums replaced, kept as
-    the oracle: the six public fields of the bound, by name."""
-    gval = {
-        cls.name: _fraction_gegenbauer(rep.d, degree, Fraction(cls.c**2, _block_den(rep, cls.block))) for cls in classes
-    }
+    the oracle: the five public fields of the bound, by name."""
+    gval = {cls.name: _fraction_gegenbauer(rep.d, Fraction(cls.c**2, _block_den(rep, cls.block))) for cls in classes}
     s_vv = sum(_count_const(cls) * gval[cls.name] for cls in classes if cls.block == "vertex-vertex")
     s_ve = sum(_count_const(cls) * gval[cls.name] for cls in classes if cls.block == "vertex-edge")
     s_ee0 = Fraction(0)
@@ -304,28 +278,24 @@ def _fraction_k4_lower_bound(classes, rep, degree):
             b2 += weight * _count_k4(cls) * gval[cls.name]
     a_quad = (s_vv, 2 * s_ve, s_ee0)
     k4_quad = (Fraction(0), Fraction(0), b2)
-    if b2 <= 0:
-        lower, informative, optimal_a, raw = 0, False, None, None
-    elif s_vv == 0 or s_ve == 0:
-        raw = -s_ee0 / b2
-        lower, informative, optimal_a = max(0, math.ceil(raw)), True, None
+    assert b2 > 0
+    if s_vv == 0 or s_ve == 0:
+        raw, optimal_a = -s_ee0 / b2, None
     else:
-        raw = (s_ve * s_ve / s_vv - s_ee0) / b2
-        lower, informative, optimal_a = max(0, math.ceil(raw)), True, -s_vv / s_ve
-    return dict(zip(K4_FIELDS, (lower, informative, optimal_a, a_quad, k4_quad, raw)))
+        raw, optimal_a = (s_ve * s_ve / s_vv - s_ee0) / b2, -s_vv / s_ve
+    return dict(zip(K4_FIELDS, (max(0, math.ceil(raw)), optimal_a, a_quad, k4_quad, raw)))
 
 
 def test_gegenbauer_eval_matches_fraction_horner():
     grid = [Fraction(0), Fraction(1), Fraction(1, 4), Fraction(2, 3), Fraction(961, 23409), Fraction(9, 4), Fraction(5)]
     for d in (3, 4, 7, 45, 276, 1000):
-        for t in range(0, 9, 2):
-            for x2 in grid:
-                assert _gegenbauer_value(d, t, x2) == _fraction_gegenbauer(d, t, x2), (d, t, x2)
+        for x2 in grid:
+            assert _gegenbauer_value(d, x2) == _fraction_gegenbauer(d, x2), (d, x2)
 
 
 def test_k4_bound_matches_fraction_sums(reference_graphs, monkeypatch):
-    """Every even degree, on every reference graph with an integer spectrum
-    and on the primitive feasible tuples with v <= 120; then on class rows
+    """On every reference graph with an integer spectrum and on the
+    primitive feasible tuples with v <= 120; then on class rows
     whose counts are divided by 6 or 4, since no integer-spectrum tuple with
     v < 400 has a non-integral class count.  The bound must move with the
     scaled rows, so they are the ones k4_lower_bound read."""
@@ -333,15 +303,13 @@ def test_k4_bound_matches_fraction_sums(reference_graphs, monkeypatch):
     tuples += _primitive_feasible_tuples(120)
     for params in tuples:
         rep = repr_constants(params, derive_spectrum(params))
-        prof = pair_profile(params, rep)
-        for degree in range(0, 9, 2):
-            want = _fraction_k4_lower_bound(prof, rep, degree)
-            assert _k4_fields(k4_lower_bound(params, rep, degree)) == want, (params, degree)
+        want = _fraction_k4_lower_bound(pair_profile(params, rep), rep)
+        assert _k4_fields(k4_lower_bound(params, rep)) == want, params
     for tup in [(460, 153, 32, 60), (16, 6, 2, 2), (27, 16, 10, 8)]:
         params, rep = _rep(tup)
         prof = pair_profile(params, rep)
         counts = [(_count_const(c), _count_k4(c)) for c in prof]
-        unscaled = [_k4_fields(k4_lower_bound(params, rep, degree)) for degree in range(0, 9, 2)]
+        unscaled = _k4_fields(k4_lower_bound(params, rep))
         for div in (6, 4):
             # const/div and K4/(div + 1) over the count denominator times
             # div(div + 1): the counts of _class_rows and the constant K4 column
@@ -356,9 +324,8 @@ def test_k4_bound_matches_fraction_sums(reference_graphs, monkeypatch):
                 assert scaled == tuple(c._replace(const=c.const * (div + 1), k4=c.k4 * div) for c in prof)
                 for c, (const, k4) in zip(scaled, counts):
                     assert (_count_const(c), _count_k4(c)) == (const / div, k4 / (div + 1))
-                got = [_k4_fields(k4_lower_bound(params, rep, degree)) for degree in range(0, 9, 2)]
-                for degree, fields in zip(range(0, 9, 2), got):
-                    assert fields == _fraction_k4_lower_bound(scaled, rep, degree), (tup, div, degree)
+                got = _k4_fields(k4_lower_bound(params, rep))
+                assert got == _fraction_k4_lower_bound(scaled, rep), (tup, div)
             assert got != unscaled, (tup, div)
 
 
@@ -367,9 +334,7 @@ def test_k4_column_is_constant_and_b2_a_fourth_difference(reference_censuses):
     pair_profile, and at the census K4 each reference graph's class counts
     are its census n_j; then B2 is 288 times the fourth difference
     sum_j (-1)^j C(4, j) g_j of the disjoint classes' Gegenbauer values over
-    the edge-edge denominator, at every even degree: 6 times that of the
-    normalized values, 0 below degree 4, where the values are a polynomial
-    of degree t < 4 in j."""
+    the edge-edge denominator: 6 times that of the normalized values."""
     steps = [(-1) ** j * math.comb(4, j) for j in range(5)]
     tuples = 0
     for label, (g, params, report) in reference_censuses.items():
@@ -382,28 +347,38 @@ def test_k4_column_is_constant_and_b2_a_fourth_difference(reference_censuses):
         assert [_count_at(cls, report.k4_count) for cls in disjoint] == list(report.n_j_disjoint), label
         p, q = rep.p, rep.q
         x2s = [((j * p + (4 - j) * q) / (2 + 2 * p)) ** 2 for j in range(5)]
-        for degree in range(0, 9, 2):
-            bound = k4_lower_bound(params, rep, degree)
-            fourth = sum(step * _fraction_gegenbauer(rep.d, degree, x2) for step, x2 in zip(steps, x2s))
-            assert Fraction(bound.sums[3], bound.dens[2]) == 6 * fourth, (label, degree)
-            assert degree >= 4 or bound.sums[3] == 0, (label, degree)
+        bound = k4_lower_bound(params, rep)
+        fourth = sum(step * _fraction_gegenbauer(rep.d, x2) for step, x2 in zip(steps, x2s))
+        assert Fraction(bound.sums[3], bound.dens[2]) == 6 * fourth, label
     assert tuples >= 3
 
 
-def test_degree_zero_is_never_informative():
-    """At degree 0 every class weighs 1 and the disjoint classes' K4
-    coefficients 3 (-1)^j C(4, j) sum to 0: B2 = 0, so the bound is 0 on
-    every primitive feasible tuple with v <= 120."""
-    for params in _primitive_feasible_tuples(120):
-        bound = k4_lower_bound(params, repr_constants(params, derive_spectrum(params)), 0)
-        assert bound.k4_quadratic[2] == 0 and not bound.informative and bound.lower == 0, params
+def test_b2_is_a_fourth_power_of_p_minus_q():
+    """The disjoint classes' scaled values are the quartic
+    g_j = n4 c_j^4 + ... in c_j = 4Q + j(P - Q), so their fourth difference
+    is 24 n4 (P - Q)^4 and B2 = 2 * 144 * 24 n4 (P - Q)^4, with n4 > 0 the
+    scaled x^4 coefficient: positive on the 648 primitive feasible tuples
+    with v <= 300, where P != Q."""
+    tuples = list(_primitive_feasible_tuples(300))
+    assert len(tuples) == 648
+    for params in tuples:
+        rep = repr_constants(params, derive_spectrum(params))
+        n4 = _gegenbauer_scaled(rep.d)[0][2]
+        assert n4 > 0 and rep.P != rep.Q, params
+        assert k4_lower_bound(params, rep).sums[3] == 6912 * n4 * (rep.P - rep.Q) ** 4, params
 
 
-# SHA-256 of repr((v, k, lam, mu), degree, lower, informative, sums, dens) of
-# k4_lower_bound, one line each, over the 648 primitive feasible tuples with
-# v <= 300 at every even degree up to 8; taken from the per-class Horner the
-# block Horner replaced
-GOLDEN_K4_SHA256 = "8553adb1119085ac2ba7f4c0451be51ab719434af9b30e7eedce82f52b66f9b2"
+def test_k4_lower_bound_refuses_b2_of_zero():
+    """At p = q, which no tuple's representation has, B2 = 0 and the form
+    bounds nothing: k4_lower_bound raises rather than report a bound."""
+    with pytest.raises(ValueError, match="B2"):
+        k4_lower_bound(SrgParams(16, 6, 2, 2), rep_from_fractions(Fraction(1, 3), Fraction(1, 3), 5))
+
+
+# SHA-256 of repr((v, k, lam, mu), lower, sums, dens) of k4_lower_bound, one
+# line each, over the 648 primitive feasible tuples with v <= 300; taken at
+# degree 4 from the any-degree Horner pass that the degree-4 form replaced
+GOLDEN_K4_SHA256 = "d9f255ae275b3e4018d260746a5a643f37d5093e43603783bc88ce645158ff62"
 
 
 def test_k4_bound_integers_golden():
@@ -412,9 +387,8 @@ def test_k4_bound_integers_golden():
     assert len(tuples) == 648
     for params in tuples:
         rep = repr_constants(params, derive_spectrum(params))
-        for degree in range(0, 9, 2):
-            b = k4_lower_bound(params, rep, degree)
-            digest.update(repr((tuple(params), degree, b.lower, b.informative, b.sums, b.dens)).encode() + b"\n")
+        b = k4_lower_bound(params, rep)
+        digest.update(repr((tuple(params), b.lower, b.sums, b.dens)).encode() + b"\n")
     assert digest.hexdigest() == GOLDEN_K4_SHA256
 
 
@@ -512,9 +486,9 @@ def test_pair_profile_matches_fraction_census(reference_graphs):
     assert fractional == {"triangles", "nonadj", "pairs"}
 
 
-def _gegenbauer_float(d, t, x):
+def _gegenbauer_float(d, x):
     """The code's coefficients, as used by k4_lower_bound, in floats."""
-    return sum(float(c) * x ** (2 * j) for j, c in enumerate(_even_coeffs(d, t)))
+    return sum(float(c) * x ** (2 * j) for j, c in enumerate(_even_coeffs(d)))
 
 
 def test_positive_definiteness_sanity():
@@ -528,7 +502,7 @@ def test_positive_definiteness_sanity():
         z = rng.normal(size=(n, d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         gram = np.clip(z @ z.T, -1.0, 1.0)
-        m = np.vectorize(lambda x: _gegenbauer_float(d, 4, x))(gram)
+        m = np.vectorize(lambda x: _gegenbauer_float(d, x))(gram)
         for _ in range(4):
             weights = rng.normal(size=n)
             assert weights @ m @ weights >= -1e-9

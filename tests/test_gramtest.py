@@ -29,9 +29,10 @@ from srgcert.gramtest import (
     scaled_value,
     wsplit_contradiction,
 )
-from srgcert.oracle import PairClass, census, construct, lambda_subgraph_edge_counts, pair_profile
+from srgcert.oracle import PairClass, census, construct, lambda_subgraph_edge_counts, pair_profile, srg_parameters
 from srgcert.params import SrgParams, derive_spectrum, repr_constants
 from srgcert.serialize import certificate_json, certificate_to_text, scan_row
+from conftest import complement
 from test_acceptance import _gram3_det, _primitive_feasible_tuples
 from test_families import PRIME_POWERS, _complement, _family_tuples, _gq
 from test_serialize import _dict_certificate
@@ -544,7 +545,7 @@ def test_decide_builds_no_pair_class(monkeypatch):
     monkeypatch.setattr(PairClass, "__new__", counting_new)
     certs = [decide(params) for params in _feasible_rows() + [SrgParams(*t) for t in PAPER_TUPLES]]
     assert built == []
-    assert all(cert.k4_bound.informative for cert in certs[-3:])
+    assert all(cert.k4_bound.lower > 0 for cert in certs[-3:])
     classes = pair_profile(certs[-1].params, certs[-1].rep)
     assert len(built) == len(classes) == len({c.name for c in classes}) == 15
 
@@ -881,11 +882,18 @@ def test_decide_sound_on_reference_tuples(reference_graphs):
         assert cert.verdict is expected, label
 
 
-def test_decide_sound_across_configurations(reference_graphs):
-    for label, (_, params) in reference_graphs.items():
-        for degree in (0, 2):
-            cert = decide(params, gegenbauer_degree=degree)
-            assert cert.verdict is not Verdict.NONEXISTENT, (label, degree)
+def test_decide_sound_across_configurations():
+    """Every graph the oracle can build, at every order it supports, and the
+    complement of each exist: decide calls none of their parameters
+    Nonexistent."""
+    paley = (5, 9, 13, 17, 25, 29, 37, 41, 49, 53, 61, 73, 81, 89, 97, 101)  # prime powers = 1 mod 4
+    builds = [("petersen", None), *(("paley", q) for q in paley)]
+    builds += [("triangular", n) for n in range(5, 11)] + [("rook", n) for n in range(3, 9)]
+    for name, order in builds:
+        g = construct(name, order)
+        for h in (g, complement(g)):
+            params = srg_parameters(h)
+            assert decide(params).verdict is not Verdict.NONEXISTENT, (name, order, params)
 
 
 def test_decide_infeasible_and_not_applicable():
@@ -901,9 +909,10 @@ def test_decide_flags_complete_multipartite():
 
 
 def test_decide_without_clique_bound():
-    """Degree 0 leaves the 4-clique bound uninformative, so the m window
-    starts at 0."""
-    cert = decide(SrgParams(460, 153, 32, 60), gegenbauer_degree=0)
-    assert not cert.k4_bound.informative and cert.k4_bound.lower == 0
-    assert cert.m_range.lower == 0
+    """A 4-clique bound of 0, as on T(7)'s parameters, starts the m window at
+    0 and adds no note."""
+    cert = decide(SrgParams(21, 10, 5, 4))
+    assert cert.k4_bound.lower == 0 and cert.k4_bound.raw_bound < 0
+    assert tuple(cert.m_range) == (0, 7)
+    assert cert.notes == ()
     assert cert.verdict is Verdict.INCONCLUSIVE

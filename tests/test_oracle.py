@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from srgcert.gramtest import decide
 from srgcert.params import derive_spectrum
 from srgcert.oracle import (
+    census,
     construct,
     lambda_subgraph_edge_counts,
     srg_parameters,
+    validate,
 )
+from conftest import complement
 from numeric import realize_representation
 
 EXPECTED_PARAMS = {
@@ -110,6 +114,51 @@ def test_petersen_census_trivialities(reference_censuses):
     assert report.k4_count == 0
     assert report.n_j_disjoint[4] == 0
     assert report.max_lambda_subgraph_edges == 0
+
+
+def test_validate_passes_on_reference_complements(reference_graphs):
+    """The complement of every reference graph is strongly regular with the
+    complementary parameters, and validate's census identities, class
+    counts, 4-clique bound and m window all hold on it."""
+    profiled = 0
+    for label, (g, params) in reference_graphs.items():
+        h = complement(g)
+        v, k, lam, mu = params
+        assert srg_parameters(h) == (v, v - k - 1, v - 2 - 2 * k + mu, v - 2 * k + lam), label
+        profiled += "profile-ok" in validate(h)
+    assert profiled == 5  # all but the Paley graphs of prime order, whose spectra are irrational
+
+
+def test_petersen_complement_has_zero_slack():
+    """The complement of the Petersen graph, (10,6,3,4), has as many
+    4-cliques as the 4-clique bound allows: a census coefficient off in the
+    K4 direction fails here."""
+    h = complement(construct("petersen"))
+    params = srg_parameters(h)
+    assert params == (10, 6, 3, 4)
+    assert census(h).k4_count == 5
+    assert decide(params).k4_bound.lower == 5
+
+
+# label -> (census K4, 4-clique bound) of each reference graph's complement
+# with an integer spectrum
+COMPLEMENT_K4 = {
+    "petersen": (5, 5),
+    "paley(9)": (0, 0),
+    "paley(25)": (75, 9),
+    "triangular(7)": (0, 0),
+    "rook(4)": (24, 15),
+}
+
+
+def test_reference_complement_k4_slack(reference_graphs):
+    got = {}
+    for label, (g, _) in reference_graphs.items():
+        h = complement(g)
+        cert = decide(srg_parameters(h))
+        if cert.k4_bound is not None:
+            got[label] = (census(h).k4_count, cert.k4_bound.lower)
+    assert got == COMPLEMENT_K4
 
 
 def test_edge_count_identity(reference_censuses):
