@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import mul
 from typing import NamedTuple
 
 from .params import ReprConstants, SrgParams, as_fraction
@@ -106,10 +105,8 @@ class K4Bound(NamedTuple):
     F(a) >= 0 for the true K4, and B(a) = B2 a^2 with B2 > 0, so the count
     satisfies K4 >= -A(a)/B(a).  lower is the ceiling of the optimized
     rational bound (clamped at 0), raw_bound the exact optimum, optimal_a
-    its maximizer (None when the optimum is only approached as |a| grows).
-    Each is a Fraction built when read from a *_pair method's (numerator,
-    denominator) of the integer block sums of k4_lower_bound, the pairs the
-    writers read.
+    its maximizer (None when the optimum is only approached as |a| grows),
+    each a Fraction of the pair its *_pair method gives the writers.
     """
 
     lower: int
@@ -122,7 +119,7 @@ class K4Bound(NamedTuple):
         return (s_vv, d_vv), (2 * s_ve, d_ve), (s_ee0, d_ee), (0, 1), (0, 1), (b2, d_ee)
 
     def raw_bound_pair(self) -> tuple[int, int]:
-        return _raw_bound(self.sums, self.dens)
+        return _raw_bound(self.sums)
 
     def optimal_a_pair(self) -> tuple[int, int] | None:  # -S_vv/S_ve; None at the |a| -> infinity limit
         (s_vv, s_ve, _, _), (d_vv, d_ve, _) = self.sums, self.dens
@@ -145,50 +142,53 @@ class K4Bound(NamedTuple):
         return as_fraction(self.optimal_a_pair())
 
 
-def _raw_bound(sums, dens) -> tuple[int, int]:
-    """sup_a -A(a)/B(a) for B2 > 0 as (numerator, denominator > 0): where
-    S_vv or S_ve is 0 the |a| -> infinity limit -S_ee0/B2 (S_ee0 and B2
-    share a denominator), else (S_ve^2/S_vv - S_ee0)/B2.  The kernel matrix
-    of an existing graph is PSD, so S_vv >= 0, and S_vv = 0 forces S_ve = 0
-    (vertex vectors forming a spherical design); where S_vv < 0, or S_vv = 0
-    with S_ve != 0, no graph exists and any bound is sound."""
-    (s_vv, s_ve, s_ee0, b2), (d_vv, d_ve, d_ee) = sums, dens
+def _raw_bound(sums) -> tuple[int, int]:
+    """sup_a -A(a)/B(a) for B2 > 0 as (numerator, denominator > 0), from the
+    numerators alone, as d_vv d_ee = d_ve^2 and S_ee0, B2 share d_ee: where
+    S_vv or S_ve is 0 the |a| -> infinity limit -S_ee0/B2 = -s_ee0/b2, else
+    (S_ve^2/S_vv - S_ee0)/B2 = (s_ve^2 - s_ee0 s_vv)/(s_vv b2).  The kernel
+    matrix of an existing graph is PSD, so S_vv >= 0, and S_vv = 0 forces
+    S_ve = 0 (vertex vectors forming a spherical design); where S_vv < 0, or
+    S_vv = 0 with S_ve != 0, no graph exists and any bound is sound."""
+    s_vv, s_ve, s_ee0, b2 = sums
     if s_vv == 0 or s_ve == 0:
         return -s_ee0, b2
-    num, den = s_ve * s_ve * d_vv * d_ee - s_ee0 * s_vv * d_ve * d_ve, s_vv * d_ve * d_ve * b2
+    num, den = s_ve * s_ve - s_ee0 * s_vv, s_vv * b2
     return (num, den) if den > 0 else (-num, -den)
 
 
 def k4_lower_bound(params: SrgParams, rep: ReprConstants) -> K4Bound:
     """Best 4-clique lower bound obtainable from the degree-4 Gegenbauer
-    polynomial.
-
-    With S_vv, S_ve, S_ee the class-weighted polynomial sums over the
-    vertex-vertex, vertex-edge and edge-edge blocks,
-    F(a) = S_vv + 2a S_ve + a^2 (S_ee0 + B2 K4) >= 0 for all a, and the
-    bound is sup_a -A(a)/B(a): see _raw_bound.
-
-    A block's c^2 share the denominator b: with the coefficients scaled to
-    (n0 b^2, n2 b, n4), a class's value g at x = c^2 is (n4 x + n2 b) x + n0 b^2
-    over den b^2.  By K4_COLUMN, B2 is 288 times the fourth difference
-    sum_j (-1)^j C(4, j) g_j of the disjoint classes n_j, whose c_j =
-    4Q + j(P - Q) make g_j a quartic in j with leading coefficient
-    n4 (P - Q)^4: B2 = 6912 n4 (P - Q)^4 > 0, as n4 > 0 and P != Q (see
-    gramtest.gram3_per_m).
-    """
+    polynomial: with S_vv, S_ve, S_ee the class-weighted polynomial sums of
+    the vertex-vertex, vertex-edge and edge-edge blocks, F(a) = S_vv +
+    2a S_ve + a^2 (S_ee0 + B2 K4) >= 0 for all a; see _raw_bound.  A
+    block's c^2 share the denominator b (D^2, D S or S^2): with the
+    coefficients scaled to (n0 b^2, n2 b, n4), a class's value g at x = c^2
+    is (n4 x + n2 b) x + n0 b^2 over den b^2, written out for each of the 3,
+    4 and 8 classes.  By K4_COLUMN, B2 is 288 times the fourth difference
+    sum_j (-1)^j C(4, j) g_j of the disjoint classes, whose c_j = 4Q + j(P - Q)
+    make g_j a quartic in j with leading coefficient n4 (P - Q)^4:
+    B2 = 6912 n4 (P - Q)^4 > 0, as n4 > 0 and P != Q (gramtest.gram3_per_m)."""
     (n0, n2, n4), den = _gegenbauer_scaled(rep.d)
-    D, S = rep.D, rep.S
-    sums, dens = [], []
-    for (cs, counts), b in zip(_class_rows(params, rep), (D * D, D * S, S * S)):
-        mid, low = n2 * b, n0 * b * b
-        gs = [(n4 * x + mid) * x + low for x in map(mul, cs, cs)]
-        sums.append(sum(map(mul, gs, counts)))
-        dens.append(COUNT_DEN * den * b * b)
-    s_vv, s_ve, s_ee = sums
-    b2 = 2 * sum(map(mul, gs, K4_COLUMN[2]))
+    [((x0, x1, x2), (u0, u1, u2)), ((y0, y1, y2, y3), (w0, w1, w2, w3)),
+     ((z0, z1, z2, z3, z4, z5, z6, z7), (t0, t1, t2, t3, t4, t5, t6, t7))] = _class_rows(params, rep)
+    k0, k1, k2, k3, k4, k5, k6, k7 = K4_COLUMN[2]
+    b_vv, b_ve, b_ee, unit = rep.D * rep.D, rep.D * rep.S, rep.S * rep.S, COUNT_DEN * den
+    x0, x1, x2, mid, low = x0 * x0, x1 * x1, x2 * x2, n2 * b_vv, n0 * b_vv * b_vv
+    s_vv = ((n4 * x0 + mid) * x0 + low) * u0 + ((n4 * x1 + mid) * x1 + low) * u1 + ((n4 * x2 + mid) * x2 + low) * u2
+    y0, y1, y2, y3, mid, low = y0 * y0, y1 * y1, y2 * y2, y3 * y3, n2 * b_ve, n0 * b_ve * b_ve
+    s_ve = (((n4 * y0 + mid) * y0 + low) * w0 + ((n4 * y1 + mid) * y1 + low) * w1
+            + ((n4 * y2 + mid) * y2 + low) * w2 + ((n4 * y3 + mid) * y3 + low) * w3)
+    z0, z1, z2, z3, z4, z5, z6, z7 = z0 * z0, z1 * z1, z2 * z2, z3 * z3, z4 * z4, z5 * z5, z6 * z6, z7 * z7
+    mid, low = n2 * b_ee, n0 * b_ee * b_ee
+    g0, g1, g2 = (n4 * z0 + mid) * z0 + low, (n4 * z1 + mid) * z1 + low, (n4 * z2 + mid) * z2 + low
+    g3, g4, g5 = (n4 * z3 + mid) * z3 + low, (n4 * z4 + mid) * z4 + low, (n4 * z5 + mid) * z5 + low
+    g6, g7 = (n4 * z6 + mid) * z6 + low, (n4 * z7 + mid) * z7 + low
+    b2 = 2 * (k0 * g0 + k1 * g1 + k2 * g2 + k3 * g3 + k4 * g4 + k5 * g5 + k6 * g6 + k7 * g7)
     if b2 <= 0:
         raise ValueError("4-clique coefficient B2 is not positive")
     # a pair of distinct edges sits twice in the Gram matrix, the self class once
-    bound_sums = (s_vv, s_ve, 2 * s_ee - gs[0] * counts[0], b2)
-    num, den = _raw_bound(bound_sums, dens)
-    return tuple.__new__(K4Bound, (max(0, -(-num // den)), bound_sums, tuple(dens)))
+    sums = (s_vv, s_ve, g0 * t0 + 2 * (g1 * t1 + g2 * t2 + g3 * t3 + g4 * t4 + g5 * t5 + g6 * t6 + g7 * t7), b2)
+    num, den = _raw_bound(sums)
+    dens = (unit * b_vv * b_vv, unit * b_ve * b_ve, unit * b_ee * b_ee)
+    return tuple.__new__(K4Bound, (max(0, -(-num // den)), sums, dens))

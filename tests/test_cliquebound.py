@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import functools
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -82,13 +83,14 @@ def _gegenbauer_value(d, x2):
     k4_lower_bound on one vertex-edge class of count 1: with D = 1 that
     block's c^2 is over S, so x2 = a/b is c = a over S = a b (S = b at 0).
     The edge-edge block keeps its self class, at count 0 and with a K4
-    coefficient of 1, so that B2 > 0."""
+    coefficient of 1, so that B2 > 0.  Every other class of the full
+    (3, 4, 8) shape has count 0 and K4 coefficient 0."""
     a, b = x2.numerator, x2.denominator
     rep = ReprConstants(d=d, D=1, P=0, Q=0, S=a * b or b)
-    rows = (((), ()), ((a,), (cliquebound.COUNT_DEN,)), ((rep.S,), (0,)))
+    rows = (((0,) * 3, (0,) * 3), ((a, 0, 0, 0), (cliquebound.COUNT_DEN, 0, 0, 0)), ((rep.S,) + (0,) * 7, (0,) * 8))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cliquebound, "_class_rows", lambda *_: rows)
-        mp.setattr(cliquebound, "K4_COLUMN", ((), (), (1,)))
+        mp.setattr(cliquebound, "K4_COLUMN", ((0,) * 3, (0,) * 4, (1,) + (0,) * 7))
         bound = k4_lower_bound(SrgParams(5, 2, 0, 1), rep)
     assert bound.sums[0] == bound.sums[2] == 0 and bound.sums[3] > 0
     return Fraction(bound.sums[1], bound.dens[1])
@@ -366,6 +368,65 @@ def test_b2_is_a_fourth_power_of_p_minus_q():
         n4 = _gegenbauer_scaled(rep.d)[0][2]
         assert n4 > 0 and rep.P != rep.Q, params
         assert k4_lower_bound(params, rep).sums[3] == 6912 * n4 * (rep.P - rep.Q) ** 4, params
+
+
+def test_b2_closed_form_on_a_polynomial_grid(monkeypatch):
+    """B2 = 6912 n4 (P - Q)^4 as a polynomial identity, for free Gegenbauer
+    coefficients (n0, n2, n4) and free D, P, Q, S.  The code's B2 is
+    2 sum_i K4_COLUMN[2][i] g(c_i), with g(c) = n4 c^4 + n2 S^2 c^2 + n0 S^4
+    and each c_i linear in D, P, Q and S; so it, the closed form and their
+    difference have degree at most 1 in each of n0, n2 and n4, and at most
+    4 in each of D, P, Q and S.  A polynomial with those degree bounds that
+    vanishes on a product grid of 2 values for each of n0, n2 and n4 and 5
+    for each of D, P, Q and S is zero.  P and Q take disjoint values and n4 > 0, so
+    B2 > 0 at every point and k4_lower_bound returns it; D, P, Q and S are
+    read from rep, and B2 does not depend on the counts of params."""
+    params = SrgParams(16, 6, 2, 2)
+    points = 0
+    for n0, n2, n4 in itertools.product((-3, 2), (-5, 7), (1, 4)):
+        monkeypatch.setattr(cliquebound, "_gegenbauer_scaled", lambda d, n=(n0, n2, n4): (n, 1))
+        for D, P, Q, S in itertools.product(range(1, 6), range(-2, 3), range(3, 8), range(-4, 6, 2)):
+            b2 = k4_lower_bound(params, ReprConstants(d=5, D=D, P=P, Q=Q, S=S)).sums[3]
+            assert b2 == 6912 * n4 * (P - Q) ** 4, (n0, n2, n4, D, P, Q, S)
+            points += 1
+    assert points == 2**3 * 5**4
+
+
+def _old_raw_bound_pair(sums, dens):
+    """The bound pair over the block denominators, before d_vv d_ee = d_ve^2
+    cancelled them, kept as the oracle."""
+    (s_vv, s_ve, s_ee0, b2), (d_vv, d_ve, d_ee) = sums, dens
+    if s_vv == 0 or s_ve == 0:
+        return -s_ee0, b2
+    num, den = s_ve * s_ve * d_vv * d_ee - s_ee0 * s_vv * d_ve * d_ve, s_vv * d_ve * d_ve * b2
+    return (num, den) if den > 0 else (-num, -den)
+
+
+def test_raw_bound_pair_drops_the_block_denominators(reference_graphs):
+    """On every integer-spectrum reference graph and the 648 primitive
+    feasible tuples with v <= 300: the block denominators satisfy
+    d_vv d_ee = d_ve^2, and the pair from the numerators alone is the old
+    pair over the denominators, as a rational, with a positive denominator."""
+    tuples = [params for _, params in reference_graphs.values() if derive_spectrum(params) is not None]
+    tuples += _primitive_feasible_tuples(300)
+    assert len(tuples) > 648
+    for params in tuples:
+        rep = repr_constants(params, derive_spectrum(params))
+        bound = k4_lower_bound(params, rep)
+        assert bound.dens[0] * bound.dens[2] == bound.dens[1] ** 2, params
+        (num, den), (old_num, old_den) = bound.raw_bound_pair(), _old_raw_bound_pair(bound.sums, bound.dens)
+        assert den > 0 and num * old_den == old_num * den, params
+
+
+def test_class_rows_have_the_shape_of_the_class_names():
+    """k4_lower_bound unpacks each block of _class_rows and of K4_COLUMN at
+    the length of its oracle._CLASS_NAMES row: 3, 4 and 8."""
+    params, rep = _rep((460, 153, 32, 60))
+    rows = _class_rows(params, rep)
+    assert [len(names) for _, names in oracle._CLASS_NAMES] == [3, 4, 8]
+    assert len(rows) == len(cliquebound.K4_COLUMN) == len(oracle._CLASS_NAMES)
+    for (block, names), (cs, counts), k4s in zip(oracle._CLASS_NAMES, rows, cliquebound.K4_COLUMN):
+        assert len(cs) == len(counts) == len(k4s) == len(names), block
 
 
 def test_k4_lower_bound_refuses_b2_of_zero():
