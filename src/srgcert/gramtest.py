@@ -38,7 +38,8 @@ class Verdict(enum.Enum):
     NOT_APPLICABLE = "NotApplicable"
 
 
-_INFEASIBLE = Verdict.INFEASIBLE_CLASSICAL  # a global read, not a class attribute lookup per row
+# the verdicts in definition order: a global read, not a class attribute lookup per row
+_NONEXISTENT, _INCONCLUSIVE, _INFEASIBLE, _NOT_APPLICABLE = Verdict
 
 
 class MRange(NamedTuple):
@@ -414,14 +415,16 @@ def decide(params: SrgParams) -> Certificate:
     products.
     """
     report = classical_feasibility(params)
-    if not report.passed:  # most scan rows: built whole, without the named tuple's Python __new__
+    # report.passed, without its call: most scan rows fail it, and their certificate skips the named tuple's __new__
+    if not (report.identity_ok and report.integrality_ok and report.krein_ok and report.absolute_bound_ok):
         return tuple.__new__(Certificate, (params, report, _INFEASIBLE, None, None, None, None, (), ()))
     spectrum = report.spectrum
     if spectrum is None:
-        return Certificate(params, report, Verdict.NOT_APPLICABLE,
+        return Certificate(params, report, _NOT_APPLICABLE,
                            notes=("irrational eigenvalues: Gram pipeline not applicable",))
-    if not params.primitive:  # r = 0 needs mu = k, as r*s = mu - k: never primitive
-        return Certificate(params, report, Verdict.INCONCLUSIVE, spectrum,
+    _, k, lam, mu = params
+    if mu == k:  # not primitive: r = 0 needs mu = k, as r*s = mu - k
+        return Certificate(params, report, _INCONCLUSIVE, spectrum,
                            notes=("complete-multipartite family: Gram tests skipped",))
 
     rep = repr_constants(params, spectrum)
@@ -430,19 +433,19 @@ def decide(params: SrgParams) -> Certificate:
     lower = m_lower(params, k4.lower)
     root = _gram2_root(params, rep)
     upper = 0 if root is None else max(-1, root[0] // root[1])
-    cap = params.lam * (params.lam - 1) // 2
+    cap = lam * (lam - 1) // 2
     if upper > cap:
         notes.append(f"2x2 Gram bound {upper} exceeds C(lam,2)={cap}; capped")
         upper = cap
     rng = tuple.__new__(MRange, (lower, upper))
 
     # an empty window is itself the contradiction: the loop does not run
-    verdict = Verdict.NONEXISTENT
+    verdict = _NONEXISTENT
     witnesses: list[WSplitWitness] = []
-    for m in rng.ms:
+    for m in range(lower, upper + 1):
         wit = wsplit_contradiction(params, rep, m)
         if wit is None:
-            verdict = Verdict.INCONCLUSIVE
+            verdict = _INCONCLUSIVE
             break
         witnesses.append(wit)
     return tuple.__new__(Certificate, (params, report, verdict, spectrum, rep, k4, rng, tuple(witnesses), tuple(notes)))

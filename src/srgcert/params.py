@@ -90,7 +90,7 @@ def derive_spectrum(params: SrgParams) -> Spectrum | None:
     case, eigenvalues irrational) or when the multiplicity equations have no
     non-negative integer solution.
     """
-    v, k, lam, mu = params.v, params.k, params.lam, params.mu
+    v, k, lam, mu = params
     c = lam - mu
     disc = c * c + 4 * (k - mu)
     e = math.isqrt(disc)
@@ -108,7 +108,7 @@ def derive_spectrum(params: SrgParams) -> Spectrum | None:
     g = v - 1 - f
     if f < 0 or g < 0:
         return None
-    return Spectrum(r, s, f, g)
+    return tuple.__new__(Spectrum, (r, s, f, g))
 
 
 class ReprConstants(NamedTuple):
@@ -141,16 +141,7 @@ def repr_constants(params: SrgParams, spectrum: Spectrum | None) -> ReprConstant
     D = math.lcm(den_p, den_q)
     P = s * D // k  # exact, as den_p divides D; so is Q's division, as den_q does
     Q, S = -(1 + s) * D // c, 2 * D + 2 * P
-    return ReprConstants(spectrum.g, D, P, Q, S)
-
-
-def _is_conference(params: SrgParams) -> bool:
-    """Irrational-eigenvalue tuples with integral multiplicities f = g = (v-1)/2.
-
-    This forces 2k = v - 1, mu = (v-1)/4 and lam = mu - 1.
-    """
-    v, k, lam, mu = params.v, params.k, params.lam, params.mu
-    return 2 * k == v - 1 and (v - 1) % 4 == 0 and mu == (v - 1) // 4 and lam == mu - 1
+    return tuple.__new__(ReprConstants, (spectrum.g, D, P, Q, S))
 
 
 def _krein_numerators(params: SrgParams, spectrum: Spectrum) -> tuple[int, int]:
@@ -185,29 +176,34 @@ class FeasibilityReport(NamedTuple):
         return self.identity_ok and self.integrality_ok and self.krein_ok and self.absolute_bound_ok
 
 
+# the reports of the tuples with no integer spectrum, one per key identity_ok + conference-type:
+# a conference tuple keeps the counting identity, so the key says both, and only it is integral
+_NO_SPECTRUM = tuple(tuple.__new__(FeasibilityReport, (i > 0, None, i == 2, True, True, False)) for i in range(3))
+
+
 def classical_feasibility(params: SrgParams) -> FeasibilityReport:
     """Counting identity, spectrum integrality, Krein and absolute bounds.
 
-    All arithmetic is exact.  Conference-type tuples (4mu+1, 2mu, mu-1, mu)
-    with irrational eigenvalues count as integral, and pass the Krein and
-    absolute bounds identically: each eigenvalue e satisfies e^2 + e = mu,
-    so (1+e)^3 - e^3 = 1 + 3mu and both Krein expressions equal
+    All arithmetic is exact.  Conference-type tuples (4mu+1, 2mu, mu-1, mu),
+    the ones with irrational eigenvalues and integral multiplicities
+    f = g = (v-1)/2, count as integral, and pass the Krein and absolute
+    bounds identically: each eigenvalue e satisfies e^2 + e = mu, so
+    (1+e)^3 - e^3 = 1 + 3mu and both Krein expressions equal
     (mu-1)(4mu+1)/(4mu^2) >= 0, while the absolute bound with f = 2mu reads
     (mu-1)(4mu+2) >= 0.  Conference tuples with a square discriminant have
     an integer spectrum and take the general path.
     """
+    v, k, lam, mu = params
     spectrum = derive_spectrum(params)
-    integrality_ok = spectrum is not None or _is_conference(params)
-    krein_ok = absolute_bound_ok = True
-    krein_q22_zero = False
-    if spectrum is not None and params.primitive:
-        v, f, g = params.v, spectrum.f, spectrum.g
-        num111, num222 = _krein_numerators(params, spectrum)
-        krein_ok = num111 >= 0 and num222 >= 0
-        absolute_bound_ok = 2 * v <= f * (f + 3) and 2 * v <= g * (g + 3)
-        krein_q22_zero = num222 == 0
-    identity_ok = params.identity_holds()
-    return FeasibilityReport(identity_ok, spectrum, integrality_ok, krein_ok, absolute_bound_ok, krein_q22_zero)
+    identity_ok = k * (k - lam - 1) == (v - k - 1) * mu
+    if spectrum is None:  # most scan rows: a report built at import, keyed as _NO_SPECTRUM says
+        return _NO_SPECTRUM[identity_ok + (v == 2 * k + 1 == 4 * mu + 1 and lam == mu - 1)]
+    if mu == k:  # the bounds do not apply to the complete-multipartite family
+        return tuple.__new__(FeasibilityReport, (identity_ok, spectrum, True, True, True, False))
+    f, g = spectrum.f, spectrum.g
+    num111, num222 = _krein_numerators(params, spectrum)
+    return tuple.__new__(FeasibilityReport, (identity_ok, spectrum, True, num111 >= 0 and num222 >= 0,
+                                             2 * v <= f * (f + 3) and 2 * v <= g * (g + 3), num222 == 0))
 
 
 def subconstituent_scan(v1: int, k1: int) -> list[tuple[int, int]]:

@@ -1,6 +1,7 @@
 import pytest
 
 from srgcert.oracle import REFERENCE_GRAPHS, AdjacencyMatrix, census, construct, srg_parameters
+from srgcert.params import SrgParams
 
 
 def complement(g: AdjacencyMatrix) -> AdjacencyMatrix:
@@ -8,6 +9,13 @@ def complement(g: AdjacencyMatrix) -> AdjacencyMatrix:
     row does not join."""
     full = (1 << g.n) - 1
     return AdjacencyMatrix(g.n, tuple(full & ~row & ~(1 << u) for u, row in enumerate(g.rows)))
+
+
+def complement_params(params) -> SrgParams:
+    """The parameters of the complement of a strongly regular graph with
+    parameters (v, k, lam, mu), a tuple or an SrgParams."""
+    v, k, lam, mu = params
+    return SrgParams(v, v - k - 1, v - 2 - 2 * k + mu, v - 2 * k + lam)
 
 
 @pytest.fixture(scope="session")

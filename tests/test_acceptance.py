@@ -21,6 +21,7 @@ from srgcert.oracle import (
     srg_parameters,
     validate,
 )
+from conftest import complement_params
 from numeric import realize_representation
 from test_serialize import _dict_certificate
 
@@ -94,10 +95,6 @@ def test_criterion_3_krein_boundary_and_subscan(capsys):
         assert capsys.readouterr().out.strip() == "NONE"
 
 
-def _complement(v, k, lam, mu):
-    return (v, v - k - 1, v - 2 - 2 * k + mu, v - 2 * k + lam)
-
-
 # parameters of famous existing graphs; several have vertex vectors forming a
 # spherical design, where the degree-4 vertex sum S_vv vanishes
 FAMOUS_GRAPHS = {
@@ -119,7 +116,7 @@ SOUNDNESS_TUPLES = {
     "triangular(7)": (21, 10, 5, 4),
     "rook(4)": (16, 6, 2, 2),
     **FAMOUS_GRAPHS,
-    **{f"complement of {name}": _complement(*tup) for name, tup in FAMOUS_GRAPHS.items()},
+    **{f"complement of {name}": complement_params(tup) for name, tup in FAMOUS_GRAPHS.items()},
 }
 
 

@@ -143,6 +143,18 @@ def test_scan_json_lines(tmp_path, capsys):
     assert "scanned 6 rows" in captured.err
 
 
+def test_readme_json_lines_row_is_scan_output(tmp_path, capsys):
+    """README's quoted --json-lines row for (460,153,32,60) is the line a
+    scan writes for that tuple, byte for byte."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    quoted = re.findall(r'`(\{"params":\{"v":460,"k":153,"lambda":32,"mu":60\}[^`]*)`', readme)
+    assert len(quoted) == 1
+    path = tmp_path / "rows.csv"
+    path.write_text("v,k,lambda,mu\n460,153,32,60\n", encoding="utf-8")
+    assert main(["scan", str(path), "--json-lines", "--jobs", "1"]) == 0
+    assert capsys.readouterr().out == quoted[0] + "\n"
+
+
 def test_scan_isolates_decide_errors(tmp_path, capsys, monkeypatch):
     def failing_decide(params):
         if params == SrgParams(16, 6, 2, 2):

@@ -24,6 +24,7 @@ from srgcert.gramtest import (
 )
 from srgcert.oracle import _factorize_prime_power
 from srgcert.params import SrgParams
+from conftest import complement_params
 
 PRIME_POWERS = [q for q in range(2, 65) if _factorize_prime_power(q) is not None]
 
@@ -60,17 +61,12 @@ def test_families_are_never_refuted():
     assert checked == 524
 
 
-def _complement(params):
-    v, k, lam, mu = params.v, params.k, params.lam, params.mu
-    return SrgParams(v, v - k - 1, v - 2 - 2 * k + mu, v - 2 * k + lam)
-
-
 def test_family_complements_are_never_refuted():
     """The complement of every primitive family tuple is Inconclusive: 524
     tuples, up to lam = 3.5e12 for the complement of GQ(50653, 1369), each
     in milliseconds.  (The complement of a complete multipartite tuple has
     mu = 0.)"""
-    complements = [_complement(params) for _, params, _, _ in _family_tuples() if params.primitive]
+    complements = [complement_params(params) for _, params, _, _ in _family_tuples() if params.primitive]
     assert len(complements) == 524
     for params in complements:
         assert decide(params).verdict is Verdict.INCONCLUSIVE, params

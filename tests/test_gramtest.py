@@ -32,9 +32,9 @@ from srgcert.gramtest import (
 from srgcert.oracle import PairClass, census, construct, lambda_subgraph_edge_counts, pair_profile, srg_parameters
 from srgcert.params import SrgParams, derive_spectrum, repr_constants
 from srgcert.serialize import certificate_json, certificate_to_text, scan_row
-from conftest import complement
+from conftest import complement, complement_params
 from test_acceptance import _gram3_det, _primitive_feasible_tuples
-from test_families import PRIME_POWERS, _complement, _family_tuples, _gq
+from test_families import PRIME_POWERS, _family_tuples, _gq
 from test_serialize import _dict_certificate
 
 PAPER_TUPLES = [(460, 153, 32, 60), (6205, 858, 47, 130), (5929, 1482, 275, 402)]
@@ -554,7 +554,7 @@ def test_co_gq_first_m_leaves_no_w_to_the_loop():
     """The complement of the GQ(37, 1369) collinearity graph has lam =
     1824840: at the first m of its window the pieces refute every w, so the
     per-w loop, which took 20 s there, runs no step."""
-    co = _complement(_gq(37, 37 * 37)[0])
+    co = complement_params(_gq(37, 37 * 37)[0])
     cert = decide(co)
     assert co.lam == 1824840 and cert.verdict is Verdict.INCONCLUSIVE
     m = cert.m_range.lower

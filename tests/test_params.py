@@ -8,6 +8,7 @@ import pytest
 
 from srgcert import params as params_module
 from srgcert.params import (
+    FeasibilityReport,
     InvalidParamsError,
     SrgParams,
     Spectrum,
@@ -284,6 +285,54 @@ def test_screen_fields_match_formulas_by_name():
         assert report.absolute_bound_ok == absolute, params
         disagree.add((krein, absolute))
     assert {(True, False), (False, True)} <= disagree
+
+
+def _general_feasibility(params):
+    """classical_feasibility field by field, as it read before the reports
+    of tuples with no integer spectrum were built once at import: the
+    oracle of that short path."""
+    v, k, lam, mu = params
+    spectrum = derive_spectrum(params)
+    conference = 2 * k == v - 1 and (v - 1) % 4 == 0 and mu == (v - 1) // 4 and lam == mu - 1
+    integrality_ok = spectrum is not None or conference
+    krein_ok = absolute_bound_ok = True
+    krein_q22_zero = False
+    if spectrum is not None and params.primitive:
+        f, g = spectrum.f, spectrum.g
+        num111, num222 = _krein_numerators(params, spectrum)
+        krein_ok = num111 >= 0 and num222 >= 0
+        absolute_bound_ok = 2 * v <= f * (f + 3) and 2 * v <= g * (g + 3)
+        krein_q22_zero = num222 == 0
+    report = FeasibilityReport(params.identity_holds(), spectrum, integrality_ok, krein_ok, absolute_bound_ok,
+                               krein_q22_zero)
+    return report, conference
+
+
+def test_no_spectrum_reports_match_general_path():
+    """On every admissible tuple with v <= 40, counting identity held or
+    not, and on every corpus row, the report equals the general path's,
+    field by field and by type.  A tuple with no integer spectrum gets the
+    one report of its key (identity held, conference-type), shared by
+    every such tuple; a conference tuple keeps the identity, so the key
+    (identity fails, conference) never occurs."""
+    admissible = (
+        SrgParams(v, k, lam, mu)
+        for v in range(3, 41) for k in range(1, v - 1) for lam in range(k) for mu in range(1, k + 1)
+    )
+    shared, checked = {}, 0
+    for params in [*admissible, *_corpus_params()]:
+        report = classical_feasibility(params)
+        want, conference = _general_feasibility(params)
+        assert report == want and type(report) is FeasibilityReport, params
+        assert report.passed == want.passed, params
+        if report.spectrum is None:
+            key = report.identity_ok, conference
+            assert shared.setdefault(key, report) is report, params
+        else:
+            assert type(report.spectrum) is Spectrum, params
+        checked += 1
+    assert checked == 192_660 + 8093 + 210
+    assert sorted(shared) == [(False, False), (True, False), (True, True)]
 
 
 def test_krein_integers_match_fraction_formula():

@@ -6,9 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from srgcert.gramtest import m_upper_exact, scaled_value
+from srgcert.gramtest import gram3_per_m, gram3_per_w, m_upper_exact, scaled_value
 from srgcert.oracle import construct, srg_parameters
-from srgcert.params import SrgParams, derive_spectrum, repr_constants
+from srgcert.params import ReprConstants, SrgParams, derive_spectrum, repr_constants
 from support import rep_from_fractions
 from numeric import realize_representation, to_numpy
 from test_acceptance import _gram3_det, _primitive_feasible_tuples
@@ -232,22 +232,25 @@ def test_gram3_matches_materialized_vectors(reference_graphs):
                 assert abs(numeric - symbolic) < 1e-6, (label, (u, w), split)
 
 
-def _gram3_literal(params, rep, w, m, alpha, beta):
+def _gram3_literal(lam, unit, w, m, alpha, beta):
     """The 3x3 Gram of (Y1, Y2, Y3) at one (alpha, beta), entry by entry:
     Y1 sums the lam - w low vertices (m + beta - alpha edges inside), Y2 the
     w top vertices (beta edges inside), alpha - 2*beta edges cross, and
-    Y3 = x_u + x_w is adjacent to every vertex of both parts."""
-    p, q = rep.p, rep.q
-    n1 = params.lam - w
+    Y3 = x_u + x_w is adjacent to every vertex of both parts.  unit is
+    (1, p, q), the inner products of a vertex with itself, an adjacent and a
+    non-adjacent vertex; every entry is linear in them, so (D, P, Q) gives
+    the Gram times D."""
+    one, p, q = unit
+    n1 = lam - w
 
     def block(size, edges):
-        return size + 2 * edges * p + (size * (size - 1) - 2 * edges) * q
+        return size * one + 2 * edges * p + (size * (size - 1) - 2 * edges) * q
 
     cross = alpha - 2 * beta
     a11 = block(n1, m + beta - alpha)
     a22 = block(w, beta)
     a12 = cross * p + (n1 * w - cross) * q
-    a13, a23, a33 = 2 * n1 * p, 2 * w * p, 2 + 2 * p
+    a13, a23, a33 = 2 * n1 * p, 2 * w * p, 2 * one + 2 * p
     return [[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]]
 
 
@@ -276,8 +279,46 @@ def test_gram3_det_matches_literal_determinant():
             for _ in range(5):
                 m = rng.randint(0, lam * (lam - 1) // 2)
                 alpha, beta = rng.randint(-50, 2 * m + 50), rng.randint(-50, 2 * m + 50)
-                literal = _det3(_gram3_literal(params, rep, w, m, alpha, beta))
+                literal = _det3(_gram3_literal(lam, (1, rep.p, rep.q), w, m, alpha, beta))
                 assert scaled_value(*_gram3_det(params, rep, w, m), alpha, beta) == literal, (tup, w, m, alpha, beta)
+
+
+def test_gram3_det_matches_literal_determinant_on_a_grid():
+    """gram3_per_m and gram3_per_w equal the cofactor expansion of the
+    D-scaled literal Gram entries as polynomials, on free integers D, P, Q
+    (S = 2D + 2P) and lam, not only on SRG tuples.
+
+    Both sides are division-free integer polynomials.  Each literal entry
+    is linear in (D, P, Q); a11 is quadratic in lam and in w (through
+    n1 = lam - w) and linear in m, alpha and beta; a12 is linear in lam,
+    alpha and beta and quadratic in w; a22 is quadratic in w and linear in
+    beta; a13 and a23 are linear in lam and w.  Every term of the expansion
+    is a product of three entries, at most one of them a11: so its degree
+    is at most 3 in D, P and Q, 2 in lam, alpha and beta, 1 in m and 4 in w.
+    gram3_per_m's parts are products of three entries too (its 2x2
+    determinant g has degree 2 in D, P, Q and lam, 1 in m), and
+    gram3_per_w adds at most w^2, alpha^2 and beta: within the same bounds.
+    A polynomial of degree at most d_i in variable i that vanishes on a
+    product grid of more than d_i points per variable is zero (iterated
+    interpolation), and this grid has 4 values of D, P and Q, 5 of lam,
+    3 of m, alpha and beta, and 8 of w: the identity holds for all
+    integers.  On the same grid, n01 = 2d g(m) and n20 = -S d^2, with
+    d = P - Q, whose signs decide's window relies on."""
+    points = 0
+    for D, P, Q, lam, m in itertools.product(range(1, 5), range(-2, 2), range(-1, 3), range(5), range(3)):
+        rep = ReprConstants(1, D, P, Q, 2 * D + 2 * P)
+        # an admissible tuple with this lam: gram3_per_m reads no other field of it
+        h = gram3_per_m(SrgParams(lam + 3, lam + 1, lam, 1), rep, m)
+        d, gram2 = P - Q, _gram3_literal(lam, (D, P, Q), 0, m, 0, 0)  # w = 0: the 2x2 Gram of X and Y3
+        assert h.n01 == 2 * d * (gram2[0][0] * gram2[2][2] - gram2[0][2] ** 2)
+        assert h.n20 == -rep.S * d * d and h.den == D**3
+        for w in range(-3, 5):
+            n00, n10 = gram3_per_w(h, w)
+            for alpha, beta in itertools.product(range(3), repeat=2):
+                literal = _det3(_gram3_literal(lam, (D, P, Q), w, m, alpha, beta))
+                assert scaled_value(n00, n10, h.n01, h.n20, alpha, beta) == literal, (D, P, Q, lam, m, w, alpha, beta)
+                points += 1
+    assert points == 69_120
 
 
 def test_gram3_full_split_degenerates_to_zero_row():
@@ -285,6 +326,6 @@ def test_gram3_full_split_degenerates_to_zero_row():
     (alpha, beta) = (2m, m) its diagonal entry and cross entries vanish."""
     params, rep = _rep((460, 153, 32, 60))
     m = 17
-    gram = _gram3_literal(params, rep, params.lam, m, 2 * m, m)
+    gram = _gram3_literal(params.lam, (1, rep.p, rep.q), params.lam, m, 2 * m, m)
     assert gram[0] == [0, 0, 0]
     assert _det3(gram) == 0
