@@ -17,7 +17,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .params import ReprConstants, SrgParams, as_fraction
+from .params import ReprConstants, SrgParams
 
 
 @lru_cache(maxsize=None)
@@ -104,9 +104,9 @@ class K4Bound(NamedTuple):
     A and B are lowest-degree-first; positive semidefiniteness forces
     F(a) >= 0 for the true K4, and B(a) = B2 a^2 with B2 > 0, so the count
     satisfies K4 >= -A(a)/B(a).  lower is the ceiling of the optimized
-    rational bound (clamped at 0), raw_bound the exact optimum, optimal_a
-    its maximizer (None when the optimum is only approached as |a| grows),
-    each a Fraction of the pair its *_pair method gives the writers.
+    rational bound (clamped at 0); the *_pair methods give the writers the
+    exact optimum, its maximizer (None when the optimum is only approached as
+    |a| grows) and the coefficients, each as (numerator, denominator > 0).
     """
 
     lower: int
@@ -124,22 +124,6 @@ class K4Bound(NamedTuple):
     def optimal_a_pair(self) -> tuple[int, int] | None:  # -S_vv/S_ve; None at the |a| -> infinity limit
         (s_vv, s_ve, _, _), (d_vv, d_ve, _) = self.sums, self.dens
         return (-s_vv * d_ve, d_vv * s_ve) if s_vv and s_ve else None
-
-    @property
-    def a_quadratic(self):
-        return tuple(map(as_fraction, self.quadratic_pairs()[:3]))
-
-    @property
-    def k4_quadratic(self):
-        return tuple(map(as_fraction, self.quadratic_pairs()[3:]))
-
-    @property
-    def raw_bound(self):
-        return as_fraction(self.raw_bound_pair())
-
-    @property
-    def optimal_a(self):
-        return as_fraction(self.optimal_a_pair())
 
 
 def _raw_bound(sums) -> tuple[int, int]:

@@ -9,8 +9,8 @@ into at most two pieces, one for each q = (2m + lam - w) // lam, and on
 each alpha_min = q*w + max(0, 2m - q*lam) is one line.  Split sizes w are
 ruled out a piece at a time where the value at the alpha_min end of their
 region, bounded below by quadratics in w, is >= 0, and the rest by the
-exact region scan.  Decisions run on integers; a certificate's rational
-fields are built when read, from integer pairs that the writers read."""
+exact region scan.  Decisions run on integers; a certificate keeps each
+rational as an integer pair (numerator, denominator) that the writers read."""
 
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .params import (
     ReprConstants,
     Spectrum,
     SrgParams,
-    as_fraction,
     classical_feasibility,
     repr_constants,
 )
@@ -46,7 +45,7 @@ class MRange(NamedTuple):
     """Window for the maximal common-neighborhood edge count m: lower from
     4-clique averaging, upper from the 2x2 Gram determinant.  An empty
     window is an immediate contradiction.  Iterating the named tuple gives
-    (lower, upper); ms walks the window."""
+    (lower, upper); range(lower, upper + 1) walks the window."""
 
     lower: int
     upper: int
@@ -54,10 +53,6 @@ class MRange(NamedTuple):
     @property
     def is_empty(self) -> bool:
         return self.lower > self.upper
-
-    @property
-    def ms(self) -> range:
-        return range(self.lower, self.upper + 1)
 
 
 class WSplitWitness(NamedTuple):
@@ -70,10 +65,6 @@ class WSplitWitness(NamedTuple):
     region_max: int
     den: int
     region_max_at: tuple[int, int]
-
-    @property
-    def region_max_det(self):  # a Fraction
-        return as_fraction((self.region_max, self.den))
 
 
 class Certificate(NamedTuple):
@@ -90,12 +81,8 @@ class Certificate(NamedTuple):
     witnesses: tuple[WSplitWitness, ...] = ()
     notes: tuple[str, ...] = ()
 
-    def m_upper_pair(self) -> tuple[int, int] | None:  # m_upper_bound as (numerator, denominator > 0)
+    def m_upper_pair(self) -> tuple[int, int] | None:  # the 2x2 Gram root, JSON's m_upper_exact
         return None if self.rep is None else _gram2_root(self.params, self.rep)
-
-    @property
-    def m_upper_bound(self):  # a Fraction, or None
-        return as_fraction(self.m_upper_pair())
 
 
 def _gram_entries(params: SrgParams, rep: ReprConstants, m: int) -> tuple[int, int, int]:
@@ -119,11 +106,6 @@ def _gram2_root(params: SrgParams, rep: ReprConstants) -> tuple[int, int] | None
     if slope >= 0:
         raise ValueError("2x2 Gram determinant is not decreasing in m")
     return xx0 * y3 - x3 * x3, -slope
-
-
-def m_upper_exact(params: SrgParams, rep: ReprConstants):
-    """_gram2_root as a Fraction: no edge's common-neighborhood subgraph has more edges."""
-    return as_fraction(_gram2_root(params, rep))
 
 
 def m_lower(params: SrgParams, k4_lower: int) -> int:
@@ -194,7 +176,7 @@ def gram3_per_m(params: SrgParams, rep: ReprConstants, m: int) -> Gram3PerM:
     s <= -1 and k < v - 1; 2 + 2p > 0, as x^2 - (lam-mu)x - (k-mu) is
     positive at -k and negative at 0 for mu < k, so its root s > -k;
     and g(m) >= 0, as g is linear in m with slope 2d(2+2p) < 0 and root
-    m_upper_exact, whose floor bounds the window.
+    _gram2_root, whose floor bounds the window.
     """
     if m < 0:
         raise ValueError(f"need m >= 0, got m={m}")

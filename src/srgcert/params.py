@@ -1,24 +1,14 @@
 """Parameter tuples, spectra, the representation constants derived from
 them, and the classical feasibility screens.
 
-Everything on the decision path is exact integer arithmetic; a Fraction is
-built, and fractions imported, only when a certificate's rational field is read.
+Everything is exact integer arithmetic: a rational such as p is kept as an
+integer numerator over an integer denominator, and only serialize reduces one.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-
-def as_fraction(pair: tuple[int, int] | None) -> Fraction | None:
-    """The rational (numerator, denominator) as a Fraction, None as None."""
-    from fractions import Fraction  # imported on first use: the commands write rationals from integer pairs
-
-    return None if pair is None else Fraction(*pair)
+from typing import NamedTuple
 
 
 class InvalidParamsError(ValueError):
@@ -63,15 +53,6 @@ class SrgParams(_SrgFields):
     def _make(cls, fields):
         return cls(*fields)
 
-    @property
-    def primitive(self) -> bool:
-        """True unless the tuple belongs to the complete-multipartite family."""
-        return self.mu < self.k
-
-    def identity_holds(self) -> bool:
-        """Counting identity k(k - lam - 1) = (v - k - 1) mu."""
-        return self.k * (self.k - self.lam - 1) == (self.v - self.k - 1) * self.mu
-
 
 class Spectrum(NamedTuple):
     """Integer non-principal eigenvalues r >= 0 > s with multiplicities f, g."""
@@ -112,23 +93,15 @@ def derive_spectrum(params: SrgParams) -> Spectrum | None:
 
 
 class ReprConstants(NamedTuple):
-    """Inner products of the vertices' unit vectors in the eigenspace of s:
-    p (adjacent), q (non-adjacent), and the dimension d = g.  Every Gram
-    entry of summed vectors is an integer once scaled by D."""
+    """Inner products of the vertices' unit vectors in the eigenspace of s,
+    p = P/D (adjacent) and q = Q/D (non-adjacent), and the dimension d = g.
+    Every Gram entry of summed vectors is an integer once scaled by D."""
 
     d: int
     D: int  # lcm of the denominators of p and q in lowest terms
     P: int  # p * D
     Q: int  # q * D
     S: int  # |x_u + x_w|^2 = 2 + 2p, times D
-
-    @property
-    def p(self) -> Fraction:
-        return as_fraction((self.P, self.D))
-
-    @property
-    def q(self) -> Fraction:
-        return as_fraction((self.Q, self.D))
 
 
 def repr_constants(params: SrgParams, spectrum: Spectrum | None) -> ReprConstants:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import types
@@ -14,6 +15,8 @@ from srgcert import SrgParams, cli, decide
 from srgcert.cli import main
 from srgcert.serialize import certificate_json, certificate_to_text
 from test_serialize import _dict_certificate
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_check_exit_codes(capsys):
@@ -146,13 +149,53 @@ def test_scan_json_lines(tmp_path, capsys):
 def test_readme_json_lines_row_is_scan_output(tmp_path, capsys):
     """README's quoted --json-lines row for (460,153,32,60) is the line a
     scan writes for that tuple, byte for byte."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    quoted = re.findall(r'`(\{"params":\{"v":460,"k":153,"lambda":32,"mu":60\}[^`]*)`', readme)
+    quoted = re.findall(r'`(\{"params":\{"v":460,"k":153,"lambda":32,"mu":60\}[^`]*)`', README.read_text("utf-8"))
     assert len(quoted) == 1
     path = tmp_path / "rows.csv"
     path.write_text("v,k,lambda,mu\n460,153,32,60\n", encoding="utf-8")
     assert main(["scan", str(path), "--json-lines", "--jobs", "1"]) == 0
     assert capsys.readouterr().out == quoted[0] + "\n"
+
+
+def test_readme_table_row_is_scan_output(tmp_path, capsys):
+    """README's table-row example for (16,6,2,2) is the line a scan writes
+    for that tuple, but for the row's wall time."""
+    quoted = re.findall(r"`(\(16,6,2,2\): [^`]*)`", README.read_text("utf-8"))
+    assert quoted == ["(16,6,2,2): Inconclusive k4>=0 m=[0,1] w=- [0ms]"]
+    path = tmp_path / "rows.csv"
+    path.write_text("v,k,lambda,mu\n16,6,2,2\n", encoding="utf-8")
+    assert main(["scan", str(path), "--jobs", "1"]) == 0
+    assert re.fullmatch(re.escape(quoted[0].removesuffix(" [0ms]")) + r" \[\d+ms\]\n", capsys.readouterr().out)
+
+
+def _readme_block(heading, lang):
+    """The first ```lang block of README's section `## heading`."""
+    section = README.read_text("utf-8").split(f"\n## {heading}\n", 1)[1]
+    return re.search(f"```{lang}\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    """README's Library block runs and prints the values its comments give."""
+    block = _readme_block("Library", "python")
+    exec(compile(block, str(README), "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    comments = re.findall(r"# (.*)", block)
+    assert comments[:4] == ['"Nonexistent"', "228111", "1437323820/6301", "MRange(lower=39, upper=39)"]
+    assert out[:4] == [comment.strip('"') for comment in comments[:4]]
+    assert len(out) == 5 and out[4].startswith("WSplitWitness(w=13, m=39, ")
+
+
+def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
+    """Each srgcert line of README's CLI block runs, in a directory that
+    holds its tuples.csv and gets its --output, with its documented exit
+    code: 10 for a Nonexistent check, 0 for the others."""
+    argvs = [shlex.split(line)[1:] for line in _readme_block("CLI", "sh").splitlines() if line.startswith("srgcert ")]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tuples.csv").write_text("v,k,lambda,mu\n16,6,2,2\n460,153,32,60\n", encoding="utf-8")
+    codes = [(argv[0], main(argv)) for argv in argvs]
+    capsys.readouterr()
+    assert codes == [("check", 10), ("check", 10), ("scan", 0), ("subscan", 0), ("self-check", 0)]
+    assert (tmp_path / "results.jsonl").read_text("utf-8").count("\n") == 2
 
 
 def test_scan_isolates_decide_errors(tmp_path, capsys, monkeypatch):

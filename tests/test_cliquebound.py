@@ -10,9 +10,10 @@ import pytest
 
 from srgcert import cliquebound, oracle
 from srgcert.cliquebound import _class_rows, _gegenbauer_scaled, k4_lower_bound
-from srgcert.oracle import pair_profile, validate
+from srgcert.oracle import census, pair_profile, srg_parameters, validate
 from srgcert.params import ReprConstants, SrgParams, derive_spectrum, repr_constants
-from support import rep_from_fractions
+from conftest import complement
+from support import rep_fractions, rep_from_fractions
 from test_acceptance import _primitive_feasible_tuples
 
 
@@ -46,7 +47,8 @@ def _block_den(rep, block):
 
 def _form_value(bound, a, k4):
     """F(a) = A(a) + B(a) K4 from the stored lowest-degree-first quadratics."""
-    return sum((c + b * k4) * a**i for i, (c, b) in enumerate(zip(bound.a_quadratic, bound.k4_quadratic)))
+    coeffs = [Fraction(*pair) for pair in bound.quadratic_pairs()]
+    return sum((c + b * k4) * a**i for i, (c, b) in enumerate(zip(coeffs[:3], coeffs[3:])))
 
 
 @functools.lru_cache(maxsize=None)
@@ -214,8 +216,8 @@ def test_k4_bound_target_tuples():
     params, rep = _rep((460, 153, 32, 60))
     bound = k4_lower_bound(params, rep)
     assert bound.lower == 228111
-    assert bound.raw_bound == Fraction(1437323820, 6301)
-    assert bound.k4_quadratic[2] > 0
+    assert Fraction(*bound.raw_bound_pair()) == Fraction(1437323820, 6301)
+    assert Fraction(*bound.quadratic_pairs()[5]) > 0
 
     params, rep = _rep((5929, 1482, 275, 402))
     assert k4_lower_bound(params, rep).lower == 3517648488
@@ -232,6 +234,28 @@ def test_k4_bound_sound_on_reference_graphs(reference_censuses):
         rep = repr_constants(params, spectrum)
         bound = k4_lower_bound(params, rep)
         assert bound.lower <= report.k4_count, (label, bound.lower, report.k4_count)
+
+
+def test_k4_bound_sound_on_the_r_eigenspace(reference_graphs):
+    """_class_rows is written in D, P, Q and S, so the bound also runs on the
+    representation in the eigenspace of r: p = r/k, q = -(1+r)/(v-k-1),
+    d = f and S = 2D + 2P.  On every reference graph and complement that is
+    primitive with an integer spectrum, 10 in all, that bound is at most the
+    census K4; it is exact on T(7), (21,10,5,4), whose s-eigenspace bound
+    is 0, and on the Petersen complement, (10,6,3,4)."""
+    got = {}
+    for label, (g, _) in reference_graphs.items():
+        for name, h in ((label, g), (f"co-{label}", complement(g))):
+            params = srg_parameters(h)
+            spectrum = derive_spectrum(params)
+            if spectrum is None or params.mu == params.k:
+                continue
+            v, k, r = params.v, params.k, spectrum.r
+            rep = rep_from_fractions(Fraction(r, k), Fraction(-(1 + r), v - k - 1), spectrum.f)
+            got[name] = k4_lower_bound(params, rep).lower, census(h).k4_count
+            assert got[name][0] <= got[name][1], (name, got[name])
+    assert len(got) == 10
+    assert got["triangular(7)"] == (105, 105) and got["co-petersen"] == (5, 5)
 
 
 def test_form_nonnegative_at_true_k4_on_rational_grid(reference_censuses):
@@ -261,13 +285,16 @@ K4_FIELDS = ("lower", "optimal_a", "a_quadratic", "k4_quadratic", "raw_bound")
 
 
 def _k4_fields(bound):
-    """The five public fields of a K4Bound, by name."""
-    return {name: getattr(bound, name) for name in K4_FIELDS}
+    """The five fields of a K4Bound that a certificate writes, by their JSON
+    names, with each integer pair read as a Fraction."""
+    coeffs, optimal_a = tuple(Fraction(*pair) for pair in bound.quadratic_pairs()), bound.optimal_a_pair()
+    return dict(zip(K4_FIELDS, (bound.lower, None if optimal_a is None else Fraction(*optimal_a), coeffs[:3],
+                                coeffs[3:], Fraction(*bound.raw_bound_pair()))))
 
 
 def _fraction_k4_lower_bound(classes, rep):
     """The per-class Fraction sums the integer block sums replaced, kept as
-    the oracle: the five public fields of the bound, by name."""
+    the oracle: the five fields _k4_fields gives, by name."""
     gval = {cls.name: _fraction_gegenbauer(rep.d, Fraction(cls.c**2, _block_den(rep, cls.block))) for cls in classes}
     s_vv = sum(_count_const(cls) * gval[cls.name] for cls in classes if cls.block == "vertex-vertex")
     s_ve = sum(_count_const(cls) * gval[cls.name] for cls in classes if cls.block == "vertex-edge")
@@ -347,7 +374,7 @@ def test_k4_column_is_constant_and_b2_a_fourth_difference(reference_censuses):
         disjoint = [_by_name(pair_profile(params, rep), f"ee-disjoint-{j}") for j in range(5)]
         assert [_count_k4(cls) for cls in disjoint] == [3 * step for step in steps], label
         assert [_count_at(cls, report.k4_count) for cls in disjoint] == list(report.n_j_disjoint), label
-        p, q = rep.p, rep.q
+        p, q = rep_fractions(rep)
         x2s = [((j * p + (4 - j) * q) / (2 + 2 * p)) ** 2 for j in range(5)]
         bound = k4_lower_bound(params, rep)
         fourth = sum(step * _fraction_gegenbauer(rep.d, x2) for step, x2 in zip(steps, x2s))
@@ -465,7 +492,7 @@ def _fraction_pair_profile(params, rep):
     """The Fraction census the D-scaled integers replaced, kept as the oracle,
     in the form _fraction_view gives."""
     v, k, lam, mu = params.v, params.k, params.lam, params.mu
-    p, q = rep.p, rep.q
+    p, q = rep_fractions(rep)
     E = Fraction(v * k, 2)
     denom = 2 + 2 * p
 

@@ -9,6 +9,7 @@ m = C(s-1, 2).  For GQ(q, q^2) the 4-clique bound and the 2x2 Gram bound
 are both attained, so these graphs have no slack at all.
 """
 
+from fractions import Fraction
 from math import comb
 
 from srgcert.gramtest import (
@@ -19,7 +20,6 @@ from srgcert.gramtest import (
     decide,
     gram3_per_m,
     gram3_per_w,
-    m_upper_exact,
     scaled_value,
 )
 from srgcert.oracle import _factorize_prime_power
@@ -53,7 +53,7 @@ def test_families_are_never_refuted():
         cert = decide(params)
         assert cert.verdict is Verdict.INCONCLUSIVE, label
         if cert.m_range is None:  # complete multipartite: no Gram tests
-            assert not params.primitive, label
+            assert params.mu == params.k, label
             continue
         assert cert.k4_bound.lower <= k4, label
         assert cert.m_range.lower <= m <= cert.m_range.upper, label
@@ -66,7 +66,7 @@ def test_family_complements_are_never_refuted():
     tuples, up to lam = 3.5e12 for the complement of GQ(50653, 1369), each
     in milliseconds.  (The complement of a complete multipartite tuple has
     mu = 0.)"""
-    complements = [complement_params(params) for _, params, _, _ in _family_tuples() if params.primitive]
+    complements = [complement_params(params) for _, params, _, _ in _family_tuples() if params.mu < params.k]
     assert len(complements) == 524
     for params in complements:
         assert decide(params).verdict is Verdict.INCONCLUSIVE, params
@@ -84,8 +84,8 @@ def test_gq_q_q2_has_zero_slack():
         params, k4, m = _gq(q, q * q)
         lam = params.lam
         cert = decide(params)
-        assert cert.k4_bound.raw_bound == k4, q
-        assert m_upper_exact(params, cert.rep) == m, q
+        assert Fraction(*cert.k4_bound.raw_bound_pair()) == k4, q
+        assert Fraction(*cert.m_upper_pair()) == m, q
         assert (cert.m_range.lower, cert.m_range.upper) == (m, m), q
         h = gram3_per_m(params, cert.rep, m)
         for w in range(1, lam):

@@ -25,7 +25,6 @@ from srgcert.gramtest import (
     gram3_per_m,
     gram3_per_w,
     m_lower,
-    m_upper_exact,
     scaled_value,
     wsplit_contradiction,
 )
@@ -33,6 +32,7 @@ from srgcert.oracle import PairClass, census, construct, lambda_subgraph_edge_co
 from srgcert.params import SrgParams, derive_spectrum, repr_constants
 from srgcert.serialize import certificate_json, certificate_to_text, scan_row
 from conftest import complement, complement_params
+from support import rep_fractions
 from test_acceptance import _gram3_det, _primitive_feasible_tuples
 from test_families import PRIME_POWERS, _family_tuples, _gq
 from test_serialize import _dict_certificate
@@ -45,6 +45,12 @@ FEASIBLE_CSV = Path(__file__).resolve().parent.parent / "bench" / "corpus" / "fe
 def _rep(tup):
     params = SrgParams(*tup)
     return params, repr_constants(params, derive_spectrum(params))
+
+
+def _m_upper(params, rep):
+    """The root of the 2x2 Gram determinant as a Fraction, None for lam = 0."""
+    root = gramtest._gram2_root(params, rep)
+    return None if root is None else Fraction(*root)
 
 
 def _over_lcm(det):
@@ -63,25 +69,25 @@ def _region_max(det, n, m, w, alpha_lo):
 
 def _tuple_windows():
     """(params, rep, ms, past) for each of ORACLE_TUPLES: five edge counts
-    from 0 up to the window top floor(m_upper_exact), where c01 <= 0 < -c20,
+    from 0 up to the window top floor(_m_upper), where c01 <= 0 < -c20,
     and past = top + 1 <= C(lam, 2), the first m beyond the 2x2 root."""
     for tup in ORACLE_TUPLES:
         params, rep = _rep(tup)
         n = params.lam
-        top = math.floor(m_upper_exact(params, rep))
+        top = math.floor(_m_upper(params, rep))
         assert top < n * (n - 1) // 2, tup
         yield params, rep, sorted({0, 1, n, top // 4, top}), top + 1
 
 
 def test_m_upper_target_tuple():
     params, rep = _rep((460, 153, 32, 60))
-    assert m_upper_exact(params, rep) == Fraction(2416, 61)
+    assert _m_upper(params, rep) == Fraction(2416, 61)
     assert decide(params).m_range.upper == 39
 
 
 def test_m_upper_lambda_zero():
     params, rep = _rep((10, 3, 0, 1))
-    assert m_upper_exact(params, rep) is None
+    assert _m_upper(params, rep) is None
     assert decide(params).m_range.upper == 0
 
 
@@ -92,7 +98,7 @@ def test_m_upper_covers_measured_maximum(reference_graphs):
             continue
         rep = repr_constants(params, spectrum)
         measured = max(lambda_subgraph_edge_counts(g), default=0)
-        root = m_upper_exact(params, rep)
+        root = _m_upper(params, rep)
         assert (measured == 0) if root is None else (root >= measured), label
 
 
@@ -162,7 +168,7 @@ def test_wsplit_witness_target_tuple():
     assert wit is not None
     assert wit.w == 13
     assert wit.alpha_min == 39
-    assert wit.region_max_det == Fraction(-440128, 1193859)
+    assert Fraction(wit.region_max, wit.den) == Fraction(-440128, 1193859)
     assert wit.region_max_at == (39, 0)
 
 
@@ -311,7 +317,7 @@ def _fraction_gram3_det(params, rep, w, m):
     """The Fraction coefficients (c00, c10, c01, c20) the D-scaled integers
     replaced, kept as the oracle."""
     lam = params.lam
-    p, q = rep.p, rep.q
+    p, q = rep_fractions(rep)
     d = p - q
     n1 = lam - w
     A1 = n1 + n1 * (n1 - 1) * q + 2 * d * m
@@ -421,7 +427,7 @@ def test_wsplit_region_max_zero_at_every_w_is_no_witness(monkeypatch):
         else:
             h = gram3_per_m(params, rep, m)
             assert calls == [1] and (wit.w, wit.region_max, wit.den) == (1, -1, h.den)
-            assert wit.region_max_det == Fraction(-1, h.den)
+            assert Fraction(wit.region_max, wit.den) == Fraction(-1, h.den)
 
 
 def test_region_max_zero_is_not_a_witness(monkeypatch):
@@ -448,7 +454,7 @@ def test_region_max_zero_is_not_a_witness(monkeypatch):
         if offset == 0:
             assert wit is None
         else:
-            assert (wit.w, wit.region_max_det) == (w, Fraction(-1, h.den))
+            assert (wit.w, Fraction(wit.region_max, wit.den)) == (w, Fraction(-1, h.den))
 
 
 def _work_counts(monkeypatch, tuples):
@@ -509,7 +515,7 @@ def test_scan_rows_build_no_fraction(monkeypatch):
     text transcripts of bench/corpus/feasible.csv and of the paper tuples,
     which are Nonexistent with witnesses, builds no Fraction: decisions run
     on integers and the writers read integer pairs.  The JSON has the bytes
-    of the oracle, which reads the Fraction properties."""
+    of the oracle, which reads each integer pair as a Fraction."""
     built = []
     new = Fraction.__new__
 
@@ -528,7 +534,7 @@ def test_scan_rows_build_no_fraction(monkeypatch):
     assert all(cert.verdict is Verdict.NONEXISTENT and cert.witnesses for cert in certs[-3:])
     for cert, text in zip(certs, written, strict=True):
         assert text == json.dumps(_dict_certificate(cert), indent=2), cert.params
-    assert built  # the oracle did read the Fraction properties
+    assert built  # the oracle did read the pairs as Fractions
 
 
 def test_decide_builds_no_pair_class(monkeypatch):
@@ -580,14 +586,15 @@ def test_wsplit_pieces_match_per_w_oracle():
     of the 648 primitive feasible tuples with v <= 300, every GQ(q, q^2) at
     its zero-slack m, and every m of the windows of the rows of
     bench/corpus/feasible.csv with lam < 64."""
-    cases = [(SrgParams(*t), m) for t in PAPER_TUPLES for m in decide(SrgParams(*t)).m_range.ms]
+    cases = [(SrgParams(*t), m) for t in PAPER_TUPLES for lo, hi in [decide(SrgParams(*t)).m_range]
+             for m in range(lo, hi + 1)]
     for params in _primitive_feasible_tuples(300):
         rng = decide(params).m_range
         if rng is not None and not rng.is_empty:
             cases += [(params, rng.lower), (params, rng.upper)]
     cases += [(params, m) for params, _, m in (_gq(q, q * q) for q in PRIME_POWERS if q >= 3)]
     feasible = [(params, m) for params in _feasible_rows() if params.lam < 64
-                for rng in [decide(params).m_range] if rng is not None for m in rng.ms]
+                for rng in [decide(params).m_range] if rng is not None for m in range(rng.lower, rng.upper + 1)]
     for group, n_cases, n_witnesses in ((cases, 1325, 109), (feasible, 10002, 20)):
         reps = {params: repr_constants(params, derive_spectrum(params)) for params, _ in group}
         want = [_per_w_wsplit(params, reps[params], m) for params, m in group]
@@ -777,11 +784,11 @@ def test_wsplit_coefficient_signs_on_every_window():
 
 
 def test_wsplit_rejects_m_past_the_2x2_root():
-    """One step past floor(m_upper_exact), below C(lam, 2), is a ValueError;
+    """One step past floor(_m_upper), below C(lam, 2), is a ValueError;
     the window top itself is searched, also where it is the root exactly,
     2592 for (121, 100, 81, 90)."""
     for params, rep, _, past in _tuple_windows():
-        assert (m_upper_exact(params, rep) == past - 1) == (params.v == 121)
+        assert (_m_upper(params, rep) == past - 1) == (params.v == 121)
         wsplit_contradiction(params, rep, past - 1)
         with pytest.raises(ValueError):
             wsplit_contradiction(params, rep, past)
@@ -794,7 +801,7 @@ def test_gram3_hoisted_coefficients_match_fraction_formula():
     cases = []
     for tup in PAPER_TUPLES:
         cert = decide(SrgParams(*tup))
-        cases += [(cert.params, cert.rep, m) for m in cert.m_range.ms]
+        cases += [(cert.params, cert.rep, m) for m in range(cert.m_range.lower, cert.m_range.upper + 1)]
     for params in _primitive_feasible_tuples(120):
         cert = decide(params)
         if cert.m_range is not None and not cert.m_range.is_empty:
@@ -844,10 +851,13 @@ def test_decide_q22_zero_tuple_closes_by_empty_window():
 
 
 def test_m_range_ms_walks_the_window():
-    """ms walks the window; iterating the named tuple gives its two ends."""
-    assert list(MRange(3, 5).ms) == [3, 4, 5]
+    """Iterating the named tuple gives its two ends, lower and upper, so
+    range(lower, upper + 1) walks the window's ms."""
+    lower, upper = MRange(3, 5)
+    assert list(range(lower, upper + 1)) == [3, 4, 5]
     assert tuple(MRange(3, 5)) == (3, 5)
-    assert MRange(4, 3).is_empty and list(MRange(4, 3).ms) == []
+    lower, upper = MRange(4, 3)
+    assert MRange(4, 3).is_empty and list(range(lower, upper + 1)) == []
 
 
 VALUE_PARTS = ["params", "feasibility", "spectrum", "rep", "k4_bound", "m_range", "witness", "certificate",
@@ -912,7 +922,7 @@ def test_decide_without_clique_bound():
     """A 4-clique bound of 0, as on T(7)'s parameters, starts the m window at
     0 and adds no note."""
     cert = decide(SrgParams(21, 10, 5, 4))
-    assert cert.k4_bound.lower == 0 and cert.k4_bound.raw_bound < 0
+    assert cert.k4_bound.lower == 0 and Fraction(*cert.k4_bound.raw_bound_pair()) < 0
     assert tuple(cert.m_range) == (0, 7)
     assert cert.notes == ()
     assert cert.verdict is Verdict.INCONCLUSIVE

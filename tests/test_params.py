@@ -220,7 +220,7 @@ def test_krein_equality_form_agrees_with_derived_parameter():
         r, s, k = sp.r, sp.s, params.k
         lit2 = (k + s) * (r + 1) ** 2 - (s + 1) * (k + s + 2 * r * s)
         lit1 = (k + r) * (s + 1) ** 2 - (r + 1) * (k + r + 2 * r * s)
-        if params.primitive:
+        if params.mu < params.k:
             assert classical_feasibility(params).krein_q22_zero == (lit2 == 0)
         assert (lit2 > 0) == (q222 > 0) and (lit2 == 0) == (q222 == 0)
         assert (lit1 > 0) == (q111 > 0) and (lit1 == 0) == (q111 == 0)
@@ -297,13 +297,13 @@ def _general_feasibility(params):
     integrality_ok = spectrum is not None or conference
     krein_ok = absolute_bound_ok = True
     krein_q22_zero = False
-    if spectrum is not None and params.primitive:
+    if spectrum is not None and mu < k:
         f, g = spectrum.f, spectrum.g
         num111, num222 = _krein_numerators(params, spectrum)
         krein_ok = num111 >= 0 and num222 >= 0
         absolute_bound_ok = 2 * v <= f * (f + 3) and 2 * v <= g * (g + 3)
         krein_q22_zero = num222 == 0
-    report = FeasibilityReport(params.identity_holds(), spectrum, integrality_ok, krein_ok, absolute_bound_ok,
+    report = FeasibilityReport(k * (k - lam - 1) == (v - k - 1) * mu, spectrum, integrality_ok, krein_ok, absolute_bound_ok,
                                krein_q22_zero)
     return report, conference
 
@@ -356,7 +356,7 @@ def test_krein_integers_match_fraction_formula():
                     assert report.krein_ok == (q111 >= 0 and q222 >= 0), params
                     assert report.krein_q22_zero == (q222 == 0), params
                     checked += 1
-                    identity_fails += not params.identity_holds()
+                    identity_fails += k * (k - lam - 1) != (v - k - 1) * mu
                     signs.update(((q111 > 0) - (q111 < 0), (q222 > 0) - (q222 < 0)))
     assert checked > 1000 and identity_fails > 500 and signs == {-1, 0, 1}
 
@@ -427,7 +427,7 @@ def test_subconstituent_scan_tries_one_mu_per_lambda(monkeypatch):
         calls.clear()
         subconstituent_scan(v1, k1)
         assert len(calls) == tried <= k1, (v1, k1)
-        assert all(p.identity_holds() for p in calls)
+        assert all(p.k * (p.k - p.lam - 1) == (p.v - p.k - 1) * p.mu for p in calls)
 
 
 def test_subconstituent_scan_rejects_bad_input():

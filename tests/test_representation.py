@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from srgcert.gramtest import gram3_per_m, gram3_per_w, m_upper_exact, scaled_value
+from srgcert import gramtest
+from srgcert.gramtest import gram3_per_m, gram3_per_w, scaled_value
 from srgcert.oracle import construct, srg_parameters
 from srgcert.params import ReprConstants, SrgParams, derive_spectrum, repr_constants
-from support import rep_from_fractions
+from support import rep_fractions, rep_from_fractions
 from numeric import realize_representation, to_numpy
 from test_acceptance import _gram3_det, _primitive_feasible_tuples
 
@@ -21,21 +22,20 @@ def _rep(tup):
 
 def test_repr_constants_target_tuple():
     _, rep = _rep((460, 153, 32, 60))
-    assert rep.p == Fraction(-31, 153)
-    assert rep.q == Fraction(5, 51)
+    assert rep_fractions(rep) == (Fraction(-31, 153), Fraction(5, 51))
     assert rep.d == 45
 
 
 def test_repr_constants_petersen_and_rook():
     _, rep = _rep((10, 3, 0, 1))
-    assert (rep.p, rep.q, rep.d) == (Fraction(-2, 3), Fraction(1, 6), 4)
+    assert (*rep_fractions(rep), rep.d) == (Fraction(-2, 3), Fraction(1, 6), 4)
     _, rep = _rep((16, 6, 2, 2))
     # dimension is the multiplicity of s = -2, which is 9 for the rook graph
-    assert (rep.p, rep.q, rep.d) == (Fraction(-1, 3), Fraction(1, 9), 9)
+    assert (*rep_fractions(rep), rep.d) == (Fraction(-1, 3), Fraction(1, 9), 9)
 
 
 def test_repr_constants_match_fraction_lcm(reference_graphs):
-    """The gcd-built D, P, Q, S, and p and q read from them, equal those
+    """The gcd-built D, P, Q, S, and p = P/D and q = Q/D, equal those
     taken from Fraction(s, k) and Fraction(-(1+s), v-k-1) over the lcm of
     their denominators, on every reference graph with an integer spectrum
     and the 648 primitive feasible tuples with v <= 300."""
@@ -47,7 +47,7 @@ def test_repr_constants_match_fraction_lcm(reference_graphs):
         p, q = Fraction(spectrum.s, params.k), Fraction(-(1 + spectrum.s), params.v - 1 - params.k)
         rep, want = repr_constants(params, spectrum), rep_from_fractions(p, q, spectrum.g)
         assert (rep.D, rep.P, rep.Q, rep.S, rep.d) == (want.D, want.P, want.Q, want.S, want.d), params
-        assert rep.D == math.lcm(p.denominator, q.denominator) and (rep.p, rep.q) == (p, q), params
+        assert rep.D == math.lcm(p.denominator, q.denominator) and rep_fractions(rep) == (p, q), params
 
 
 def test_repr_constants_requires_integer_spectrum():
@@ -65,7 +65,8 @@ def test_gram_matrix_of_constants_is_psd_with_rank_g():
         a = to_numpy(g).astype(float)
         j = np.ones_like(a)
         i = np.eye(params.v)
-        gram = i + float(rep.p) * a + float(rep.q) * (j - i - a)
+        p, q = rep_fractions(rep)
+        gram = i + float(p) * a + float(q) * (j - i - a)
         eigs = np.linalg.eigvalsh(gram)
         assert eigs.min() > -1e-9
         assert int((eigs > 1e-9).sum()) == rep.d
@@ -85,15 +86,16 @@ def test_row_sum_identity():
     ]
     for tup in tuples:
         params, rep = _rep(tup)
-        assert 1 + params.k * rep.p + (params.v - 1 - params.k) * rep.q == 0
-        assert -1 < rep.p < rep.q < 1
+        p, q = rep_fractions(rep)
+        assert 1 + params.k * p + (params.v - 1 - params.k) * q == 0
+        assert -1 < p < q < 1
 
 
 def _gram2_literal(params, rep):
     """The 2x2 Gram of X1 (the lam common neighbors of an edge, m edges
     among them) and X2 = x_u + x_w, entry by entry: <X1,X1> as a function
     of m, then <X1,X2> and <X2,X2>."""
-    lam, p, q = params.lam, rep.p, rep.q
+    lam, (p, q) = params.lam, rep_fractions(rep)
 
     def a11(m):
         return lam + 2 * m * p + (lam * (lam - 1) - 2 * m) * q
@@ -130,7 +132,7 @@ def test_gram2_lambda_zero_is_vacuous():
 def test_gram2_a22_is_squared_edge_vector_norm():
     for tup in [(460, 153, 32, 60), (16, 6, 2, 2), (21, 10, 5, 4)]:
         params, rep = _rep(tup)
-        assert _gram2_literal(params, rep)[2] == 2 + 2 * rep.p
+        assert _gram2_literal(params, rep)[2] == 2 + 2 * rep_fractions(rep)[0]
 
 
 def test_m_upper_exact_is_literal_gram2_root(reference_graphs):
@@ -143,10 +145,12 @@ def test_m_upper_exact_is_literal_gram2_root(reference_graphs):
     for params in tuples:
         rep = repr_constants(params, derive_spectrum(params))
         want = None if params.lam == 0 else _gram2_root(params, rep)
-        assert m_upper_exact(params, rep) == want, params
+        root = gramtest._gram2_root(params, rep)
+        assert (None if root is None else Fraction(*root)) == want, params
     params, rep = _rep((460, 153, 32, 60))
+    p, q = rep_fractions(rep)
     with pytest.raises(ValueError):  # p > q: the determinant grows with m
-        m_upper_exact(params, rep_from_fractions(rep.q, rep.p, rep.d))
+        gramtest._gram2_root(params, rep_from_fractions(q, p, rep.d))
 
 
 def test_gram3_det_exact_coefficients():
@@ -279,7 +283,7 @@ def test_gram3_det_matches_literal_determinant():
             for _ in range(5):
                 m = rng.randint(0, lam * (lam - 1) // 2)
                 alpha, beta = rng.randint(-50, 2 * m + 50), rng.randint(-50, 2 * m + 50)
-                literal = _det3(_gram3_literal(lam, (1, rep.p, rep.q), w, m, alpha, beta))
+                literal = _det3(_gram3_literal(lam, (1, *rep_fractions(rep)), w, m, alpha, beta))
                 assert scaled_value(*_gram3_det(params, rep, w, m), alpha, beta) == literal, (tup, w, m, alpha, beta)
 
 
@@ -326,6 +330,6 @@ def test_gram3_full_split_degenerates_to_zero_row():
     (alpha, beta) = (2m, m) its diagonal entry and cross entries vanish."""
     params, rep = _rep((460, 153, 32, 60))
     m = 17
-    gram = _gram3_literal(params.lam, (1, rep.p, rep.q), params.lam, m, 2 * m, m)
+    gram = _gram3_literal(params.lam, (1, *rep_fractions(rep)), params.lam, m, 2 * m, m)
     assert gram[0] == [0, 0, 0]
     assert _det3(gram) == 0

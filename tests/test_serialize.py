@@ -23,8 +23,12 @@ ROUND_TRIP_TUPLES = [
 ]
 
 
-def _dict_rational(x):
-    return None if x is None else {"num": str(x.numerator), "den": str(x.denominator)}
+def _dict_rational(pair):
+    """An integer pair as the dict its Fraction wrote, None as None."""
+    if pair is None:
+        return None
+    x = Fraction(*pair)
+    return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
 def _dict_certificate(cert):
@@ -47,25 +51,25 @@ def _dict_certificate(cert):
         else {"r": cert.spectrum.r, "s": cert.spectrum.s, "f": cert.spectrum.f, "g": cert.spectrum.g},
         "representation": None
         if rep is None
-        else {"p": _dict_rational(rep.p), "q": _dict_rational(rep.q), "d": rep.d},
+        else {"p": _dict_rational((rep.P, rep.D)), "q": _dict_rational((rep.Q, rep.D)), "d": rep.d},
         "k4_bound": None
         if k4 is None
         else {
             "lower": k4.lower,
-            "optimal_a": _dict_rational(k4.optimal_a),
-            "a_quadratic": [_dict_rational(c) for c in k4.a_quadratic],
-            "k4_quadratic": [_dict_rational(c) for c in k4.k4_quadratic],
-            "raw_bound": _dict_rational(k4.raw_bound),
+            "optimal_a": _dict_rational(k4.optimal_a_pair()),
+            "a_quadratic": [_dict_rational(c) for c in k4.quadratic_pairs()[:3]],
+            "k4_quadratic": [_dict_rational(c) for c in k4.quadratic_pairs()[3:]],
+            "raw_bound": _dict_rational(k4.raw_bound_pair()),
             "informative": True,
         },
         "m_range": None if cert.m_range is None else {"lower": cert.m_range.lower, "upper": cert.m_range.upper},
-        "m_upper_exact": _dict_rational(cert.m_upper_bound),
+        "m_upper_exact": _dict_rational(cert.m_upper_pair()),
         "witnesses": [
             {
                 "m": wit.m,
                 "w": wit.w,
                 "alpha_min": wit.alpha_min,
-                "region_max_det": _dict_rational(wit.region_max_det),
+                "region_max_det": _dict_rational((wit.region_max, wit.den)),
                 "region_max_at": list(wit.region_max_at),
             }
             for wit in cert.witnesses
@@ -110,19 +114,23 @@ def test_certificate_round_trip(tup):
     cert = decide(SrgParams(*tup))
     encoded = json.loads(certificate_json(cert))
     assert encoded == _dict_certificate(cert)
-    assert _rational(encoded["m_upper_exact"]) == cert.m_upper_bound
+    upper = cert.m_upper_pair()
+    assert _rational(encoded["m_upper_exact"]) == (None if upper is None else Fraction(*upper))
     if cert.rep is not None:
         rep = encoded["representation"]
-        assert (_rational(rep["p"]), _rational(rep["q"]), rep["d"]) == (cert.rep.p, cert.rep.q, cert.rep.d)
+        assert (_rational(rep["p"]), _rational(rep["q"]), rep["d"]) == (
+            Fraction(cert.rep.P, cert.rep.D), Fraction(cert.rep.Q, cert.rep.D), cert.rep.d
+        )
     if cert.k4_bound is not None:
-        k4 = encoded["k4_bound"]
-        assert _rational(k4["raw_bound"]) == cert.k4_bound.raw_bound
-        assert _rational(k4["optimal_a"]) == cert.k4_bound.optimal_a
-        assert tuple(map(_rational, k4["a_quadratic"] + k4["k4_quadratic"])) == (
-            cert.k4_bound.a_quadratic + cert.k4_bound.k4_quadratic
+        k4, bound = encoded["k4_bound"], cert.k4_bound
+        optimal_a = bound.optimal_a_pair()
+        assert _rational(k4["raw_bound"]) == Fraction(*bound.raw_bound_pair())
+        assert _rational(k4["optimal_a"]) == (None if optimal_a is None else Fraction(*optimal_a))
+        assert tuple(map(_rational, k4["a_quadratic"] + k4["k4_quadratic"])) == tuple(
+            Fraction(*c) for c in bound.quadratic_pairs()
         )
     assert [_rational(w["region_max_det"]) for w in encoded["witnesses"]] == [
-        w.region_max_det for w in cert.witnesses
+        Fraction(w.region_max, w.den) for w in cert.witnesses
     ]
 
 
@@ -181,9 +189,9 @@ def test_certificate_text_computes_the_2x2_bound_once(monkeypatch):
 
 
 def test_certificate_text_writes_rationals_as_fractions_do():
-    """Each rational of the transcript is written as str() writes its
-    Fraction property, on hand-built witnesses too: a zero maximum, one
-    that reduces, and an unreduced p over D."""
+    """Each rational of the transcript is written as str() writes the
+    Fraction of its integer pair, on hand-built witnesses too: a zero
+    maximum, one that reduces, and an unreduced p over D."""
     base = decide(SrgParams(460, 153, 32, 60))
     witnesses = base.witnesses + (
         WSplitWitness(w=0, m=-1, alpha_min=0, region_max=0, den=5, region_max_at=(0, -7)),
@@ -192,37 +200,37 @@ def test_certificate_text_writes_rationals_as_fractions_do():
     rep = base.rep._replace(D=2 * base.rep.D, P=2 * base.rep.P, Q=2 * base.rep.Q, S=2 * base.rep.S)
     for cert in (base._replace(witnesses=witnesses), base._replace(rep=rep), decide(SrgParams(6205, 858, 47, 130))):
         text = certificate_to_text(cert)
-        k4 = cert.k4_bound
-        assert f"representation: p = {cert.rep.p}, q = {cert.rep.q}, dimension" in text
-        assert f"(exact {k4.raw_bound}, optimal a = {k4.optimal_a})" in text
-        assert f"(2x2 Gram bound {cert.m_upper_bound})" in text
+        k4, rep = cert.k4_bound, cert.rep
+        assert f"representation: p = {Fraction(rep.P, rep.D)}, q = {Fraction(rep.Q, rep.D)}, dimension" in text
+        assert f"(exact {Fraction(*k4.raw_bound_pair())}, optimal a = {Fraction(*k4.optimal_a_pair())})" in text
+        assert f"(2x2 Gram bound {Fraction(*cert.m_upper_pair())})" in text
         for wit in cert.witnesses:
-            assert f"max det = {wit.region_max_det} at (alpha,beta)={wit.region_max_at}" in text
+            assert f"max det = {Fraction(wit.region_max, wit.den)} at (alpha,beta)={wit.region_max_at}" in text
 
 
 PAPER_TUPLES = [(460, 153, 32, 60), (6205, 858, 47, 130), (5929, 1482, 275, 402)]
 
 
 @pytest.mark.parametrize("tup", PAPER_TUPLES)
-def test_rational_properties_stay_fractions(tup):
-    """Every rational property of a certificate is still a Fraction, equal
-    to the num/den the JSON writes for it from its integer pair."""
+def test_rational_pairs_read_as_the_json_writes_them(tup):
+    """Every rational of a certificate, an integer pair read as a Fraction,
+    has the num/den the JSON writes for it from that pair."""
     cert = decide(SrgParams(*tup))
     encoded = json.loads(certificate_json(cert))
     rep, k4, k4_json = cert.rep, cert.k4_bound, encoded["k4_bound"]
     pairs = [
-        (rep.p, encoded["representation"]["p"]),
-        (rep.q, encoded["representation"]["q"]),
-        (k4.optimal_a, k4_json["optimal_a"]),
-        (k4.raw_bound, k4_json["raw_bound"]),
-        *zip(k4.a_quadratic + k4.k4_quadratic, k4_json["a_quadratic"] + k4_json["k4_quadratic"], strict=True),
-        (cert.m_upper_bound, encoded["m_upper_exact"]),
-        *zip([w.region_max_det for w in cert.witnesses], [w["region_max_det"] for w in encoded["witnesses"]],
+        ((rep.P, rep.D), encoded["representation"]["p"]),
+        ((rep.Q, rep.D), encoded["representation"]["q"]),
+        (k4.optimal_a_pair(), k4_json["optimal_a"]),
+        (k4.raw_bound_pair(), k4_json["raw_bound"]),
+        *zip(k4.quadratic_pairs(), k4_json["a_quadratic"] + k4_json["k4_quadratic"], strict=True),
+        (cert.m_upper_pair(), encoded["m_upper_exact"]),
+        *zip([(w.region_max, w.den) for w in cert.witnesses], [w["region_max_det"] for w in encoded["witnesses"]],
              strict=True),
     ]
     assert len(pairs) == 11 + len(cert.witnesses)
-    for value, written in pairs:
-        assert type(value) is Fraction
+    for pair, written in pairs:
+        value = Fraction(*pair)
         assert (value.numerator, value.denominator) == (int(written["num"]), int(written["den"]))
 
 
