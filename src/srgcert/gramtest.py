@@ -216,10 +216,6 @@ def _alpha_range(n: int, m: int, w: int, alpha_lo: int) -> tuple[int, int]:
     return max(0, alpha_lo), min(2 * m, w * (n - 1), m + w * (w - 1) // 2)
 
 
-def _floor_ceil(num: int, den: int) -> tuple[int, int]:
-    return num // den, -(-num // den)
-
-
 def _region_max_scaled(n00: int, n10: int, n01: int, n20: int, n: int, m: int, w: int,
                        alpha_lo: int) -> tuple[int, tuple[int, int]] | None:
     """Exact maximum of n00 + n10*alpha + n01*beta + n20*alpha^2 (see
@@ -228,37 +224,40 @@ def _region_max_scaled(n00: int, n10: int, n01: int, n20: int, n: int, m: int, w
     which holds on decide's window (see gram3_per_m).
 
     With n01 <= 0 the maximum at each alpha is at the lower beta endpoint
-    (ties: smallest alpha, then beta), which on each parity of alpha is the
-    max of three lines in t = alpha // 2.  On each line's integer stretch,
-    whose ends are range ends or floor/ceil of a crossing of two lines, the
-    value is concave in t and peaks at an end or next to the vertex: O(1)
-    candidates per parity give the exact maximum.
+    (ties: smallest alpha, then beta), max(0, 2t + r - m, t - c) at
+    alpha = 2t + r, c = floor((w(n-w) - r)/2).  On each parity r,
+    V(t) = n00 + n10*alpha + n20*alpha^2 + n01*max(0, 2t + r - m, t - c) is
+    strictly concave in real t (n20 < 0, and n01 <= 0 times a convex max of
+    lines), so its integer maximizers on [t_lo, t_hi], at most two and
+    adjacent, are among the floor and the ceiling of its real maximizer T,
+    each clamped to the range.  The lines lead with slope s = 0, 1, 2 in
+    turn, changing at b_a = c and b_b = m - r - c if 2c < m - r, else at
+    (m - r)/2 only.  With K = 2*n10 + 4*n20*r and E = -8*n20, V' is
+    K + s*n01 - E*t there, zero at v_s = (K + s*n01)/E, v2 <= v1 <= v0; T is
+    the v_s inside its own piece, else the change where V' turns negative:
+    T = max(min(v0, b_a), min(v1, b_b), v2) with b_a = min(c, (m - r)/2), as
+    min(v1, m - r - c) <= min(v0, (m - r)/2) when 2c >= m - r.
     """
     if n01 > 0 or n20 >= 0:
         raise ValueError(f"need n01 <= 0 < -n20, got n01={n01}, n20={n20}")
     alpha_lo, alpha_hi = _alpha_range(n, m, w, alpha_lo)
     if alpha_lo > alpha_hi:
         return None
-    candidates = set()
+    den, best = -16 * n20, None  # 2E
     for r in (0, 1):
         t_lo, t_hi = (alpha_lo - r + 1) // 2, (alpha_hi - r) // 2
         if t_lo > t_hi:
             continue
-        ts = [t_lo, t_hi]
-        # the lower beta endpoint at alpha = 2t + r is the max of these lines (slope, intercept) in t
-        lines_r = (0, 0), (2, r - m), (1, -((w * (n - w) - r) // 2))
-        for i, (s1, b1) in enumerate(lines_r):
-            for s2, b2 in lines_r[i + 1 :]:
-                ts += _floor_ceil(b2 - b1, s1 - s2)
-            ts += _floor_ceil(-(2 * n10 + s1 * n01 + 4 * n20 * r), 8 * n20)
-        # a t outside [t_lo, t_hi] would clamp to an end, which is in ts already
-        candidates.update([2 * t + r for t in ts if t_lo <= t <= t_hi])
-    best = None
-    for alpha in sorted(candidates):  # ascending, so a tie keeps the smaller alpha
-        beta = max(0, alpha - m, -((w * (n - w) - alpha) // 2))  # the lower beta endpoint
-        value = scaled_value(n00, n10, n01, n20, alpha, beta)
-        if best is None or value > best[0]:
-            best = value, (alpha, beta)
+        c, v0 = (w * (n - w) - r) // 2, 4 * n10 + 8 * n20 * r  # 2E*v_0: each term below is over 2E
+        top = max(min(v0, den * c, den * (m - r) // 2), min(v0 + 2 * n01, den * (m - r - c)), v0 + 4 * n01)  # 2E*T
+        peak, frac = divmod(top, den)
+        t = min(max(peak, t_lo), t_hi)
+        for t in (t, t + 1) if frac and t == peak < t_hi else (t,):
+            alpha = 2 * t + r
+            beta = max(0, alpha - m, t - c)
+            value = scaled_value(n00, n10, n01, n20, alpha, beta)
+            if best is None or value > best[0] or value == best[0] and alpha < best[1][0]:
+                best = value, (alpha, beta)
     return best
 
 
@@ -357,9 +356,10 @@ def _unrefuted(lam: int, m: int, h: Gram3PerM):
         v1, v2 = 2 * (h.n00_w + (h.n10_w + 2 * n20 * q) * a0), 2 * (h.n00_ww + (h.n10_w + n20 * q) * q)
         bounds = ((v0, v1, v2), (v0 + 2 * n01 * (a0 - m), v1 + 2 * n01 * q, v2),
                   (v0 + n01 * (a0 + 1), v1 + n01 * (q - lam), v2 + n01))
-        if _nonneg_on(bounds[0], x, end) and _nonneg_on(bounds[1], x, end) and _nonneg_on(bounds[2], x, end):
+        ok0, ok1, ok2 = _nonneg_on(bounds[0], x, end), _nonneg_on(bounds[1], x, end), _nonneg_on(bounds[2], x, end)
+        if ok0 and ok1 and ok2:
             continue  # all three >= 0 on the whole piece, shown in O(1)
-        for y, z in _survivors(bounds, x, end):
+        for y, z in _survivors([c for c, ok in zip(bounds, (ok0, ok1, ok2)) if not ok], x, end):  # the others cut no run
             yield from range(y, z + 1)
 
 

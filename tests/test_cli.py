@@ -198,6 +198,49 @@ def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "results.jsonl").read_text("utf-8").count("\n") == 2
 
 
+# each argv form that README's argument list quotes, in a command that uses
+# it, and how README says main ends: it returns the exit code, or raises
+# SystemExit(0) for help and SystemExit(2) for a usage error
+README_ARGV_FORMS = [
+    ("`--jobs 2`", ["scan", "--jobs", "2", "tuples.csv"], ("return", 0)),
+    ("`--jobs=2`", ["scan", "tuples.csv", "--jobs=2"], ("return", 0)),
+    ("`scan … --out`", ["scan", "tuples.csv", "--out", "out.jsonl", "--json-lines"], ("return", 0)),
+    ("`scan … --json`", ["scan", "tuples.csv", "--json"], ("return", 0)),
+    ("`scan … --j`", ["scan", "tuples.csv", "--j", "1"], ("exit", 2)),
+    ("`--`", ["check", "460", "153", "--", "32", "60"], ("return", 10)),
+    ("`check -5 …`", ["check", "-5", "153", "32", "60"], ("return", 2)),
+    ("`scan … --jobs -1`", ["scan", "tuples.csv", "--jobs", "-1"], ("return", 2)),
+    ("4300 digits", ["check", "1" * 4301, "2", "0", "1"], ("exit", 2)),
+    ("`-h`", ["-h"], ("exit", 0)),
+    ("`-h`", ["scan", "tuples.csv", "-h"], ("exit", 0)),
+    ("`--help`", ["check", "--help"], ("exit", 0)),
+]
+
+
+def test_readme_argv_forms_exit_as_documented(tmp_path, monkeypatch, capsys):
+    """Each argv form of README's argument list, run through main, ends as
+    README says: help on standard output, a usage error on standard error,
+    and --out and --json read as --output and --json-lines."""
+    argv_list = README.read_text("utf-8").split("Arguments are read from one table", 1)[1].split("Exit codes for", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SRG_CERTIFY_JOBS", raising=False)
+    (tmp_path / "tuples.csv").write_text("v,k,lambda,mu\n16,6,2,2\n460,153,32,60\n", encoding="utf-8")
+    for form, argv, want in README_ARGV_FORMS:
+        assert form in argv_list, form
+        try:
+            got = "return", main(argv)
+        except SystemExit as exc:
+            got = "exit", exc.code
+        out = capsys.readouterr()
+        assert got == want, form
+        if got[0] == "exit":
+            assert (out.out if got[1] == 0 else out.err).startswith("usage: srgcert"), form
+        if form == "`scan … --json`":
+            assert [json.loads(line)["verdict"] for line in out.out.splitlines()] == ["Inconclusive", "Nonexistent"]
+    assert [json.loads(line)["verdict"] for line in (tmp_path / "out.jsonl").read_text("utf-8").splitlines()] == [
+        "Inconclusive", "Nonexistent"]
+
+
 def test_scan_isolates_decide_errors(tmp_path, capsys, monkeypatch):
     def failing_decide(params):
         if params == SrgParams(16, 6, 2, 2):

@@ -390,6 +390,124 @@ def test_region_max_closed_form_matches_loop_on_random_quadratics():
             _region_max(q, 5, 3, w, 0)
 
 
+def _endpoint_value(q, n, m, w, r, t):
+    """V(t): the value at alpha = 2t + r and its lower beta endpoint
+    max(0, alpha - m, t - c), c = floor((w(n-w) - r)/2), at real t too."""
+    c00, c10, c01, c20 = q
+    alpha = 2 * t + r
+    return c00 + c10 * alpha + c01 * max(0, alpha - m, t - (w * (n - w) - r) // 2) + c20 * alpha * alpha
+
+
+def _real_peak(q, n, m, w, r):
+    """The real maximizer of V (see _endpoint_value): V is concave and
+    quadratic between the crossings of the three lines of the beta
+    endpoint, so it peaks at one of those crossings or at the vertex of a
+    piece, whichever is best."""
+    c00, c10, c01, c20 = map(Fraction, q)
+    lines = (0, 0), (2, r - m), (1, -((w * (n - w) - r) // 2))  # (slope, intercept) in t
+    points = [-(2 * c10 + 4 * c20 * r + s * c01) / (8 * c20) for s, _ in lines]
+    points += [Fraction(b2 - b1, s1 - s2) for i, (s1, b1) in enumerate(lines) for s2, b2 in lines[i + 1 :]]
+    return max(points, key=lambda t: _endpoint_value(q, n, m, w, r, t))
+
+
+def _peak_corners(q, n, m, w, alpha_lo, r):
+    """The corners of _region_max_scaled's rule that parity r of the
+    region shows, read from the real peak T of V and the three lines."""
+    lo, hi = _alpha_range(n, m, w, alpha_lo)
+    t_lo, t_hi = (lo - r + 1) // 2, (hi - r) // 2
+    T, c, mr = _real_peak(q, n, m, w, r), (w * (n - w) - r) // 2, m - r
+    corners = {"a single alpha"} if lo == hi else set()
+    if T < t_lo or T > t_hi:
+        corners.add("T clamped to t_lo" if T < t_lo else "T clamped to t_hi")
+    else:
+        if q[2] == 0:
+            corners.add("c01 = 0")
+        if T.denominator == 1:
+            corners.add("T an integer")
+        if 2 * c >= mr:
+            corners.add("two lines, T where they cross" if 2 * T == mr else "two lines, T at a vertex")
+        elif c < T < mr - c:
+            corners.add("three lines, T at the slope-1 vertex")
+        else:
+            corners.add({c: "three lines, T at b_a", mr - c: "three lines, T at b_b"}.get(T, "three lines, T at a vertex"))
+    return corners
+
+
+# (the corner it shows, evaluations of V on parity r, coefficients
+# (c00, c10, c01, c20), n, m, w, alpha_lo, parity r)
+REGION_EDGE_CASES = [
+    ("c01 = 0", 2, (-9, 9, 0, -2), 6, 5, 1, 2, 0),
+    ("T an integer", 1, (-4, 8, -1, -1), 8, 6, 1, 2, 0),
+    ("two lines, T at a vertex", 2, (0, 5, -3, -1), 7, 4, 1, 2, 0),
+    ("two lines, T where they cross", 2, (8, 7, -5, -1), 6, 3, 2, 2, 0),
+    # on odd alphas, and the floor of T = 7/2 wins: past the crossing V falls faster
+    ("two lines, T where they cross", 2, (9, 18, -13, -1), 8, 8, 3, 6, 1),
+    ("three lines, T at the slope-1 vertex", 2, (0, 41, -8, -1), 8, 20, 7, 0, 0),
+    ("three lines, T at b_a", 1, (0, 14, -8, -1), 8, 20, 7, 0, 0),
+    ("three lines, T at b_b", 1, (0, 74, -8, -1), 8, 20, 7, 0, 0),
+    ("T clamped to t_lo", 1, (3, -3, -3, -1), 6, 7, 4, 10, 0),
+    ("T clamped to t_hi", 1, (2, 8, -3, -1), 8, 4, 1, 1, 1),
+    ("a single alpha", 1, (-5, 9, 0, -2), 2, 1, 1, 1, 1),
+]
+
+
+def _evaluated_alphas(monkeypatch):
+    """The list to which each gramtest.scaled_value call appends its alpha."""
+    alphas, real = [], gramtest.scaled_value
+    monkeypatch.setattr(gramtest, "scaled_value", lambda *args: alphas.append(args[4]) or real(*args))
+    return alphas
+
+
+def test_region_max_edge_cases_match_loop(monkeypatch):
+    """The kernel against the loop oracle at each corner of its rule, each
+    case shown to have its corner, with the evaluations it takes on that
+    parity: one where T is an integer or clamped.  On (n, m, w) = (4, 4, 1)
+    from alpha = 2, where alpha = 2 and 3 tie at the maximum, the smaller
+    alpha wins."""
+    alphas = _evaluated_alphas(monkeypatch)
+    for corner, evaluations, q, n, m, w, alo, r in REGION_EDGE_CASES:
+        assert corner in _peak_corners(q, n, m, w, alo, r), (corner, _peak_corners(q, n, m, w, alo, r))
+        alphas.clear()
+        assert _region_max(q, n, m, w, alo) == _loop_region_max(q, n, m, w, alo), corner
+        assert sum(a % 2 == r for a in alphas) == evaluations, corner
+    q = (-4, 5, -5, -1)
+    assert [_endpoint_value(q, 4, 4, 1, alpha % 2, alpha // 2) for alpha in (2, 3)] == [2, 2]
+    assert _region_max(q, 4, 4, 1, 2) == _loop_region_max(q, 4, 4, 1, 2) == (2, (2, 0))
+
+
+def test_region_max_evaluates_at_most_two_points_per_parity(monkeypatch):
+    """scaled_value runs at most twice per parity of alpha, on the random
+    region cases; once per parity on each paper tuple's one exact scan, its
+    witness, where the candidate set it replaced evaluated four alphas."""
+    alphas = _evaluated_alphas(monkeypatch)
+    for q, n, m, w, alo in _random_region_cases():
+        alphas.clear()
+        _region_max(q, n, m, w, alo)
+        assert all(sum(a % 2 == r for a in alphas) <= 2 for r in (0, 1)), (q, n, m, w, alo)
+    for tup, want in zip(PAPER_TUPLES, ([40, 39], [146, 145], [8890, 8891])):
+        alphas.clear()
+        assert decide(SrgParams(*tup)).verdict is Verdict.NONEXISTENT
+        assert alphas == want, tup
+
+
+def test_region_value_per_parity_is_concave_in_t():
+    """The premise of _region_max_scaled's floor/ceil rule: on each parity
+    r, the value at the lower beta endpoint of alpha = 2t + r is concave in
+    t, so it rises to its peak and falls after it.  On every random region
+    its second differences are <= 0, and in fact < 0: the alpha^2 term gives
+    8*c20 < 0 and the beta endpoint adds c01 <= 0 times a convex term, so
+    at most two adjacent t share the maximum."""
+    for q, n, m, w, alo in _random_region_cases():
+        (c00, c10, c01, c20), _ = _over_lcm(q)
+        lo, hi = _alpha_range(n, m, w, alo)
+        for r in (0, 1):
+            values = []
+            for alpha in range(lo + (lo - r) % 2, hi + 1, 2):
+                beta = max(0, alpha - m, -((w * (n - w) - alpha) // 2))  # as _loop_region_max reads it
+                values.append(c00 + c10 * alpha + c01 * beta + c20 * alpha * alpha)
+            assert all(a - 2 * b + c < 0 for a, b, c in zip(values, values[1:], values[2:])), (q, n, m, w, alo, r)
+
+
 def _every_w_to_the_scan(monkeypatch):
     """Hand every 1 <= w < lam to the exact region scan: the shifted c00 of
     the two tests below goes through gram3_per_w, which the pieces do not
@@ -493,8 +611,9 @@ def test_exact_region_scans_are_pinned(monkeypatch):
 
 def test_nonneg_runs_isqrt_calls_are_pinned(monkeypatch):
     """Deciding the rows of bench/corpus/feasible.csv and the paper tuples
-    takes 5 isqrt calls in gramtest: 257 before _unrefuted skipped a piece
-    whole where _nonneg_on shows all three bounds >= 0 on it, and 695
+    takes 4 isqrt calls in gramtest: 5 before _unrefuted handed _survivors
+    only the bounds that _nonneg_on does not show >= 0 on the whole piece,
+    257 before it skipped a piece whole where all three are, and 695
     before _nonneg_runs returned a run whole where a concave or linear
     polynomial is >= 0 at both of its ends.  A change that takes more
     square roots fails here."""
@@ -507,7 +626,7 @@ def test_nonneg_runs_isqrt_calls_are_pinned(monkeypatch):
     monkeypatch.setattr(gramtest, "math", types.SimpleNamespace(**{**vars(math), "isqrt": counting_isqrt}))
     for params in _feasible_rows() + [SrgParams(*t) for t in PAPER_TUPLES]:
         decide(params)
-    assert len(calls) == 5
+    assert len(calls) == 4
 
 
 def test_scan_rows_build_no_fraction(monkeypatch):
