@@ -247,16 +247,19 @@ def _decided_rows(worker, tasks, jobs):
     is decided.  Rows take from microseconds to seconds, and a pool costs tens
     of ms to start: batches of 1, 2, 4, ... up to SERIAL_BATCH_CAP rows are
     decided here until they have taken SERIAL_SECONDS of wall time, read
-    between batches (never at --jobs 1), the rest in a pool, which can pickle
-    a partial of a module function."""
-    done, size, start = 0, 1, 0 if jobs == 1 else time.perf_counter()
-    while done < len(tasks) and (jobs == 1 or time.perf_counter() - start < SERIAL_SECONDS):
+    between batches (never at --jobs 1).  The rest go to a pool, which can
+    pickle a partial of a module function, unless at the rate measured so
+    far they would take SERIAL_SECONDS or less: then they are decided here."""
+    done, size, start, elapsed = 0, 1, 0 if jobs == 1 else time.perf_counter(), 0
+    while done < len(tasks) and (jobs == 1 or (elapsed := time.perf_counter() - start) < SERIAL_SECONDS):
         yield worker(tasks[done:done + size])
         done += size
         size = min(2 * size, SERIAL_BATCH_CAP)
     rest = tasks[done:]
-    # the pool starts all its workers at once: no more than rows left or CPUs
-    workers = min(jobs, len(rest), os.cpu_count() or 1)
+    # the pool starts all its workers at once: no more than rows left or CPUs;
+    # none for rows left that would be quick at this phase's rate
+    quick = done and len(rest) * elapsed <= SERIAL_SECONDS * done
+    workers = 1 if quick else min(jobs, len(rest), os.cpu_count() or 1)
     # a few batches per worker: one pickled round trip per row costs more
     # than most rows take to decide
     size = math.ceil(len(rest) / (4 * workers)) if workers > 1 else SERIAL_BATCH_CAP

@@ -63,35 +63,6 @@ class Spectrum(NamedTuple):
     g: int
 
 
-def derive_spectrum(params: SrgParams) -> Spectrum | None:
-    """Integer eigenvalues of x^2 - (lam - mu)x - (k - mu) and multiplicities.
-
-    Returns None when no integer spectrum exists, i.e. when the discriminant
-    (lam - mu)^2 + 4(k - mu) is not a perfect square (the conference-type
-    case, eigenvalues irrational) or when the multiplicity equations have no
-    non-negative integer solution.
-    """
-    v, k, lam, mu = params
-    c = lam - mu
-    disc = c * c + 4 * (k - mu)
-    e = math.isqrt(disc)
-    # disc = c^2 mod 4 makes e = c mod 2, so r and s are integers; e = 0
-    # would need c = 0 and k = mu, so lam = k, which SrgParams rejects
-    if e * e != disc:
-        return None
-    r = (c + e) // 2
-    s = (c - e) // 2
-    # 1 + f + g = v and k + f*r + g*s = 0
-    num_f = -(k + s * (v - 1))
-    if num_f % (r - s) != 0:
-        return None
-    f = num_f // (r - s)
-    g = v - 1 - f
-    if f < 0 or g < 0:
-        return None
-    return tuple.__new__(Spectrum, (r, s, f, g))
-
-
 class ReprConstants(NamedTuple):
     """Inner products of the vertices' unit vectors in the eigenspace of s,
     p = P/D (adjacent) and q = Q/D (non-adjacent), and the dimension d = g.
@@ -157,26 +128,47 @@ _NO_SPECTRUM = tuple(tuple.__new__(FeasibilityReport, (i > 0, None, i == 2, True
 def classical_feasibility(params: SrgParams) -> FeasibilityReport:
     """Counting identity, spectrum integrality, Krein and absolute bounds.
 
-    All arithmetic is exact.  Conference-type tuples (4mu+1, 2mu, mu-1, mu),
-    the ones with irrational eigenvalues and integral multiplicities
-    f = g = (v-1)/2, count as integral, and pass the Krein and absolute
-    bounds identically: each eigenvalue e satisfies e^2 + e = mu, so
-    (1+e)^3 - e^3 = 1 + 3mu and both Krein expressions equal
-    (mu-1)(4mu+1)/(4mu^2) >= 0, while the absolute bound with f = 2mu reads
-    (mu-1)(4mu+2) >= 0.  Conference tuples with a square discriminant have
-    an integer spectrum and take the general path.
+    All arithmetic is exact.  The spectrum is the integer eigenvalues
+    r >= 0 > s of x^2 - (lam - mu)x - (k - mu), with multiplicities f, g
+    from 1 + f + g = v and k + f*r + g*s = 0.  It exists when the
+    discriminant (lam - mu)^2 + 4(k - mu) is a square e^2 and e divides
+    e*f = -(k + s(v - 1)).  Then e = lam - mu mod 2, as e^2 = (lam - mu)^2
+    mod 4, so r and s are integers, and e = r - s > 0, as e = 0 would need
+    lam = mu = k.  Neither multiplicity is negative: rs = mu - k <= 0, and
+    r + s = lam - mu < 0 if mu = k, so s < 0 <= r; then k < v - 1 makes
+    e*f > 0, and e*g = (v - 1)r + k > 0.
+
+    Conference-type tuples (4mu+1, 2mu, mu-1, mu), the ones with irrational
+    eigenvalues and integral multiplicities f = g = (v-1)/2, count as
+    integral, and pass the Krein and absolute bounds identically: each
+    eigenvalue e satisfies e^2 + e = mu, so (1+e)^3 - e^3 = 1 + 3mu and both
+    Krein expressions equal (mu-1)(4mu+1)/(4mu^2) >= 0, while the absolute
+    bound with f = 2mu reads (mu-1)(4mu+2) >= 0.  Conference tuples with a
+    square discriminant have an integer spectrum and take the general path.
     """
     v, k, lam, mu = params
-    spectrum = derive_spectrum(params)
     identity_ok = k * (k - lam - 1) == (v - k - 1) * mu
-    if spectrum is None:  # most scan rows: a report built at import, keyed as _NO_SPECTRUM says
-        return _NO_SPECTRUM[identity_ok + (v == 2 * k + 1 == 4 * mu + 1 and lam == mu - 1)]
-    if mu == k:  # the bounds do not apply to the complete-multipartite family
-        return tuple.__new__(FeasibilityReport, (identity_ok, spectrum, True, True, True, False))
-    f, g = spectrum.f, spectrum.g
-    num111, num222 = _krein_numerators(params, spectrum)
-    return tuple.__new__(FeasibilityReport, (identity_ok, spectrum, True, num111 >= 0 and num222 >= 0,
-                                             2 * v <= f * (f + 3) and 2 * v <= g * (g + 3), num222 == 0))
+    c = lam - mu
+    disc = c * c + 4 * (k - mu)
+    e = math.isqrt(disc)
+    if e * e == disc:
+        s = (c - e) // 2
+        f, rest = divmod(-(k + s * (v - 1)), e)
+        if rest == 0:
+            g = v - 1 - f
+            spectrum = tuple.__new__(Spectrum, ((c + e) // 2, s, f, g))
+            if mu == k:  # the bounds do not apply to the complete-multipartite family
+                return tuple.__new__(FeasibilityReport, (identity_ok, spectrum, True, True, True, False))
+            num111, num222 = _krein_numerators(params, spectrum)
+            return tuple.__new__(FeasibilityReport, (identity_ok, spectrum, True, num111 >= 0 and num222 >= 0,
+                                                     2 * v <= f * (f + 3) and 2 * v <= g * (g + 3), num222 == 0))
+    # most scan rows: a report built at import, keyed as _NO_SPECTRUM says
+    return _NO_SPECTRUM[identity_ok + (v == 2 * k + 1 == 4 * mu + 1 and lam == mu - 1)]
+
+
+def derive_spectrum(params: SrgParams) -> Spectrum | None:
+    """The integer spectrum that classical_feasibility derives, or None."""
+    return classical_feasibility(params).spectrum
 
 
 def subconstituent_scan(v1: int, k1: int) -> list[tuple[int, int]]:

@@ -14,7 +14,7 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .gramtest import Certificate
+from .gramtest import Certificate, Verdict
 
 SCHEMA_VERSION = "1"
 dumps = json.JSONEncoder(separators=(",", ":")).encode  # compact deterministic JSON string
@@ -116,9 +116,12 @@ def certificate_to_text(cert: Certificate) -> str:
 
 
 # Every field but the verdict is an int, None or a bool, and the Verdict values
-# are ASCII with no quote or backslash: on these the template writes dumps()'s bytes.
-_SCAN_ROW_JSON = ('{"params":{"v":%d,"k":%d,"lambda":%d,"mu":%d},"verdict":"%s","k4_lower":%s,'
-                  '"m_range":%s,"witness_w":%s,"krein_q22_zero":%s}\n')
+# are ASCII with no quote or backslash: on these the templates write dumps()'s bytes.
+_HEAD = '{"params":{"v":%d,"k":%d,"lambda":%d,"mu":%d},"verdict":"'
+_TAIL = '%s","k4_lower":%s,"m_range":%s,"witness_w":%s,"krein_q22_zero":%s}\n'
+# the tails of the rows with no 4-clique bound, by verdict value, then krein_q22_zero
+_BOUNDLESS = {v._value_: tuple(_TAIL % (v._value_, "null", "null", "null", _BOOL[z]) for z in (False, True))
+              for v in Verdict}
 
 
 def scan_row(cert: Certificate, json_lines: bool, elapsed_ms: int) -> tuple[str, str]:
@@ -127,15 +130,14 @@ def scan_row(cert: Certificate, json_lines: bool, elapsed_ms: int) -> tuple[str,
     byte-deterministic."""
     p, feas, verdict, _, _, k4, rng, witnesses, _ = cert
     name = verdict._value_  # the enum's value property costs ten times this
+    if json_lines and k4 is None:  # then decide gave no window and no witness either
+        return name, _HEAD % p + _BOUNDLESS[name][feas.krein_q22_zero]
     k4 = None if k4 is None else k4.lower
     wit = witnesses[0].w if witnesses else None
     if json_lines:
-        return name, _SCAN_ROW_JSON % (
-            p.v, p.k, p.lam, p.mu, name,
-            "null" if k4 is None else k4,
-            "null" if rng is None else '{"lower":%d,"upper":%d}' % (rng.lower, rng.upper),
-            "null" if wit is None else wit,
-            _BOOL[feas.krein_q22_zero],
+        return name, _HEAD % p + _TAIL % (
+            name, k4, "null" if rng is None else '{"lower":%d,"upper":%d}' % rng,
+            "null" if wit is None else wit, _BOOL[feas.krein_q22_zero],
         )
     return name, (
         f"({p.v},{p.k},{p.lam},{p.mu}): {name} k4>={'-' if k4 is None else k4}"

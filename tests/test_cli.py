@@ -468,6 +468,35 @@ def test_scan_pool_capped_at_rows_and_cpus(tmp_path, capsys, monkeypatch, fake_p
         assert fake_pool == ([] if pool is None else [pool]), (cpus, jobs, env)
 
 
+@pytest.mark.parametrize("rows, pool", [(13, None), (14, (2, [1] * 7))])
+def test_scan_pool_only_for_rows_that_outlast_the_budget(tmp_path, capsys, monkeypatch, fake_pool, rows, pool):
+    """A fake clock moves on by one second per decided row, and the serial
+    budget is 6 s, so the serial batches of 1, 2 and 4 rows end at 7 s,
+    1 s a row.  The 6 rows left of 13 would take 6 s, within the budget:
+    they are decided here, in one batch, and no pool starts.  The 7 left of
+    14 would take 7 s, past it: the pool takes them.  Either way the bytes
+    are those of --jobs 1."""
+    clock = [0.0]
+    real_decide = cli.decide
+
+    def slow_decide(params):
+        clock[0] += 1
+        return real_decide(params)
+
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(cli, "decide", slow_decide)
+    monkeypatch.setattr(cli, "SERIAL_SECONDS", 6)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    path = tmp_path / "rows.csv"
+    path.write_text("v,k,lambda,mu\n" + "".join(["10,3,1,1\n", "16,6,2,2\n"] * 7)[:9 * rows], encoding="utf-8")
+    runs = []
+    for jobs in ("2", "1"):
+        assert main(["scan", str(path), "--json-lines", "--jobs", jobs]) == 0
+        runs.append(capsys.readouterr().out)
+    assert fake_pool == ([] if pool is None else [pool])
+    assert runs[0] == runs[1] and len(runs[0].splitlines()) == rows
+
+
 def test_scan_batch_mixes_errors_and_rows(tmp_path, capsys, monkeypatch, fake_pool):
     """Batches that each hold a malformed row, a row whose decide raises and
     good rows write the same bytes at --jobs 1 as through the pool, in input

@@ -1,5 +1,6 @@
 import math
 import pickle
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from srgcert.params import (
     subconstituent_scan,
 )
 from srgcert.oracle import construct
+from conftest import complement_params
 from numeric import to_numpy
 
 CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
@@ -123,8 +125,8 @@ def test_square_discriminant_needs_no_parity_or_zero_check():
     """Every (k, lam, mu) with k < 150, 0 <= lam < k, 0 < mu <= k and a
     square discriminant e^2 = c^2 + 4(k - mu), c = lam - mu: e = c mod 2, so
     r = (c + e)/2 is an integer; e > 0; and r = 0 exactly when mu = k.  So
-    derive_spectrum needs no parity or e = 0 return, and decide no r = 0
-    check beside primitivity."""
+    classical_feasibility needs no parity or e = 0 return, and decide no
+    r = 0 check beside primitivity."""
     squares = 0
     for k in range(1, 150):
         for lam in range(k):
@@ -287,12 +289,88 @@ def test_screen_fields_match_formulas_by_name():
     assert {(True, False), (False, True)} <= disagree
 
 
+def _old_derive_spectrum(params):
+    """derive_spectrum as it read before classical_feasibility derived the
+    spectrum in its own pass, negative-multiplicity return included: kept
+    as the oracle of that pass."""
+    v, k, lam, mu = params
+    c = lam - mu
+    disc = c * c + 4 * (k - mu)
+    e = math.isqrt(disc)
+    if e * e != disc:
+        return None
+    r = (c + e) // 2
+    s = (c - e) // 2
+    num_f = -(k + s * (v - 1))
+    if num_f % (r - s) != 0:
+        return None
+    f = num_f // (r - s)
+    g = v - 1 - f
+    if f < 0 or g < 0:
+        return None
+    return Spectrum(r, s, f, g)
+
+
+def _random_square_params(rng, bits, integral):
+    """An admissible tuple with a square discriminant, or None if a draw
+    misses the ranges: r >= 0 > s drawn, k - mu = -rs and lam - mu = r + s.
+    For integral multiplicities f and g are drawn and fix v and k; else
+    mu and v are drawn, so f is mostly not an integer."""
+    r, s = rng.choice([0, 1, rng.randrange(2**bits)]), -rng.randrange(1, 2**bits)
+    if integral:
+        g = rng.randrange(1, 2**bits)
+        f = rng.randrange(g * (-s - 1) // (r + 1) + 1, g * -s // max(r, 1) + 2)
+        v, k = 1 + f + g, -(f * r + g * s)
+        mu = k + r * s
+    else:
+        mu = max(1, -(r + s)) + rng.randrange(2**bits)
+        k = mu - r * s
+        v = k + 2 + rng.randrange(2**bits)
+    try:
+        return SrgParams(v, k, mu + r + s, mu)
+    except InvalidParamsError:
+        return None
+
+
+def test_folded_spectrum_matches_old_derivation(reference_graphs):
+    """classical_feasibility(p).spectrum equals _old_derive_spectrum(p), by
+    value and type, on every corpus row, on every reference graph and its
+    complement, and on random tuples with ints past 2**64: any admissible
+    tuple, and tuples with a square discriminant whose multiplicities are
+    integers or, mostly, not.  On every square discriminant f and g,
+    integral or not, are positive, as classical_feasibility's docstring
+    proves: the oracle's negative-multiplicity return never fires."""
+    rng = random.Random(35)
+    tuples = _corpus_params()
+    for _, params in reference_graphs.values():
+        tuples += [params, complement_params(params)]
+    for _ in range(2000):
+        v = rng.randrange(4, 2**80)
+        k = rng.randrange(1, v - 1)
+        tuples.append(SrgParams(v, k, rng.randrange(k), rng.randrange(1, k + 1)))
+    drawn = [_random_square_params(rng, 70, integral) for integral in (False, True) * 2000]
+    tuples += [params for params in drawn if params is not None]
+    kinds = set()
+    for params in tuples:
+        spectrum = classical_feasibility(params).spectrum
+        want = _old_derive_spectrum(params)
+        assert spectrum == want and type(spectrum) is type(want), params
+        v, k, lam, mu = params
+        c = lam - mu
+        e = math.isqrt(c * c + 4 * (k - mu))
+        if e * e == c * c + 4 * (k - mu):
+            e_f = -(k + (c - e) // 2 * (v - 1))
+            assert e_f > 0 and (v - 1) * e - e_f > 0, params
+            kinds.add((v > 2**64, mu == k, want is not None))
+    assert len(kinds) == 8  # ints past 2**64 or not, mu = k or not, integral or not: every combination
+
+
 def _general_feasibility(params):
     """classical_feasibility field by field, as it read before the reports
     of tuples with no integer spectrum were built once at import: the
     oracle of that short path."""
     v, k, lam, mu = params
-    spectrum = derive_spectrum(params)
+    spectrum = _old_derive_spectrum(params)
     conference = 2 * k == v - 1 and (v - 1) % 4 == 0 and mu == (v - 1) // 4 and lam == mu - 1
     integrality_ok = spectrum is not None or conference
     krein_ok = absolute_bound_ok = True

@@ -1,10 +1,11 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from srgcert import SrgParams, Verdict, decide, gramtest, serialize
-from srgcert.gramtest import WSplitWitness
+from srgcert.gramtest import Certificate, WSplitWitness
 from srgcert.serialize import (
     SCHEMA_VERSION,
     certificate_json,
@@ -286,3 +287,72 @@ def test_scan_row_json_fields():
         assert dumps(json.loads(line)) + "\n" == line, tup
         assert scan_row(cert, False, 7) == (name, want_table + " [7ms]\n"), tup
     assert {json.loads(want)["verdict"] for want, _ in SCAN_ROWS.values()} == {v.value for v in Verdict}
+
+
+def _dict_scan_row(cert):
+    """The scan row's fields as the dict whose compact dumps() is its JSON
+    line: the oracle for its bytes."""
+    p, k4, rng, witnesses = cert.params, cert.k4_bound, cert.m_range, cert.witnesses
+    return {
+        "params": {"v": p.v, "k": p.k, "lambda": p.lam, "mu": p.mu},
+        "verdict": cert.verdict.value,
+        "k4_lower": None if k4 is None else k4.lower,
+        "m_range": None if rng is None else {"lower": rng.lower, "upper": rng.upper},
+        "witness_w": witnesses[0].w if witnesses else None,
+        "krein_q22_zero": cert.feasibility.krein_q22_zero,
+    }
+
+
+def _table_row(cert, ms):
+    """The table line as the dict's fields write it, '-' for each null."""
+    row = _dict_scan_row(cert)
+    p, k4, rng, w = row["params"], row["k4_lower"], row["m_range"], row["witness_w"]
+    window = "-" if rng is None else "[%d,%d]" % (rng["lower"], rng["upper"])
+    return "(%d,%d,%d,%d): %s k4>=%s m=%s w=%s [%dms]\n" % (
+        p["v"], p["k"], p["lambda"], p["mu"], row["verdict"], "-" if k4 is None else k4, window,
+        "-" if w is None else w, ms)
+
+
+def test_scan_row_tails_on_hand_built_certificates():
+    """Every verdict with krein_q22_zero false and true, four of whose eight
+    pairs no bound-less corpus row reaches, on a certificate with no
+    4-clique bound (a prebuilt tail) and on one with the bound (a filled
+    tail): with its window, without a witness and with two, and with no
+    window, which decide never writes, for small params and params past
+    2**64.  The JSON line is dumps() of the row's dict plus a newline, and
+    the table line is the one its fields write."""
+    base = decide(SrgParams(460, 153, 32, 60))
+    witnesses = base.witnesses + (WSplitWitness(w=0, m=-1, alpha_min=0, region_max=-1, den=5, region_max_at=(0, 0)),)
+    checked = 0
+    for params in (SrgParams(460, 153, 32, 60), SrgParams(2**70 + 3, 2**69 + 1, 2**64 + 5, 2**66)):
+        for verdict in Verdict:
+            for q22 in (False, True):
+                feasibility = base.feasibility._replace(krein_q22_zero=q22)
+                bounded = base._replace(params=params, feasibility=feasibility, verdict=verdict)
+                for cert in (Certificate(params, feasibility, verdict),
+                             Certificate(params, feasibility, verdict, base.spectrum, notes=("a note",)),
+                             bounded._replace(witnesses=()), bounded._replace(witnesses=witnesses),
+                             bounded._replace(m_range=None, witnesses=())):
+                    assert scan_row(cert, True, 7) == (verdict.value, dumps(_dict_scan_row(cert)) + "\n"), cert
+                    assert scan_row(cert, False, 7) == (verdict.value, _table_row(cert, 7)), cert
+                    checked += 1
+    assert checked == 2 * 4 * 2 * 5
+
+
+def test_scan_rows_match_their_dicts_on_the_corpora():
+    """Every certificate that decide gives on feasible.csv and screen.csv
+    with no 4-clique bound has no window and no witness, which the prebuilt
+    tails rest on; and every row's JSON line, from either tail, is dumps()
+    of its dict plus a newline."""
+    corpus = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+    boundless = []
+    for name in ("feasible.csv", "screen.csv"):
+        boundless.append(0)
+        for line in (corpus / name).read_text(encoding="utf-8").splitlines():
+            if line[:1].isdigit():
+                cert = decide(SrgParams(*map(int, line.split(","))))
+                if cert.k4_bound is None:
+                    assert cert.m_range is None and cert.witnesses == (), line
+                    boundless[-1] += 1
+                assert scan_row(cert, True, 0)[1] == dumps(_dict_scan_row(cert)) + "\n", line
+    assert boundless == [25, 7951]
