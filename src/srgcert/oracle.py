@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .cliquebound import COUNT_DEN, K4_COLUMN, _class_rows
+from .cliquebound import COUNT_DEN
 from .gramtest import Verdict, decide
 from .params import ReprConstants, SrgParams
 
@@ -59,9 +59,7 @@ def srg_parameters(g: AdjacencyMatrix) -> SrgParams:
             (lam_set if g.adjacent(u, w) else mu_set).add(common)
     if len(lam_set) > 1 or len(mu_set) > 1:
         raise ValueError(f"not strongly regular: lam {sorted(lam_set)}, mu {sorted(mu_set)}")
-    lam = lam_set.pop() if lam_set else 0
-    mu = mu_set.pop() if mu_set else 0
-    return SrgParams(v=n, k=k, lam=lam, mu=mu)
+    return SrgParams(v=n, k=k, lam=lam_set.pop() if lam_set else 0, mu=mu_set.pop() if mu_set else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +172,67 @@ def construct(name: str, order: int | None = None) -> AdjacencyMatrix:
 # censuses
 
 
+# the K4 coefficients of _class_rows's counts, over COUNT_DEN, for every tuple:
+# 0 but in the disjoint edge-pair classes n_j, 3 (-1)^j C(4, j) there
+K4_COLUMN = ((0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 144, -576, 864, -576, 144))
+
+
+def _class_rows(params: SrgParams, rep: ReprConstants) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The inner-product classes of {x_u} union {y_e}, one pair (cs, counts)
+    of parallel integer tuples per Gram block (vertex-vertex, vertex-edge,
+    edge-edge): the named reference table, by pair_profile, of the classes
+    that cliquebound.k4_lower_bound writes out inline.  A class's inner
+    product is c/sqrt of its block's D^2, D*S or S^2 (S = |x_u + x_w|^2
+    scaled by D), and its count (count + k4 * K4) / COUNT_DEN, over ordered
+    vertex pairs, (vertex, edge) pairs, or unordered pairs of edges, with k4
+    its entry of K4_COLUMN.  The vertex-vertex and edge-edge blocks open
+    with their self class, at inner product 1.
+
+    The disjoint edge-pair classes n_j (j = 0..4 cross adjacencies) come from
+    4-vertex subgraph counts: a disjoint pair with j cross edges spans a
+    4-set inducing a subgraph with j + 2 edges that contains the pair as a
+    perfect matching.  Matchings per inducing subgraph: 1 for two disjoint
+    edges, 1 for a 4-path, 2 for a 4-cycle, 1 for a triangle-plus-pendant,
+    2 for a diamond, 3 for a 4-clique.  The diamond/paw/4-cycle counts are
+    affine in K4:
+
+      diamond = |E| C(lam,2) - 6 K4            (edges inside a common
+                                                neighborhood pair up with
+                                                their base edge)
+      paw     = 3 T (k - 2 lam) + 12 K4        (T = v k lam / 6 triangles;
+                                                inclusion-exclusion on the
+                                                pendant's neighborhood)
+      4-cycle = (N C(mu,2) - diamond) / 2      (N = non-adjacent pairs)
+
+    and the two low classes follow from the pair total
+    C(|E|,2) - v C(k,2) and the cross-adjacency total |E|((k-1)^2 - lam).
+    So n_4 = 3 K4, n_3 = 2 diamond, n_2 = 2 4-cycle + paw, and the K4 terms
+    carry no parameter: K4_COLUMN.  Every coefficient is validated against
+    brute-force censuses of reference graphs in the test suite.
+    """
+    v, k, lam, mu = params
+    D, P, Q, S = rep.D, rep.P, rep.Q, rep.S
+    E48 = 24 * v * k  # 48 |E|
+    shared_adj, shared_total = E48 * lam, E48 * (k - 1)  # 48 vk lam / 2 and 48 v C(k,2)
+    # the K4-free parts of the disjoint classes n_3, n_2, n_1, n_0 (n_4 = 3 K4)
+    diamond = E48 * lam * (lam - 1) // 2
+    c4 = (12 * v * (v - 1 - k) * mu * (mu - 1) - diamond) // 2  # 48 N C(mu,2) = 12 v(v-1-k) mu(mu-1)
+    n3 = 2 * diamond
+    n2 = 2 * c4 + 24 * v * k * lam * (k - 2 * lam)  # paw = 3 (48 T)(k - 2 lam), 48 T = 8 vk lam
+    n1 = E48 * ((k - 1) ** 2 - lam) - 2 * n2 - 3 * n3  # the cross-adjacency total less j n_j, j >= 2
+    n0 = E48 * (E48 - 48) // 96 - shared_total - n1 - n2 - n3  # 48 C(|E|,2) = 48|E|(48|E| - 48) / 96
+    return (
+        ((D, P, Q), (48 * v, 48 * v * k, 48 * v * (v - 1 - k))),  # vertex-vertex, ordered pairs
+        # vertex-edge, (vertex, edge) pairs
+        ((D + P, 2 * P, P + Q, 2 * Q), (2 * E48, E48 * lam, 2 * E48 * (k - 1 - lam), E48 * (v - 2 * k + lam))),
+        # edge-edge: self, sharing a vertex (unordered), disjoint by cross adjacencies (unordered)
+        ((S, D + 3 * P, D + 2 * P + Q, 4 * Q, P + 3 * Q, 2 * P + 2 * Q, 3 * P + Q, 4 * P),
+         (E48, shared_adj, shared_total - shared_adj, n0, n1, n2, n3, 0)),
+    )
+
+
 # one inner-product class of the vertex+edge vector system: its c and count of
-# cliquebound._class_rows and its K4_COLUMN entry k4, with its name and its Gram block
+# _class_rows and its K4_COLUMN entry k4, with its name and its Gram block
 PairClass = namedtuple("PairClass", "name block c const k4")
 # the class names per Gram block, in _class_rows's order
 _CLASS_NAMES = (
@@ -235,23 +292,15 @@ def census(g: AdjacencyMatrix) -> CensusReport:
 
     ve = [0, 0, 0, 0]
     for t in range(g.n):
-        for u, w in edges:
-            if t == u or t == w:
-                ve[0] += 1
-            else:
-                hits = g.adjacent(t, u) + g.adjacent(t, w)
-                ve[{2: 1, 1: 2, 0: 3}[hits]] += 1
+        for u, w in edges:  # endpoint, else adjacent to both, one or neither end
+            ve[0 if t in (u, w) else 3 - g.adjacent(t, u) - g.adjacent(t, w)] += 1
 
     shared = [0, 0]
     n_j = [0, 0, 0, 0, 0]
     for i, (u, w) in enumerate(edges):
         for u2, w2 in edges[i + 1 :]:
-            joint = {u, w} & {u2, w2}
-            if joint:
-                (a,) = joint
-                b = w if u == a else u
-                b2 = w2 if u2 == a else u2
-                shared[0 if g.adjacent(b, b2) else 1] += 1
+            if {u, w} & {u2, w2}:  # sharing a vertex: are the two other ends adjacent
+                shared[not g.adjacent(*({u, w} ^ {u2, w2}))] += 1
             else:
                 n_j[g.adjacent(u, u2) + g.adjacent(u, w2) + g.adjacent(w, u2) + g.adjacent(w, w2)] += 1
 

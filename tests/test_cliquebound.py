@@ -4,12 +4,13 @@ import functools
 import hashlib
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
 from srgcert import cliquebound, oracle
-from srgcert.cliquebound import _class_rows, _gegenbauer_scaled, k4_lower_bound
+from srgcert.cliquebound import _gegenbauer_scaled, k4_lower_bound
 from srgcert.oracle import census, pair_profile, srg_parameters, validate
 from srgcert.params import ReprConstants, SrgParams, derive_spectrum, repr_constants
 from conftest import complement
@@ -81,21 +82,11 @@ def _even_coeffs(d):
 
 
 def _gegenbauer_value(d, x2):
-    """The normalized degree-4 Gegenbauer value at x^2 = x2 >= 0, read from
-    k4_lower_bound on one vertex-edge class of count 1: with D = 1 that
-    block's c^2 is over S, so x2 = a/b is c = a over S = a b (S = b at 0).
-    The edge-edge block keeps its self class, at count 0 and with a K4
-    coefficient of 1, so that B2 > 0.  Every other class of the full
-    (3, 4, 8) shape has count 0 and K4 coefficient 0."""
-    a, b = x2.numerator, x2.denominator
-    rep = ReprConstants(d=d, D=1, P=0, Q=0, S=a * b or b)
-    rows = (((0,) * 3, (0,) * 3), ((a, 0, 0, 0), (cliquebound.COUNT_DEN, 0, 0, 0)), ((rep.S,) + (0,) * 7, (0,) * 8))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cliquebound, "_class_rows", lambda *_: rows)
-        mp.setattr(cliquebound, "K4_COLUMN", ((0,) * 3, (0,) * 4, (1,) + (0,) * 7))
-        bound = k4_lower_bound(SrgParams(5, 2, 0, 1), rep)
-    assert bound.sums[0] == bound.sums[2] == 0 and bound.sums[3] > 0
-    return Fraction(bound.sums[1], bound.dens[1])
+    """The normalized degree-4 Gegenbauer value at x^2 = x2 >= 0, from the
+    code's integer coefficients (n0, n2, n4) over den, in k4_lower_bound's
+    order: (n4 x2 + n2) x2 + n0, over den."""
+    (n0, n2, n4), den = _gegenbauer_scaled(d)
+    return ((n4 * x2 + n2) * x2 + n0) / den
 
 
 def test_gegenbauer_normalization_at_one():
@@ -237,7 +228,7 @@ def test_k4_bound_sound_on_reference_graphs(reference_censuses):
 
 
 def test_k4_bound_sound_on_the_r_eigenspace(reference_graphs):
-    """_class_rows is written in D, P, Q and S, so the bound also runs on the
+    """k4_lower_bound is written in D, P, Q and S, so the bound also runs on the
     representation in the eigenspace of r: p = r/k, q = -(1+r)/(v-k-1),
     d = f and S = 2D + 2P.  On every reference graph and complement that is
     primitive with an integer spectrum, 10 in all, that bound is at most the
@@ -322,40 +313,66 @@ def test_gegenbauer_eval_matches_fraction_horner():
             assert _gegenbauer_value(d, x2) == _fraction_gegenbauer(d, x2), (d, x2)
 
 
-def test_k4_bound_matches_fraction_sums(reference_graphs, monkeypatch):
+def test_k4_bound_matches_fraction_sums(reference_graphs):
     """On every reference graph with an integer spectrum and on the
-    primitive feasible tuples with v <= 120; then on class rows
-    whose counts are divided by 6 or 4, since no integer-spectrum tuple with
-    v < 400 has a non-integral class count.  The bound must move with the
-    scaled rows, so they are the ones k4_lower_bound read."""
+    primitive feasible tuples with v <= 120."""
     tuples = [params for _, params in reference_graphs.values() if derive_spectrum(params) is not None]
     tuples += _primitive_feasible_tuples(120)
     for params in tuples:
         rep = repr_constants(params, derive_spectrum(params))
         want = _fraction_k4_lower_bound(pair_profile(params, rep), rep)
         assert _k4_fields(k4_lower_bound(params, rep)) == want, params
+
+
+def test_k4_bound_matches_fraction_sums_on_random_inputs():
+    """On 2000 seeded random (params, rep) pairs that no tuple has: params in
+    SrgParams' ranges and off the counting identity, ints up to 30, 10**6
+    and past 2**64, d up to 1000, and P and Q of either sign with P != Q.
+    S = 2D + 2P != 0, as the Fraction sums read the block denominators from
+    D and P.  Every count formula and inner product of the kernel enters
+    here, as a polynomial in free integers."""
+    rng = random.Random(20240537)
+    checked, off_identity, past_64, signs = 0, 0, 0, set()
+    while checked < 2000:
+        top = rng.choice((30, 10**6, 2**70))
+        v = rng.randint(4, top)
+        k = rng.randint(1, v - 2)
+        lam, mu, D = rng.randint(0, k - 1), rng.randint(1, k), rng.randint(1, top)
+        P, Q = rng.randint(-top, top), rng.randint(-top, top)
+        if P == -D or P == Q:
+            continue
+        checked += 1
+        params, rep = SrgParams(v, k, lam, mu), ReprConstants(d=rng.randint(3, 1000), D=D, P=P, Q=Q, S=2 * D + 2 * P)
+        want = _fraction_k4_lower_bound(pair_profile(params, rep), rep)
+        assert _k4_fields(k4_lower_bound(params, rep)) == want, (params, rep)
+        off_identity += k * (k - lam - 1) != (v - k - 1) * mu
+        past_64 += max(v, D, abs(P), abs(Q)) >= 2**64
+        signs.add((P > 0, Q > 0))
+    assert off_identity > 1900 and past_64 > 600 and len(signs) == 4
+
+
+def test_pair_profile_reads_scaled_rows(monkeypatch):
+    """On class rows whose counts are divided by 6 or 4, since no
+    integer-spectrum tuple with v < 400 has a non-integral class count:
+    pair_profile names the rows and column it is given, and each class's
+    count reads as the scaled rational."""
     for tup in [(460, 153, 32, 60), (16, 6, 2, 2), (27, 16, 10, 8)]:
         params, rep = _rep(tup)
         prof = pair_profile(params, rep)
         counts = [(_count_const(c), _count_k4(c)) for c in prof]
-        unscaled = _k4_fields(k4_lower_bound(params, rep))
         for div in (6, 4):
             # const/div and K4/(div + 1) over the count denominator times
             # div(div + 1): the counts of _class_rows and the constant K4 column
-            rows = tuple((cs, tuple(n * (div + 1) for n in counts)) for cs, counts in _class_rows(params, rep))
-            column = tuple(tuple(k4 * div for k4 in block) for block in cliquebound.K4_COLUMN)
+            rows = tuple((cs, tuple(n * (div + 1) for n in counts)) for cs, counts in oracle._class_rows(params, rep))
+            column = tuple(tuple(k4 * div for k4 in block) for block in oracle.K4_COLUMN)
             with monkeypatch.context() as mp:
                 mp.setattr(cliquebound, "COUNT_DEN", cliquebound.COUNT_DEN * div * (div + 1))
-                for module in (cliquebound, oracle):  # pair_profile reads oracle's names for them
-                    mp.setattr(module, "_class_rows", lambda *_: rows)
-                    mp.setattr(module, "K4_COLUMN", column)
+                mp.setattr(oracle, "_class_rows", lambda *_: rows)
+                mp.setattr(oracle, "K4_COLUMN", column)
                 scaled = pair_profile(params, rep)
                 assert scaled == tuple(c._replace(const=c.const * (div + 1), k4=c.k4 * div) for c in prof)
                 for c, (const, k4) in zip(scaled, counts):
                     assert (_count_const(c), _count_k4(c)) == (const / div, k4 / (div + 1))
-                got = _k4_fields(k4_lower_bound(params, rep))
-                assert got == _fraction_k4_lower_bound(scaled, rep), (tup, div)
-            assert got != unscaled, (tup, div)
 
 
 def test_k4_column_is_constant_and_b2_a_fourth_difference(reference_censuses):
@@ -399,22 +416,25 @@ def test_b2_is_a_fourth_power_of_p_minus_q():
 
 def test_b2_closed_form_on_a_polynomial_grid(monkeypatch):
     """B2 = 6912 n4 (P - Q)^4 as a polynomial identity, for free Gegenbauer
-    coefficients (n0, n2, n4) and free D, P, Q, S.  The code's B2 is
-    2 sum_i K4_COLUMN[2][i] g(c_i), with g(c) = n4 c^4 + n2 S^2 c^2 + n0 S^4
-    and each c_i linear in D, P, Q and S; so it, the closed form and their
-    difference have degree at most 1 in each of n0, n2 and n4, and at most
-    4 in each of D, P, Q and S.  A polynomial with those degree bounds that
-    vanishes on a product grid of 2 values for each of n0, n2 and n4 and 5
-    for each of D, P, Q and S is zero.  P and Q take disjoint values and n4 > 0, so
-    B2 > 0 at every point and k4_lower_bound returns it; D, P, Q and S are
-    read from rep, and B2 does not depend on the counts of params."""
+    coefficients (n0, n2, n4) and free D, P, Q, S.  The class table's B2 is
+    2 sum_i K4_COLUMN[2][i] g(c_i) over oracle._class_rows, with
+    g(c) = n4 c^4 + n2 S^2 c^2 + n0 S^4 and each c_i linear in D, P, Q and
+    S; so it, the closed form and their difference have degree at most 1 in
+    each of n0, n2 and n4, and at most 4 in each of D, P, Q and S.  A
+    polynomial with those degree bounds that vanishes on a product grid of 2
+    values for each of n0, n2 and n4 and 5 for each of D, P, Q and S is
+    zero; B2 does not depend on the counts of params.  k4_lower_bound's
+    sums[3] is the closed form at every point: P and Q take disjoint values
+    and n4 > 0, so B2 > 0 there and the kernel returns it."""
     params = SrgParams(16, 6, 2, 2)
     points = 0
     for n0, n2, n4 in itertools.product((-3, 2), (-5, 7), (1, 4)):
         monkeypatch.setattr(cliquebound, "_gegenbauer_scaled", lambda d, n=(n0, n2, n4): (n, 1))
         for D, P, Q, S in itertools.product(range(1, 6), range(-2, 3), range(3, 8), range(-4, 6, 2)):
-            b2 = k4_lower_bound(params, ReprConstants(d=5, D=D, P=P, Q=Q, S=S)).sums[3]
-            assert b2 == 6912 * n4 * (P - Q) ** 4, (n0, n2, n4, D, P, Q, S)
+            rep = ReprConstants(d=5, D=D, P=P, Q=Q, S=S)
+            cs = oracle._class_rows(params, rep)[2][0]
+            table = 2 * sum(k4 * (n4 * c**4 + n2 * S**2 * c**2 + n0 * S**4) for k4, c in zip(oracle.K4_COLUMN[2], cs))
+            assert table == 6912 * n4 * (P - Q) ** 4 == k4_lower_bound(params, rep).sums[3], (n0, n2, n4, D, P, Q, S)
             points += 1
     assert points == 2**3 * 5**4
 
@@ -446,13 +466,14 @@ def test_raw_bound_pair_drops_the_block_denominators(reference_graphs):
 
 
 def test_class_rows_have_the_shape_of_the_class_names():
-    """k4_lower_bound unpacks each block of _class_rows and of K4_COLUMN at
-    the length of its oracle._CLASS_NAMES row: 3, 4 and 8."""
+    """Each block of oracle._class_rows and of its K4_COLUMN has the length
+    of its _CLASS_NAMES row, 3, 4 and 8: the 15 classes k4_lower_bound
+    writes out inline."""
     params, rep = _rep((460, 153, 32, 60))
-    rows = _class_rows(params, rep)
+    rows = oracle._class_rows(params, rep)
     assert [len(names) for _, names in oracle._CLASS_NAMES] == [3, 4, 8]
-    assert len(rows) == len(cliquebound.K4_COLUMN) == len(oracle._CLASS_NAMES)
-    for (block, names), (cs, counts), k4s in zip(oracle._CLASS_NAMES, rows, cliquebound.K4_COLUMN):
+    assert len(rows) == len(oracle.K4_COLUMN) == len(oracle._CLASS_NAMES)
+    for (block, names), (cs, counts), k4s in zip(oracle._CLASS_NAMES, rows, oracle.K4_COLUMN):
         assert len(cs) == len(counts) == len(k4s) == len(names), block
 
 
