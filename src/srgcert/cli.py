@@ -6,7 +6,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import re
 import sys
 import time
 import types
@@ -58,131 +57,27 @@ COMMANDS = {
     ),
     "self-check": ("validate derived counts against brute-force censuses", (), {}),
 }
-HELP = "show this help message and exit"
-# an argument that starts with "-" but reads as a negative number is a positional
-NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _usage(command):
-    if command is None:
-        return "usage: srgcert [-h] {%s} ..." % ",".join(COMMANDS)
-    _, positionals, options = COMMANDS[command]
-    flags = [f"[{flag} {spec[3]}]" if spec[1] else f"[{flag}]" for flag, spec in options.items()]
-    return " ".join(["usage: srgcert", command, "[-h]", *flags, *(p[2] for p in positionals)])
+def _build_parser():
+    """The argparse parser of the COMMANDS table, for argv that parse_args
+    does not read itself."""
+    import argparse  # only argv outside the plain form pays for it
 
-
-def _help(command) -> str:
-    """The help screen, laid out as argparse lays it out at 80 columns."""
-    import textwrap  # only a help screen wraps text
-
-    if command is None:
-        head = [_usage(None), "", DESCRIPTION, ""]
-        rows = [(2, "{%s}" % ",".join(COMMANDS), "")] + [(4, name, spec[0]) for name, spec in COMMANDS.items()]
-        sections = {"positional arguments": rows, "options": [(2, "-h, --help", HELP)]}
-    else:
-        _, positionals, options = COMMANDS[command]
-        head = [_usage(command), ""]
-        flags = [(2, f"{flag} {spec[3]}" if spec[1] else flag, spec[4]) for flag, spec in options.items()]
-        sections = {
-            "positional arguments": [(2, p[2], p[3]) for p in positionals],
-            "options": [(2, "-h, --help", HELP), *flags],
-        }
-    # help text starts in this column, or on the next line after a longer invocation
-    column = min(24, 2 + max(indent + len(name) for rows in sections.values() for indent, name, _ in rows))
-    lines = head
-    for title, rows in sections.items():
-        if rows:
-            lines.append(title + ":")
-            for indent, name, text in rows:
-                wrapped = [" " * column + line for line in textwrap.wrap(text, 78 - column)]
-                if wrapped and len(name) <= column - indent - 2:
-                    wrapped[0] = (" " * indent + name).ljust(column) + wrapped[0][column:]
-                else:
-                    lines.append(" " * indent + name)
-                lines += wrapped
-            lines.append("")
-    return "\n".join(lines)
-
-
-def _fail(command, message):
-    prog = "srgcert" if command is None else "srgcert " + command
-    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
-    raise SystemExit(EXIT_BAD_INPUT)
-
-
-def _read(command, kind, name, text):
-    try:
-        return kind(text)  # int() skips the spaces around a number, as argparse let it
-    except ValueError:
-        _fail(command, f"argument {name}: invalid {kind.__name__} value: {text!r}")
-
-
-def _parse(args, command=None):
-    """args read as argparse read them, for command or else for the top
-    level: (fields, unrecognized arguments).  Options may come before,
-    between or after the positionals, as --opt value or --opt=value, or
-    abbreviated to a unique prefix; the last of a repeated option wins, and
-    every argument after "--" is a positional.  -h or --help prints the help
-    and exits 0; any other usage error exits 2 with a message on stderr."""
-    _, positionals, options = COMMANDS[command] if command else ("", (), {})
-    options = {"-h": None, "--help": None, **options}
-    fields = {spec[0]: spec[2] for spec in options.values() if spec}
-    extras, filled, i, dashes = [], 0, 0, False
-    while i < len(args):
-        arg, i = args[i], i + 1
-        option = None if dashes or arg == "--" else _option(command, arg, options)
-        if option is None:
-            if arg == "--" and not dashes:
-                dashes = True
-            elif command is None:  # the command: its own arguments are all the rest
-                if arg not in COMMANDS:
-                    choices = ", ".join(map(repr, COMMANDS))
-                    _fail(None, f"argument command: invalid choice: {arg!r} (choose from {choices})")
-                sub, sub_extras = _parse(args[i:], arg)
-                return {"command": arg, **sub}, extras + sub_extras
-            elif filled < len(positionals):
-                attr, kind, name, _ = positionals[filled]
-                fields[attr], filled = _read(command, kind, name, arg), filled + 1
+    # help laid out for 80 columns, whatever the terminal's width
+    formatter = functools.partial(argparse.HelpFormatter, width=80)
+    parser = argparse.ArgumentParser(prog="srgcert", description=DESCRIPTION, formatter_class=formatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, positionals, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=text, formatter_class=formatter)
+        for attr, kind, metavar, help_ in positionals:
+            command.add_argument(attr, type=kind, metavar=metavar, help=help_ or None)
+        for flag, (attr, kind, default, metavar, help_) in options.items():
+            if kind is None:
+                command.add_argument(flag, dest=attr, action="store_true", help=help_)
             else:
-                extras.append(arg)
-            continue
-        flag, value = option
-        if flag not in options:  # an option that this parser does not have
-            extras.append(arg)
-            continue
-        spec = options[flag]
-        if value is not None and (spec is None or spec[1] is None):
-            _fail(command, f"argument {flag}: ignored explicit argument {value!r}")
-        if spec is None:
-            print(_help(command), end="")
-            raise SystemExit(0)
-        if spec[1] is None:  # a switch
-            fields[spec[0]] = True
-            continue
-        if value is None:
-            if i == len(args) or args[i] == "--" or _option(command, args[i], options) is not None:
-                _fail(command, f"argument {flag}: expected one argument")
-            value, i = args[i], i + 1
-        fields[spec[0]] = _read(command, spec[1], flag, value)
-    if command is None:
-        _fail(None, "the following arguments are required: command")
-    if filled < len(positionals):
-        _fail(command, "the following arguments are required: " + ", ".join(p[2] for p in positionals[filled:]))
-    return fields, extras
-
-
-def _option(command, arg, options):
-    """None if arg is a positional, else (its flag, or arg itself if options
-    has no such flag; the value after "=", or None)."""
-    if arg[:1] != "-" or arg == "-":
-        return None
-    name, eq, value = arg.partition("=")
-    matches = [name] if name in options else [f for f in options if name[:2] == "--" and f.startswith(name)]
-    if len(matches) > 1:
-        _fail(command, f"ambiguous option: {arg} could match {', '.join(matches)}")
-    if matches:
-        return matches[0], value if eq else None
-    return None if NEGATIVE_NUMBER.match(arg) or " " in arg else (arg, None)
+                command.add_argument(flag, dest=attr, type=kind, default=default, metavar=metavar, help=help_)
+    return parser
 
 
 def _cmd_check(args) -> int:
@@ -353,11 +248,34 @@ def _cmd_self_check(args) -> int:
 
 
 def parse_args(argv):
-    """argv as a namespace of its command and the command's fields."""
-    fields, extras = _parse(list(argv))
-    if extras:
-        _fail(None, "unrecognized arguments: " + " ".join(extras))
-    return types.SimpleNamespace(**fields)
+    """argv as a namespace of its command and the command's fields.  argv in
+    the plain form is read here: a command, then tokens that each fill the
+    next positional, read by its type, or are one of the command's flags in
+    full, a valued flag followed by a value that does not start with "-".
+    argparse reads such argv the same way, and any other argv goes to it:
+    help, usage errors, prefixes, --opt=value, -- and negative numbers."""
+    argv = list(argv)
+    if argv and argv[0] in COMMANDS:
+        _, positionals, options = COMMANDS[argv[0]]
+        fields = {"command": argv[0], **{spec[0]: spec[2] for spec in options.values()}}
+        rest, filled = iter(argv[1:]), 0
+        try:  # IndexError: a positional too many; KeyError: no such flag; ValueError: not of its type
+            for arg in rest:
+                if arg[:1] != "-":
+                    attr, kind, _, _ = positionals[filled]
+                    fields[attr], filled = kind(arg), filled + 1
+                elif (spec := options[arg])[1] is None:
+                    fields[spec[0]] = True
+                elif (value := next(rest, "-"))[:1] != "-":  # a missing value reads as "-"
+                    fields[spec[0]] = spec[1](value)
+                else:
+                    break
+            else:
+                if filled == len(positionals):
+                    return types.SimpleNamespace(**fields)
+        except (IndexError, KeyError, ValueError):
+            pass
+    return _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -906,6 +906,15 @@ ARGV_CASES = [
     ["scan", "rows.csv", "--j", "2"],
     ["scan", "rows.csv", "--output", "--json-lines"],
     ["scan", "rows.csv", "--output"],
+    # at the edge of the plain form that parse_args reads without argparse
+    ["check", "", "1", "2", "3"],
+    ["scan", ""],
+    ["scan", "a=b.csv", "--output", ""],
+    ["check", "0x10", "1", "0", "1"],
+    ["check", "-0", "1", "0", "1"],
+    ["scan", "r.csv", "--json-lines", "--jobs", "2", "--jobs", "-3"],
+    ["scan", "r.csv", "--output", "--jobs"],
+    [*CHECK, "--json", "x"],
 ]
 
 
@@ -930,6 +939,40 @@ def test_parse_args_reads_argv_as_argparse_did(capsys, monkeypatch):
     assert sum(c[0] == 0 for c in codes if isinstance(c, tuple)) >= 8
 
 
+def test_plain_argv_never_reaches_argparse(monkeypatch):
+    """Every plain argv that the repo itself runs, the bench's, CI's smoke
+    test's and README's CLI block's, is read without building the argparse
+    parser, into the fields argparse reads from it."""
+    def no_parser():
+        raise AssertionError("the argparse parser was built")
+
+    reference = _argparse_reference()
+    monkeypatch.setattr(cli, "_build_parser", no_parser)
+    bench = [["check", *map(str, tup), "--json"] for tup in ((460, 153, 32, 60), (6205, 858, 47, 130),
+                                                           (5929, 1482, 275, 402))]
+    bench += [["scan", f"work/chunk{i}.csv", "--json-lines", "--jobs", jobs, "--output", f"work/chunk{i}.jsonl"]
+              for i, jobs in ((0, "1"), (19, "2"))]
+    ci = [CHECK, [*CHECK, "--json"], ["self-check"], ["scan", "rows.csv", "--json-lines"]]
+    readme = [shlex.split(line)[1:] for line in _readme_block("CLI", "sh").splitlines() if line.startswith("srgcert ")]
+    readme += [argv for form, argv, _ in README_ARGV_FORMS if form == "`--jobs 2`"]
+    assert len(readme) == 6
+    for argv in bench + ci + readme:
+        assert vars(cli.parse_args(argv)) == vars(reference.parse_args(argv)), argv
+
+
+def test_help_is_laid_out_for_80_columns_at_any_terminal_width(monkeypatch, capsys):
+    for argv in (["--help"], ["scan", "-h"]):
+        screens = set()
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            screens.add(capsys.readouterr().out)
+        assert len(screens) == 1, argv
+        assert max(map(len, screens.pop().splitlines())) <= 80
+
+
 def test_main_runs_command_patched_after_parser_is_built(monkeypatch, capsys):
     main(["check", "16", "6", "2", "2"])
     capsys.readouterr()
@@ -943,15 +986,19 @@ def _in_fresh_interpreter(code):
     return out.stdout.strip()
 
 
-def test_cli_import_leaves_heavy_modules_unloaded():
+def test_cli_import_leaves_heavy_modules_unloaded(tmp_path):
     # every command pays for what `import srgcert.cli` loads
     heavy = ["srgcert.oracle", "numpy", "multiprocessing", "concurrent.futures.process", "dataclasses", "inspect",
              "argparse", "fractions", "decimal", "numbers"]
     assert _in_fresh_interpreter(f"import sys, srgcert.cli; print([m for m in {heavy!r} if m in sys.modules])") == "[]"
-    # nor does parsing argv load argparse
-    code = "import io, sys, contextlib, srgcert.cli as c\nwith contextlib.redirect_stdout(io.StringIO()):\n"
-    code += "    c.main(['check', '460', '153', '32', '60'])\nprint('argparse' in sys.modules)"
-    assert _in_fresh_interpreter(code) == "False"
+    # nor does parsing a plain argv load argparse: the text check, and the bench's scan
+    rows, out = tmp_path / "rows.csv", tmp_path / "rows.jsonl"
+    rows.write_text("v,k,lambda,mu\n16,6,2,2\n", encoding="utf-8")
+    for argv in (["check", "460", "153", "32", "60"],
+                 ["scan", str(rows), "--json-lines", "--jobs", "2", "--output", str(out)]):
+        code = "import io, sys, contextlib, srgcert.cli as c\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+        code += f"    c.main({argv!r})\nprint('argparse' in sys.modules)"
+        assert _in_fresh_interpreter(code) == "False", argv
 
 
 def test_self_check(capsys):
