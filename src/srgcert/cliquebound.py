@@ -92,7 +92,8 @@ def k4_lower_bound(params: SrgParams, rep: ReprConstants) -> K4Bound:
     den b^2, and den b^2 at a self class, where x = b.  ee-disjoint-4 counts
     3 K4, so it drops out of S_ee0, and B2 is 288 times the fourth difference
     of the disjoint classes' values, a quartic in j as c_j = 4Q + j(P - Q):
-    B2 = 6912 n4 (P - Q)^4 > 0, as n4 > 0 and P != Q (gramtest.gram3_per_m)."""
+    B2 = 6912 n4 (P - Q)^4 > 0, as n4 > 0 and P != Q
+    (gramtest.wsplit_contradiction)."""
     (v, k, lam, mu), (d, D, P, Q, S) = params, rep
     (n0, n2, n4), den = _gegenbauer_scaled(d)
     e48, unit = 24 * v * k, COUNT_DEN * den  # 48 |E|

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import namedtuple
 from typing import NamedTuple
 
 from .cliquebound import K4Bound, k4_lower_bound
@@ -85,27 +84,18 @@ class Certificate(NamedTuple):
         return None if self.rep is None else _gram2_root(self.params, self.rep)
 
 
-def _gram_entries(params: SrgParams, rep: ReprConstants, m: int) -> tuple[int, int, int]:
-    """|X|^2, <X, Y3> and |Y3|^2 scaled by D, where X sums the lam common
-    neighbors of an edge uw (m edges among them) and Y3 = x_u + x_w:
-    lam + lam(lam-1)q + 2(p-q)m, 2 lam p and 2 + 2p.  Both Gram
-    determinants are built on these entries."""
-    lam, P, Q = params.lam, rep.P, rep.Q
-    return lam * rep.D + lam * (lam - 1) * Q + 2 * (P - Q) * m, 2 * lam * P, rep.S
-
-
 def _gram2_root(params: SrgParams, rep: ReprConstants) -> tuple[int, int] | None:
-    """The root of the 2x2 Gram determinant |X|^2 |Y3|^2 - <X, Y3>^2 (see
-    _gram_entries), linear in m, as (numerator, denominator > 0), or None
-    for lam = 0."""
-    if params.lam == 0:
+    """The root of the 2x2 Gram determinant |X|^2 |Y3|^2 - <X, Y3>^2 (entries
+    in wsplit_contradiction), linear in m, as (numerator, denominator > 0),
+    or None for lam = 0."""
+    lam, P, Q, y3 = params.lam, rep.P, rep.Q, rep.S
+    if lam == 0:
         return None
-    xx0, x3, y3 = _gram_entries(params, rep, 0)
-    slope = 2 * (rep.P - rep.Q) * y3
+    slope = 2 * (P - Q) * y3
     # negative for primitive parameters
     if slope >= 0:
         raise ValueError("2x2 Gram determinant is not decreasing in m")
-    return xx0 * y3 - x3 * x3, -slope
+    return (lam * rep.D + lam * (lam - 1) * Q) * y3 - 4 * lam * lam * P * P, -slope
 
 
 def m_lower(params: SrgParams, k4_lower: int) -> int:
@@ -145,57 +135,6 @@ def scaled_value(n00: int, n10: int, n01: int, n20: int, alpha: int, beta: int) 
     return (n20 * alpha + n10) * alpha + n01 * beta + n00
 
 
-# The D-scaled parts of the w-split determinant fixed by (tuple, m): see gram3_per_m.
-Gram3PerM = namedtuple("Gram3PerM", "n00_w n00_ww n10_w n01 n20 den")
-
-
-def gram3_per_m(params: SrgParams, rep: ReprConstants, m: int) -> Gram3PerM:
-    """The w-free parts, at edge count m, of the exact determinant of the
-    3x3 w-split Gram matrix as a polynomial in (alpha, beta).
-
-    Y1 sums the n1 = lam - w low-degree common neighbors of an edge, Y2 the
-    w top-degree ones, Y3 = x_u + x_w.  With alpha the top-w degree sum and
-    beta the edges inside the top part, the low part has m + beta - alpha
-    edges and alpha - 2*beta edges cross.  The determinant is unchanged
-    when Y1 becomes X = Y1 + Y2, whose entries with X and Y3 are those of
-    _gram_entries, and with d = p - q the others are
-
-        <X, Y2> = w(1 + (lam-1)q) + d*alpha,  <Y2, Y3> = 2wp,
-        |Y2|^2 = w + w(w-1)q + 2d*beta
-
-    so the determinant is c00 + c10*alpha + c01*beta + c20*alpha^2: beta
-    enters only |Y2|^2 and alpha only <X, Y2>.  c20 = -(2+2p)d^2 and
-    c01 = 2d*g(m), g = |X|^2 |Y3|^2 - <X, Y3>^2 the 2x2 determinant, do not
-    depend on w, c10 = w*c10_w, and c00 = w(c00_w + w*c00_ww) vanishes with
-    Y2 at w = 0.  With every entry and d scaled by D, the coefficients are
-    integers n00, n10, n01, n20 over den = D^3: this computes the w-free
-    parts once per m and gram3_per_w the rest, for 1 <= w < lam.
-
-    On decide's window, for a primitive tuple with an integer spectrum,
-    c01 <= 0 and c20 < 0: d < 0, as p - q = (s(v-1) + k)/(k(v-k-1)) with
-    s <= -1 and k < v - 1; 2 + 2p > 0, as x^2 - (lam-mu)x - (k-mu) is
-    positive at -k and negative at 0 for mu < k, so its root s > -k;
-    and g(m) >= 0, as g is linear in m with slope 2d(2+2p) < 0 and root
-    _gram2_root, whose floor bounds the window.
-    """
-    if m < 0:
-        raise ValueError(f"need m >= 0, got m={m}")
-    D, P, Q = rep.D, rep.P, rep.Q
-    d = P - Q
-    xx, x3, y3 = _gram_entries(params, rep, m)
-    x2 = D + (params.lam - 1) * Q  # <X, Y2> less d*alpha, over w
-    # det = |Y2|^2 g - |X|^2 <Y2, Y3>^2 - |Y3|^2 <X, Y2>^2 + 2 <X, Y2> <Y2, Y3> <X, Y3>
-    g = xx * y3 - x3 * x3  # |X|^2 |Y3|^2 - <X, Y3>^2
-    n00_w, n00_ww = (D - Q) * g, Q * g - 4 * P * P * xx - y3 * x2 * x2 + 4 * P * x2 * x3
-    n10_w, n01, n20 = 2 * d * (2 * P * x3 - y3 * x2), 2 * d * g, -y3 * d * d
-    return tuple.__new__(Gram3PerM, (n00_w, n00_ww, n10_w, n01, n20, D**3))
-
-
-def gram3_per_w(h: Gram3PerM, w: int) -> tuple[int, int]:
-    """The coefficients (n00, n10) of the w-split determinant at w, over h.den."""
-    return w * (h.n00_w + w * h.n00_ww), w * h.n10_w
-
-
 def _alpha_range(n: int, m: int, w: int, alpha_lo: int) -> tuple[int, int]:
     """The feasible alphas lo..hi of the w-split's integer region, 1 <= w < n.
 
@@ -219,9 +158,10 @@ def _alpha_range(n: int, m: int, w: int, alpha_lo: int) -> tuple[int, int]:
 def _region_max_scaled(n00: int, n10: int, n01: int, n20: int, n: int, m: int, w: int,
                        alpha_lo: int) -> tuple[int, tuple[int, int]] | None:
     """Exact maximum of n00 + n10*alpha + n01*beta + n20*alpha^2 (see
-    gram3_per_m) over the integer (alpha, beta) region of the w-split (see
-    _alpha_range), or None if the region is empty.  Needs n01 <= 0 < -n20,
-    which holds on decide's window (see gram3_per_m).
+    wsplit_contradiction) over the integer (alpha, beta) region of the
+    w-split (see _alpha_range), or None if the region is empty.  Needs
+    n01 <= 0 < -n20, which holds on decide's window (see
+    wsplit_contradiction).
 
     With n01 <= 0 the maximum at each alpha is at the lower beta endpoint
     (ties: smallest alpha, then beta), max(0, 2t + r - m, t - c) at
@@ -295,17 +235,6 @@ def _nonneg_runs(c, a: int, b: int) -> list[tuple[int, int]]:
     return [(lo, hi)] if lo <= hi else []
 
 
-def _nonneg_on(c, a: int, b: int) -> bool:
-    """Whether c0 + c1 w + c2 w^2 >= 0 at every integer a <= w <= b, in O(1):
-    a concave or linear one is least at an end, a convex one at the floor of
-    its vertex -c1/(2 c2) or the next integer, clamped to [a, b]."""
-    c0, c1, c2 = c
-    if c2 > 0:
-        x = -c1 // (2 * c2)
-        a, b = min(b, max(a, x)), min(b, max(a, x + 1))
-    return c0 + (c1 + c2 * a) * a >= 0 and c0 + (c1 + c2 * b) * b >= 0
-
-
 def _survivors(polys, a: int, b: int) -> list[tuple[int, int]]:
     """The maximal runs of [a, b], ascending, where one of the polynomials,
     each given by its coefficients (c0, c1, c2) in powers of w, is < 0."""
@@ -320,47 +249,67 @@ def _survivors(polys, a: int, b: int) -> list[tuple[int, int]]:
     return out
 
 
-def _pieces(n: int, m: int):
-    """The pieces (x, end, q, a0), ascending, that tile 1 <= w < n, one for
-    each value of q = (2m + n - w) // n: at most two, as (2m + n - w)/n
-    spans less than 1 there.  On each, alpha_min(n, m, w) = a0 + q*w with
-    a0 = max(0, 2m - qn)."""
-    x = 1
-    while x < n:
-        q = (2 * m + n - x) // n
-        end = min(n - 1, 2 * m + n - n * q)  # the last w with this q; n - 1 for q = 0
-        yield x, end, q, max(0, 2 * m - q * n)
-        x = end + 1
-
-
-def _unrefuted(lam: int, m: int, h: Gram3PerM):
-    """The split sizes 1 <= w < lam, ascending, except runs of w where a
-    lower bound on the region maximum is >= 0.
+def _unrefuted(lam: int, m: int, x: int, n00_w: int, n00_ww: int, n10_w: int, n01: int,
+               n20: int) -> tuple[list[int], int]:
+    """The w that the exact region scan must see on the first piece, from
+    the piece that starts at x on, that leaves any, ascending, with the
+    start of the next piece; or [] and a start >= lam.  A piece leaves its
+    w except runs where a lower bound on the region maximum is >= 0.  The
+    coefficients are those of wsplit_contradiction, with n01 <= 0, which
+    calls again from the returned start only if no w returned is a
+    witness, so a piece past the witness is never cut.
 
     Skipping such a w is sound: a w whose region maximum is >= 0 is no
     witness.  The bound is the value at the alpha_min end of the alpha
     range, a point of the region (see _alpha_range), with beta_lo <=
-    max(0, alpha - m, (alpha - w(lam-w) + 1)/2), as ceil(x/2) <= (x+1)/2
-    for integer x.  As n01 <= 0, n01 times this max is the min of its three
+    max(0, alpha - m, (alpha - w(lam-w) + 1)/2), as ceil(y/2) <= (y+1)/2
+    for integer y.  As n01 <= 0, n01 times this max is the min of its three
     terms, so the value is >= 0 where all three polynomials in w are.  A
     weaker bound only hands more w to wsplit_contradiction's exact per-w
     stage, never a different witness.
 
-    On each piece of w (_pieces), alpha = a0 + q*w, so with
-    V = 2(n00 + n10 alpha + n20 alpha^2) the three polynomials, times 2,
-    are V, V + n01(2 alpha - 2m) and V + n01(alpha - w(lam - w) + 1):
-    quadratics in w, written here in powers of w."""
-    n01, n20 = h.n01, h.n20
-    for x, end, q, a0 in _pieces(lam, m):
-        v0 = 2 * n20 * a0 * a0
-        v1, v2 = 2 * (h.n00_w + (h.n10_w + 2 * n20 * q) * a0), 2 * (h.n00_ww + (h.n10_w + n20 * q) * q)
-        bounds = ((v0, v1, v2), (v0 + 2 * n01 * (a0 - m), v1 + 2 * n01 * q, v2),
-                  (v0 + n01 * (a0 + 1), v1 + n01 * (q - lam), v2 + n01))
-        ok0, ok1, ok2 = _nonneg_on(bounds[0], x, end), _nonneg_on(bounds[1], x, end), _nonneg_on(bounds[2], x, end)
-        if ok0 and ok1 and ok2:
-            continue  # all three >= 0 on the whole piece, shown in O(1)
-        for y, z in _survivors([c for c, ok in zip(bounds, (ok0, ok1, ok2)) if not ok], x, end):  # the others cut no run
-            yield from range(y, z + 1)
+    1 <= w < lam falls into at most two pieces x <= w <= end, one for each
+    value of q = (2m + lam - w) // lam, as (2m + lam - w)/lam spans less
+    than 1 there; on each, alpha_min(lam, m, w) = a0 + q*w with
+    a0 = max(0, 2m - q*lam).  So with V = 2(n00 + n10 alpha + n20 alpha^2)
+    the three polynomials, times 2, are V, V + 2 n01(alpha - m) and
+    V + n01(alpha + 1 - w(lam - w)): quadratics in w with the w^2
+    coefficients v2, v2 and v2 + n01 <= v2.  Where v2 <= 0 all three are
+    concave or linear, so least at an end of the piece, and a piece where
+    all six end values are >= 0 is skipped whole.  On any other piece the
+    three, written in powers of w, are tested one by one in O(1) (a convex
+    one is least at the floor of its vertex -c1/(2 c2) or the next
+    integer, clamped to the piece), and _survivors cuts the piece by those
+    not >= 0 on all of it."""
+    while x < lam:
+        q = (2 * m + lam - x) // lam
+        end = 2 * m + lam - lam * q  # the last w with this q, where it is < lam; a0 = max(0, end - lam)
+        a0, end = (end - lam, lam - 1) if end >= lam else (0, end)
+        v2 = 2 * (n00_ww + (n10_w + n20 * q) * q)
+        if v2 <= 0:
+            for w in (x, end):
+                alpha = a0 + q * w
+                V = 2 * (w * (n00_w + w * n00_ww) + (w * n10_w + n20 * alpha) * alpha)
+                if V < 0 or V + 2 * n01 * (alpha - m) < 0 or V + n01 * (alpha + 1 - w * (lam - w)) < 0:
+                    break
+            else:
+                x = end + 1
+                continue
+        v0, v1 = 2 * n20 * a0 * a0, 2 * (n00_w + (n10_w + 2 * n20 * q) * a0)
+        failing = []
+        for c in ((v0, v1, v2), (v0 + 2 * n01 * (a0 - m), v1 + 2 * n01 * q, v2),
+                  (v0 + n01 * (a0 + 1), v1 + n01 * (q - lam), v2 + n01)):
+            c0, c1, c2 = c
+            y, z = x, end
+            if c2 > 0:  # the floor t of its vertex and t + 1, clamped to the piece
+                t = -c1 // (2 * c2)
+                y, z = (x, x) if t < x else (end, end) if t >= end else (t, t + 1)
+            if c0 + (c1 + c2 * y) * y < 0 or c0 + (c1 + c2 * z) * z < 0:
+                failing.append(c)
+        if failing and (runs := _survivors(failing, x, end)):
+            return [w for y, z in runs for w in range(y, z + 1)], end + 1
+        x = end + 1
+    return [], x
 
 
 def wsplit_contradiction(params: SrgParams, rep: ReprConstants, m: int) -> WSplitWitness | None:
@@ -368,23 +317,62 @@ def wsplit_contradiction(params: SrgParams, rep: ReprConstants, m: int) -> WSpli
     makes the 3x3 Gram determinant negative; return the smallest such w.
     The region's constraints (see _alpha_range) are necessary conditions only.
 
+    The determinant, at edge count m, is a polynomial in (alpha, beta).
+    Y1 sums the n1 = lam - w low-degree common neighbors of an edge uw (m
+    edges among them), Y2 the w top-degree ones, Y3 = x_u + x_w.  With
+    alpha the top-w degree sum and beta the edges inside the top part, the
+    low part has m + beta - alpha edges and alpha - 2*beta edges cross.
+    The determinant is unchanged when Y1 becomes X = Y1 + Y2, and with
+    d = p - q the entries, scaled by D, are
+
+        |X|^2 = lam + lam(lam-1)q + 2dm,  <X, Y3> = 2 lam p,  |Y3|^2 = 2 + 2p,
+        <X, Y2> = w(1 + (lam-1)q) + d*alpha,  <Y2, Y3> = 2wp,
+        |Y2|^2 = w + w(w-1)q + 2d*beta
+
+    (the first three also give the 2x2 determinant, _gram2_root), so the
+    determinant is c00 + c10*alpha + c01*beta + c20*alpha^2: beta enters
+    only |Y2|^2 and alpha only <X, Y2>.  c20 = -(2+2p)d^2 and c01 = 2d*g(m),
+    g = |X|^2 |Y3|^2 - <X, Y3>^2 the 2x2 determinant, do not depend on w,
+    c10 = w*c10_w, and c00 = w(c00_w + w*c00_ww) vanishes with Y2 at w = 0.
+    With every entry and d scaled by D, the coefficients are integers n00,
+    n10, n01, n20 over den = D^3; n00_w, n00_ww and n10_w are computed once
+    per m.
+
+    On decide's window, for a primitive tuple with an integer spectrum,
+    n01 <= 0 and n20 < 0: d < 0, as p - q = (s(v-1) + k)/(k(v-k-1)) with
+    s <= -1 and k < v - 1; 2 + 2p > 0, as x^2 - (lam-mu)x - (k-mu) is
+    positive at -k and negative at 0 for mu < k, so its root s > -k;
+    and g(m) >= 0, as g is linear in m with slope 2d(2+2p) < 0 and root
+    _gram2_root, whose floor bounds the window.
+
     Runs of w whose region maximum the value at the alpha_min end shows to
     be >= 0 are skipped a piece at a time (_unrefuted); each w left, in
-    ascending order, gets the exact region scan.
+    ascending order, gets the exact region scan, and a piece is cut only
+    when the scan has passed the pieces before it.
     """
     lam = params.lam
-    if m > lam * (lam - 1) // 2:
-        raise ValueError(f"m={m} exceeds C(lam,2) for lam={lam}")
-    h = gram3_per_m(params, rep, m)
-    n01, n20 = h.n01, h.n20
+    if not 0 <= m <= lam * (lam - 1) // 2:
+        raise ValueError(f"need 0 <= m <= C(lam,2) for lam={lam}, got m={m}")
+    _, D, P, Q, y3 = rep
+    d = P - Q
+    xx, x3 = lam * D + lam * (lam - 1) * Q + 2 * d * m, 2 * lam * P
+    x2 = D + (lam - 1) * Q  # <X, Y2> less d*alpha, over w
+    g = xx * y3 - x3 * x3
+    n01 = 2 * d * g
     if n01 > 0:
         raise ValueError(f"m={m} exceeds the root of the 2x2 Gram determinant")
-    for w in _unrefuted(lam, m, h):
-        alpha_lo = alpha_min(lam, m, w)
-        # not None: the region is never empty (see _alpha_range)
-        best, at = _region_max_scaled(*gram3_per_w(h, w), n01, n20, lam, m, w, alpha_lo)
-        if best < 0:  # h.den > 0: the sign of the numerator is the sign of the maximum
-            return WSplitWitness(w, m, alpha_lo, best, h.den, at)
+    # det = |Y2|^2 g - |X|^2 <Y2, Y3>^2 - |Y3|^2 <X, Y2>^2 + 2 <X, Y2> <Y2, Y3> <X, Y3>
+    n00_w, n00_ww = (D - Q) * g, Q * g - 4 * P * P * xx - y3 * x2 * x2 + 4 * P * x2 * x3
+    n10_w, n20 = 2 * d * (2 * P * x3 - y3 * x2), -y3 * d * d
+    x = 1
+    while x < lam:
+        left, x = _unrefuted(lam, m, x, n00_w, n00_ww, n10_w, n01, n20)
+        for w in left:
+            alpha_lo = alpha_min(lam, m, w)
+            # not None: the region is never empty (see _alpha_range)
+            best, at = _region_max_scaled(w * (n00_w + w * n00_ww), w * n10_w, n01, n20, lam, m, w, alpha_lo)
+            if best < 0:  # den = D^3 > 0: the sign of the numerator is the sign of the maximum
+                return WSplitWitness(w, m, alpha_lo, best, D**3, at)
     return None
 
 

@@ -172,24 +172,32 @@ def derive_spectrum(params: SrgParams) -> Spectrum | None:
 
 
 def subconstituent_scan(v1: int, k1: int) -> list[tuple[int, int]]:
-    """All (lam', mu') making (v1, k1, lam', mu') classically feasible.
+    """All (lam', mu') making (v1, k1, lam', mu') classically feasible, by lam'.
 
-    The counting identity, which classical feasibility requires, fixes
-    mu' = k1(k1 - lam' - 1)/(v1 - k1 - 1).  With g = gcd(k1, v1 - k1 - 1)
-    that is an integer exactly when (v1 - k1 - 1)/g divides k1 - lam' - 1,
-    so this steps through those 0 <= lam' < k1 in order, keeps mu' if
-    0 < mu' <= k1, and keeps the tuples passing classical_feasibility
-    (conference-type tuples included when the multiplicity conditions
-    permit).
+    Such a tuple is conference-type, (k1/2 - 1, k1/2) with v1 = 2k1 + 1,
+    or has integer eigenvalues r >= 0 > s (see classical_feasibility).
+    With lam' - mu' = r + s and mu' - k1 = rs the counting identity reads
+    k1(r + s) + (v1 - 1)rs = k1(k1 - v1).  r = 0 gives mu' = k1 and
+    lam' = 2k1 - v1.  Otherwise r > 0 > s, and r|s| = k1 - mu' < k1, so
+    t = min(r, |s|) <= isqrt(k1 - 1), and the identity fixes the other:
+    s = k1(k1 - v1 - t)/(k1 + (v1 - 1)t) for r = t, and
+    r = k1(k1 - v1 + t)/(k1 - (v1 - 1)t) for s = -t.  The exact quotients
+    with 0 < mu' <= k1 and 0 <= lam' < k1, at most 2 isqrt(k1 - 1) + 2
+    pairs, are screened with classical_feasibility.
     """
     if not v1 > k1 > 0:
         raise InvalidParamsError(f"need v1 > k1 > 0, got v1={v1}, k1={k1}")
     if k1 == v1 - 1:
         return []  # SrgParams rejects the complete graph
-    found = []
-    step = (v1 - k1 - 1) // math.gcd(k1, v1 - k1 - 1)
-    for lam in range((k1 - 1) % step, k1, step):
-        mu = k1 * (k1 - lam - 1) // (v1 - k1 - 1)
-        if 0 < mu <= k1 and classical_feasibility(SrgParams(v1, k1, lam, mu)).passed:
-            found.append((lam, mu))
-    return found
+    found = {(2 * k1 - v1, k1)}  # r = 0
+    if v1 == 2 * k1 + 1 and k1 % 2 == 0:
+        found.add((k1 // 2 - 1, k1 // 2))  # conference-type
+    for t in range(1, math.isqrt(k1 - 1) + 1):
+        s, rest = divmod(k1 * (k1 - v1 - t), k1 + (v1 - 1) * t)
+        if rest == 0:  # r = t
+            found.add((k1 + t * s + t + s, k1 + t * s))
+        r, rest = divmod(k1 * (k1 - v1 + t), k1 - (v1 - 1) * t)
+        if rest == 0:  # s = -t
+            found.add((k1 - r * t + r - t, k1 - r * t))
+    return [(lam, mu) for lam, mu in sorted(found)
+            if 0 <= lam < k1 and 0 < mu <= k1 and classical_feasibility(SrgParams(v1, k1, lam, mu)).passed]

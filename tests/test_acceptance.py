@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from srgcert.cli import main
-from srgcert.gramtest import Verdict, alpha_min, decide, gram3_per_m, gram3_per_w, scaled_value
+from srgcert.gramtest import Verdict, alpha_min, decide, scaled_value
 from srgcert.params import SrgParams, classical_feasibility, derive_spectrum, repr_constants
 from srgcert.serialize import certificate_json, dumps
 from srgcert.oracle import (
@@ -25,6 +25,7 @@ from conftest import complement_params
 from support import rep_fractions
 from numeric import realize_representation
 from test_serialize import _dict_certificate
+from wsplit_oracle import gram3_per_m, gram3_per_w
 
 
 @contextmanager

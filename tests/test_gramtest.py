@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import random
@@ -9,21 +10,16 @@ import pytest
 
 from srgcert import gramtest
 from srgcert.gramtest import (
-    Gram3PerM,
     MRange,
     Verdict,
     WSplitWitness,
     _alpha_range,
-    _nonneg_on,
     _nonneg_runs,
-    _pieces,
     _region_max_scaled,
     _survivors,
     _unrefuted,
     alpha_min,
     decide,
-    gram3_per_m,
-    gram3_per_w,
     m_lower,
     scaled_value,
     wsplit_contradiction,
@@ -36,6 +32,9 @@ from support import rep_fractions
 from test_acceptance import _gram3_det, _primitive_feasible_tuples
 from test_families import PRIME_POWERS, _family_tuples, _gq
 from test_serialize import _dict_certificate
+from wsplit_oracle import Gram3PerM, gram3_per_m, gram3_per_w, kernel_coefficients, kernel_left
+from wsplit_oracle import nonneg_on as _nonneg_on, pieces as _pieces, piece_bounds
+from wsplit_oracle import unrefuted as oracle_unrefuted, wsplit as oracle_wsplit
 
 PAPER_TUPLES = [(460, 153, 32, 60), (6205, 858, 47, 130), (5929, 1482, 275, 402)]
 ORACLE_TUPLES = PAPER_TUPLES + [(121, 100, 81, 90)]
@@ -509,10 +508,21 @@ def test_region_value_per_parity_is_concave_in_t():
 
 
 def _every_w_to_the_scan(monkeypatch):
-    """Hand every 1 <= w < lam to the exact region scan: the shifted c00 of
-    the two tests below goes through gram3_per_w, which the pieces do not
-    read."""
-    monkeypatch.setattr(gramtest, "_unrefuted", lambda lam, m, h: range(1, lam))
+    """Hand every 1 <= w < lam to the exact region scan: the two tests below
+    shift c00 inside the scan, which the pieces do not read."""
+    monkeypatch.setattr(gramtest, "_unrefuted", lambda lam, m, x, *coefficients: (list(range(x, lam)), lam))
+
+
+def _shifted_scan(shift):
+    """_region_max_scaled with c00 raised by shift(n00, n10, n01, n20, n, m,
+    w, alpha_lo), and the w of each call, in order."""
+    calls = []
+
+    def scan(*args):
+        calls.append(args[6])
+        return _region_max_scaled(args[0] + shift(*args), *args[1:])
+
+    return scan, calls
 
 
 def test_wsplit_region_max_zero_at_every_w_is_no_witness(monkeypatch):
@@ -522,23 +532,10 @@ def test_wsplit_region_max_zero_at_every_w_is_no_witness(monkeypatch):
     maximum."""
     params, rep = _rep((460, 153, 32, 60))
     lam, m = params.lam, 39
-    real_per_w = gramtest.gram3_per_w
     _every_w_to_the_scan(monkeypatch)
     for offset in (0, -1):
-
-        def shifted(h, w):
-            n00, n10 = real_per_w(h, w)
-            best, _ = _region_max_scaled(n00, n10, h.n01, h.n20, lam, m, w, alpha_min(lam, m, w))
-            return n00 - best + offset, n10
-
-        calls = []
-
-        def counting_scan(*args):
-            calls.append(args[6])
-            return _region_max_scaled(*args)
-
-        monkeypatch.setattr(gramtest, "gram3_per_w", shifted)
-        monkeypatch.setattr(gramtest, "_region_max_scaled", counting_scan)
+        scan, calls = _shifted_scan(lambda *args: offset - _region_max_scaled(*args)[0])
+        monkeypatch.setattr(gramtest, "_region_max_scaled", scan)
         wit = wsplit_contradiction(params, rep, m)
         if offset == 0:
             assert calls == list(range(1, lam)) and wit is None
@@ -555,20 +552,16 @@ def test_region_max_zero_is_not_a_witness(monkeypatch):
     offset."""
     params, rep = _rep((15, 8, 4, 4))
     lam, m, w = params.lam, 2, 2
-    real_per_w = gramtest.gram3_per_w
     h = gram3_per_m(params, rep, m)
-    det = (*real_per_w(h, w), h.n01, h.n20)
+    det = (*gram3_per_w(h, w), h.n01, h.n20)
     alpha_lo = alpha_min(lam, m, w)
     assert _region_max_scaled(*det, lam, m, w, alpha_lo)[0] == 5400
     _every_w_to_the_scan(monkeypatch)
     for offset in (0, -1):
-
-        def shifted(h, w_):
-            n00, n10 = real_per_w(h, w_)
-            return n00 + (offset - 5400 if w_ == w else 0), n10
-
-        monkeypatch.setattr(gramtest, "gram3_per_w", shifted)
+        scan, calls = _shifted_scan(lambda *args: offset - 5400 if args[6] == w else 0)
+        monkeypatch.setattr(gramtest, "_region_max_scaled", scan)
         wit = wsplit_contradiction(params, rep, m)
+        assert calls == list(range(1, w + 1 if offset else lam))
         if offset == 0:
             assert wit is None
         else:
@@ -577,13 +570,12 @@ def test_region_max_zero_is_not_a_witness(monkeypatch):
 
 def _work_counts(monkeypatch, tuples):
     """(exact region scans, w the pieces hand to the per-w loop) over one
-    decide of each tuple."""
+    decide of each tuple: a w is handed on when the loop takes it."""
     scans, left = [], []
 
     def counting_unrefuted(*args):
-        for w in _unrefuted(*args):
-            left.append(w)
-            yield w
+        got, x = _unrefuted(*args)
+        return (left.append(w) or w for w in got), x
 
     monkeypatch.setattr(gramtest, "_region_max_scaled", lambda *args: scans.append(args) or _region_max_scaled(*args))
     monkeypatch.setattr(gramtest, "_unrefuted", counting_unrefuted)
@@ -612,7 +604,8 @@ def test_exact_region_scans_are_pinned(monkeypatch):
 def test_nonneg_runs_isqrt_calls_are_pinned(monkeypatch):
     """Deciding the rows of bench/corpus/feasible.csv and the paper tuples
     takes 4 isqrt calls in gramtest: 5 before _unrefuted handed _survivors
-    only the bounds that _nonneg_on does not show >= 0 on the whole piece,
+    only the bounds that its O(1) per-quadratic test does not show >= 0 on
+    the whole piece,
     257 before it skipped a piece whole where all three are, and 695
     before _nonneg_runs returned a run whole where a concave or linear
     polynomial is >= 0 at both of its ends.  A change that takes more
@@ -683,7 +676,9 @@ def test_co_gq_first_m_leaves_no_w_to_the_loop():
     cert = decide(co)
     assert co.lam == 1824840 and cert.verdict is Verdict.INCONCLUSIVE
     m = cert.m_range.lower
-    assert list(_unrefuted(co.lam, m, gram3_per_m(co, cert.rep, m))) == []
+    coefficients = kernel_coefficients(co, cert.rep, m)
+    assert coefficients == gram3_per_m(co, cert.rep, m)[:5]
+    assert _unrefuted(co.lam, m, 1, *coefficients) == ([], co.lam)
 
 
 def _per_w_wsplit(params, rep, m):
@@ -721,6 +716,100 @@ def test_wsplit_pieces_match_per_w_oracle():
         assert (len(group), sum(wit is not None for wit in want)) == (n_cases, n_witnesses)
 
 
+def _window_cases(tuples, ends):
+    """(params, rep, m): the first and last `ends` m of each tuple's window
+    and every 50th m between them."""
+    cases = []
+    for params in tuples:
+        cert = decide(params)
+        if cert.m_range is not None:
+            ms = range(cert.m_range.lower, cert.m_range.upper + 1)
+            cases += [(params, cert.rep, m) for m in sorted({*ms[:ends], *ms[ends:-ends:50], *ms[-ends:]})]
+    return cases
+
+
+def test_wsplit_kernel_matches_pre_kernel_path():
+    """The integer kernel gives the witness, or None, of the pre-kernel
+    w-split (gram3_per_m, the generator walk over the pieces and the same
+    exact scan), and leaves the same w on the same pieces: the first and
+    last 20 m of the window of each of the 648 primitive feasible tuples
+    with v <= 300 and of the paper tuples, and every 50th m between."""
+    tuples = list(_primitive_feasible_tuples(300)) + [SrgParams(*t) for t in PAPER_TUPLES]
+    cases = _window_cases(tuples, 20)
+    witnesses = left = 0
+    for params, rep, m in cases:
+        want = oracle_wsplit(params, rep, m)
+        assert wsplit_contradiction(params, rep, m) == want, (params, m)
+        h = gram3_per_m(params, rep, m)
+        assert kernel_coefficients(params, rep, m) == (h[:5] if params.lam >= 2 else None), (params, m)
+        ws = kernel_left(params.lam, m, *h[:5])
+        assert ws == list(oracle_unrefuted(params.lam, m, h)), (params, m)
+        witnesses += want is not None
+        left += len(ws)
+    assert (len(tuples), len(cases), witnesses, left) == (651, 22344, 109, 3140)
+
+
+def _piece_kinds(n, m, h):
+    """Per piece of the pre-kernel walk: (its kind, the _survivors call it
+    takes or None, what _unrefuted returns for it)."""
+    out = []
+    for x, end, q, a0 in _pieces(n, m):
+        bounds = piece_bounds(n, m, h, q, a0)
+        failing = [c for c in bounds if not _nonneg_on(c, x, end)]
+        left = [w for y, z in _survivors(failing, x, end) for w in range(y, z + 1)] if failing else []
+        cut = "skipped whole" if not left else "some w cut off" if len(left) < end - x + 1 else "every w left"
+        if bounds[0][2] > 0:
+            kind = "v2 > 0, " + cut
+        elif all(_poly_at(c, w) >= 0 for c in bounds for w in (x, end)):
+            kind = "v2 <= 0, ends >= 0"
+        else:
+            kind = "v2 <= 0, an end < 0, " + cut
+        out.append((kind, (failing, x, end) if failing else None, (left, end + 1)))
+    return out
+
+
+def test_unrefuted_matches_generator_walk_on_random_coefficients(monkeypatch):
+    """On random coefficients with n01 <= 0 < -n20, each call of _unrefuted
+    from x returns the w that the generator walk leaves on the first piece
+    at or after x that leaves any, with the start of the next piece, and
+    the kernel hands _survivors exactly the quadratics that _nonneg_on
+    finds not >= 0 on a piece.  In most cases n00_w is set so that one of
+    the three bounds (times 2) at one end w of one piece lies in [0, 2w) or
+    [-2w, 0), as a step of n00_w moves it by 2w: there a bound off by a
+    little changes which pieces are skipped.  Drawn: pieces with v2 <= 0
+    whose six end values are >= 0, and ones where they are not and the
+    quadratics cut some w off, and pieces with v2 > 0, skipped whole or
+    cut."""
+    cuts = []
+    monkeypatch.setattr(gramtest, "_survivors", lambda *args: cuts.append(args) or _survivors(*args))
+    rng = random.Random(39)
+    drawn = collections.Counter()
+    for _ in range(4000):
+        n = rng.randint(2, 40)
+        m = rng.randint(0, n * (n - 1) // 2)
+        s = rng.choice([3, 30, 1000])
+        n00_ww, n10_w = (rng.randint(-s, s) * rng.choice([1, 10, 100]) for _ in range(2))
+        h = Gram3PerM(0, n00_ww, n10_w, rng.choice([0, -rng.randint(0, s)]), -rng.randint(1, s), 1)
+        if rng.random() < 0.8:  # shifting n00_w by 1 moves each bound at w by 2w
+            x, end, q, a0 = rng.choice(list(_pieces(n, m)))
+            w = rng.choice([x, end])
+            bound = _poly_at(rng.choice(piece_bounds(n, m, h, q, a0)), w)
+            h = h._replace(n00_w=-(bound // (2 * w)) - rng.randint(0, 1))
+        else:
+            h = h._replace(n00_w=rng.randint(-s, s) * rng.choice([1, 10, 100]))
+        pieces = _piece_kinds(n, m, h)
+        got, x = [], 1
+        cuts.clear()
+        while x < n:
+            left, x = _unrefuted(n, m, x, *h[:5])
+            assert left or x >= n, (h, n, m)
+            got += [(left, x)] if left else []
+        assert got == [ret for _, _, ret in pieces if ret[0]], (h, n, m)
+        assert cuts == [cut for _, cut, _ in pieces if cut], (h, n, m)
+        drawn.update(kind for kind, _, _ in pieces)
+    assert {kind for kind, k in drawn.items() if k >= 50} >= {
+        "v2 <= 0, ends >= 0", "v2 <= 0, an end < 0, some w cut off", "v2 > 0, skipped whole",
+        "v2 > 0, some w cut off"}, drawn
 def _poly_at(c, w):
     return c[0] + c[1] * w + c[2] * w * w
 
@@ -786,12 +875,13 @@ def test_nonneg_runs_match_brute_force():
 
 
 def test_piece_check_matches_survivors_and_brute_force():
-    """_nonneg_on finds a polynomial c0 + c1 w + c2 w^2 >= 0 on a whole
-    interval exactly where every integer of it is >= 0 and _survivors finds
-    no run of it < 0: random concave, linear and convex polynomials, the
-    vertex inside the interval, left or right of it, at an integer or
-    between two, leading coefficient up to about 10^40, and c0 set so that
-    the least value on the interval is -1, 0, 1 or larger."""
+    """_nonneg_on, the O(1) per-quadratic test that _unrefuted writes inline,
+    finds a polynomial c0 + c1 w + c2 w^2 >= 0 on a whole interval exactly
+    where every integer of it is >= 0 and _survivors finds no run of it
+    < 0: random concave, linear and convex polynomials, the vertex inside
+    the interval, left or right of it, at an integer or between two,
+    leading coefficient up to about 10^40, and c0 set so that the least
+    value on the interval is -1, 0, 1 or larger."""
     rng = random.Random(29)
     drawn = set()
     for _ in range(6000):
@@ -819,7 +909,8 @@ def test_piece_check_matches_survivors_and_brute_force():
 def test_pieces_tile_the_split_sizes_with_alpha_min_one_line():
     """For every 2 <= n < 60 and 0 <= m <= C(n,2), the pieces tile
     [1, n-1] in at most two, and alpha_min is a0 + q*w at every w of each:
-    the property the piece walk of _unrefuted rests on."""
+    the property the piece walk of _unrefuted, which writes the same
+    pieces inline, rests on."""
     for n in range(2, 60):
         for m in range(n * (n - 1) // 2 + 1):
             pieces = list(_pieces(n, m))
@@ -862,7 +953,7 @@ def test_pieces_skip_exactly_the_w_a_bound_refutes():
         if rng.random() < 0.8:  # shifting n00_w by 1 moves the bound at w0 by w0
             bound = _alpha_min_end_bound(n, m, h, w0)
             h = h._replace(n00_w=n00_w + math.ceil(-bound / w0) - rng.randint(0, 1))
-        left = set(_unrefuted(n, m, h))
+        left = set(kernel_left(n, m, *h[:5]))
         for w in range(1, n):
             assert (w not in left) == (_alpha_min_end_bound(n, m, h, w) >= 0), (h, n, m, w)
             if w in left:
@@ -936,6 +1027,8 @@ def test_gram3_hoisted_coefficients_match_fraction_formula():
     assert len(cases) > 100 and splits > 3000
     with pytest.raises(ValueError):
         gram3_per_m(params, rep, -1)
+    with pytest.raises(ValueError):
+        wsplit_contradiction(params, rep, -1)
 
 
 def test_alpha_min_closed_form_matches_loop():

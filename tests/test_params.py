@@ -444,6 +444,8 @@ def test_subconstituent_scan_examples():
     assert (0, 1) in subconstituent_scan(5, 2)
     assert (2, 2) in subconstituent_scan(16, 6)
     assert subconstituent_scan(20000002, 10000000) == []  # steps of 10^7 + 1: one lam' tried
+    # every lam' < k1 - 1 has an integral mu' = k1 - lam' - 1: a loop over lam' took 20-60 s
+    assert subconstituent_scan(20000001, 10000000) == [(4999999, 5000000)]
 
 
 def _per_lambda_subconstituent_scan(v1, k1):
@@ -497,14 +499,17 @@ def test_subconstituent_scan_matches_independent_filter():
 
 
 def test_subconstituent_scan_tries_one_mu_per_lambda(monkeypatch):
-    """The counting identity fixes mu', so a scan screens at most k1 tuples."""
+    """The counting identity fixes mu', and the eigenvalues fix lam': a scan
+    screens at most 2 isqrt(k1) + 2 tuples, each on the identity, and no
+    tuple twice.  (20000001, 10000000), where every lam' has an integral
+    mu', screens 7."""
     calls = []
     real = params_module.classical_feasibility
     monkeypatch.setattr(params_module, "classical_feasibility", lambda p: calls.append(p) or real(p))
-    for v1, k1, tried in ((5000, 2000, 0), (16, 6, 1), (100, 22, 3)):
+    for v1, k1, tried in ((5000, 2000, 0), (16, 6, 1), (100, 22, 2), (20000001, 10000000, 7)):
         calls.clear()
         subconstituent_scan(v1, k1)
-        assert len(calls) == tried <= k1, (v1, k1)
+        assert len(calls) == len(set(calls)) == tried <= 2 * math.isqrt(k1) + 2, (v1, k1)
         assert all(p.k * (p.k - p.lam - 1) == (p.v - p.k - 1) * p.mu for p in calls)
 
 

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from srgcert import gramtest
-from srgcert.gramtest import gram3_per_m, gram3_per_w, scaled_value
+from srgcert.gramtest import scaled_value
 from srgcert.oracle import construct, srg_parameters
 from srgcert.params import ReprConstants, SrgParams, derive_spectrum, repr_constants
 from support import rep_fractions, rep_from_fractions
 from numeric import realize_representation, to_numpy
 from test_acceptance import _gram3_det, _primitive_feasible_tuples
+from wsplit_oracle import gram3_per_m, gram3_per_w, kernel_coefficients
 
 
 def _rep(tup):
@@ -307,12 +308,22 @@ def test_gram3_det_matches_literal_determinant_on_a_grid():
     interpolation), and this grid has 4 values of D, P and Q, 5 of lam,
     3 of m, alpha and beta, and 8 of w: the identity holds for all
     integers.  On the same grid, n01 = 2d g(m) and n20 = -S d^2, with
-    d = P - Q, whose signs decide's window relies on."""
-    points = 0
+    d = P - Q, whose signs decide's window relies on.  Wherever
+    wsplit_contradiction takes the point (m <= C(lam, 2) and n01 <= 0) with
+    a split size to search (lam >= 2), the coefficients it computes are
+    gram3_per_m's, and where n01 > 0 it refuses m."""
+    points = kernel_points = 0
     for D, P, Q, lam, m in itertools.product(range(1, 5), range(-2, 2), range(-1, 3), range(5), range(3)):
         rep = ReprConstants(1, D, P, Q, 2 * D + 2 * P)
         # an admissible tuple with this lam: gram3_per_m reads no other field of it
-        h = gram3_per_m(SrgParams(lam + 3, lam + 1, lam, 1), rep, m)
+        params = SrgParams(lam + 3, lam + 1, lam, 1)
+        h = gram3_per_m(params, rep, m)
+        if m <= lam * (lam - 1) // 2 and h.n01 > 0:
+            with pytest.raises(ValueError):
+                gramtest.wsplit_contradiction(params, rep, m)
+        elif m <= lam * (lam - 1) // 2 and lam >= 2:  # lam < 2 has no split size
+            assert kernel_coefficients(params, rep, m) == h[:5], (D, P, Q, lam, m)
+            kernel_points += 1
         d, gram2 = P - Q, _gram3_literal(lam, (D, P, Q), 0, m, 0, 0)  # w = 0: the 2x2 Gram of X and Y3
         assert h.n01 == 2 * d * (gram2[0][0] * gram2[2][2] - gram2[0][2] ** 2)
         assert h.n20 == -rep.S * d * d and h.den == D**3
@@ -322,7 +333,7 @@ def test_gram3_det_matches_literal_determinant_on_a_grid():
                 literal = _det3(_gram3_literal(lam, (D, P, Q), w, m, alpha, beta))
                 assert scaled_value(n00, n10, h.n01, h.n20, alpha, beta) == literal, (D, P, Q, lam, m, w, alpha, beta)
                 points += 1
-    assert points == 69_120
+    assert points == 69_120 and kernel_points == 278
 
 
 def test_gram3_full_split_degenerates_to_zero_row():
