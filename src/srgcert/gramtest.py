@@ -274,28 +274,17 @@ def _unrefuted(lam: int, m: int, x: int, n00_w: int, n00_ww: int, n10_w: int, n0
     a0 = max(0, 2m - q*lam).  So with V = 2(n00 + n10 alpha + n20 alpha^2)
     the three polynomials, times 2, are V, V + 2 n01(alpha - m) and
     V + n01(alpha + 1 - w(lam - w)): quadratics in w with the w^2
-    coefficients v2, v2 and v2 + n01 <= v2.  Where v2 <= 0 all three are
-    concave or linear, so least at an end of the piece, and a piece where
-    all six end values are >= 0 is skipped whole.  On any other piece the
-    three, written in powers of w, are tested one by one in O(1) (a convex
-    one is least at the floor of its vertex -c1/(2 c2) or the next
-    integer, clamped to the piece), and _survivors cuts the piece by those
-    not >= 0 on all of it."""
+    coefficients v2, v2 and v2 + n01 <= v2.  Each, written in powers of w,
+    is tested in O(1) at the two integers where it is least on the piece
+    (its ends if it is concave or linear; if convex, the floor of its
+    vertex -c1/(2 c2) and the next integer, clamped to the piece), and
+    _survivors cuts the piece by those not >= 0 on all of it."""
     while x < lam:
         q = (2 * m + lam - x) // lam
         end = 2 * m + lam - lam * q  # the last w with this q, where it is < lam; a0 = max(0, end - lam)
         a0, end = (end - lam, lam - 1) if end >= lam else (0, end)
-        v2 = 2 * (n00_ww + (n10_w + n20 * q) * q)
-        if v2 <= 0:
-            for w in (x, end):
-                alpha = a0 + q * w
-                V = 2 * (w * (n00_w + w * n00_ww) + (w * n10_w + n20 * alpha) * alpha)
-                if V < 0 or V + 2 * n01 * (alpha - m) < 0 or V + n01 * (alpha + 1 - w * (lam - w)) < 0:
-                    break
-            else:
-                x = end + 1
-                continue
         v0, v1 = 2 * n20 * a0 * a0, 2 * (n00_w + (n10_w + 2 * n20 * q) * a0)
+        v2 = 2 * (n00_ww + (n10_w + n20 * q) * q)
         failing = []
         for c in ((v0, v1, v2), (v0 + 2 * n01 * (a0 - m), v1 + 2 * n01 * q, v2),
                   (v0 + n01 * (a0 + 1), v1 + n01 * (q - lam), v2 + n01)):

@@ -810,6 +810,8 @@ def test_unrefuted_matches_generator_walk_on_random_coefficients(monkeypatch):
     assert {kind for kind, k in drawn.items() if k >= 50} >= {
         "v2 <= 0, ends >= 0", "v2 <= 0, an end < 0, some w cut off", "v2 > 0, skipped whole",
         "v2 > 0, some w cut off"}, drawn
+
+
 def _poly_at(c, w):
     return c[0] + c[1] * w + c[2] * w * w
 

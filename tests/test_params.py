@@ -443,7 +443,7 @@ def test_subconstituent_scan_examples():
     assert subconstituent_scan(891, 204) == []
     assert (0, 1) in subconstituent_scan(5, 2)
     assert (2, 2) in subconstituent_scan(16, 6)
-    assert subconstituent_scan(20000002, 10000000) == []  # steps of 10^7 + 1: one lam' tried
+    assert subconstituent_scan(20000002, 10000000) == []  # no candidate pair in range: none screened
     # every lam' < k1 - 1 has an integral mu' = k1 - lam' - 1: a loop over lam' took 20-60 s
     assert subconstituent_scan(20000001, 10000000) == [(4999999, 5000000)]
 
